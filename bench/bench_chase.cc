@@ -22,9 +22,10 @@
 //
 // Usage: bench_chase [output.json]   (default BENCH_chase.json in cwd)
 //        bench_chase --quick         (perf smoke gate: pipeline_n512 under
-//                                     both executors; exits nonzero if the
-//                                     VM is slower than the conservative
-//                                     facts/sec floor or the executors
+//                                     both executors, and egd_heavy_n2048
+//                                     at 1 thread vs a pooled run; exits
+//                                     nonzero if either falls below its
+//                                     conservative floor or the runs
 //                                     disagree)
 
 #include <chrono>
@@ -50,6 +51,7 @@ constexpr int kRepeats = 5;
 struct StrategyStats {
   double wall_ms = 0;
   int64_t steps = 0;
+  int64_t merges = 0;  // successful egd unions; -1 when metrics are off
   int64_t result_facts = 0;
   double facts_per_sec = 0;
   uint64_t fingerprint = 0;
@@ -169,8 +171,11 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
   // registry and falls back to the engine's count.)
   static obs::Counter chase_steps =
       obs::MetricsRegistry::Global().GetCounter("pdx_chase_steps_total");
+  static obs::Counter egd_merges =
+      obs::MetricsRegistry::Global().GetCounter("pdx_chase_egd_merges_total");
   for (int rep = 0; rep < kRepeats; ++rep) {
     int64_t steps_before = chase_steps.Value();
+    int64_t merges_before = egd_merges.Value();
     auto t0 = std::chrono::steady_clock::now();
     ChaseResult result = Chase(start, tgds, egds, symbols, options);
     auto t1 = std::chrono::steady_clock::now();
@@ -181,9 +186,12 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
     stats.steps = chase_steps.Value() - steps_before;
     PDX_CHECK(stats.steps == result.steps)
         << "registry steps diverged from ChaseResult::steps";
+    stats.merges = egd_merges.Value() - merges_before;
 #else
     (void)steps_before;
+    (void)merges_before;
     stats.steps = result.steps;
+    stats.merges = -1;  // no registry, and steps also count tgd steps
 #endif
     // Resolved counts/fingerprints so the Substitute-based and union-find
     // engines are compared on the same (materialized-equivalent) view.
@@ -331,10 +339,8 @@ BytecodeVsTreeResult RunBytecodeVsTree(SymbolTable* symbols,
 // only. Every speculative and dag point must match the barrier base's
 // step count and its canonicalized fingerprint (their null identities
 // are schedule-dependent, so only renaming-invariant equality is
-// meaningful). On merge-heavy workloads the pooled path also switches
-// the egd fixpoint from find-one-then-rescan to batched
-// collect-then-apply, so multi-thread points can beat 1-thread even on a
-// single core.
+// meaningful). The egd fixpoint runs the same batched passes at every
+// thread count; the pool only fans out their collect half.
 ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
                                      const std::string& name,
                                      const Instance& start,
@@ -489,6 +495,14 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
 // still does.
 constexpr double kQuickFactsPerSecFloor = 500'000.0;
 
+// Conservative egd merges/sec floor for the --quick gate on
+// egd_heavy_n2048 at 1 thread (chase wall time, tgd phase included). The
+// batched egd fixpoint measures ~195K–340K merges/sec here on a shared
+// 4-vCPU box; a fixpoint that rescans the delta after every merge is
+// quadratic in the merges of a pass and measured ~10K, far under the
+// floor.
+constexpr double kQuickMergesPerSecFloor = 50'000.0;
+
 int Main(int argc, char** argv) {
   BenchContext ctx;
   // Perf smoke gate (tools/check.sh): pipeline_n512 under the tree
@@ -510,6 +524,43 @@ int Main(int argc, char** argv) {
                  "tree speedup %.2fx\n",
                  r.bytecode.facts_per_sec, kQuickFactsPerSecFloor,
                  r.speedup);
+    // Egd gate: the 1-thread fixpoint, step- and fingerprint-checked
+    // against a pooled run (same merge order at every thread count).
+    Instance egd_start = ctx.RandomEdges(2048, 2, 29);
+    StrategyStats seq =
+        RunOne(&ctx.symbols, egd_start, ctx.egd_heavy_tgds,
+               ctx.egd_heavy_egds, ChaseStrategy::kRestricted, 1);
+    StrategyStats pooled =
+        RunOne(&ctx.symbols, egd_start, ctx.egd_heavy_tgds,
+               ctx.egd_heavy_egds, ChaseStrategy::kRestricted, 4);
+    PDX_CHECK(pooled.steps == seq.steps)
+        << "thread count changed the step count on egd_heavy_n2048";
+    PDX_CHECK(pooled.fingerprint == seq.fingerprint)
+        << "thread count changed the result on egd_heavy_n2048";
+    if (seq.merges < 0) {
+      std::fprintf(stderr,
+                   "quick gate OK: egd merges/sec floor skipped (metrics "
+                   "compiled out; %.2f ms at 1 thread)\n",
+                   seq.wall_ms);
+      return 0;
+    }
+    const double merges_per_sec =
+        seq.wall_ms > 0 ? static_cast<double>(seq.merges) /
+                              (seq.wall_ms / 1000.0)
+                        : 0;
+    if (merges_per_sec < kQuickMergesPerSecFloor) {
+      std::fprintf(stderr,
+                   "FAIL: 1-thread egd fixpoint %.0f merges/sec below the "
+                   "smoke floor %.0f on egd_heavy_n2048\n",
+                   merges_per_sec, kQuickMergesPerSecFloor);
+      return 1;
+    }
+    std::fprintf(stderr,
+                 "quick gate OK: %.0f egd merges/sec at 1 thread (floor "
+                 "%.0f, %lld merges, %.2f ms; 4 threads %.2f ms)\n",
+                 merges_per_sec, kQuickMergesPerSecFloor,
+                 static_cast<long long>(seq.merges), seq.wall_ms,
+                 pooled.wall_ms);
     return 0;
   }
   std::vector<WorkloadResult> results;

@@ -108,28 +108,6 @@ bool FindViolatedEgdTrigger(const Instance& instance, const Egd& egd,
       });
 }
 
-// Like FindViolatedEgdTrigger, but only scans body matches touching the
-// delta (earlier matches were resolved when their facts were new). With a
-// non-null plan, enumeration runs through the compiled body program.
-bool FindViolatedEgdTriggerDelta(const Instance& instance,
-                                 const DeltaView& delta, const Egd& egd,
-                                 const plan::EgdPlan* plan, Binding* out) {
-  const auto fn = [&](const Binding& body_match) {
-    if (body_match.values[egd.left_var] ==
-        body_match.values[egd.right_var]) {
-      return true;
-    }
-    *out = body_match;
-    return false;
-  };
-  if (plan != nullptr) {
-    return EnumerateMatchesDeltaPlanned(plan->body, instance, delta,
-                                        Binding::Empty(egd.var_count), fn);
-  }
-  return EnumerateMatchesDelta(egd.body, egd.var_count, instance, delta,
-                               Binding::Empty(egd.var_count), fn);
-}
-
 // True if some body atom could match inside the delta at all.
 bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
   for (const Atom& atom : body) {
@@ -138,20 +116,81 @@ bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
   return false;
 }
 
-// Collects, in the deterministic order of EnumerateMatchesDelta, the body
-// matches for which `keep` returns true. With a pool, the delta partitions
-// are fanned across its workers — `keep` then runs concurrently against
-// the shared immutable instance and must be a pure read (HasMatch and
-// fingerprinting qualify) — and the per-partition buffers are concatenated
-// in partition order, which reproduces the sequential enumeration order
-// exactly. This is the collect half of every parallel chase phase; the
-// apply half stays sequential.
-// Collects into `out` with element reuse: the first `returned` entries of
-// `out` are this round's triggers; entries beyond that are retained
-// capacity from earlier rounds (never shrunk), so steady-state rounds
-// copy-assign into existing Binding buffers instead of re-allocating two
-// vectors per trigger. Callers keep one buffer alive across the round
-// loop and read only [0, returned).
+// Enumerates the delta matches of `atoms` — all of them, or one partition's
+// when `part` is non-null — through the compiled body program when
+// `body_plan` is non-null, else through the interpreter.
+bool EnumerateDelta(const std::vector<Atom>& atoms, int var_count,
+                    const Instance& instance, const DeltaView& delta,
+                    const plan::BodyPlan* body_plan,
+                    const DeltaPartition* part,
+                    const std::function<bool(const Binding&)>& fn) {
+  const Binding empty = Binding::Empty(var_count);
+  if (part == nullptr) {
+    return body_plan != nullptr
+               ? EnumerateMatchesDeltaPlanned(*body_plan, instance, delta,
+                                              empty, fn)
+               : EnumerateMatchesDelta(atoms, var_count, instance, delta,
+                                       empty, fn);
+  }
+  return body_plan != nullptr
+             ? EnumerateMatchesDeltaPartitionPlanned(*body_plan, instance,
+                                                     delta, *part, empty, fn)
+             : EnumerateMatchesDeltaPartition(atoms, var_count, instance,
+                                              delta, *part, empty, fn);
+}
+
+// The collect half of every chase phase: runs `collect(&slots[i], m)`,
+// which returns true iff it kept m, over the delta matches of `atoms`.
+// Without a pool all matches go to slot 0; with one, the delta partitions
+// fan across its workers, one slot each, so `collect` must be a pure read
+// apart from its own slot. Returns the slots used; read in slot order they
+// hold the sequential enumeration order. Slots are cleared, not shrunk.
+template <typename Buffer, typename Collect>
+size_t CollectDeltaSlots(const std::vector<Atom>& atoms, int var_count,
+                         const Instance& instance, const DeltaView& delta,
+                         ThreadPool* pool, const plan::BodyPlan* body_plan,
+                         uint64_t parent_span, std::vector<Buffer>* slots,
+                         const Collect& collect) {
+  if (pool == nullptr) {
+    if (slots->empty()) slots->resize(1);
+    Buffer& buffer = (*slots)[0];
+    buffer.clear();
+    EnumerateDelta(atoms, var_count, instance, delta, body_plan,
+                   /*part=*/nullptr, [&](const Binding& m) {
+                     collect(&buffer, m);
+                     return true;
+                   });
+    return 1;
+  }
+  // A few partitions per participant so uneven pivot widths still balance
+  // via stealing.
+  std::vector<DeltaPartition> parts = PartitionDeltaMatches(
+      atoms, delta, static_cast<size_t>(pool->size()) * 4);
+  if (slots->size() < parts.size()) slots->resize(parts.size());
+  pool->ParallelFor(parts.size(), [&](size_t p) {
+    // One span per dependency × partition task, parented to the batch
+    // span of the issuing thread (the thread_local nesting stack does not
+    // cross into workers).
+    obs::Span part_span(obs::Tracer::Global(), "chase.collect_part",
+                        parent_span);
+    part_span.AttrInt("partition", static_cast<int64_t>(p));
+    Buffer& buffer = (*slots)[p];
+    buffer.clear();
+    int64_t kept = 0;
+    EnumerateDelta(atoms, var_count, instance, delta, body_plan, &parts[p],
+                   [&](const Binding& m) {
+                     if (collect(&buffer, m)) ++kept;
+                     return true;
+                   });
+    part_span.AttrInt("collected", kept);
+  });
+  return parts.size();
+}
+
+// Collects the body matches for which `keep` returns true (see
+// CollectDeltaSlots) into the first `returned` entries of `out`. Entries
+// beyond are capacity kept from earlier rounds, so steady-state rounds
+// copy-assign into existing Bindings instead of allocating per trigger.
 size_t CollectDeltaMatches(
     const std::vector<Atom>& atoms, int var_count, const Instance& instance,
     const DeltaView& delta, ThreadPool* pool, const plan::BodyPlan* body_plan,
@@ -167,54 +206,44 @@ size_t CollectDeltaMatches(
     ++used;
   };
   if (pool == nullptr) {
-    const auto collect = [&](const Binding& m) {
-      if (keep(m)) emit(m);
-      return true;
-    };
-    if (body_plan != nullptr) {
-      EnumerateMatchesDeltaPlanned(*body_plan, instance, delta,
-                                   Binding::Empty(var_count), collect);
-    } else {
-      EnumerateMatchesDelta(atoms, var_count, instance, delta,
-                            Binding::Empty(var_count), collect);
-    }
+    EnumerateDelta(atoms, var_count, instance, delta, body_plan,
+                   /*part=*/nullptr, [&](const Binding& m) {
+                     if (keep(m)) emit(m);
+                     return true;
+                   });
     return used;
   }
-  // A few partitions per participant so uneven pivot widths still balance
-  // via stealing.
-  std::vector<DeltaPartition> parts = PartitionDeltaMatches(
-      atoms, delta, static_cast<size_t>(pool->size()) * 4);
-  if (parts.empty()) return used;
-  std::vector<std::vector<Binding>> buffers(parts.size());
-  pool->ParallelFor(parts.size(), [&](size_t p) {
-    // One span per dependency × partition task, parented to the batch
-    // span of the issuing thread (the thread_local nesting stack does not
-    // cross into workers).
-    obs::Span part_span(obs::Tracer::Global(), "chase.collect_part",
-                        parent_span);
-    part_span.AttrInt("partition", static_cast<int64_t>(p));
-    const auto collect = [&](const Binding& m) {
-      if (keep(m)) buffers[p].push_back(m);
-      return true;
-    };
-    if (body_plan != nullptr) {
-      EnumerateMatchesDeltaPartitionPlanned(*body_plan, instance, delta,
-                                            parts[p],
-                                            Binding::Empty(var_count),
-                                            collect);
-    } else {
-      EnumerateMatchesDeltaPartition(atoms, var_count, instance, delta,
-                                     parts[p], Binding::Empty(var_count),
-                                     collect);
-    }
-    part_span.AttrInt("collected",
-                      static_cast<int64_t>(buffers[p].size()));
-  });
-  for (std::vector<Binding>& buffer : buffers) {
-    for (Binding& m : buffer) emit(m);
+  std::vector<std::vector<Binding>> buffers;
+  const size_t n = CollectDeltaSlots(
+      atoms, var_count, instance, delta, pool, body_plan, parent_span,
+      &buffers, [&](std::vector<Binding>* buffer, const Binding& m) {
+        if (!keep(m)) return false;
+        buffer->push_back(m);
+        return true;
+      });
+  for (size_t p = 0; p < n; ++p) {
+    for (const Binding& m : buffers[p]) emit(m);
   }
   return used;
 }
+
+// The egd fixpoint's violated-trigger rows: one flat buffer per collect
+// slot, one var_count-strided row per violated body match. They live per
+// thread so steady-state collects allocate nothing (the generic solver
+// runs one fixpoint per search node); on scope exit every slot grown past
+// kKeepValues is freed, so no thread keeps a large fixpoint's peak.
+struct EgdRows {
+  static constexpr size_t kKeepValues = size_t{1} << 14;
+  std::vector<std::vector<Value>>& slots = *[] {
+    thread_local std::vector<std::vector<Value>> rows;
+    return &rows;
+  }();
+  ~EgdRows() {
+    for (std::vector<Value>& slot : slots) {
+      if (slot.capacity() > kKeepValues) std::vector<Value>().swap(slot);
+    }
+  }
+};
 
 // Applies one tgd chase step for the trigger `binding`: extends the
 // binding with fresh nulls for existential variables and inserts the head
@@ -711,16 +740,9 @@ class SpecCollectJob {
       ++buffer.count;
       return true;
     };
-    if (plan_ != nullptr) {
-      EnumerateMatchesDeltaPartitionPlanned(plan_->body, *instance_, *delta_,
-                                            parts_[p],
-                                            Binding::Empty(tgd_->var_count),
-                                            admit);
-    } else {
-      EnumerateMatchesDeltaPartition(tgd_->body, tgd_->var_count, *instance_,
-                                     *delta_, parts_[p],
-                                     Binding::Empty(tgd_->var_count), admit);
-    }
+    EnumerateDelta(tgd_->body, tgd_->var_count, *instance_, *delta_,
+                   plan_ != nullptr ? &plan_->body : nullptr, &parts_[p],
+                   admit);
     // Reserve the partition's nulls in one exact fetch_add only now that
     // the admitted count is known: block-sized draws would retire their
     // unused tails, and the resulting holes in the null id space inflate
@@ -1464,9 +1486,7 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
   // violates must bind one of them: pass k+1 pivots only on the tuples
   // pass k dirtied, until no merge fires.
   std::vector<std::vector<int>> frontier;
-  // Violated-trigger buffer reused across passes and egds (pooled collect
-  // path) — same Binding-capacity reuse as the tgd phase's `pending`.
-  std::vector<Binding> violated;
+  EgdRows rows;
   bool first_pass = true;
   while (true) {
     obs::Span pass_span(obs::Tracer::Global(), "chase.egd_pass");
@@ -1482,75 +1502,54 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
       if (!TouchesDelta(egd.body, delta)) continue;
       const plan::EgdPlan* plan =
           egd_plans != nullptr ? &(*egd_plans)[e] : nullptr;
-      // Applies one merge, sharing the conflict / dirty / budget
-      // bookkeeping between the two collection disciplines below. Returns
-      // false when the fixpoint must stop (out is final). `trigger` is the
-      // body match that forced the merge, journaled so deletion
-      // propagation can tell when a merge's justification dies.
-      auto apply_merge = [&](const Binding& trigger, Value a, Value b) {
-        Instance::MergeResult merge = instance->MergeValues(a, b);
-        ++out.steps;
-        if (merge.conflict) {
-          out.failed = true;
-          out.failure =
-              symbols != nullptr
-                  ? StrCat("egd equates distinct constants ",
-                           symbols->ValueToString(merge.winner), " and ",
-                           symbols->ValueToString(merge.loser))
-                  : "egd equates distinct constants";
-          return false;
-        }
-        PDX_DCHECK(merge.merged);
-        merge_counter.Inc();
-        if (journal != nullptr) {
-          journal->RecordEgd(e, trigger.values.data(),
-                             trigger.values.size());
-        }
-        for (const auto& [relation, idx] : merge.dirty) {
-          (*extras)[relation].push_back(idx);
-          pass_dirty[relation].push_back(idx);
-        }
-        out.dirtied += static_cast<int64_t>(merge.dirty.size());
-        out.retired.insert(out.retired.end(), merge.reassigned.begin(),
-                           merge.reassigned.end());
-        merged_any = true;
-        if (out.steps >= max_steps) {
-          out.budget_exhausted = true;
-          return false;
-        }
-        return true;
-      };
-      if (pool != nullptr) {
-        // Batched collect-then-apply: one parallel enumeration gathers
-        // every trigger violated under the pre-pass resolution, then the
-        // merges run sequentially, skipping pairs an earlier merge of the
-        // batch already equated. Triggers a merge newly enables are caught
-        // by the next pass's dirty frontier — the same closure the rescan
-        // discipline reaches, with the same number of successful merges
-        // (each union lowers the class count by exactly one); only the
-        // union order, i.e. which root survives, can differ.
-        const size_t n_violated = CollectDeltaMatches(
-            egd.body, egd.var_count, *instance, delta, pool,
-            plan != nullptr ? &plan->body : nullptr,
-            [&](const Binding& m) {
-              return m.values[egd.left_var] != m.values[egd.right_var];
-            },
-            &violated);
-        for (size_t t = 0; t < n_violated; ++t) {
-          const Binding& trigger = violated[t];
-          Value a = instance->ResolveValue(trigger.values[egd.left_var]);
-          Value b = instance->ResolveValue(trigger.values[egd.right_var]);
+      // Collect every trigger violated under the pre-pass resolution, then
+      // merge in collection order, skipping rows an earlier merge of the
+      // batch already equated. Triggers a merge newly enables bind a tuple
+      // it dirtied, so the next pass's frontier catches them.
+      const size_t slots = CollectDeltaSlots(
+          egd.body, egd.var_count, *instance, delta, pool,
+          plan != nullptr ? &plan->body : nullptr, pass_span.id(), &rows.slots,
+          [&egd](std::vector<Value>* buffer, const Binding& m) {
+            if (m.values[egd.left_var] == m.values[egd.right_var]) {
+              return false;
+            }
+            buffer->insert(buffer->end(), m.values.begin(), m.values.end());
+            return true;
+          });
+      const size_t width = static_cast<size_t>(egd.var_count);
+      for (size_t slot = 0; slot < slots; ++slot) {
+        const std::vector<Value>& buffer = rows.slots[slot];
+        for (size_t r = 0; r < buffer.size(); r += width) {
+          const Value* row = buffer.data() + r;
+          Value a = instance->ResolveValue(row[egd.left_var]);
+          Value b = instance->ResolveValue(row[egd.right_var]);
           if (a == b) continue;
-          if (!apply_merge(trigger, a, b)) return out;
-        }
-      } else {
-        Binding trigger = Binding::Empty(egd.var_count);
-        // Merges never invalidate tuple indexes, so the view stays valid
-        // across the whole pass; the matcher consults the live resolver.
-        while (FindViolatedEgdTriggerDelta(*instance, delta, egd, plan,
-                                           &trigger)) {
-          if (!apply_merge(trigger, trigger.values[egd.left_var],
-                           trigger.values[egd.right_var])) {
+          Instance::MergeResult merge = instance->MergeValues(a, b);
+          ++out.steps;
+          if (merge.conflict) {
+            out.failed = true;
+            out.failure =
+                symbols != nullptr
+                    ? StrCat("egd equates distinct constants ",
+                             symbols->ValueToString(merge.winner), " and ",
+                             symbols->ValueToString(merge.loser))
+                    : "egd equates distinct constants";
+            return out;
+          }
+          PDX_DCHECK(merge.merged);
+          merge_counter.Inc();
+          // Journal the forcing row: deletion propagation re-checks it.
+          if (journal != nullptr) journal->RecordEgd(e, row, width);
+          for (const auto& [relation, idx] : merge.dirty) {
+            (*extras)[relation].push_back(idx);
+            pass_dirty[relation].push_back(idx);
+          }
+          out.dirtied += static_cast<int64_t>(merge.dirty.size());
+          out.retired.insert(out.retired.end(), merge.reassigned.begin(),
+                             merge.reassigned.end());
+          merged_any = true;
+          if (out.steps >= max_steps) {
+            out.budget_exhausted = true;
             return out;
           }
         }

@@ -85,12 +85,12 @@ struct ChaseOptions {
   ChaseStrategy strategy = ChaseStrategy::kRestricted;
 
   // Worker threads for delta trigger enumeration (kRestricted/kOblivious):
-  // 0 = hardware concurrency, 1 = today's fully sequential path. Any value
-  // > 1 switches trigger collection to partitioned parallel enumeration
-  // with a deterministic sequential apply phase, and the egd fixpoint to
-  // batched collect-then-apply passes. Results are identical at every
-  // setting — same outcome, steps, nulls_created and canonical fingerprint
-  // (see DESIGN.md "Parallel execution model").
+  // 0 = hardware concurrency, 1 = fully sequential. Any value > 1 fans the
+  // collect half of every tgd batch and egd pass across partitioned
+  // parallel enumeration; the apply half stays sequential, in the same
+  // order. Results are identical at every setting — same outcome, steps,
+  // failure, nulls_created and canonical fingerprint (see DESIGN.md
+  // "Parallel execution model").
   int num_threads = 0;
 
   // Speculative parallel execution (kRestricted/kOblivious with
@@ -262,28 +262,27 @@ struct EgdPlan;
 // into `extras` (one vector per relation, appended, possibly with
 // duplicates) so the caller's tgd round can re-examine exactly those
 // tuples. `symbols` is only used to render the failure message and may be
-// null. Shared by the delta chase engines, the solution-aware chase and
-// the pde solvers' branch-local fixpoints.
+// null. Shared by the delta chase engines, the solution-aware chase, the
+// pde solvers' branch-local fixpoints and StreamingChase.
 //
-// With a non-null `pool`, each pass switches from find-one-then-rescan to
-// batched collect-then-apply: all violated triggers of a pass are
-// enumerated up front (fanned across the pool's workers against the
-// immutable pre-pass state) and their merges applied sequentially,
-// skipping triggers an earlier merge already resolved. Triggers a merge
-// newly enables are caught by the next pass's dirty frontier, so the
-// fixpoint closure — and the number of successful merges, since every
-// union lowers the class count by exactly one — is the same as the
-// sequential path's; only the union order (hence null-root identity)
-// may differ, which every resolved view is invariant under.
+// Each pass is batched collect-then-apply: per egd, the delta matches are
+// enumerated once against the pre-pass state and every violated one is
+// kept as a flat row (buffers reused across passes and calls); the merges
+// then run in collection order on the calling thread, skipping rows whose
+// two sides an earlier merge already equated. Every union lowers the
+// class count by exactly one, so the merge count is that of any other
+// order. With a non-null `pool` the enumeration fans across the delta
+// partitions and the rows are applied in partition order — the same rows
+// in the same order as without one — so outcome, steps, failure message
+// and every null-root identity are identical at every thread count.
 //
 // With non-null `egd_plans` (compiled plans indexed parallel to `egds`),
 // trigger enumeration executes through the dependency compiler's plans
 // instead of the interpreter; the fixpoint closure is unchanged.
 //
 // With a non-null `journal`, every successful merge is recorded under the
-// trigger binding that forced it (sequential apply side only — both
-// collection disciplines apply merges on the calling thread), feeding
-// deletion propagation's egd-death detection (chase/stream.h).
+// row that forced it, feeding deletion propagation's egd-death detection
+// (chase/stream.h).
 EgdFixpointOutcome RunEgdsToFixpointDelta(
     const std::vector<Egd>& egds, Instance* instance,
     const InstanceWatermark& mark, int64_t max_steps,

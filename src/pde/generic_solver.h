@@ -30,10 +30,10 @@ struct GenericSolverOptions {
   // Used by certain-answer computation.
   bool enumerate_all = false;
   // Threads for the per-node egd fixpoint's trigger collection (0 =
-  // hardware concurrency). The search itself is sequential and the solve
-  // outcome is independent of this knob; the trigger-cache counters below
-  // can shift slightly with it (the batched egd discipline dirties
-  // different tuples than the rescan discipline).
+  // hardware concurrency). The search itself is sequential, and the
+  // fixpoint merges in the same order at every thread count, so the whole
+  // search — outcome, nodes and the trigger-cache counters below — is
+  // independent of this knob.
   int num_threads = 1;
   // Execute trigger discovery, head checks and the per-node egd fixpoint
   // through compiled plans (plan/ir.h), fetched once per solve from the

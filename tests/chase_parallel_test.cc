@@ -18,7 +18,7 @@
 //
 // These tests carry the `parallel` ctest label and are additionally run
 // under TSan by tools/check.sh, which pins one schedule per lane
-// (PDX_FORCE_SPECULATIVE=1, PDX_FORCE_SCHEDULE=dag) so each sanitized
+// (PDX_FORCE_SCHEDULE=speculative, then dag) so each sanitized
 // pass covers exactly that path — testing_util::SchedulesToTest()
 // narrows the matrix accordingly. Sizes are deliberately modest so the
 // TSan passes stay fast.
@@ -246,10 +246,10 @@ TEST_F(ParallelChaseTest, DisjointDependenciesPipelineIsThreadInvariant) {
   }
 }
 
-// Constant/constant clashes: the batched egd path may apply merges in a
-// different order than the sequential scan, but whether the closure holds
-// a clash is order-independent, so the verdict must agree. (Step counts
-// of failing runs are not comparable across orders and are not asserted.)
+// Constant/constant clashes: whether the closure holds a clash is
+// order-independent, so the verdict agrees under every schedule. On
+// barrier the egd fixpoint merges in the same order at every thread
+// count, so a failing run also stops at the same step on the same clash.
 TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
   int failures = 0;
   for (uint64_t seed = 50; seed < 58; ++seed) {
@@ -268,6 +268,10 @@ TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
                   ChaseStrategy::kRestricted, schedule, compile);
           SCOPED_TRACE(CellTag(seed, threads, schedule, compile));
           ASSERT_EQ(got.outcome, ref.outcome);
+          if (schedule == ChaseSchedule::kBarrier) {
+            ASSERT_EQ(got.steps, compile_ref.steps);
+            ASSERT_EQ(got.failure, compile_ref.failure);
+          }
           if (ref.outcome == ChaseOutcome::kSuccess) {
             if (schedule == ChaseSchedule::kBarrier) {
               ASSERT_EQ(got.instance.CanonicalFingerprint(),

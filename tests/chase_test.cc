@@ -1,5 +1,9 @@
 #include "chase/chase.h"
 
+#include <utility>
+
+#include "base/thread_pool.h"
+#include "chase/journal.h"
 #include "gtest/gtest.h"
 #include "logic/parser.h"
 
@@ -201,6 +205,67 @@ TEST_F(ChaseTest, SatisfiesAllAggregates) {
   EXPECT_FALSE(SatisfiesAll(instance, *deps));
   instance.AddFact(h_, {a_, b_});
   EXPECT_TRUE(SatisfiesAll(instance, *deps));
+}
+
+// The egd fixpoint on its own: a key egd over k facts H(c, ⊥i) unites the
+// k nulls into one class in k-1 merges, journals each merge under a body
+// match of the instance, and ends in the same state with and without a
+// pool (one merge order at every thread count). With k = 80 the first
+// pass collects ~k² violated rows, past the row buffer's retained
+// capacity, so the buffer is also released on return.
+TEST_F(ChaseTest, EgdFixpointMergesKeyClass) {
+  constexpr int kFacts = 80;
+  const std::vector<Egd> egds = ParseEgds("H(x,y) & H(x,z) -> y = z.");
+  ASSERT_EQ(egds.size(), 1u);
+  Instance start(&schema_);
+  std::vector<Value> nulls;
+  for (int i = 0; i < kFacts; ++i) {
+    nulls.push_back(symbols_.FreshNull());
+    start.AddFact(h_, {c_, nulls.back()});
+  }
+  const auto run = [&](ThreadPool* pool, ChaseJournal* journal) {
+    Instance instance = start;
+    std::vector<std::vector<int>> extras;
+    EgdFixpointOutcome out = RunEgdsToFixpointDelta(
+        egds, &instance, InstanceWatermark::Origin(instance),
+        /*max_steps=*/1'000'000, &symbols_, &extras, pool,
+        /*egd_plans=*/nullptr, journal);
+    return std::make_pair(std::move(out), std::move(instance));
+  };
+
+  ChaseJournal journal;
+  auto [seq, seq_instance] = run(/*pool=*/nullptr, &journal);
+  EXPECT_FALSE(seq.failed);
+  EXPECT_FALSE(seq.budget_exhausted);
+  EXPECT_EQ(seq.steps, kFacts - 1);
+  const Value root = seq_instance.ResolveValue(nulls[0]);
+  for (Value v : nulls) EXPECT_EQ(seq_instance.ResolveValue(v), root);
+
+  ASSERT_EQ(journal.size(), static_cast<size_t>(kFacts - 1));
+  for (size_t i = 0; i < journal.size(); ++i) {
+    const ChaseJournal::Entry& entry = journal.entry(i);
+    EXPECT_TRUE(entry.egd);
+    EXPECT_EQ(entry.dep, 0u);
+    ASSERT_EQ(entry.len, static_cast<uint16_t>(egds[0].var_count));
+    const Value* row = journal.row(entry);
+    for (const Atom& atom : egds[0].body) {
+      Tuple tuple;
+      for (const Term& t : atom.terms) {
+        tuple.push_back(t.is_constant() ? t.constant() : row[t.var()]);
+      }
+      EXPECT_TRUE(seq_instance.Contains(atom.relation, tuple))
+          << "journal row " << i << " is not a body match";
+    }
+  }
+
+  ThreadPool pool(4);
+  auto [par, par_instance] = run(&pool, /*journal=*/nullptr);
+  EXPECT_EQ(par.failed, seq.failed);
+  EXPECT_EQ(par.budget_exhausted, seq.budget_exhausted);
+  EXPECT_EQ(par.steps, seq.steps);
+  EXPECT_EQ(par_instance.CanonicalFingerprint(),
+            seq_instance.CanonicalFingerprint());
+  for (Value v : nulls) EXPECT_EQ(par_instance.ResolveValue(v), root);
 }
 
 }  // namespace

@@ -166,8 +166,8 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
 
     // A randomized parallel configuration of the same delta chase: thread
     // count and schedule (barrier/speculative/dag) drawn per trial
-    // (narrowed to the pinned schedule under PDX_FORCE_SPECULATIVE /
-    // PDX_FORCE_SCHEDULE, i.e. the TSan lanes). The parallel run must
+    // (narrowed to the pinned schedule under PDX_FORCE_SCHEDULE, i.e. the
+    // TSan lanes). The parallel run must
     // agree with the sequential delta run on outcome; on success,
     // per-round pending sets are schedule-invariant, so steps must match
     // exactly and the results must be equal up to null renaming.

@@ -218,5 +218,34 @@ TEST_F(GenericSolverTest, CandidateCacheScalesWithDeltaNotInstance) {
   }
 }
 
+// The per-node egd fixpoint merges in the same order at every thread
+// count, so the whole search — not only its verdict — is thread-invariant
+// on a setting whose target egds fire at nearly every node (Section 4(a)).
+TEST_F(GenericSolverTest, EgdSearchIsThreadInvariant) {
+  SymbolTable symbols;
+  PdeSetting setting = Unwrap(MakeEgdBoundarySetting(&symbols));
+  // (graph, k): both verdicts, the larger search on K3 with k = 3.
+  const std::pair<Graph, int> cases[] = {
+      {CompleteGraph(3), 2}, {PathGraph(1), 2}, {CompleteGraph(3), 3}};
+  for (const auto& [g, k] : cases) {
+    Instance source = MakeEgdBoundarySourceInstance(setting, g, k, &symbols);
+    auto solve = [&](int threads) {
+      GenericSolverOptions options;
+      options.num_threads = threads;
+      return Unwrap(GenericExistsSolution(setting, source,
+                                          setting.EmptyInstance(), &symbols,
+                                          options));
+    };
+    GenericSolveResult one = solve(1);
+    GenericSolveResult four = solve(4);
+    ASSERT_NE(one.outcome, SolveOutcome::kBudgetExhausted);
+    EXPECT_EQ(four.outcome, one.outcome);
+    EXPECT_EQ(four.nodes_explored, one.nodes_explored);
+    EXPECT_EQ(four.candidates_discovered, one.candidates_discovered);
+    EXPECT_EQ(four.candidate_checks, one.candidate_checks);
+    EXPECT_GT(one.candidates_discovered, 0);
+  }
+}
+
 }  // namespace
 }  // namespace pdx

@@ -246,9 +246,8 @@ TEST(TracerTest, DisableStopsRecording) {
 
 // The chase metrics that must not depend on num_threads. Pool metrics
 // (pdx_pool_*) are deliberately absent: steal counts are scheduling noise.
-// There is no egd-pass metric for the same reason — the batched and
-// rescan egd disciplines reach the same closure in different pass
-// structures; only the merge count (one per union) is invariant.
+// The egd fixpoint runs the same batched passes at every thread count, so
+// its merge count (one per union) is pinned here like the rest.
 constexpr const char* kInvariantCounters[] = {
     "pdx_chase_runs_total",        "pdx_chase_steps_total",
     "pdx_chase_nulls_created_total", "pdx_chase_rounds_total",

@@ -81,20 +81,11 @@ inline void AssertHomEquivalent(const Instance& a, const Instance& b,
       << "no homomorphism b -> a" << (context.empty() ? "" : ": ") << context;
 }
 
-// True when the environment forces speculative chase execution
-// (tools/check.sh sets PDX_FORCE_SPECULATIVE=1 for the TSan pass so every
-// parallel-labeled chase exercises the speculative path).
-inline bool ForceSpeculative() {
-  const char* env = std::getenv("PDX_FORCE_SPECULATIVE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 // The schedules a parallel-invariance test should exercise. All three by
 // default. Under PDX_FORCE_SCHEDULE (which ResolveSchedule makes win
-// process-wide anyway) or the legacy PDX_FORCE_SPECULATIVE, only the
-// forced one — tools/check.sh's TSan lanes pin a schedule so the
-// sanitized runs cover exactly that path instead of re-running every mode
-// at triple cost.
+// process-wide anyway), only the forced one — tools/check.sh's TSan lanes
+// pin a schedule so the sanitized runs cover exactly that path instead of
+// re-running every mode at triple cost.
 inline std::vector<ChaseSchedule> SchedulesToTest() {
   if (const char* env = std::getenv("PDX_FORCE_SCHEDULE")) {
     std::string_view forced(env);
@@ -102,7 +93,6 @@ inline std::vector<ChaseSchedule> SchedulesToTest() {
     if (forced == "speculative") return {ChaseSchedule::kSpeculative};
     if (forced == "dag") return {ChaseSchedule::kDag};
   }
-  if (ForceSpeculative()) return {ChaseSchedule::kSpeculative};
   return {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative,
           ChaseSchedule::kDag};
 }

@@ -86,7 +86,10 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
   cmake --build build -j "$jobs" --target bench_chase
   # Cross-checks the bytecode VM against the tree executor on
   # pipeline_n512 (same steps and canonical fingerprint) and fails if VM
-  # throughput drops below a conservative facts/sec floor — a regression
+  # throughput drops below a conservative facts/sec floor; then runs
+  # egd_heavy_n2048 at 1 thread against a pooled run (same steps and
+  # fingerprint) and fails below a merges/sec floor, which the quadratic
+  # find-one-then-rescan egd loop could not reach — a regression
   # tripwire, not a benchmark (full numbers live in BENCH_chase.json).
   ./build/bench/bench_chase --quick
 
@@ -233,17 +236,17 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   cmake --build build-tsan -j "$jobs" \
     --target thread_pool_test trigger_ledger_test chase_parallel_test \
     sharded_apply_test fuzz_test obs_test serve_test stream_test
-  # PDX_FORCE_SPECULATIVE=1 makes every parallel-labeled chase take the
-  # speculative path (worker-side head instantiation, concurrent ledger,
-  # cross-dependency pipelining) — code TSan most needs to see; the
-  # barrier path is the default everywhere else and already sanitized by
-  # earlier PRs' runs.
-  PDX_FORCE_SPECULATIVE=1 ctest --test-dir build-tsan -L parallel \
+  # PDX_FORCE_SCHEDULE=speculative makes every parallel-labeled chase
+  # take the speculative path (ResolveSchedule reads it process-wide):
+  # worker-side head instantiation, concurrent ledger, cross-dependency
+  # pipelining — code TSan most needs to see; the barrier path is the
+  # default everywhere else and already sanitized by earlier runs.
+  PDX_FORCE_SCHEDULE=speculative ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
   # And once more with plans disabled: the speculative engine's
   # interpreter lane (worker-side interpreted matching) stays data-race
   # clean even though compiled plans are the default.
-  PDX_FORCE_SPECULATIVE=1 PDX_FORCE_INTERPRETER=1 ctest \
+  PDX_FORCE_SCHEDULE=speculative PDX_FORCE_INTERPRETER=1 ctest \
     --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
   # The footprint-DAG schedule adds the relation-sharded apply fan-out and
