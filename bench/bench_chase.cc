@@ -15,18 +15,17 @@
 // the naive engine pays a relation rebuild per merge while the delta
 // engine pays one union plus re-examination of the dirty tuples.
 //
-// A third axis (bytecode_vs_tree) A/Bs the match-loop bytecode VM of
-// hom/match_vm.h against the recursive tree executor it replaced, on the
-// compiled delta strategy at 1 thread — step- and fingerprint-cross-checked
-// like compiled_vs_interpreted.
+// A third axis (thread_scaling) runs the delta strategy at 1/2/4/8
+// threads under barrier and 2/4/8 under speculative, each point reported
+// against the 1-thread sequential run.
 //
 // Usage: bench_chase [output.json]   (default BENCH_chase.json in cwd)
-//        bench_chase --quick         (perf smoke gate: pipeline_n512 under
-//                                     both executors, and egd_heavy_n2048
-//                                     at 1 thread vs a pooled run; exits
-//                                     nonzero if either falls below its
-//                                     conservative floor or the runs
-//                                     disagree)
+//        bench_chase --quick         (perf smoke gate: pipeline_n512
+//                                     compiled vs interpreted, and
+//                                     egd_heavy_n2048 at 1 thread vs a
+//                                     pooled run; exits nonzero if either
+//                                     falls below its conservative floor
+//                                     or the runs disagree)
 
 #include <chrono>
 #include <cstdio>
@@ -37,7 +36,6 @@
 
 #include "chase/chase.h"
 #include "hom/instance_hom.h"
-#include "hom/match_vm.h"
 #include "logic/parser.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -83,11 +81,6 @@ struct ThreadScalingResult {
   std::string name;
   int64_t input_facts = 0;
   std::vector<ThreadPoint> points;
-  // Barrier wall time over speculative/dag wall time at 8 threads (> 1
-  // means the mode beats barrier there) — the headline ratios for the
-  // schedule axes.
-  double speculative_vs_barrier_8t = 0;
-  double dag_vs_barrier_8t = 0;
 };
 
 struct BenchContext {
@@ -282,64 +275,16 @@ CompiledVsInterpretedResult RunCompiledVsInterpreted(
   return result;
 }
 
-// The bytecode-vs-tree dimension: the compiled delta strategy at 1 thread
-// under the recursive tree executor (PDX_FORCE_TREE_EXEC's baseline) and
-// the bytecode VM (the default). Both executors run the same compiled
-// plans and enumerate identical match sets per partition, so steps and
-// canonicalized fingerprints must agree exactly; only wall time may move.
-struct BytecodeVsTreeResult {
-  std::string name;
-  int64_t input_facts = 0;
-  StrategyStats tree;
-  StrategyStats bytecode;
-  // bytecode facts/sec over tree facts/sec (> 1 = the VM wins).
-  double speedup = 0;
-};
-
-BytecodeVsTreeResult RunBytecodeVsTree(SymbolTable* symbols,
-                                       const std::string& name,
-                                       const Instance& start,
-                                       const std::vector<Tgd>& tgds,
-                                       const std::vector<Egd>& egds) {
-  BytecodeVsTreeResult result;
-  result.name = name;
-  result.input_facts = static_cast<int64_t>(start.fact_count());
-  const bool saved_force = ForceTreeExec();
-  SetForceTreeExec(true);
-  result.tree = RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-                       /*num_threads=*/1, ChaseSchedule::kBarrier,
-                       /*compile_plans=*/true);
-  SetForceTreeExec(false);
-  result.bytecode =
-      RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1, ChaseSchedule::kBarrier,
-             /*compile_plans=*/true);
-  SetForceTreeExec(saved_force);
-  PDX_CHECK(result.bytecode.canonical_fingerprint ==
-            result.tree.canonical_fingerprint)
-      << "bytecode chase not isomorphic to tree chase on " << name;
-  PDX_CHECK(result.bytecode.steps == result.tree.steps)
-      << "bytecode chase changed the step count on " << name;
-  result.speedup =
-      result.tree.facts_per_sec > 0
-          ? result.bytecode.facts_per_sec / result.tree.facts_per_sec
-          : 0;
-  std::fprintf(stderr,
-               "%-24s tree %9.2f ms   bytecode %9.2f ms   "
-               "facts/sec speedup %5.2fx\n",
-               name.c_str(), result.tree.wall_ms, result.bytecode.wall_ms,
-               result.speedup);
-  return result;
-}
-
 // The thread-scaling dimension: the same workload, delta strategy, at
-// 1/2/4/8 worker threads, barrier then speculative then dag. Every
-// barrier point is cross-checked against the 1-thread run for identical
-// fingerprints and step counts — the parallel path must change wall time
-// only. Every speculative and dag point must match the barrier base's
-// step count and its canonicalized fingerprint (their null identities
-// are schedule-dependent, so only renaming-invariant equality is
-// meaningful). The egd fixpoint runs the same batched passes at every
+// 1/2/4/8 worker threads under barrier, then 2/4/8 under speculative
+// (sequential runs ignore the schedule, so speculative has no 1-thread
+// point of its own). Every point's speedup is against the 1-thread
+// sequential run, the barrier base. Every barrier point is cross-checked against
+// the base for identical fingerprints and step counts — the parallel path
+// must change wall time only. Every speculative point must match the
+// base's step count and its canonicalized fingerprint (its null
+// identities are schedule-dependent, so only renaming-invariant equality
+// is meaningful). The egd fixpoint runs the same batched passes at every
 // thread count; the pool only fans out their collect half.
 ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
                                      const std::string& name,
@@ -350,15 +295,14 @@ ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
   result.name = name;
   result.input_facts = static_cast<int64_t>(start.fact_count());
   StrategyStats base;
-  double barrier_8t_ms = 0, spec_8t_ms = 0, dag_8t_ms = 0;
   for (ChaseSchedule schedule :
-       {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative,
-        ChaseSchedule::kDag}) {
+       {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative}) {
+    const bool barrier = schedule == ChaseSchedule::kBarrier;
     for (int threads : {1, 2, 4, 8}) {
+      if (!barrier && threads == 1) continue;
       StrategyStats stats =
           RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
                  threads, schedule);
-      bool barrier = schedule == ChaseSchedule::kBarrier;
       if (barrier && threads == 1) {
         base = stats;
       } else if (barrier) {
@@ -374,13 +318,6 @@ ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
             << ScheduleName(schedule) << " run changed the step count on "
             << name;
       }
-      if (threads == 8) {
-        switch (schedule) {
-          case ChaseSchedule::kBarrier: barrier_8t_ms = stats.wall_ms; break;
-          case ChaseSchedule::kSpeculative: spec_8t_ms = stats.wall_ms; break;
-          case ChaseSchedule::kDag: dag_8t_ms = stats.wall_ms; break;
-        }
-      }
       ThreadPoint point;
       point.threads = threads;
       point.schedule = schedule;
@@ -394,14 +331,6 @@ ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
                    stats.wall_ms, point.speedup_vs_1t);
     }
   }
-  result.speculative_vs_barrier_8t =
-      spec_8t_ms > 0 ? barrier_8t_ms / spec_8t_ms : 0;
-  result.dag_vs_barrier_8t = dag_8t_ms > 0 ? barrier_8t_ms / dag_8t_ms : 0;
-  std::fprintf(stderr,
-               "%-24s at 8 threads vs barrier: speculative %5.2fx, "
-               "dag %5.2fx\n",
-               name.c_str(), result.speculative_vs_barrier_8t,
-               result.dag_vs_barrier_8t);
   return result;
 }
 
@@ -417,14 +346,13 @@ void WriteStrategy(JsonWriter& w, const char* key,
 
 std::string ToJson(const std::vector<WorkloadResult>& results,
                    const std::vector<CompiledVsInterpretedResult>& compiled,
-                   const std::vector<BytecodeVsTreeResult>& bytecode,
                    const std::vector<ThreadScalingResult>& scaling) {
   JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("chase");
   w.Key("repeats").Int(kRepeats);
   // Honest-hardware annotation: the thread_scaling numbers below are only
-  // meaningful up to this core count (see ROADMAP.md on the 1-core CI box).
+  // meaningful up to this core count.
   w.Key("nproc").Int(
       static_cast<int64_t>(std::thread::hardware_concurrency()));
   w.Key("workloads").BeginArray();
@@ -449,17 +377,6 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
     w.EndObject();
   }
   w.EndArray();
-  w.Key("bytecode_vs_tree").BeginArray();
-  for (const BytecodeVsTreeResult& r : bytecode) {
-    w.BeginObject();
-    w.Key("name").String(r.name);
-    w.Key("input_facts").Int(r.input_facts);
-    WriteStrategy(w, "tree", r.tree);
-    WriteStrategy(w, "bytecode", r.bytecode);
-    w.Key("speedup").Double(r.speedup, 2);
-    w.EndObject();
-  }
-  w.EndArray();
   w.Key("thread_scaling").BeginArray();
   for (const ThreadScalingResult& r : scaling) {
     w.BeginObject();
@@ -476,9 +393,6 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
       w.EndObject();
     }
     w.EndArray();
-    w.Key("speculative_vs_barrier_8t")
-        .Double(r.speculative_vs_barrier_8t, 2);
-    w.Key("dag_vs_barrier_8t").Double(r.dag_vs_barrier_8t, 2);
     w.EndObject();
   }
   w.EndArray();
@@ -487,12 +401,11 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
 }
 
 // Conservative facts/sec floor for the --quick perf smoke gate on
-// pipeline_n512 under the bytecode VM. The reference single-core box
-// measures ~3.0M facts/sec here, dipping to ~1.0M under heavy scheduler
-// contention; the floor sits far below both so noise or a debug-ish
-// build never trips it, while a real hot-path regression (e.g. the VM
-// silently falling back to the tree executor, or a quadratic index)
-// still does.
+// pipeline_n512 under the compiled plans (the match VM). The reference
+// single-core box measures ~3.0M facts/sec here, dipping to ~1.0M under
+// heavy scheduler contention; the floor sits far below both so noise or
+// a debug-ish build never trips it, while a real hot-path regression
+// (e.g. a quadratic index) still does.
 constexpr double kQuickFactsPerSecFloor = 500'000.0;
 
 // Conservative egd merges/sec floor for the --quick gate on
@@ -505,24 +418,24 @@ constexpr double kQuickMergesPerSecFloor = 50'000.0;
 
 int Main(int argc, char** argv) {
   BenchContext ctx;
-  // Perf smoke gate (tools/check.sh): pipeline_n512 under the tree
-  // executor and the bytecode VM, step- and fingerprint-cross-checked by
-  // RunBytecodeVsTree, then gated on an absolute throughput floor.
+  // Perf smoke gate (tools/check.sh): pipeline_n512 compiled (the match
+  // VM) and interpreted, step- and fingerprint-cross-checked by
+  // RunCompiledVsInterpreted, then gated on an absolute throughput floor.
   if (argc > 1 && std::strcmp(argv[1], "--quick") == 0) {
     Instance start = ctx.RandomEdges(512, 2, 17);
-    BytecodeVsTreeResult r = RunBytecodeVsTree(
+    CompiledVsInterpretedResult r = RunCompiledVsInterpreted(
         &ctx.symbols, "pipeline_n512", start, ctx.pipeline_tgds, {});
-    if (r.bytecode.facts_per_sec < kQuickFactsPerSecFloor) {
+    if (r.compiled.facts_per_sec < kQuickFactsPerSecFloor) {
       std::fprintf(stderr,
-                   "FAIL: bytecode VM throughput %.0f facts/sec below the "
+                   "FAIL: match VM throughput %.0f facts/sec below the "
                    "smoke floor %.0f on pipeline_n512\n",
-                   r.bytecode.facts_per_sec, kQuickFactsPerSecFloor);
+                   r.compiled.facts_per_sec, kQuickFactsPerSecFloor);
       return 1;
     }
     std::fprintf(stderr,
-                 "quick gate OK: %.0f facts/sec (floor %.0f), bytecode vs "
-                 "tree speedup %.2fx\n",
-                 r.bytecode.facts_per_sec, kQuickFactsPerSecFloor,
+                 "quick gate OK: %.0f facts/sec (floor %.0f), compiled vs "
+                 "interpreted speedup %.2fx\n",
+                 r.compiled.facts_per_sec, kQuickFactsPerSecFloor,
                  r.speedup);
     // Egd gate: the 1-thread fixpoint, step- and fingerprint-checked
     // against a pooled run (same merge order at every thread count).
@@ -605,27 +518,6 @@ int Main(int argc, char** argv) {
         &ctx.symbols, "egd_heavy_n256", start, ctx.egd_heavy_tgds,
         ctx.egd_heavy_egds));
   }
-  // Bytecode-vs-tree at 1 thread on the same three points as
-  // compiled_vs_interpreted; pipeline_n512 is the headline number for the
-  // match VM (and what --quick gates on).
-  std::vector<BytecodeVsTreeResult> bytecode;
-  {
-    Instance start = ctx.RandomEdges(512, 2, 17);
-    bytecode.push_back(RunBytecodeVsTree(&ctx.symbols, "pipeline_n512",
-                                         start, ctx.pipeline_tgds, {}));
-  }
-  {
-    Instance start = ctx.RandomEdges(256, 2, 23);
-    bytecode.push_back(RunBytecodeVsTree(&ctx.symbols, "existential_egd_n256",
-                                         start, ctx.existential_tgds,
-                                         ctx.key_egds));
-  }
-  {
-    Instance start = ctx.RandomEdges(256, 4, 29);
-    bytecode.push_back(RunBytecodeVsTree(&ctx.symbols, "egd_heavy_n256",
-                                         start, ctx.egd_heavy_tgds,
-                                         ctx.egd_heavy_egds));
-  }
   // Thread scaling on the two headline workloads, plus a wide
   // disjoint-dependency workload where consecutive tgds touch disjoint
   // relations, so the speculative engine's cross-dependency pipelining
@@ -677,7 +569,7 @@ int Main(int argc, char** argv) {
   }
 
   std::string path = argc > 1 ? argv[1] : "BENCH_chase.json";
-  std::string json = ToJson(results, compiled, bytecode, scaling);
+  std::string json = ToJson(results, compiled, scaling);
   std::FILE* f = std::fopen(path.c_str(), "w");
   PDX_CHECK(f != nullptr) << "cannot open " << path;
   std::fwrite(json.data(), 1, json.size(), f);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -41,10 +40,11 @@ struct ChaseMetrics {
   obs::Counter egd_merges;
   obs::Counter compactions;
   obs::Histogram batch_triggers;  // violated triggers per dependency batch
-  // Speculative/scheduled-mode extras (see RunTgdPhaseScheduled). Like
-  // the speculative counters, sharded_inserts sits outside the invariance
-  // contract: whether a batch clears the sharding threshold depends on
-  // pool availability, not on the chase result.
+  // Speculative-schedule extras (see RunTgdPhaseSpeculative), plus the
+  // pooled barrier apply's sharded_inserts. Like the speculative counters,
+  // sharded_inserts sits outside the invariance contract: whether a batch
+  // clears the sharding threshold depends on pool availability, not on
+  // the chase result.
   obs::Counter spec_triggers;       // head instantiations done in workers
   obs::Counter spec_nulls_retired;  // reserved null ids never inserted
   obs::Counter pipeline_overlaps;   // collections overlapped with an apply
@@ -373,7 +373,7 @@ bool HeadSatisfied(const Tgd& tgd, const plan::TgdPlan* plan,
 // the deletion-propagation journal (chase/journal.h) shares the ledger's
 // exactly-once/retire discipline, so the class is now a public header.
 
-// --- Speculative parallel execution (ChaseOptions::speculative) --------
+// --- Speculative parallel execution (ChaseSchedule::kSpeculative) -----
 //
 // In barrier mode, workers only *collect* triggers and the sequential
 // apply phase invents nulls and inserts, so results are bit-identical at
@@ -418,8 +418,9 @@ bool FootprintsCompatible(const TgdFootprint& applying,
 // worker through Instance::AddFactSharded. Per-relation insert order is
 // the decide order and relation stores are disjoint, so the final raw
 // stores are byte-identical to draining inline — which is exactly what
-// happens without a pool (or while an async collect owns the workers:
-// the pool runs one job at a time).
+// happens to passes too small to be worth the fan-out. The pooled barrier
+// apply is the only user (restricted overlay-exact heads and every
+// oblivious batch).
 class ShardedInserts {
  public:
   explicit ShardedInserts(int relation_count)
@@ -785,8 +786,8 @@ class SpecCollectJob {
   std::vector<SpecBuffer> buffers_;
 };
 
-// One round's tgd phase under the kSpeculative and kDag schedules, shared
-// by the restricted (ledger == nullptr) and oblivious engines: for each
+// One round's tgd phase under the kSpeculative schedule, shared by the
+// restricted (ledger == nullptr) and oblivious engines: for each
 // dependency touching the delta, collect fully instantiated triggers (see
 // SpecCollectJob), then apply them sequentially in enumeration order.
 //
@@ -802,25 +803,19 @@ class SpecCollectJob {
 // Applies still happen in active-list order, which keeps steps and
 // nulls_created schedule-invariant.
 //
-// The apply discipline depends on the schedule. kSpeculative keeps PR 5's
-// physical HasMatch re-check with inline inserts. kDag decides overlay-
-// exact restricted heads via HeadOverlay (no index probe at all) and
-// queues their inserts on per-relation shards, drained in parallel when
-// the workers are free (ShardedInserts; oblivious batches shard
-// unconditionally — ledger admission needs no physical probe); non-exact
-// heads fall back to the speculative discipline. Returns false when the
-// step budget was exhausted (`result` is finalized).
-bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
-                          const std::vector<TgdFootprint>& footprints,
-                          const plan::CompiledSetting* compiled,
-                          const std::vector<plan::HeadOverlayPlan>* overlays,
-                          Instance* instance, const DeltaView& delta,
-                          SymbolTable* symbols, TriggerLedger* ledger,
-                          ThreadPool* pool, const ChaseOptions& options,
-                          ChaseSchedule schedule, ChaseResult* result,
-                          ChaseJournal* journal = nullptr) {
+// The apply re-checks each restricted head physically (HasMatch) and
+// inserts inline; oblivious triggers were admitted by the workers, so the
+// apply only records their roots and inserts. Returns false when the step
+// budget was exhausted (`result` is finalized).
+bool RunTgdPhaseSpeculative(const std::vector<Tgd>& tgds,
+                            const std::vector<TgdFootprint>& footprints,
+                            const plan::CompiledSetting* compiled,
+                            Instance* instance, const DeltaView& delta,
+                            SymbolTable* symbols, TriggerLedger* ledger,
+                            ThreadPool* pool, const ChaseOptions& options,
+                            ChaseResult* result,
+                            ChaseJournal* journal = nullptr) {
   ChaseMetrics& metrics = ChaseMetrics::Get();
-  const bool dag = schedule == ChaseSchedule::kDag;
   std::vector<size_t> active;
   for (size_t d = 0; d < tgds.size(); ++d) {
     if (TouchesDelta(tgds[d].body, delta)) active.push_back(d);
@@ -886,7 +881,6 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
       (*units)[u].first->RunPartition((*units)[u].second);
     });
   };
-  const int relation_count = instance->schema().relation_count();
   bool exhausted = false;
   for (size_t i = 0; i < active.size() && !exhausted; ++i) {
     const size_t d = active[i];
@@ -894,7 +888,7 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
     const SpecLayout& layout = layouts[i];
     obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
     tgd_span.AttrInt("dep", static_cast<int64_t>(d))
-        .AttrStr("schedule", ScheduleName(schedule));
+        .AttrStr("schedule", ScheduleName(ChaseSchedule::kSpeculative));
     const bool was_inflight =
         std::find(inflight.begin(), inflight.end(), i) != inflight.end();
     if (was_inflight || (!collected[i] && !inflight.empty())) {
@@ -914,19 +908,6 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
     // Launch the lookahead before applying so collections of every ready
     // dependency overlap this apply phase.
     start_lookahead(i, tgd_span.id());
-    // kDag decide-then-insert: overlay-exact restricted heads and all
-    // oblivious batches defer inserts to per-relation shards. The shards
-    // may only drain in parallel when no collect batch owns the workers.
-    const plan::HeadOverlayPlan* overlay_plan =
-        dag && ledger == nullptr
-            ? OverlayFor(plan_for(d),
-                         overlays != nullptr ? &(*overlays)[d] : nullptr,
-                         pool)
-            : nullptr;
-    const bool deferred = dag && (ledger != nullptr || overlay_plan);
-    HeadOverlay overlay;
-    overlay.plan = overlay_plan;
-    ShardedInserts inserts(deferred ? relation_count : 0);
     Binding scratch = layout.scratch;
     const size_t var_count = static_cast<size_t>(tgd.var_count);
     int64_t applied = 0;
@@ -937,17 +918,9 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
            ++t, row += var_count, head += layout.head_width) {
         std::copy(row, row + var_count, scratch.values.begin());
         if (ledger == nullptr) {
-          if (overlay_plan != nullptr) {
-            // Overlay decide: satisfied by this batch's earlier inserts
-            // iff an earlier trigger fired with the same projection (see
-            // plan::HeadOverlayPlan). The skipped trigger's speculative
-            // nulls are retired unused, as under the physical re-check.
-            if (!overlay.DecideFire(scratch)) {
-              metrics.spec_nulls_retired.Inc(layout.fresh_per_trigger);
-              continue;
-            }
-          } else if (HeadSatisfied(tgd, plan_for(d), *instance, scratch)) {
-            // Re-check: an earlier application may have satisfied it.
+          if (HeadSatisfied(tgd, plan_for(d), *instance, scratch)) {
+            // Re-check: an earlier application may have satisfied it. The
+            // skipped trigger's speculative nulls are retired unused.
             metrics.spec_nulls_retired.Inc(layout.fresh_per_trigger);
             continue;
           }
@@ -963,13 +936,8 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
         }
         const Value* cursor = head;
         for (const Atom& atom : tgd.head) {
-          if (deferred) {
-            inserts.Add(atom.relation,
-                        Tuple(cursor, cursor + atom.terms.size()));
-          } else {
-            instance->AddFact(atom.relation,
-                              Tuple(cursor, cursor + atom.terms.size()));
-          }
+          instance->AddFact(atom.relation,
+                            Tuple(cursor, cursor + atom.terms.size()));
           cursor += atom.terms.size();
         }
         result->nulls_created += layout.fresh_per_trigger;
@@ -982,10 +950,6 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
         }
       }
       if (exhausted) break;
-    }
-    if (deferred) {
-      inserts.Drain(instance, inflight.empty() ? pool : nullptr,
-                    tgd_span.id());
     }
     tgd_span.AttrInt("collected", static_cast<int64_t>(total))
         .AttrInt("applied", applied);
@@ -1117,8 +1081,8 @@ bool AbsorbEgdOutcome(const EgdFixpointOutcome& egd_out, ChaseResult* result) {
 // partitions; the apply phase stays sequential in enumeration order, and
 // later tgds still see earlier tgds' additions, so the per-round state
 // sequence — and with it every fresh-null assignment — is bit-identical
-// to the single-threaded run. Under ChaseOptions::speculative the workers
-// additionally instantiate heads and pipeline across dependencies
+// to the single-threaded run. Under ChaseSchedule::kSpeculative the
+// workers additionally instantiate heads and pipeline across dependencies
 // (RunTgdPhaseSpeculative); the result is then equal only up to a
 // bijective null renaming.
 ChaseResult ChaseRestrictedDelta(Instance start,
@@ -1133,15 +1097,15 @@ ChaseResult ChaseRestrictedDelta(Instance start,
   const std::vector<plan::EgdPlan>* egd_plans =
       compiled != nullptr ? &compiled->egds : nullptr;
   // Sequential runs always take the barrier path (ResolveSchedule's
-  // choice only matters once a pool exists); the scheduled phases need
+  // choice only matters once a pool exists); the speculative phase needs
   // the footprint DAG, and the pooled barrier apply needs the overlay
   // plans (compiled settings carry both; the interpreter derives them
   // here, once per run).
-  const ChaseSchedule schedule =
-      pool != nullptr ? ResolveSchedule(options) : ChaseSchedule::kBarrier;
-  const bool scheduled = schedule != ChaseSchedule::kBarrier;
+  const bool speculative =
+      pool != nullptr &&
+      ResolveSchedule(options) == ChaseSchedule::kSpeculative;
   std::vector<TgdFootprint> footprints;
-  if (scheduled && compiled == nullptr) {
+  if (speculative && compiled == nullptr) {
     footprints = plan::ComputeTgdFootprints(tgds);
   }
   std::vector<plan::HeadOverlayPlan> local_overlays;
@@ -1199,12 +1163,11 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     // Facts present now are covered once this round's triggers have been
     // evaluated; facts the round itself adds become the next delta.
     InstanceWatermark frontier = instance.TakeWatermark();
-    if (scheduled) {
-      if (!RunTgdPhaseScheduled(
+    if (speculative) {
+      if (!RunTgdPhaseSpeculative(
               tgds, compiled != nullptr ? compiled->footprints : footprints,
-              compiled, compiled == nullptr ? &local_overlays : nullptr,
-              &instance, delta, symbols, /*ledger=*/nullptr, pool, options,
-              schedule, &result, options.journal)) {
+              compiled, &instance, delta, symbols, /*ledger=*/nullptr, pool,
+              options, &result, options.journal)) {
         return result;
       }
     } else {
@@ -1339,11 +1302,11 @@ ChaseResult ChaseOblivious(Instance start,
   TriggerLedger fired;
   const std::vector<plan::EgdPlan>* egd_plans =
       compiled != nullptr ? &compiled->egds : nullptr;
-  const ChaseSchedule schedule =
-      pool != nullptr ? ResolveSchedule(options) : ChaseSchedule::kBarrier;
-  const bool scheduled = schedule != ChaseSchedule::kBarrier;
+  const bool speculative =
+      pool != nullptr &&
+      ResolveSchedule(options) == ChaseSchedule::kSpeculative;
   std::vector<TgdFootprint> footprints;
-  if (scheduled && compiled == nullptr) {
+  if (speculative && compiled == nullptr) {
     footprints = plan::ComputeTgdFootprints(tgds);
   }
   InstanceWatermark mark = InstanceWatermark::Origin(instance);
@@ -1377,15 +1340,14 @@ ChaseResult ChaseOblivious(Instance start,
       return result;
     }
     InstanceWatermark frontier = instance.TakeWatermark();
-    if (scheduled) {
+    if (speculative) {
       // Admission happens in the workers (TriggerLedger::Admit through the
       // concurrent fingerprint set); the apply loop only records roots and
-      // inserts the pre-instantiated heads (sharded under kDag — oblivious
-      // needs no head probe, so every batch can defer its inserts).
-      if (!RunTgdPhaseScheduled(
+      // inserts the pre-instantiated heads.
+      if (!RunTgdPhaseSpeculative(
               tgds, compiled != nullptr ? compiled->footprints : footprints,
-              compiled, /*overlays=*/nullptr, &instance, delta, symbols,
-              &fired, pool, options, schedule, &result)) {
+              compiled, &instance, delta, symbols, &fired, pool, options,
+              &result)) {
         return result;
       }
     } else {
@@ -1634,26 +1596,32 @@ const char* ScheduleName(ChaseSchedule schedule) {
   switch (schedule) {
     case ChaseSchedule::kBarrier: return "barrier";
     case ChaseSchedule::kSpeculative: return "speculative";
-    case ChaseSchedule::kDag: return "dag";
   }
   return "unknown";
+}
+
+std::optional<ChaseSchedule> ParseScheduleName(std::string_view name) {
+  for (ChaseSchedule schedule :
+       {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative}) {
+    if (name == ScheduleName(schedule)) return schedule;
+  }
+  return std::nullopt;
 }
 
 ChaseSchedule ResolveSchedule(const ChaseOptions& options) {
   // The override is read once per process, like PDX_FORCE_INTERPRETER:
   // sanitizer lanes pin a schedule for a whole test binary.
-  static const int forced = [] {
+  static const std::optional<ChaseSchedule> forced =
+      []() -> std::optional<ChaseSchedule> {
     const char* env = std::getenv("PDX_FORCE_SCHEDULE");
-    if (env == nullptr || env[0] == '\0') return -1;
-    if (std::strcmp(env, "barrier") == 0) return 0;
-    if (std::strcmp(env, "speculative") == 0) return 1;
-    if (std::strcmp(env, "dag") == 0) return 2;
-    return -1;
+    if (env == nullptr || env[0] == '\0') return std::nullopt;
+    std::optional<ChaseSchedule> parsed = ParseScheduleName(env);
+    PDX_CHECK(parsed.has_value())
+        << "PDX_FORCE_SCHEDULE=" << env
+        << " names no schedule (valid: barrier, speculative)";
+    return parsed;
   }();
-  if (forced >= 0) return static_cast<ChaseSchedule>(forced);
-  if (options.schedule != ChaseSchedule::kBarrier) return options.schedule;
-  return options.speculative ? ChaseSchedule::kSpeculative
-                             : ChaseSchedule::kBarrier;
+  return forced.value_or(options.schedule);
 }
 
 namespace {
@@ -1666,8 +1634,6 @@ ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
   run_span.AttrStr("strategy", StrategyName(options.strategy))
       .AttrInt("threads", ResolveThreadCount(options))
       .AttrStr("schedule", ScheduleName(ResolveSchedule(options)))
-      .AttrBool("speculative",
-                ResolveSchedule(options) == ChaseSchedule::kSpeculative)
       .AttrBool("compiled", UsesPlans(options))
       .AttrInt("tgds", static_cast<int64_t>(tgds.size()))
       .AttrInt("egds", static_cast<int64_t>(egds.size()));

@@ -2,8 +2,10 @@
 #define PDX_CHASE_CHASE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "logic/dependency.h"
@@ -52,26 +54,32 @@ enum class ChaseSchedule {
   // Per-dependency barrier: collect-parallel, apply before the next
   // dependency's collect starts. Fresh nulls are invented in the
   // deterministic sequential apply order, so results are *bit-identical*
-  // across thread counts. The pooled apply still uses the overlay decide
-  // + relation-sharded insert fast path (DESIGN.md §4d) — decisions and
+  // across thread counts. The pooled apply uses the overlay decide +
+  // relation-sharded insert fast path (DESIGN.md §4d) — decisions and
   // insert order are sequential, only the store writes fan out.
   kBarrier,
-  // PR 5's speculative mode: workers instantiate heads during collect
-  // (private null ranges), and collection of footprint-compatible
-  // dependencies overlaps the current apply via the topological
-  // scheduler. Results equal barrier's up to bijective null renaming.
+  // Speculative: workers instantiate heads during collect, drawing fresh
+  // nulls from private SymbolTable ranges (one exact ReserveNullRange per
+  // delta partition), so the sequential apply only re-checks and inserts;
+  // oblivious ledger admission moves into the workers; and collection of
+  // footprint-compatible dependencies overlaps the current apply through
+  // the topological lookahead (cross-dependency pipelining). Outcome,
+  // steps, nulls_created, rounds and every resolved-view property stay
+  // invariant, but fresh-null *identities* become schedule-dependent:
+  // results equal barrier's only up to a bijective null renaming (checked
+  // via CanonicalizeNulls; see DESIGN.md "Speculative head
+  // instantiation").
   kSpeculative,
-  // Footprint-DAG scheduling: the speculative collect machinery plus the
-  // sharded apply discipline — overlay decide for exact heads, physical
-  // re-check otherwise, per-relation parallel insert when no collect is
-  // in flight. The most parallel schedule; same canonical-equivalence
-  // contract as kSpeculative.
-  kDag,
 };
 
-// Printable name ("barrier"/"speculative"/"dag"), used by span attributes,
-// bench output and pdxcli --schedule.
+// Printable name ("barrier"/"speculative"), used by span attributes, bench
+// output and pdxcli --schedule.
 const char* ScheduleName(ChaseSchedule schedule);
+
+// The schedule named `name` (exactly as ScheduleName spells it), or
+// nullopt. The one parser behind pdxcli --schedule, PDX_FORCE_SCHEDULE and
+// the tests' schedule pinning.
+std::optional<ChaseSchedule> ParseScheduleName(std::string_view name);
 
 class ChaseJournal;
 
@@ -93,33 +101,11 @@ struct ChaseOptions {
   // "Parallel execution model").
   int num_threads = 0;
 
-  // Speculative parallel execution (kRestricted/kOblivious with
-  // num_threads > 1; ignored otherwise). Workers instantiate tgd heads
-  // during the collect phase, drawing fresh nulls from private
-  // SymbolTable ranges (one exact ReserveNullRange per delta partition),
-  // so the sequential apply phase only
-  // re-checks and inserts; oblivious ledger admission moves into the
-  // workers (ConcurrentFingerprintSet); and collection of the next
-  // compatible dependency overlaps the current apply phase
-  // (cross-dependency pipelining). Outcome, steps, nulls_created, rounds
-  // and every resolved-view property stay invariant, but the *identities*
-  // of fresh nulls become schedule-dependent: results are equal to the
-  // barrier mode's only up to a bijective null renaming (checked via
-  // CanonicalizeNulls; see DESIGN.md "Speculative head instantiation").
-  // Off by default so the default configuration keeps bit-identical
-  // fingerprints across thread counts.
-  //
-  // Kept for source compatibility: `speculative = true` is shorthand for
-  // `schedule = ChaseSchedule::kSpeculative`. ResolveSchedule() defines
-  // the precedence.
-  bool speculative = false;
-
-  // The tgd-phase schedule (see ChaseSchedule). kBarrier unless
-  // `speculative` asks for kSpeculative; the PDX_FORCE_SCHEDULE
-  // environment variable ("barrier" | "speculative" | "dag") overrides
-  // both process-wide, the way PDX_FORCE_INTERPRETER pins the
-  // interpreter — tools/check.sh's TSan lanes use it to pin the DAG
-  // path. See ResolveSchedule().
+  // The tgd-phase schedule (see ChaseSchedule). The PDX_FORCE_SCHEDULE
+  // environment variable ("barrier" | "speculative") overrides it
+  // process-wide, the way PDX_FORCE_INTERPRETER pins the interpreter —
+  // tools/check.sh's TSan lanes use it to pin the speculative path. See
+  // ResolveSchedule().
   ChaseSchedule schedule = ChaseSchedule::kBarrier;
 
   // Compile the setting into match/apply plans (plan/ir.h) and execute
@@ -199,10 +185,10 @@ struct ChaseResult {
 };
 
 // The schedule a run will actually use: the PDX_FORCE_SCHEDULE
-// environment variable ("barrier" | "speculative" | "dag"; read once per
-// process, unknown values ignored) wins, then an explicit
-// options.schedule != kBarrier, then the legacy `speculative` bool, else
-// kBarrier.
+// environment variable ("barrier" | "speculative"; read once per process)
+// wins, else options.schedule. A non-empty value that ParseScheduleName
+// rejects aborts the process, naming the valid values — a stale pin must
+// not silently run a different schedule.
 ChaseSchedule ResolveSchedule(const ChaseOptions& options);
 
 // Runs the restricted (standard) chase of `start` with the given tgds and

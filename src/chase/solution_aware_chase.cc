@@ -286,9 +286,11 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
   const auto plan_for = [&](size_t d) -> const plan::TgdPlan* {
     return compiled != nullptr ? &compiled->tgds[d] : nullptr;
   };
-  // ChaseOptions::speculative here enables only cross-dependency
+  // The speculative schedule here enables only cross-dependency
   // pipelining (there is no null invention to speculate on).
-  const bool pipelining = options.speculative && pool != nullptr;
+  const bool pipelining =
+      pool != nullptr &&
+      ResolveSchedule(options) == ChaseSchedule::kSpeculative;
   std::vector<SaFootprint> footprints;
   if (pipelining) {
     footprints = ComputeSaFootprints(tgds, instance.schema().relation_count());

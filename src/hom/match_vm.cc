@@ -1,7 +1,5 @@
 #include "hom/match_vm.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -11,15 +9,6 @@
 namespace pdx {
 
 namespace {
-
-std::atomic<bool>& ForceTreeExecFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("PDX_FORCE_TREE_EXEC");
-    return env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }();
-  return flag;
-}
 
 constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 
@@ -82,10 +71,10 @@ class VmLease {
 };
 
 // Binding assignment that reuses the destination's capacity, resolving
-// bound values when the instance has merges (the invariant the tree
-// executor's AssignResolvedPartial maintains).
-void AssignResolvedPartialVm(const Instance& instance, const Binding& partial,
-                             Binding* out) {
+// bound values when the instance has merges (bindings always hold
+// resolved values, as in the interpreter's ResolvePartial).
+void AssignResolvedPartial(const Instance& instance, const Binding& partial,
+                           Binding* out) {
   *out = partial;
   if (!instance.has_merges()) return;
   for (size_t v = 0; v < out->bound.size(); ++v) {
@@ -100,7 +89,7 @@ void EnsureVmFrames(VmContext* ctx, int n) {
 // Runs the slot instructions [begin, end) against `tuple`. kBind and
 // kCheckVar share the runtime-checked path (bind if unbound, else compare)
 // so a caller whose partial binding differs from the compiled assumption
-// still executes correctly — same tolerance as the tree executor's RunOps.
+// still executes correctly.
 template <bool kResolved>
 bool RunSlots(VmContext* ctx, const plan::Instr* code, uint32_t begin,
               uint32_t end, const Value* tuple,
@@ -127,7 +116,7 @@ bool RunSlots(VmContext* ctx, const plan::Instr* code, uint32_t begin,
 // current ctx->binding. Returns true iff the callback stopped the
 // enumeration. `additive_pivot` >= 0 confines headers with
 // atom_index < additive_pivot to tuples below delta->begin(relation),
-// exactly like the tree executor's limit.
+// exactly like the interpreter's per-atom max_index bound.
 template <bool kResolved, typename Fn>
 bool RunLoops(VmContext* ctx, const plan::BodyCode& bc, uint32_t entry,
               const Instance& instance, const ValueResolver* resolver,
@@ -366,21 +355,13 @@ bool TryFastExists(const plan::BodyCode& bc, const Instance& instance,
 
 }  // namespace
 
-bool ForceTreeExec() {
-  return ForceTreeExecFlag().load(std::memory_order_relaxed);
-}
-
-void SetForceTreeExec(bool force) {
-  ForceTreeExecFlag().store(force, std::memory_order_relaxed);
-}
-
 bool VmEnumerateMatches(const plan::BodyPlan& plan, const Instance& instance,
                         const Binding& partial,
                         const std::function<bool(const Binding&)>& fn) {
   PDX_CHECK_EQ(static_cast<int>(partial.bound.size()), plan.var_count);
   const plan::BodyCode& code = plan.code;
   VmLease ctx;
-  AssignResolvedPartialVm(instance, partial, &ctx->binding);
+  AssignResolvedPartial(instance, partial, &ctx->binding);
   ctx->trail.clear();
   EnsureVmFrames(ctx.get(), code.max_depth);
   if (instance.has_merges()) {
@@ -406,7 +387,7 @@ bool VmHasMatch(const plan::BodyPlan& plan, const Instance& instance,
   // Generic fallback: the full enumeration loop, stopped at the first
   // emit. The inlined callback keeps std::function off this path.
   VmLease ctx;
-  AssignResolvedPartialVm(instance, partial, &ctx->binding);
+  AssignResolvedPartial(instance, partial, &ctx->binding);
   ctx->trail.clear();
   EnsureVmFrames(ctx.get(), code.max_depth);
   const auto stop = [](const Binding&) { return false; };
@@ -431,7 +412,7 @@ bool VmEnumerateMatchesDeltaPartition(
   const bool resolved = instance.has_merges();
   const ValueResolver* resolver = resolved ? &instance.resolver() : nullptr;
   VmLease ctx;
-  AssignResolvedPartialVm(instance, partial, &ctx->start);
+  AssignResolvedPartial(instance, partial, &ctx->start);
   EnsureVmFrames(ctx.get(), code.max_depth);
   const int additive_pivot = partition.over_extras ? -1 : variant.pivot;
   const plan::Instr* instrs = code.code.data();

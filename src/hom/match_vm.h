@@ -5,15 +5,15 @@
 // iterative executor for the linear programs plan/bytecode.h lowers from
 // compiled BodyPlans. One frame per join level (candidate cursor + trail
 // mark), no recursion, no virtual dispatch, and no heap allocation in
-// steady state (frames are pooled per thread, like the tree executor's
-// PlanContexts).
+// steady state (contexts are pooled per thread).
 //
-// The VM enumerates exactly the match set the tree executor enumerates,
+// The VM is the only planned executor. It enumerates exactly the match set
+// the interpreter (EnumerateMatches* over the atom list) enumerates,
 // including the delta-pivot confinement and the bind-or-check tolerance
-// for callers whose partial binding differs from the compiled assumption.
-// PDX_FORCE_TREE_EXEC=1 (or SetForceTreeExec) routes every planned call
-// back to the recursive tree executor, which stays as the cross-validated
-// baseline (tests/cross_validation_test.cc, tools/check.sh).
+// for callers whose partial binding differs from the compiled assumption;
+// the interpreter stays as the reference oracle it is tested against
+// (tests/plan_compiler_test.cc, tests/cross_validation_test.cc,
+// tests/fuzz_test.cc).
 
 #include <functional>
 
@@ -21,13 +21,6 @@
 #include "plan/ir.h"
 
 namespace pdx {
-
-// True when planned execution must use the tree executor instead of the
-// VM. Seeded from the PDX_FORCE_TREE_EXEC environment variable (non-empty
-// and not "0"); SetForceTreeExec overrides it at runtime (tests and
-// benchmarks toggle per leg).
-bool ForceTreeExec();
-void SetForceTreeExec(bool force);
 
 // EnumerateMatchesPlanned through plan.code (full program).
 bool VmEnumerateMatches(const plan::BodyPlan& plan, const Instance& instance,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "hom/match_vm.h"
 #include "plan/ir.h"
@@ -344,209 +343,16 @@ bool HasMatch(const std::vector<Atom>& atoms, int var_count,
   return HasMatch(atoms, var_count, instance, Binding::Empty(var_count));
 }
 
-// --- Plan-driven executor -----------------------------------------------
-
-namespace {
-
-// Per-depth reusable storage: the unbind trail of the step's kBind ops.
-// Owned by the PlanContext so one allocation serves every pivot tuple and
-// every backtrack. (Resolved-lane probes no longer need scratch: the
-// store's class-bucket cache owns the concatenated buckets.)
-struct PlanFrame {
-  std::vector<VariableId> trail;
-};
-
-struct PlanContext {
-  const Instance* instance;
-  const std::function<bool(const Binding&)>* fn;
-  Binding binding;
-  const ValueResolver* resolver = nullptr;
-  std::vector<PlanFrame> frames;
-  // Additive-partition confinement: steps whose original atom index is
-  // below `additive_pivot` only admit tuples below delta->begin(relation),
-  // exactly like SearchContext::max_index. -1 = unrestricted.
-  const DeltaView* delta = nullptr;
-  int additive_pivot = -1;
-  // Partition-entry state, reused across pivot tuples.
-  Binding start;
-  std::vector<VariableId> pivot_trail;
-};
-
-// Contexts are leased from a per-thread pool indexed by nesting depth — a
-// planned enumeration's callback can itself run a planned head check
-// (CollectDeltaMatches's keep filter does), so plain thread_local reuse
-// would alias. All vectors keep their capacity across leases: steady-state
-// planned execution performs no heap allocation, which is a measurable
-// chunk of the compiled-vs-interpreted speedup on join-light workloads.
-struct PlanContextPool {
-  std::vector<std::unique_ptr<PlanContext>> contexts;
-  size_t depth = 0;
-};
-
-PlanContextPool& ThreadPlanPool() {
-  thread_local PlanContextPool pool;
-  return pool;
-}
-
-class PlanContextLease {
- public:
-  PlanContextLease(const Instance& instance,
-                   const std::function<bool(const Binding&)>& fn) {
-    PlanContextPool& pool = ThreadPlanPool();
-    if (pool.depth == pool.contexts.size()) {
-      pool.contexts.push_back(std::make_unique<PlanContext>());
-    }
-    ctx_ = pool.contexts[pool.depth++].get();
-    ctx_->instance = &instance;
-    ctx_->fn = &fn;
-    ctx_->resolver = ResolverFor(instance);
-    ctx_->delta = nullptr;
-    ctx_->additive_pivot = -1;
-  }
-  ~PlanContextLease() { --ThreadPlanPool().depth; }
-  PlanContextLease(const PlanContextLease&) = delete;
-  PlanContextLease& operator=(const PlanContextLease&) = delete;
-
-  PlanContext* operator->() const { return ctx_; }
-  PlanContext* get() const { return ctx_; }
-
- private:
-  PlanContext* ctx_;
-};
-
-// Binding assignment that reuses the destination's capacity, resolving
-// bound values when the instance has merges (the invariant ResolvePartial
-// maintains for the interpreter).
-void AssignResolvedPartial(const Instance& instance, const Binding& partial,
-                           Binding* out) {
-  *out = partial;
-  if (!instance.has_merges()) return;
-  for (size_t v = 0; v < out->bound.size(); ++v) {
-    if (out->bound[v]) out->values[v] = instance.ResolveValue(out->values[v]);
-  }
-}
-
-// Grow-only frame storage: shrinking would free the frames' scratch/trail
-// capacity, which is the whole point of pooling.
-void EnsureFrames(PlanContext* ctx, size_t n) {
-  if (ctx->frames.size() < n) ctx->frames.resize(n);
-}
-
-// Runs one step's unification program against a candidate tuple. kBind and
-// kCheckVar share the runtime-checked path (bind if unbound, else compare)
-// so a caller whose partial binding differs from the plan's compiled
-// assumption still executes correctly.
-bool RunOps(PlanContext* ctx, const std::vector<plan::SlotOp>& ops,
-            TupleView tuple, std::vector<VariableId>* trail) {
-  for (const plan::SlotOp& op : ops) {
-    Value tv = tuple[op.pos];
-    if (ctx->resolver != nullptr) tv = ctx->resolver->Resolve(tv);
-    if (op.kind == plan::SlotOp::kCheckConst) {
-      if (tv != op.key) return false;
-      continue;
-    }
-    if (ctx->binding.bound[op.var]) {
-      if (ctx->binding.values[op.var] != tv) return false;
-    } else {
-      ctx->binding.Bind(op.var, tv);
-      trail->push_back(op.var);
-    }
-  }
-  return true;
-}
-
-void UnbindTrail(PlanContext* ctx, const std::vector<VariableId>& trail) {
-  for (VariableId v : trail) ctx->binding.bound[v] = false;
-}
-
-// Executes steps[depth..] recursively. Returns true iff the callback
-// stopped the enumeration.
-bool RunSteps(PlanContext* ctx, const std::vector<plan::JoinStep>& steps,
-              size_t depth) {
-  if (depth == steps.size()) {
-    return !(*ctx->fn)(ctx->binding);
-  }
-  const plan::JoinStep& step = steps[depth];
-  PlanFrame& frame = ctx->frames[depth];
-  const TupleList tuples = ctx->instance->tuples(step.relation);
-  // Pre-delta confinement (additive partitions only), keyed by the atom's
-  // original body index, not its execution position.
-  size_t limit = std::numeric_limits<size_t>::max();
-  if (ctx->additive_pivot >= 0 && step.atom_index < ctx->additive_pivot) {
-    limit = ctx->delta->begin(step.relation);
-  }
-  // Resolve the access path. A kProbeVar whose variable the caller left
-  // unbound degrades to a scan with the probed position handled as a
-  // runtime bind (the compiled ops skip it, trusting the probe).
-  plan::AccessPath::Kind kind = step.access.kind;
-  Value key;
-  bool bind_probe_pos = false;
-  if (kind == plan::AccessPath::kProbeVar) {
-    if (ctx->binding.bound[step.access.var]) {
-      key = ctx->binding.values[step.access.var];
-    } else {
-      kind = plan::AccessPath::kScan;
-      bind_probe_pos = true;
-    }
-  } else if (kind == plan::AccessPath::kProbeConst) {
-    key = step.access.key;
-  }
-  TupleIndexSpan candidates;
-  const bool scan = kind == plan::AccessPath::kScan;
-  if (!scan) {
-    if (ctx->resolver == nullptr) {
-      candidates =
-          ctx->instance->TuplesWithValueAt(step.relation, step.access.pos, key);
-    } else {
-      candidates = ctx->instance->TuplesWithResolvedValueAt(
-          step.relation, step.access.pos, key);
-    }
-    if (candidates.empty()) return false;
-  }
-  const size_t scan_end = std::min(tuples.size(), limit);
-  const size_t count = scan ? scan_end : candidates.size();
-  for (size_t i = 0; i < count; ++i) {
-    const size_t idx = scan ? i : static_cast<size_t>(candidates[i]);
-    if (idx >= limit) continue;
-    const TupleView tuple = tuples[idx];
-    frame.trail.clear();
-    bool ok = RunOps(ctx, step.ops, tuple, &frame.trail);
-    if (ok && bind_probe_pos) {
-      Value tv = tuple[step.access.pos];
-      if (ctx->resolver != nullptr) tv = ctx->resolver->Resolve(tv);
-      if (ctx->binding.bound[step.access.var]) {
-        ok = ctx->binding.values[step.access.var] == tv;
-      } else {
-        ctx->binding.Bind(step.access.var, tv);
-        frame.trail.push_back(step.access.var);
-      }
-    }
-    if (ok && RunSteps(ctx, steps, depth + 1)) {
-      UnbindTrail(ctx, frame.trail);
-      return true;
-    }
-    UnbindTrail(ctx, frame.trail);
-  }
-  return false;
-}
-
-}  // namespace
+// --- Plan-driven entry points --------------------------------------------
+//
+// Every BodyPlan comes from plan::CompileBody, which always lowers it to
+// bytecode, so the planned entry points are thin wrappers over the match VM.
 
 bool EnumerateMatchesPlanned(const plan::BodyPlan& plan,
                              const Instance& instance, const Binding& partial,
                              const std::function<bool(const Binding&)>& fn) {
-  PDX_CHECK_EQ(static_cast<int>(partial.bound.size()), plan.var_count);
-  // The bytecode VM is the default executor; PDX_FORCE_TREE_EXEC (or a
-  // runtime SetForceTreeExec) keeps the recursive tree walk below as the
-  // cross-validated baseline. Hand-built plans without lowered code always
-  // take the tree path.
-  if (!plan.code.code.empty() && !ForceTreeExec()) {
-    return VmEnumerateMatches(plan, instance, partial, fn);
-  }
-  PlanContextLease ctx(instance, fn);
-  AssignResolvedPartial(instance, partial, &ctx->binding);
-  EnsureFrames(ctx.get(), plan.full.size());
-  return RunSteps(ctx.get(), plan.full, 0);
+  PDX_DCHECK(!plan.code.code.empty());
+  return VmEnumerateMatches(plan, instance, partial, fn);
 }
 
 bool EnumerateMatchesDeltaPlanned(
@@ -584,57 +390,17 @@ bool EnumerateMatchesDeltaPartitionPlanned(
     const plan::BodyPlan& plan, const Instance& instance,
     const DeltaView& delta, const DeltaPartition& partition,
     const Binding& partial, const std::function<bool(const Binding&)>& fn) {
-  PDX_CHECK_EQ(static_cast<int>(partial.bound.size()), plan.var_count);
-  PDX_CHECK_LT(partition.pivot, plan.variants.size());
-  if (!plan.code.code.empty() && !ForceTreeExec()) {
-    return VmEnumerateMatchesDeltaPartition(plan, instance, delta, partition,
-                                            partial, fn);
-  }
-  const plan::DeltaVariant& variant = plan.variants[partition.pivot];
-  const TupleList tuples = instance.tuples(variant.pivot_relation);
-  PlanContextLease ctx(instance, fn);
-  AssignResolvedPartial(instance, partial, &ctx->start);
-  EnsureFrames(ctx.get(), variant.rest.size());
-  if (!partition.over_extras) {
-    ctx->delta = &delta;
-    ctx->additive_pivot = variant.pivot;
-    for (size_t idx = partition.begin;
-         idx < partition.end && idx < tuples.size(); ++idx) {
-      ctx->binding = ctx->start;
-      ctx->pivot_trail.clear();
-      if (RunOps(ctx.get(), variant.pivot_ops, tuples[idx],
-                 &ctx->pivot_trail) &&
-          RunSteps(ctx.get(), variant.rest, 0)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  const std::vector<int>& extra = delta.extras(variant.pivot_relation);
-  PDX_CHECK_LE(partition.end, extra.size());
-  for (size_t e = partition.begin; e < partition.end; ++e) {
-    const int idx = extra[e];
-    PDX_DCHECK(static_cast<size_t>(idx) < tuples.size());
-    ctx->binding = ctx->start;
-    ctx->pivot_trail.clear();
-    if (RunOps(ctx.get(), variant.pivot_ops, tuples[idx], &ctx->pivot_trail) &&
-        RunSteps(ctx.get(), variant.rest, 0)) {
-      return true;
-    }
-  }
-  return false;
+  PDX_DCHECK(!plan.code.code.empty());
+  return VmEnumerateMatchesDeltaPartition(plan, instance, delta, partition,
+                                          partial, fn);
 }
 
 bool HasMatchPlanned(const plan::BodyPlan& plan, const Instance& instance,
                      const Binding& partial) {
-  // Same dispatch rule as EnumerateMatchesPlanned, but through the VM's
-  // dedicated existence entry point, which skips the std::function
+  // The VM's dedicated existence entry point skips the std::function
   // plumbing and point-looks-up fully bound single-atom plans.
-  if (!plan.code.code.empty() && !ForceTreeExec()) {
-    return VmHasMatch(plan, instance, partial);
-  }
-  return EnumerateMatchesPlanned(plan, instance, partial,
-                                 [](const Binding&) { return false; });
+  PDX_DCHECK(!plan.code.code.empty());
+  return VmHasMatch(plan, instance, partial);
 }
 
 }  // namespace pdx

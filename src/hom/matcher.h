@@ -123,7 +123,8 @@ struct BodyPlan;
 // --- Plan-driven entry points (the dependency compiler, plan/ir.h) ------
 //
 // Each mirrors its interpreted counterpart above, executing a compiled
-// BodyPlan instead of searching the atom list: the plan's static join
+// BodyPlan's bytecode on the match VM (hom/match_vm.h) instead of
+// searching the atom list: the plan's static join
 // order, access paths and unification programs replace the per-node
 // fewest-candidates selection and per-call index probing. The enumerated
 // match *set* is identical to the interpreter's (per delta partition, per

@@ -16,10 +16,9 @@
 // against the pivot tuple, then a `rest` program at `entry`.
 //
 // Lowering is mechanical — opcode semantics are exactly the JoinStep /
-// SlotOp semantics the tree executor implements, including the runtime
-// bind-or-check tolerance and probe-var scan degradation — so the VM and
-// the tree executor enumerate identical match sets (the cross-validated
-// contract behind the PDX_FORCE_TREE_EXEC kill switch).
+// SlotOp semantics, including the runtime bind-or-check tolerance and
+// probe-var scan degradation — so the VM enumerates the same match sets as
+// the interpreter it is cross-validated against.
 
 #include <cstdint>
 #include <string>

@@ -99,8 +99,7 @@ struct BodyPlan {
   std::vector<JoinStep> full;
   std::vector<DeltaVariant> variants;  // variants[i].pivot == i
   // Linear lowering of `full` + `variants` (plan/bytecode.h), executed by
-  // the match VM unless PDX_FORCE_TREE_EXEC routes to the tree executor.
-  // Empty for hand-built plans that skipped CompileBody.
+  // the match VM. CompileBody always fills it.
   BodyCode code;
 };
 

@@ -1,14 +1,14 @@
 // Cross-validation of the parallel delta chase against the sequential
-// path over the full schedule matrix: schedule ∈ {barrier, speculative,
-// dag} × num_threads ∈ {1, 2, 8} × compile_plans ∈ {on, off}, the chase
+// path over the full schedule matrix: schedule ∈ {barrier, speculative}
+// × num_threads ∈ {1, 2, 8} × compile_plans ∈ {on, off}, the chase
 // must produce equivalent results on randomized workloads covering the
 // tgd pipeline, the merge-heavy egd cascade, the oblivious engine,
 // disjoint-footprint families, failing runs, the solver-level verdict,
 // and auto-compaction. Barrier mode (the default) is bit-identical at
 // fixed compile mode — same canonical fingerprint at every thread count;
-// speculative and dag (worker-side head instantiation, concurrent ledger
-// admission, footprint-DAG collect/apply overlap, sharded apply) hand
-// out schedule-dependent null ids, so their results are asserted equal
+// speculative (worker-side head instantiation, concurrent ledger
+// admission, footprint-DAG collect/apply overlap) hands out
+// schedule-dependent null ids, so its results are asserted equal
 // under canonical null renumbering
 // (testing_util::CanonicalizedFingerprint) while outcome, steps,
 // nulls_created and the resolved fact count stay exactly invariant
@@ -17,11 +17,11 @@
 // live in instance_hom_test.cc).
 //
 // These tests carry the `parallel` ctest label and are additionally run
-// under TSan by tools/check.sh, which pins one schedule per lane
-// (PDX_FORCE_SCHEDULE=speculative, then dag) so each sanitized
-// pass covers exactly that path — testing_util::SchedulesToTest()
-// narrows the matrix accordingly. Sizes are deliberately modest so the
-// TSan passes stay fast.
+// under TSan by tools/check.sh: an unforced pass covers both schedules
+// (including the pooled barrier apply's relation-sharded inserts), and
+// the PDX_FORCE_SCHEDULE=speculative lanes pin the speculative path —
+// testing_util::SchedulesToTest() narrows the matrix accordingly. Sizes
+// are deliberately modest so the TSan passes stay fast.
 
 #include <string>
 #include <vector>
@@ -117,7 +117,7 @@ struct ParallelChaseTest : ::testing::Test {
   // reference: exactly in barrier mode (bit-identity holds per compile
   // mode — compiled and interpreted enumeration orders differ, so each
   // gets its own exact reference), up to canonical null renumbering under
-  // speculative/dag (outcome, steps, nulls, the resolved fact count and
+  // speculative (outcome, steps, nulls, the resolved fact count and
   // the canonicalized fingerprint stay invariant across the whole
   // matrix, compile modes included).
   void ExpectThreadInvariant(const Instance& start,
@@ -188,7 +188,7 @@ TEST_F(ParallelChaseTest, ObliviousIsThreadInvariant) {
 // A multi-dependency workload whose tgd families have pairwise disjoint
 // relation footprints (the shape of bench_chase's disjoint_4x), so the
 // footprint-DAG scheduler actually overlaps collection with application
-// across families and the sharded apply distributes inserts over four
+// across families and the pooled barrier apply shards inserts over four
 // target relations. Exercises the collect-ahead and shard paths rather
 // than leaving them to footprint luck in the other workloads.
 TEST_F(ParallelChaseTest, DisjointDependenciesPipelineIsThreadInvariant) {

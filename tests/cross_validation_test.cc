@@ -10,7 +10,6 @@
 #include "gtest/gtest.h"
 #include "chase/stream.h"
 #include "hom/instance_hom.h"
-#include "hom/match_vm.h"
 #include "logic/parser.h"
 #include "pde/ctract_solver.h"
 #include "pde/data_exchange.h"
@@ -258,36 +257,6 @@ TEST_P(ChaseStrategyCrossValidationTest, DataExchangeAgreesAcrossStrategies) {
         << "seed " << seed;
   }
 
-  // VM-vs-tree: the compiled delta solve run once per planned executor
-  // (toggled per seed which leg runs first; both always run). The bytecode
-  // VM and the tree executor enumerate identical match sets, so verdict,
-  // null count and the solution up to null renaming must agree.
-  {
-    ChaseOptions compiled_options = delta_options;
-    compiled_options.compile_plans = true;
-    const bool saved_force = ForceTreeExec();
-    const bool vm_first = seed % 2 == 0;
-    SetForceTreeExec(!vm_first);
-    DataExchangeResult first = Unwrap(SolveDataExchange(
-        setting, source, target, &symbols, compiled_options));
-    SetForceTreeExec(vm_first);
-    DataExchangeResult second = Unwrap(SolveDataExchange(
-        setting, source, target, &symbols, compiled_options));
-    SetForceTreeExec(saved_force);
-    EXPECT_EQ(first.has_solution, second.has_solution)
-        << "vm/tree disagreement on seed " << seed;
-    if (first.has_solution && second.has_solution) {
-      ASSERT_TRUE(first.universal_solution.has_value());
-      ASSERT_TRUE(second.universal_solution.has_value());
-      EXPECT_EQ(first.nulls_created, second.nulls_created)
-          << "seed " << seed;
-      EXPECT_EQ(
-          testing_util::CanonicalizedFingerprint(*first.universal_solution),
-          testing_util::CanonicalizedFingerprint(*second.universal_solution))
-          << "vm/tree fingerprint divergence on seed " << seed;
-    }
-  }
-
   // A randomized parallel configuration of the delta solve (thread count
   // and schedule drawn per seed; narrowed to the pinned schedule under
   // the TSan lanes) must return the same verdict, and the same universal
@@ -295,7 +264,7 @@ TEST_P(ChaseStrategyCrossValidationTest, DataExchangeAgreesAcrossStrategies) {
   ChaseOptions parallel_options = delta_options;
   const int kThreadChoices[] = {1, 2, 8};
   parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-  parallel_options.schedule = testing_util::DrawSchedule(rng.UniformInt(3));
+  parallel_options.schedule = testing_util::DrawSchedule(&rng);
   DataExchangeResult parallel = Unwrap(SolveDataExchange(
       setting, source, target, &symbols, parallel_options));
   EXPECT_EQ(parallel.has_solution, delta.has_solution)
@@ -387,7 +356,7 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EnginesAgreeOnEgdHeavyChases) {
   ChaseOptions parallel_options = delta_options;
   const int kThreadChoices[] = {1, 2, 8};
   parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-  parallel_options.schedule = testing_util::DrawSchedule(rng.UniformInt(3));
+  parallel_options.schedule = testing_util::DrawSchedule(&rng);
   ChaseResult parallel =
       Chase(start, deps->tgds, deps->egds, &symbols, parallel_options);
   ASSERT_EQ(parallel.outcome, delta.outcome)
@@ -421,35 +390,6 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EnginesAgreeOnEgdHeavyChases) {
     EXPECT_EQ(testing_util::CanonicalizedFingerprint(flipped.instance),
               testing_util::CanonicalizedFingerprint(delta.instance))
         << "compiled/interpreted fingerprint divergence on seed " << seed;
-  }
-
-  // VM-vs-tree cross-validation on the egd-heavy chase: the compiled
-  // sequential delta chase under both planned executors (leg order toggled
-  // per seed). Identical match sets per partition force identical
-  // outcomes, step counts, null counts, and results up to null renaming.
-  {
-    ChaseOptions compiled_options = delta_options;
-    compiled_options.compile_plans = true;
-    const bool saved_force = ForceTreeExec();
-    const bool vm_first = seed % 2 == 1;
-    SetForceTreeExec(!vm_first);
-    ChaseResult first =
-        Chase(start, deps->tgds, deps->egds, &symbols, compiled_options);
-    SetForceTreeExec(vm_first);
-    ChaseResult second =
-        Chase(start, deps->tgds, deps->egds, &symbols, compiled_options);
-    SetForceTreeExec(saved_force);
-    ASSERT_EQ(first.outcome, second.outcome)
-        << "vm/tree disagreement on seed " << seed << "\nI:\n"
-        << start.ToString(symbols);
-    if (first.outcome == ChaseOutcome::kSuccess) {
-      EXPECT_EQ(first.steps, second.steps) << "seed " << seed;
-      EXPECT_EQ(first.nulls_created, second.nulls_created)
-          << "seed " << seed;
-      EXPECT_EQ(testing_util::CanonicalizedFingerprint(first.instance),
-                testing_util::CanonicalizedFingerprint(second.instance))
-          << "vm/tree fingerprint divergence on seed " << seed;
-    }
   }
 
   if (delta.outcome != ChaseOutcome::kSuccess) return;

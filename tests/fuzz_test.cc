@@ -9,7 +9,6 @@
 #include "chase/chase.h"
 #include "chase/stream.h"
 #include "hom/instance_hom.h"
-#include "hom/match_vm.h"
 #include "logic/parser.h"
 #include "pde/setting_file.h"
 #include "relational/instance_io.h"
@@ -165,7 +164,7 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
         << start.ToString(symbols_);
 
     // A randomized parallel configuration of the same delta chase: thread
-    // count and schedule (barrier/speculative/dag) drawn per trial
+    // count and schedule (barrier/speculative) drawn per trial
     // (narrowed to the pinned schedule under PDX_FORCE_SCHEDULE, i.e. the
     // TSan lanes). The parallel run must
     // agree with the sequential delta run on outcome; on success,
@@ -174,8 +173,7 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
     ChaseOptions parallel_options = delta_options;
     const int kThreadChoices[] = {1, 2, 8};
     parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-    parallel_options.schedule =
-        testing_util::DrawSchedule(rng.UniformInt(3));
+    parallel_options.schedule = testing_util::DrawSchedule(&rng);
     ChaseResult parallel =
         Chase(start, deps->tgds, deps->egds, &symbols_, parallel_options);
     ASSERT_EQ(parallel.outcome, delta.outcome)
@@ -215,37 +213,6 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
                 testing_util::CanonicalizedFingerprint(delta.instance))
           << "compiled/interpreted fingerprint divergence, trial " << trial
           << "\nI:\n" << start.ToString(symbols_);
-    }
-
-    // VM-vs-tree cross-validation: the same compiled sequential delta
-    // chase under both planned executors (the bytecode VM and the
-    // recursive tree walk it replaced). They enumerate identical match
-    // sets per partition, so outcome, step count, null count and the
-    // canonicalized fingerprint must all agree. The prior executor state
-    // (possibly pinned by PDX_FORCE_TREE_EXEC) is restored afterwards.
-    {
-      ChaseOptions compiled_options = delta_options;
-      compiled_options.compile_plans = true;
-      const bool saved_force = ForceTreeExec();
-      SetForceTreeExec(false);
-      ChaseResult vm_run =
-          Chase(start, deps->tgds, deps->egds, &symbols_, compiled_options);
-      SetForceTreeExec(true);
-      ChaseResult tree_run =
-          Chase(start, deps->tgds, deps->egds, &symbols_, compiled_options);
-      SetForceTreeExec(saved_force);
-      ASSERT_EQ(vm_run.outcome, tree_run.outcome)
-          << "vm/tree disagreement, trial " << trial << "\nI:\n"
-          << start.ToString(symbols_);
-      if (vm_run.outcome == ChaseOutcome::kSuccess) {
-        EXPECT_EQ(vm_run.steps, tree_run.steps) << "trial " << trial;
-        EXPECT_EQ(vm_run.nulls_created, tree_run.nulls_created)
-            << "trial " << trial;
-        EXPECT_EQ(testing_util::CanonicalizedFingerprint(vm_run.instance),
-                  testing_util::CanonicalizedFingerprint(tree_run.instance))
-            << "vm/tree fingerprint divergence, trial " << trial << "\nI:\n"
-            << start.ToString(symbols_);
-      }
     }
 
     if (delta.outcome != ChaseOutcome::kSuccess) continue;
@@ -319,7 +286,7 @@ TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
     options.compile_plans = rng.UniformInt(2) == 1;
     const int kThreadChoices[] = {1, 2, 8};
     options.num_threads = kThreadChoices[rng.UniformInt(3)];
-    options.schedule = testing_util::DrawSchedule(rng.UniformInt(3));
+    options.schedule = testing_util::DrawSchedule(&rng);
 
     ChurnOptions churn_options;
     churn_options.delete_rate = 0.2;

@@ -147,7 +147,7 @@ TEST_F(SolutionAwareChaseTest, NoApplicableStepLeavesStartUnchanged) {
   EXPECT_TRUE(result.instance.FactsEqual(start));
 }
 
-// Cross-dependency pipelining (options.speculative with a pool): the
+// Cross-dependency pipelining (the speculative schedule with a pool): the
 // solution-aware chase invents no nulls — witnesses come from the
 // solution — so overlapping collection of the next disjoint-footprint
 // dependency with the current apply phase must keep results BIT-identical
@@ -183,7 +183,7 @@ TEST_F(SolutionAwareChaseTest, PipeliningKeepsResultsBitIdentical) {
   for (int threads : {2, 8}) {
     ChaseOptions options;
     options.num_threads = threads;
-    options.speculative = true;
+    options.schedule = ChaseSchedule::kSpeculative;
     ChaseResult got =
         SolutionAwareChase(start, deps->tgds, {}, solution, options);
     ASSERT_EQ(got.outcome, ref.outcome) << "threads " << threads;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "relational/instance.h"
 #include "relational/instance_io.h"
 #include "relational/value.h"
+#include "workload/random.h"
 
 namespace pdx {
 namespace testing_util {
@@ -81,27 +83,25 @@ inline void AssertHomEquivalent(const Instance& a, const Instance& b,
       << "no homomorphism b -> a" << (context.empty() ? "" : ": ") << context;
 }
 
-// The schedules a parallel-invariance test should exercise. All three by
-// default. Under PDX_FORCE_SCHEDULE (which ResolveSchedule makes win
-// process-wide anyway), only the forced one — tools/check.sh's TSan lanes
-// pin a schedule so the sanitized runs cover exactly that path instead of
-// re-running every mode at triple cost.
+// The schedules a parallel-invariance test should exercise: barrier and
+// speculative by default. Under PDX_FORCE_SCHEDULE (which ResolveSchedule
+// makes win process-wide anyway), only the forced one — tools/check.sh's
+// TSan lanes pin a schedule so the sanitized runs cover exactly that path
+// instead of re-running every mode.
 inline std::vector<ChaseSchedule> SchedulesToTest() {
   if (const char* env = std::getenv("PDX_FORCE_SCHEDULE")) {
-    std::string_view forced(env);
-    if (forced == "barrier") return {ChaseSchedule::kBarrier};
-    if (forced == "speculative") return {ChaseSchedule::kSpeculative};
-    if (forced == "dag") return {ChaseSchedule::kDag};
+    if (std::optional<ChaseSchedule> forced = ParseScheduleName(env)) {
+      return {*forced};
+    }
   }
-  return {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative,
-          ChaseSchedule::kDag};
+  return {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative};
 }
 
-// Maps a random draw to a schedule for fuzz-style trials: uniform over
-// SchedulesToTest(), so a pinned TSan lane fuzzes only the pinned path.
-inline ChaseSchedule DrawSchedule(uint32_t draw) {
+// Draws a schedule for fuzz-style trials: uniform over SchedulesToTest(),
+// so a pinned TSan lane fuzzes only the pinned path.
+inline ChaseSchedule DrawSchedule(Rng* rng) {
   std::vector<ChaseSchedule> schedules = SchedulesToTest();
-  return schedules[draw % schedules.size()];
+  return schedules[rng->UniformInt(static_cast<uint32_t>(schedules.size()))];
 }
 
 }  // namespace testing_util

@@ -6,17 +6,19 @@
 # snapshot — stores or resolver — is exactly what it catches), then the
 # `parallel`-labeled tests under ThreadSanitizer (TSan and ASan cannot
 # share a build tree, so the TSan pass builds only the concurrency
-# tests in its own tree and runs just that label). The sanitizer suites
-# run repeatedly: once on the default compiled-plan path, once with
-# PDX_FORCE_INTERPRETER=1 pinning the retained interpreter, and once
-# with PDX_FORCE_TREE_EXEC=1 pinning the recursive tree executor (the
-# match VM's kill switch).
+# tests in its own tree and runs just that label). The ASan suite runs
+# twice: once on the default compiled-plan path (the match VM) and once
+# with PDX_FORCE_INTERPRETER=1 pinning the retained interpreter. The TSan
+# suite runs three times: with PDX_FORCE_SCHEDULE=speculative, the same
+# plus PDX_FORCE_INTERPRETER=1, and unforced (the default barrier
+# schedule and its pooled relation-sharded apply).
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
-# --quick`: VM-vs-tree cross-check plus a conservative throughput floor
-# on pipeline_n512; `bench_stream --quick`: incremental ±Δ re-solve vs
-# full re-chase at 10% churn, fingerprint-cross-checked with a
-# conservative speedup floor) and a pdxcli smoke stage: check/chase/solve on
+# --quick`: compiled-vs-interpreted cross-check plus conservative
+# throughput floors on pipeline_n512 and egd_heavy_n2048; `bench_stream
+# --quick`: incremental ±Δ re-solve vs full re-chase at 10% churn,
+# fingerprint-cross-checked with a conservative speedup floor) and a
+# pdxcli smoke stage: check/chase/solve on
 # the shipped Example 1 setting with --metrics-out/--trace-out, failing on
 # malformed exporter output, plus a -DPDX_OBS_NOOP=ON build gate proving
 # the library and CLI still compile with the observability layer stubbed
@@ -84,9 +86,10 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
 
   echo "== perf smoke gate (bench_chase --quick) =="
   cmake --build build -j "$jobs" --target bench_chase
-  # Cross-checks the bytecode VM against the tree executor on
-  # pipeline_n512 (same steps and canonical fingerprint) and fails if VM
-  # throughput drops below a conservative facts/sec floor; then runs
+  # Cross-checks the compiled chase (the match VM) against the
+  # interpreter on pipeline_n512 (same steps and canonical fingerprint)
+  # and fails if VM throughput drops below a conservative facts/sec
+  # floor; then runs
   # egd_heavy_n2048 at 1 thread against a pooled run (same steps and
   # fingerprint) and fails below a merges/sec floor, which the quadratic
   # find-one-then-rescan egd loop could not reach — a regression
@@ -221,12 +224,6 @@ if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
   echo "== address+undefined sanitizer rerun (interpreter forced) =="
   PDX_FORCE_INTERPRETER=1 ctest --test-dir build-asan -L tier1 \
     --output-on-failure -j "$jobs" --timeout 600
-  # And with the match VM disabled: PDX_FORCE_TREE_EXEC=1 pins the
-  # recursive tree executor (the bytecode VM's kill switch), keeping the
-  # fallback path under ASan now that the VM is the default executor.
-  echo "== address+undefined sanitizer rerun (tree executor forced) =="
-  PDX_FORCE_TREE_EXEC=1 ctest --test-dir build-asan -L tier1 \
-    --output-on-failure -j "$jobs" --timeout 600
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
@@ -239,8 +236,8 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   # PDX_FORCE_SCHEDULE=speculative makes every parallel-labeled chase
   # take the speculative path (ResolveSchedule reads it process-wide):
   # worker-side head instantiation, concurrent ledger, cross-dependency
-  # pipelining — code TSan most needs to see; the barrier path is the
-  # default everywhere else and already sanitized by earlier runs.
+  # pipelining — code TSan most needs to see. The default barrier
+  # schedule gets its own unforced pass below.
   PDX_FORCE_SCHEDULE=speculative ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
   # And once more with plans disabled: the speculative engine's
@@ -249,17 +246,12 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   PDX_FORCE_SCHEDULE=speculative PDX_FORCE_INTERPRETER=1 ctest \
     --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
-  # The footprint-DAG schedule adds the relation-sharded apply fan-out and
-  # the combined collect-ahead batches on top of the speculative
-  # machinery; pin it for its own sanitized pass.
-  echo "== thread sanitizer rerun (dag schedule forced) =="
-  PDX_FORCE_SCHEDULE=dag ctest --test-dir build-tsan -L parallel \
-    --output-on-failure -j "$jobs" --timeout 600
-  # Tree-executor lane: parallel collection with the VM kill switch on —
-  # the recursive executor must stay race-free when pool workers
-  # enumerate delta partitions through it.
-  echo "== thread sanitizer rerun (tree executor forced) =="
-  PDX_FORCE_TREE_EXEC=1 ctest --test-dir build-tsan -L parallel \
+  # Unforced: the tests' own schedule matrix, including the default
+  # barrier schedule whose pooled apply drains relation-sharded inserts
+  # (AddFactSharded) — the path bulk_exchange and pdxd run, and the only
+  # TSan pass that reaches it.
+  echo "== thread sanitizer rerun (unforced schedules) =="
+  ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
 fi
 

@@ -3,7 +3,7 @@
 // Usage:
 //   pdxcli check   --setting FILE
 //   pdxcli chase   --setting FILE --source FILE [--target FILE] [--threads N]
-//                  [--schedule barrier|speculative|dag] [--speculative]
+//                  [--schedule barrier|speculative]
 //                  [--dump-plans] [--repeat N]
 //   pdxcli solve   --setting FILE --source FILE [--target FILE]
 //                  [--solver auto|ctract|generic] [--minimize] [--diff]
@@ -73,7 +73,7 @@ StatusOr<CliArgs> ParseArgs(int argc, char** argv) {
     }
     flag = flag.substr(2);
     if (flag == "minimize" || flag == "core" || flag == "diff" ||
-        flag == "speculative" || flag == "dump-plans") {
+        flag == "dump-plans") {
       args.flags[flag] = "true";
       continue;
     }
@@ -144,18 +144,18 @@ int ParseThreads(const CliArgs& args) {
   return it == args.flags.end() ? 1 : std::atoi(it->second.c_str());
 }
 
-// --schedule barrier|speculative|dag: the tgd-phase schedule for parallel
+// --schedule barrier|speculative: the tgd-phase schedule for parallel
 // chases (see ChaseSchedule in chase/chase.h). Absent means barrier, the
-// bit-deterministic default; --speculative stays as shorthand for the
-// speculative schedule.
+// bit-deterministic default.
 StatusOr<ChaseSchedule> ParseSchedule(const CliArgs& args) {
   auto it = args.flags.find("schedule");
   if (it == args.flags.end()) return ChaseSchedule::kBarrier;
-  if (it->second == "barrier") return ChaseSchedule::kBarrier;
-  if (it->second == "speculative") return ChaseSchedule::kSpeculative;
-  if (it->second == "dag") return ChaseSchedule::kDag;
-  return InvalidArgumentError(StrCat("unknown --schedule ", it->second,
-                                     " (want barrier, speculative or dag)"));
+  std::optional<ChaseSchedule> schedule = ParseScheduleName(it->second);
+  if (!schedule.has_value()) {
+    return InvalidArgumentError(StrCat("unknown --schedule ", it->second,
+                                       " (want barrier or speculative)"));
+  }
+  return *schedule;
 }
 
 StatusOr<PdeSetting> LoadSetting(const CliArgs& args, SymbolTable* symbols) {
@@ -244,7 +244,6 @@ int RunChase(const CliArgs& args) {
   Instance combined = setting->CombineInstances(*source, *target);
   ChaseOptions chase_options;
   chase_options.num_threads = ParseThreads(args);
-  chase_options.speculative = args.flags.count("speculative") > 0;
   auto schedule = ParseSchedule(args);
   if (!schedule.ok()) {
     std::cerr << schedule.status().ToString() << "\n";
@@ -536,7 +535,7 @@ int Main(int argc, char** argv) {
                  "--setting FILE [--source FILE] [--target FILE] "
                  "[--solver auto|ctract|generic] [--query Q] "
                  "[--minimize] [--diff] [--threads N] "
-                 "[--schedule barrier|speculative|dag] [--speculative] "
+                 "[--schedule barrier|speculative] "
                  "[--dump-plans] [--repeat N] "
                  "[--metrics-out FILE] [--trace-out FILE]\n";
     return 2;
