@@ -6,22 +6,20 @@
 //
 // Per workload and strategy it reports wall time (best of `kRepeats`),
 // chase steps, resolved result facts, and derived facts per second; per
-// workload it reports the naive/delta speedup. A second axis
-// (compiled_vs_interpreted) A/Bs the dependency compiler of plan/ against
-// the retained interpreter at 1 thread on the largest workloads. Strategies are also
-// cross-checked for resolved-fingerprint agreement, so a run doubles as a
-// coarse correctness gate. The egd_heavy workloads are the A/B for the
+// workload it reports the naive/delta speedup. The naive engine is the
+// oracle: every workload cross-checks the delta engine's resolved
+// fingerprint against it, so a run doubles as a coarse correctness gate. The egd_heavy workloads are the A/B for the
 // union-find value layer: every invented null is merged by a key egd, so
 // the naive engine pays a relation rebuild per merge while the delta
 // engine pays one union plus re-examination of the dirty tuples.
 //
-// A third axis (thread_scaling) runs the delta strategy at 1/2/4/8
+// A second axis (thread_scaling) runs the delta strategy at 1/2/4/8
 // threads under barrier and 2/4/8 under speculative, each point reported
 // against the 1-thread sequential run.
 //
 // Usage: bench_chase [output.json]   (default BENCH_chase.json in cwd)
 //        bench_chase --quick         (perf smoke gate: pipeline_n512
-//                                     compiled vs interpreted, and
+//                                     delta vs the naive oracle, and
 //                                     egd_heavy_n2048 at 1 thread vs a
 //                                     pooled run; exits nonzero if either
 //                                     falls below its conservative floor
@@ -148,13 +146,11 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
                      const std::vector<Tgd>& tgds,
                      const std::vector<Egd>& egds, ChaseStrategy strategy,
                      int num_threads = 1,
-                     ChaseSchedule schedule = ChaseSchedule::kBarrier,
-                     bool compile_plans = true) {
+                     ChaseSchedule schedule = ChaseSchedule::kBarrier) {
   ChaseOptions options;
   options.strategy = strategy;
   options.num_threads = num_threads;
   options.schedule = schedule;
-  options.compile_plans = compile_plans;
   options.max_steps = 10'000'000;
   StrategyStats stats;
   // The metrics registry is the authoritative step count: the JSON below
@@ -229,52 +225,6 @@ WorkloadResult RunWorkload(BenchContext& ctx, const std::string& name,
   return result;
 }
 
-// The compiled-vs-interpreted dimension: the delta strategy at 1 thread
-// with ChaseOptions::compile_plans off (the retained interpreter) and on
-// (the plan/ dependency compiler). Enumeration order — and hence fresh
-// null identities — is schedule-dependent between the two executors, so
-// the cross-check is renaming-invariant: identical canonicalized
-// fingerprints and step counts.
-struct CompiledVsInterpretedResult {
-  std::string name;
-  int64_t input_facts = 0;
-  StrategyStats interpreted;
-  StrategyStats compiled;
-  // compiled facts/sec over interpreted facts/sec (> 1 = compiler wins).
-  double speedup = 0;
-};
-
-CompiledVsInterpretedResult RunCompiledVsInterpreted(
-    SymbolTable* symbols, const std::string& name, const Instance& start,
-    const std::vector<Tgd>& tgds, const std::vector<Egd>& egds) {
-  CompiledVsInterpretedResult result;
-  result.name = name;
-  result.input_facts = static_cast<int64_t>(start.fact_count());
-  result.interpreted =
-      RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1, ChaseSchedule::kBarrier,
-             /*compile_plans=*/false);
-  result.compiled =
-      RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1, ChaseSchedule::kBarrier,
-             /*compile_plans=*/true);
-  PDX_CHECK(result.compiled.canonical_fingerprint ==
-            result.interpreted.canonical_fingerprint)
-      << "compiled chase not isomorphic to interpreted chase on " << name;
-  PDX_CHECK(result.compiled.steps == result.interpreted.steps)
-      << "compiled chase changed the step count on " << name;
-  result.speedup = result.interpreted.facts_per_sec > 0
-                       ? result.compiled.facts_per_sec /
-                             result.interpreted.facts_per_sec
-                       : 0;
-  std::fprintf(stderr,
-               "%-24s interpreted %9.2f ms   compiled %9.2f ms   "
-               "facts/sec speedup %5.2fx\n",
-               name.c_str(), result.interpreted.wall_ms,
-               result.compiled.wall_ms, result.speedup);
-  return result;
-}
-
 // The thread-scaling dimension: the same workload, delta strategy, at
 // 1/2/4/8 worker threads under barrier, then 2/4/8 under speculative
 // (sequential runs ignore the schedule, so speculative has no 1-thread
@@ -345,7 +295,6 @@ void WriteStrategy(JsonWriter& w, const char* key,
 }
 
 std::string ToJson(const std::vector<WorkloadResult>& results,
-                   const std::vector<CompiledVsInterpretedResult>& compiled,
                    const std::vector<ThreadScalingResult>& scaling) {
   JsonWriter w;
   w.BeginObject();
@@ -363,17 +312,6 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
     WriteStrategy(w, "naive", r.naive);
     WriteStrategy(w, "delta", r.delta);
     w.Key("speedup").Double(r.naive.wall_ms / r.delta.wall_ms, 2);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("compiled_vs_interpreted").BeginArray();
-  for (const CompiledVsInterpretedResult& r : compiled) {
-    w.BeginObject();
-    w.Key("name").String(r.name);
-    w.Key("input_facts").Int(r.input_facts);
-    WriteStrategy(w, "interpreted", r.interpreted);
-    WriteStrategy(w, "compiled", r.compiled);
-    w.Key("speedup").Double(r.speedup, 2);
     w.EndObject();
   }
   w.EndArray();
@@ -401,11 +339,11 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
 }
 
 // Conservative facts/sec floor for the --quick perf smoke gate on
-// pipeline_n512 under the compiled plans (the match VM). The reference
-// single-core box measures ~3.0M facts/sec here, dipping to ~1.0M under
-// heavy scheduler contention; the floor sits far below both so noise or
-// a debug-ish build never trips it, while a real hot-path regression
-// (e.g. a quadratic index) still does.
+// pipeline_n512 under the delta engine (compiled plans on the match VM).
+// The reference single-core box measures ~3.0M facts/sec here, dipping to
+// ~1.0M under heavy scheduler contention; the floor sits far below both
+// so noise or a debug-ish build never trips it, while a real hot-path
+// regression (e.g. a quadratic index) still does.
 constexpr double kQuickFactsPerSecFloor = 500'000.0;
 
 // Conservative egd merges/sec floor for the --quick gate on
@@ -418,25 +356,24 @@ constexpr double kQuickMergesPerSecFloor = 50'000.0;
 
 int Main(int argc, char** argv) {
   BenchContext ctx;
-  // Perf smoke gate (tools/check.sh): pipeline_n512 compiled (the match
-  // VM) and interpreted, step- and fingerprint-cross-checked by
-  // RunCompiledVsInterpreted, then gated on an absolute throughput floor.
+  // Perf smoke gate (tools/check.sh): pipeline_n512 through the delta
+  // engine, fingerprint-cross-checked against the kRestrictedNaive oracle
+  // by RunWorkload, then gated on an absolute throughput floor.
   if (argc > 1 && std::strcmp(argv[1], "--quick") == 0) {
     Instance start = ctx.RandomEdges(512, 2, 17);
-    CompiledVsInterpretedResult r = RunCompiledVsInterpreted(
-        &ctx.symbols, "pipeline_n512", start, ctx.pipeline_tgds, {});
-    if (r.compiled.facts_per_sec < kQuickFactsPerSecFloor) {
+    WorkloadResult r =
+        RunWorkload(ctx, "pipeline_n512", start, ctx.pipeline_tgds, {});
+    if (r.delta.facts_per_sec < kQuickFactsPerSecFloor) {
       std::fprintf(stderr,
                    "FAIL: match VM throughput %.0f facts/sec below the "
                    "smoke floor %.0f on pipeline_n512\n",
-                   r.compiled.facts_per_sec, kQuickFactsPerSecFloor);
+                   r.delta.facts_per_sec, kQuickFactsPerSecFloor);
       return 1;
     }
     std::fprintf(stderr,
-                 "quick gate OK: %.0f facts/sec (floor %.0f), compiled vs "
-                 "interpreted speedup %.2fx\n",
-                 r.compiled.facts_per_sec, kQuickFactsPerSecFloor,
-                 r.speedup);
+                 "quick gate OK: %.0f facts/sec (floor %.0f), agrees with "
+                 "the naive oracle\n",
+                 r.delta.facts_per_sec, kQuickFactsPerSecFloor);
     // Egd gate: the 1-thread fixpoint, step- and fingerprint-checked
     // against a pooled run (same merge order at every thread count).
     Instance egd_start = ctx.RandomEdges(2048, 2, 29);
@@ -498,26 +435,6 @@ int Main(int argc, char** argv) {
                                   start, ctx.egd_heavy_tgds,
                                   ctx.egd_heavy_egds));
   }
-  // Compiled-vs-interpreted at 1 thread on each workload family's largest
-  // size; pipeline_n512 is the headline point for the dependency compiler.
-  std::vector<CompiledVsInterpretedResult> compiled;
-  {
-    Instance start = ctx.RandomEdges(512, 2, 17);
-    compiled.push_back(RunCompiledVsInterpreted(
-        &ctx.symbols, "pipeline_n512", start, ctx.pipeline_tgds, {}));
-  }
-  {
-    Instance start = ctx.RandomEdges(256, 2, 23);
-    compiled.push_back(RunCompiledVsInterpreted(
-        &ctx.symbols, "existential_egd_n256", start, ctx.existential_tgds,
-        ctx.key_egds));
-  }
-  {
-    Instance start = ctx.RandomEdges(256, 4, 29);
-    compiled.push_back(RunCompiledVsInterpreted(
-        &ctx.symbols, "egd_heavy_n256", start, ctx.egd_heavy_tgds,
-        ctx.egd_heavy_egds));
-  }
   // Thread scaling on the two headline workloads, plus a wide
   // disjoint-dependency workload where consecutive tgds touch disjoint
   // relations, so the speculative engine's cross-dependency pipelining
@@ -569,7 +486,7 @@ int Main(int argc, char** argv) {
   }
 
   std::string path = argc > 1 ? argv[1] : "BENCH_chase.json";
-  std::string json = ToJson(results, compiled, scaling);
+  std::string json = ToJson(results, scaling);
   std::FILE* f = std::fopen(path.c_str(), "w");
   PDX_CHECK(f != nullptr) << "cannot open " << path;
   std::fwrite(json.data(), 1, json.size(), f);

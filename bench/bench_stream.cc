@@ -114,7 +114,6 @@ ChaseOptions StreamOptions() {
   ChaseOptions options;
   options.strategy = ChaseStrategy::kRestricted;
   options.num_threads = 1;
-  options.compile_plans = true;
   options.max_steps = 10'000'000;
   return options;
 }

@@ -14,7 +14,6 @@
 #include "hom/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/compiler.h"
 #include "plan/ir.h"
 #include "plan/plan_cache.h"
 
@@ -28,7 +27,7 @@ namespace {
 // added once at the Chase() wrapper, the per-match and per-merge counters
 // are incremented on the hot path (match counting runs inside pool
 // workers, exercising the registry's thread-local shards). The speculative
-// counters move only under ChaseOptions::speculative and sit outside the
+// counters move only under ChaseSchedule::kSpeculative and sit outside the
 // invariance contract: how many reserved null ids go unused depends on
 // partitioning and block-allocation accidents, not on the chase result.
 struct ChaseMetrics {
@@ -116,47 +115,37 @@ bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
   return false;
 }
 
-// Enumerates the delta matches of `atoms` — all of them, or one partition's
-// when `part` is non-null — through the compiled body program when
-// `body_plan` is non-null, else through the interpreter.
-bool EnumerateDelta(const std::vector<Atom>& atoms, int var_count,
-                    const Instance& instance, const DeltaView& delta,
-                    const plan::BodyPlan* body_plan,
-                    const DeltaPartition* part,
+// Enumerates the delta matches of a compiled body — all of them, or one
+// partition's when `part` is non-null.
+bool EnumerateDelta(const plan::BodyPlan& body, const Instance& instance,
+                    const DeltaView& delta, const DeltaPartition* part,
                     const std::function<bool(const Binding&)>& fn) {
-  const Binding empty = Binding::Empty(var_count);
-  if (part == nullptr) {
-    return body_plan != nullptr
-               ? EnumerateMatchesDeltaPlanned(*body_plan, instance, delta,
-                                              empty, fn)
-               : EnumerateMatchesDelta(atoms, var_count, instance, delta,
-                                       empty, fn);
-  }
-  return body_plan != nullptr
-             ? EnumerateMatchesDeltaPartitionPlanned(*body_plan, instance,
-                                                     delta, *part, empty, fn)
-             : EnumerateMatchesDeltaPartition(atoms, var_count, instance,
-                                              delta, *part, empty, fn);
+  const Binding empty = Binding::Empty(body.var_count);
+  return part == nullptr
+             ? EnumerateMatchesDeltaPlanned(body, instance, delta, empty, fn)
+             : EnumerateMatchesDeltaPartitionPlanned(body, instance, delta,
+                                                     *part, empty, fn);
 }
 
 // The collect half of every chase phase: runs `collect(&slots[i], m)`,
-// which returns true iff it kept m, over the delta matches of `atoms`.
-// Without a pool all matches go to slot 0; with one, the delta partitions
-// fan across its workers, one slot each, so `collect` must be a pure read
-// apart from its own slot. Returns the slots used; read in slot order they
-// hold the sequential enumeration order. Slots are cleared, not shrunk.
+// which returns true iff it kept m, over the delta matches of `body`
+// (compiled from `atoms`, which the partitioning reads). Without a pool
+// all matches go to slot 0; with one, the delta partitions fan across its
+// workers, one slot each, so `collect` must be a pure read apart from its
+// own slot. Returns the slots used; read in slot order they hold the
+// sequential enumeration order. Slots are cleared, not shrunk.
 template <typename Buffer, typename Collect>
-size_t CollectDeltaSlots(const std::vector<Atom>& atoms, int var_count,
-                         const Instance& instance, const DeltaView& delta,
-                         ThreadPool* pool, const plan::BodyPlan* body_plan,
+size_t CollectDeltaSlots(const std::vector<Atom>& atoms,
+                         const plan::BodyPlan& body, const Instance& instance,
+                         const DeltaView& delta, ThreadPool* pool,
                          uint64_t parent_span, std::vector<Buffer>* slots,
                          const Collect& collect) {
   if (pool == nullptr) {
     if (slots->empty()) slots->resize(1);
     Buffer& buffer = (*slots)[0];
     buffer.clear();
-    EnumerateDelta(atoms, var_count, instance, delta, body_plan,
-                   /*part=*/nullptr, [&](const Binding& m) {
+    EnumerateDelta(body, instance, delta, /*part=*/nullptr,
+                   [&](const Binding& m) {
                      collect(&buffer, m);
                      return true;
                    });
@@ -177,11 +166,10 @@ size_t CollectDeltaSlots(const std::vector<Atom>& atoms, int var_count,
     Buffer& buffer = (*slots)[p];
     buffer.clear();
     int64_t kept = 0;
-    EnumerateDelta(atoms, var_count, instance, delta, body_plan, &parts[p],
-                   [&](const Binding& m) {
-                     if (collect(&buffer, m)) ++kept;
-                     return true;
-                   });
+    EnumerateDelta(body, instance, delta, &parts[p], [&](const Binding& m) {
+      if (collect(&buffer, m)) ++kept;
+      return true;
+    });
     part_span.AttrInt("collected", kept);
   });
   return parts.size();
@@ -192,8 +180,8 @@ size_t CollectDeltaSlots(const std::vector<Atom>& atoms, int var_count,
 // beyond are capacity kept from earlier rounds, so steady-state rounds
 // copy-assign into existing Bindings instead of allocating per trigger.
 size_t CollectDeltaMatches(
-    const std::vector<Atom>& atoms, int var_count, const Instance& instance,
-    const DeltaView& delta, ThreadPool* pool, const plan::BodyPlan* body_plan,
+    const std::vector<Atom>& atoms, const plan::BodyPlan& body,
+    const Instance& instance, const DeltaView& delta, ThreadPool* pool,
     const std::function<bool(const Binding&)>& keep,
     std::vector<Binding>* out, uint64_t parent_span = 0) {
   size_t used = 0;
@@ -206,8 +194,8 @@ size_t CollectDeltaMatches(
     ++used;
   };
   if (pool == nullptr) {
-    EnumerateDelta(atoms, var_count, instance, delta, body_plan,
-                   /*part=*/nullptr, [&](const Binding& m) {
+    EnumerateDelta(body, instance, delta, /*part=*/nullptr,
+                   [&](const Binding& m) {
                      if (keep(m)) emit(m);
                      return true;
                    });
@@ -215,8 +203,8 @@ size_t CollectDeltaMatches(
   }
   std::vector<std::vector<Binding>> buffers;
   const size_t n = CollectDeltaSlots(
-      atoms, var_count, instance, delta, pool, body_plan, parent_span,
-      &buffers, [&](std::vector<Binding>* buffer, const Binding& m) {
+      atoms, body, instance, delta, pool, parent_span, &buffers,
+      [&](std::vector<Binding>* buffer, const Binding& m) {
         if (!keep(m)) return false;
         buffer->push_back(m);
         return true;
@@ -245,13 +233,12 @@ struct EgdRows {
   }
 };
 
-// Applies one tgd chase step for the trigger `binding`: extends the
-// binding with fresh nulls for existential variables and inserts the head
-// image. Returns the number of fresh nulls created. With a journal, the
-// extended row is recorded under `dep` for deletion propagation.
+// The naive oracle's tgd chase step for the trigger `binding`, straight
+// off the AST: extends the binding with fresh nulls for existential
+// variables and inserts the head image. Returns the number of fresh nulls
+// created.
 int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
-                 SymbolTable* symbols, size_t dep = 0,
-                 ChaseJournal* journal = nullptr) {
+                 SymbolTable* symbols) {
   Binding extended = binding;
   int fresh = 0;
   for (VariableId v = 0; v < tgd.var_count; ++v) {
@@ -259,10 +246,6 @@ int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
       extended.Bind(v, symbols->FreshNull());
       ++fresh;
     }
-  }
-  if (journal != nullptr) {
-    journal->RecordTgd(dep, extended.values.data(), extended.values.size(),
-                       tgd.existential);
   }
   for (const Atom& atom : tgd.head) {
     Tuple tuple;
@@ -280,18 +263,20 @@ int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
   return fresh;
 }
 
-// ApplyTgdStep through the fused apply template: fresh nulls drawn in the
-// template's existential order (ascending variable ids — the same order
-// the interpreted loop visits them), head rows built slot by slot. `tgd`
-// is only consulted when journaling (the existential fingerprint mask).
+// Applies one tgd chase step for the trigger `binding` through the fused
+// apply template: fresh nulls drawn in the template's existential order
+// (ascending variable ids), head rows built slot by slot. Returns the
+// number of fresh nulls created. With a journal, the extended row is
+// recorded under `dep` for deletion propagation; `tgd` is only consulted
+// then (the existential fingerprint mask).
 int ApplyTgdStepPlanned(const plan::ApplyTemplate& apply,
                         const Binding& binding, Instance* instance,
                         SymbolTable* symbols, const Tgd* tgd = nullptr,
                         size_t dep = 0, ChaseJournal* journal = nullptr) {
   // Zero-allocation apply: fresh nulls land in a stack array parallel to
-  // apply.existentials (ascending variable order, same as the interpreted
-  // loop) and each head row is staged in a stack buffer for the span
-  // AddFact. Exotic shapes fall back to the Binding-extension path.
+  // apply.existentials and each head row is staged in a stack buffer for
+  // the span AddFact. Exotic shapes fall back to the Binding-extension
+  // path.
   constexpr size_t kStack = 16;
   const size_t n_exist = apply.existentials.size();
   bool narrow = n_exist <= kStack;
@@ -358,17 +343,6 @@ int ApplyTgdStepPlanned(const plan::ApplyTemplate& apply,
   return apply.fresh_per_trigger;
 }
 
-// The restricted engine's head-satisfaction probe, planned when a compiled
-// tgd plan is available (the plan's head program was compiled with the
-// universal variables pre-bound).
-bool HeadSatisfied(const Tgd& tgd, const plan::TgdPlan* plan,
-                   const Instance& instance, const Binding& body_match) {
-  if (plan != nullptr) {
-    return HasMatchPlanned(plan->head, instance, body_match);
-  }
-  return HasMatch(tgd.head, tgd.var_count, instance, body_match);
-}
-
 // TriggerFingerprint and TriggerLedger moved to chase/trigger_ledger.h:
 // the deletion-propagation journal (chase/journal.h) shares the ledger's
 // exactly-once/retire discipline, so the class is now a public header.
@@ -386,27 +360,19 @@ bool HeadSatisfied(const Tgd& tgd, const plan::TgdPlan* plan,
 // instantiated them, so results equal the barrier mode's only up to a
 // bijective null renaming (CanonicalizeNulls in hom/instance_hom.h).
 
-// Relation read/write footprints (plan::TgdFootprint, computed by
-// plan::ComputeTgdFootprints and cached on compiled settings) drive the
-// cross-dependency scheduler. Collecting a tgd's triggers reads its body
-// relations (the matcher) and its head relations (the restricted
-// violated-trigger filter probes heads via HasMatch; kept in the read set
-// for both engines); applying a tgd writes its head relations. Collection
+// Relation read/write footprints (plan::TgdFootprint, carried on the
+// compiled setting) drive the cross-dependency scheduler. Collecting a
+// tgd's triggers reads its body relations (the matcher) and its head
+// relations (the restricted violated-trigger filter probes the head; kept
+// in the read set for both engines); applying a tgd writes its head
+// relations. Collection
 // of B may safely overlap application of A iff A's writes are disjoint
 // from B's reads: the copy-on-write stores never move on append — only
 // the written relation's store changes — so every relation outside A's
 // write set is stable under concurrent readers, and B's trigger set is
 // the same whether it is collected before or after A's facts land.
+using plan::FootprintsCompatible;
 using plan::TgdFootprint;
-
-bool FootprintsCompatible(const TgdFootprint& applying,
-                          const TgdFootprint& collecting) {
-  const size_t n = std::min(applying.writes.size(), collecting.reads.size());
-  for (size_t r = 0; r < n; ++r) {
-    if (applying.writes[r] && collecting.reads[r]) return false;
-  }
-  return true;
-}
 
 // --- Sharded apply --------------------------------------------------
 //
@@ -489,8 +455,8 @@ class ShardedInserts {
 // head's universal variables) of the triggers this batch has fired so
 // far. Exact Tuples, not hashes — a collision would silently change
 // restricted-chase semantics, unlike the oblivious ledger where the
-// fingerprint risk is a documented trade. Only constructed for heads
-// plan::AnalyzeHeadOverlay proved exact.
+// fingerprint risk is a documented trade. Only constructed for heads the
+// compiler's overlay analysis proved exact.
 struct HeadOverlay {
   const plan::HeadOverlayPlan* plan = nullptr;
   std::unordered_set<Tuple, TupleHash> fired;
@@ -510,66 +476,39 @@ struct HeadOverlay {
 // shape demands the physical re-check (non-exact) or the run is
 // sequential (`pool == nullptr`: the classic interleaved apply is already
 // optimal there and stays the reference discipline).
-const plan::HeadOverlayPlan* OverlayFor(const plan::TgdPlan* plan,
-                                        const plan::HeadOverlayPlan* local,
+const plan::HeadOverlayPlan* OverlayFor(const plan::TgdPlan& plan,
                                         ThreadPool* pool) {
-  if (pool == nullptr) return nullptr;
-  const plan::HeadOverlayPlan* overlay =
-      plan != nullptr ? &plan->apply.overlay : local;
-  return overlay != nullptr && overlay->exact ? overlay : nullptr;
+  return pool != nullptr && plan.apply.overlay.exact ? &plan.apply.overlay
+                                                     : nullptr;
 }
 
 // Extends `binding` with sequentially drawn fresh nulls and queues the
 // head image on the per-relation insert lists. The deferred twin of
-// ApplyTgdStep/ApplyTgdStepPlanned; returns the fresh-null count.
-int QueueTgdStep(const Tgd& tgd, const plan::TgdPlan* plan,
+// ApplyTgdStepPlanned; returns the fresh-null count. `tgd` is only
+// consulted when journaling.
+int QueueTgdStep(const plan::ApplyTemplate& apply, const Tgd& tgd,
                  const Binding& binding, SymbolTable* symbols,
                  ShardedInserts* inserts, size_t dep = 0,
                  ChaseJournal* journal = nullptr) {
   Binding extended = binding;
-  if (plan != nullptr) {
-    const plan::ApplyTemplate& apply = plan->apply;
-    for (VariableId v : apply.existentials) {
-      extended.Bind(v, symbols->FreshNull());
-    }
-    if (journal != nullptr) {
-      journal->RecordTgd(dep, extended.values.data(),
-                         extended.values.size(), tgd.existential);
-    }
-    size_t cursor = 0;
-    for (const plan::HeadAtom& atom : apply.head_atoms) {
-      Tuple tuple;
-      tuple.reserve(atom.arity);
-      for (int i = 0; i < atom.arity; ++i) {
-        const plan::HeadSlot& slot = apply.slots[cursor++];
-        tuple.push_back(slot.is_const ? slot.key
-                                      : extended.values[slot.var]);
-      }
-      inserts->Add(atom.relation, std::move(tuple));
-    }
-    return apply.fresh_per_trigger;
-  }
-  int fresh = 0;
-  for (VariableId v = 0; v < tgd.var_count; ++v) {
-    if (tgd.existential[v] && !extended.bound[v]) {
-      extended.Bind(v, symbols->FreshNull());
-      ++fresh;
-    }
+  for (VariableId v : apply.existentials) {
+    extended.Bind(v, symbols->FreshNull());
   }
   if (journal != nullptr) {
     journal->RecordTgd(dep, extended.values.data(), extended.values.size(),
                        tgd.existential);
   }
-  for (const Atom& atom : tgd.head) {
+  size_t cursor = 0;
+  for (const plan::HeadAtom& atom : apply.head_atoms) {
     Tuple tuple;
-    tuple.reserve(atom.terms.size());
-    for (const Term& t : atom.terms) {
-      tuple.push_back(t.is_constant() ? t.constant()
-                                      : extended.values[t.var()]);
+    tuple.reserve(atom.arity);
+    for (int i = 0; i < atom.arity; ++i) {
+      const plan::HeadSlot& slot = apply.slots[cursor++];
+      tuple.push_back(slot.is_const ? slot.key : extended.values[slot.var]);
     }
     inserts->Add(atom.relation, std::move(tuple));
   }
-  return fresh;
+  return apply.fresh_per_trigger;
 }
 
 // Speculatively collected triggers live in flat, partition-local
@@ -590,86 +529,26 @@ struct SpecBuffer {
   size_t count = 0;
 };
 
-// Per-dependency constants of the speculative layout. Parser validation
-// guarantees existential variables never occur in the body, so every
-// complete body match binds exactly the non-existential variables: the
-// bound mask is the same for all of a dependency's triggers and the
-// number of fresh nulls per trigger is a constant. The apply phase
-// reuses one scratch Binding (mask preset to the body mask) and only
-// refreshes its values from the flat rows; the existential slots stay
-// masked off, which is what the restricted HasMatch re-check and the
-// oblivious root index both require.
-struct SpecLayout {
-  size_t head_width = 0;      // sum of head-atom arities
-  int fresh_per_trigger = 0;  // existential variables per trigger
-  std::vector<VariableId> existentials;
-  // Positions within a trigger's flat head row holding an existential
-  // variable, with the variable: the slots patched once the partition's
-  // exact null range is reserved.
-  std::vector<std::pair<size_t, VariableId>> head_null_slots;
-  Binding scratch;
-};
-
-SpecLayout MakeSpecLayout(const Tgd& tgd) {
-  SpecLayout out;
-  size_t pos = 0;
-  for (const Atom& atom : tgd.head) {
-    for (const Term& t : atom.terms) {
-      if (!t.is_constant() && tgd.existential[t.var()]) {
-        out.head_null_slots.emplace_back(pos, t.var());
-      }
-      ++pos;
-    }
-  }
-  out.head_width = pos;
-  out.scratch = Binding::Empty(tgd.var_count);
-  for (VariableId v = 0; v < tgd.var_count; ++v) {
-    if (tgd.existential[v]) {
-      out.existentials.push_back(v);
-    } else {
-      out.scratch.bound[v] = true;
-    }
-  }
-  out.fresh_per_trigger = static_cast<int>(out.existentials.size());
-  return out;
-}
-
-// The compiled path's layout: every field except the scratch Binding is
-// already fused into the plan's ApplyTemplate (the template absorbed what
-// MakeSpecLayout re-derives from the AST).
-SpecLayout LayoutFromTemplate(const plan::ApplyTemplate& apply) {
-  SpecLayout out;
-  out.head_width = apply.head_width;
-  out.fresh_per_trigger = apply.fresh_per_trigger;
-  out.existentials = apply.existentials;
-  out.head_null_slots = apply.head_null_slots;
-  out.scratch = Binding::Empty(static_cast<int>(apply.body_bound.size()));
-  out.scratch.bound = apply.body_bound;
-  return out;
-}
-
 // Speculative collection of one dependency's pending triggers: the delta
 // partitions fan across the pool and each partition task instantiates the
-// heads of the matches it admits, drawing nulls from one exact-size
-// partition-local range. With a null ledger the admission filter is the restricted
-// engine's HasMatch probe; otherwise it is concurrent ledger admission
-// (exactly one partition wins each fingerprint, which also collapses the
-// duplicate matches the extras overlap can produce). The job either Run()s
-// synchronously with the caller participating, or has its partitions
-// driven externally by the scheduler's combined lookahead batch
-// (RunPartition is safe from any pool worker); `buffers()` exposes the
-// results in partition order — the sequential enumeration order, so the
-// apply order is schedule-invariant.
+// heads of the matches it admits through the tgd's apply template, drawing
+// nulls from one exact-size partition-local range. With a null ledger the
+// admission filter is the restricted engine's head probe; otherwise it is
+// concurrent ledger admission (exactly one partition wins each
+// fingerprint, which also collapses the duplicate matches the extras
+// overlap can produce). The job either Run()s synchronously with the
+// caller participating, or has its partitions driven externally by the
+// scheduler's combined lookahead batch (RunPartition is safe from any pool
+// worker); `buffers()` exposes the results in partition order — the
+// sequential enumeration order, so the apply order is schedule-invariant.
 class SpecCollectJob {
  public:
-  SpecCollectJob(const Tgd* tgd, size_t dep_index, const SpecLayout* layout,
-                 const plan::TgdPlan* plan, const Instance* instance,
-                 const DeltaView* delta, SymbolTable* symbols,
-                 TriggerLedger* ledger, ThreadPool* pool,
-                 uint64_t parent_span, bool pipelined)
+  SpecCollectJob(const Tgd* tgd, size_t dep_index, const plan::TgdPlan* plan,
+                 const Instance* instance, const DeltaView* delta,
+                 SymbolTable* symbols, TriggerLedger* ledger,
+                 ThreadPool* pool, uint64_t parent_span, bool pipelined)
       : tgd_(tgd),
         dep_(dep_index),
-        layout_(layout),
         plan_(plan),
         instance_(instance),
         delta_(delta),
@@ -708,48 +587,36 @@ class SpecCollectJob {
         .AttrBool("pipelined", pipelined_);
     ChaseMetrics& metrics = ChaseMetrics::Get();
     SpecBuffer& buffer = buffers_[p];
-    const SpecLayout& layout = *layout_;
+    const plan::ApplyTemplate& apply = plan_->apply;
     const auto admit = [&](const Binding& m) {
       metrics.tgd_matches.Inc();
       if (ledger_ != nullptr) {
         uint64_t fp = TriggerFingerprint(dep_, *tgd_, m);
         if (!ledger_->Admit(fp)) return true;
         buffer.fps.push_back(fp);
-      } else if (HeadSatisfied(*tgd_, plan_, *instance_, m)) {
+      } else if (HasMatchPlanned(plan_->head, *instance_, m)) {
         return true;
       }
       const size_t row = buffer.rows.size();
       buffer.rows.insert(buffer.rows.end(), m.values.begin(),
                          m.values.end());
-      for (VariableId v : layout.existentials) PDX_DCHECK(!m.bound[v]);
+      for (VariableId v : apply.existentials) PDX_DCHECK(!m.bound[v]);
       // Existential row/head slots hold junk until the patch pass
       // below fills them from the partition's exact null range.
-      if (plan_ != nullptr) {
-        for (const plan::HeadSlot& slot : plan_->apply.slots) {
-          buffer.heads.push_back(slot.is_const ? slot.key
-                                               : buffer.rows[row + slot.var]);
-        }
-      } else {
-        for (const Atom& atom : tgd_->head) {
-          for (const Term& t : atom.terms) {
-            buffer.heads.push_back(t.is_constant()
-                                       ? t.constant()
-                                       : buffer.rows[row + t.var()]);
-          }
-        }
+      for (const plan::HeadSlot& slot : apply.slots) {
+        buffer.heads.push_back(slot.is_const ? slot.key
+                                             : buffer.rows[row + slot.var]);
       }
       ++buffer.count;
       return true;
     };
-    EnumerateDelta(tgd_->body, tgd_->var_count, *instance_, *delta_,
-                   plan_ != nullptr ? &plan_->body : nullptr, &parts_[p],
-                   admit);
+    EnumerateDelta(plan_->body, *instance_, *delta_, &parts_[p], admit);
     // Reserve the partition's nulls in one exact fetch_add only now that
     // the admitted count is known: block-sized draws would retire their
     // unused tails, and the resulting holes in the null id space inflate
     // every id-indexed structure downstream (the union-find resolver
     // arrays most of all — sparse ids measurably slow the egd fixpoint).
-    const size_t fresh = layout.existentials.size();
+    const size_t fresh = apply.existentials.size();
     if (buffer.count > 0 && fresh > 0) {
       const uint32_t base = symbols_->ReserveNullRange(
           static_cast<uint32_t>(buffer.count * fresh));
@@ -757,11 +624,11 @@ class SpecCollectJob {
       for (size_t t = 0; t < buffer.count; ++t) {
         Value* row = buffer.rows.data() + t * var_count;
         for (size_t e = 0; e < fresh; ++e) {
-          row[layout.existentials[e]] =
+          row[apply.existentials[e]] =
               Value::Null(base + static_cast<uint32_t>(t * fresh + e));
         }
-        Value* head = buffer.heads.data() + t * layout.head_width;
-        for (const auto& [pos, v] : layout.head_null_slots) {
+        Value* head = buffer.heads.data() + t * apply.head_width;
+        for (const auto& [pos, v] : apply.head_null_slots) {
           head[pos] = row[v];
         }
       }
@@ -773,12 +640,11 @@ class SpecCollectJob {
  private:
   const Tgd* tgd_;
   size_t dep_;
-  const SpecLayout* layout_;
-  const plan::TgdPlan* plan_;  // nullptr => interpret
+  const plan::TgdPlan* plan_;
   const Instance* instance_;
   const DeltaView* delta_;
   SymbolTable* symbols_;
-  TriggerLedger* ledger_;  // nullptr => restricted HasMatch filter
+  TriggerLedger* ledger_;  // nullptr => restricted head-probe filter
   ThreadPool* pool_;
   uint64_t parent_span_;
   bool pipelined_;
@@ -803,32 +669,22 @@ class SpecCollectJob {
 // Applies still happen in active-list order, which keeps steps and
 // nulls_created schedule-invariant.
 //
-// The apply re-checks each restricted head physically (HasMatch) and
-// inserts inline; oblivious triggers were admitted by the workers, so the
-// apply only records their roots and inserts. Returns false when the step
-// budget was exhausted (`result` is finalized).
+// The apply re-checks each restricted head physically and inserts inline;
+// oblivious triggers were admitted by the workers, so the apply only
+// records their roots and inserts. Returns false when the step budget was
+// exhausted (`result` is finalized).
 bool RunTgdPhaseSpeculative(const std::vector<Tgd>& tgds,
-                            const std::vector<TgdFootprint>& footprints,
-                            const plan::CompiledSetting* compiled,
+                            const plan::CompiledSetting& compiled,
                             Instance* instance, const DeltaView& delta,
                             SymbolTable* symbols, TriggerLedger* ledger,
                             ThreadPool* pool, const ChaseOptions& options,
                             ChaseResult* result,
                             ChaseJournal* journal = nullptr) {
   ChaseMetrics& metrics = ChaseMetrics::Get();
+  const std::vector<TgdFootprint>& footprints = compiled.footprints;
   std::vector<size_t> active;
   for (size_t d = 0; d < tgds.size(); ++d) {
     if (TouchesDelta(tgds[d].body, delta)) active.push_back(d);
-  }
-  const auto plan_for = [&](size_t d) -> const plan::TgdPlan* {
-    return compiled != nullptr ? &compiled->tgds[d] : nullptr;
-  };
-  std::vector<SpecLayout> layouts;
-  layouts.reserve(active.size());
-  for (size_t d : active) {
-    layouts.push_back(compiled != nullptr
-                          ? LayoutFromTemplate(compiled->tgds[d].apply)
-                          : MakeSpecLayout(tgds[d]));
   }
   // The jobs own the flat trigger buffers the apply scans read; each is
   // released once its dependency has applied.
@@ -840,8 +696,8 @@ bool RunTgdPhaseSpeculative(const std::vector<Tgd>& tgds,
   const auto make_job = [&](size_t i, bool pipelined, uint64_t parent) {
     const size_t d = active[i];
     return std::make_unique<SpecCollectJob>(
-        &tgds[d], d, &layouts[i], plan_for(d), instance, &delta, symbols,
-        ledger, pool, parent, pipelined);
+        &tgds[d], d, &compiled.tgds[d], instance, &delta, symbols, ledger,
+        pool, parent, pipelined);
   };
   const auto join_batch = [&] {
     if (inflight.empty()) return;
@@ -885,7 +741,8 @@ bool RunTgdPhaseSpeculative(const std::vector<Tgd>& tgds,
   for (size_t i = 0; i < active.size() && !exhausted; ++i) {
     const size_t d = active[i];
     const Tgd& tgd = tgds[d];
-    const SpecLayout& layout = layouts[i];
+    const plan::TgdPlan& plan = compiled.tgds[d];
+    const plan::ApplyTemplate& apply = plan.apply;
     obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
     tgd_span.AttrInt("dep", static_cast<int64_t>(d))
         .AttrStr("schedule", ScheduleName(ChaseSchedule::kSpeculative));
@@ -908,20 +765,26 @@ bool RunTgdPhaseSpeculative(const std::vector<Tgd>& tgds,
     // Launch the lookahead before applying so collections of every ready
     // dependency overlap this apply phase.
     start_lookahead(i, tgd_span.id());
-    Binding scratch = layout.scratch;
+    // Every trigger binds exactly the body variables (ApplyTemplate), so
+    // one scratch Binding with that mask serves the whole scan: only its
+    // values are refreshed from the flat rows, and the existential slots
+    // stay masked off, as the head re-check and the oblivious root index
+    // both require.
+    Binding scratch = Binding::Empty(tgd.var_count);
+    scratch.bound = apply.body_bound;
     const size_t var_count = static_cast<size_t>(tgd.var_count);
     int64_t applied = 0;
     for (const SpecBuffer& buffer : pending) {
       const Value* row = buffer.rows.data();
       const Value* head = buffer.heads.data();
       for (size_t t = 0; t < buffer.count;
-           ++t, row += var_count, head += layout.head_width) {
+           ++t, row += var_count, head += apply.head_width) {
         std::copy(row, row + var_count, scratch.values.begin());
         if (ledger == nullptr) {
-          if (HeadSatisfied(tgd, plan_for(d), *instance, scratch)) {
+          if (HasMatchPlanned(plan.head, *instance, scratch)) {
             // Re-check: an earlier application may have satisfied it. The
             // skipped trigger's speculative nulls are retired unused.
-            metrics.spec_nulls_retired.Inc(layout.fresh_per_trigger);
+            metrics.spec_nulls_retired.Inc(apply.fresh_per_trigger);
             continue;
           }
         } else {
@@ -935,12 +798,12 @@ bool RunTgdPhaseSpeculative(const std::vector<Tgd>& tgds,
           journal->RecordTgd(d, row, var_count, tgd.existential);
         }
         const Value* cursor = head;
-        for (const Atom& atom : tgd.head) {
+        for (const plan::HeadAtom& atom : apply.head_atoms) {
           instance->AddFact(atom.relation,
-                            Tuple(cursor, cursor + atom.terms.size()));
-          cursor += atom.terms.size();
+                            Tuple(cursor, cursor + atom.arity));
+          cursor += atom.arity;
         }
-        result->nulls_created += layout.fresh_per_trigger;
+        result->nulls_created += apply.fresh_per_trigger;
         ++result->steps;
         ++applied;
         if (result->steps >= options.max_steps) {
@@ -1011,8 +874,8 @@ bool RunEgdsToFixpoint(const std::vector<Egd>& egds, Instance* instance,
 }
 
 // The classic scan-from-scratch restricted chase with Substitute-based egd
-// steps, kept as the cross-validation baseline (and A/B rival) for the
-// delta-driven union-find default.
+// steps, interpreted straight off the AST: the test and bench oracle the
+// compiled delta engines are cross-checked against.
 ChaseResult ChaseRestrictedNaive(Instance start,
                                  const std::vector<Tgd>& tgds,
                                  const std::vector<Egd>& egds,
@@ -1091,30 +954,14 @@ ChaseResult ChaseRestrictedDelta(Instance start,
                                  SymbolTable* symbols,
                                  const ChaseOptions& options,
                                  ThreadPool* pool,
-                                 const plan::CompiledSetting* compiled) {
+                                 const plan::CompiledSetting& compiled) {
   ChaseResult result(std::move(start));
   Instance& instance = result.instance;
-  const std::vector<plan::EgdPlan>* egd_plans =
-      compiled != nullptr ? &compiled->egds : nullptr;
   // Sequential runs always take the barrier path (ResolveSchedule's
-  // choice only matters once a pool exists); the speculative phase needs
-  // the footprint DAG, and the pooled barrier apply needs the overlay
-  // plans (compiled settings carry both; the interpreter derives them
-  // here, once per run).
+  // choice only matters once a pool exists).
   const bool speculative =
       pool != nullptr &&
       ResolveSchedule(options) == ChaseSchedule::kSpeculative;
-  std::vector<TgdFootprint> footprints;
-  if (speculative && compiled == nullptr) {
-    footprints = plan::ComputeTgdFootprints(tgds);
-  }
-  std::vector<plan::HeadOverlayPlan> local_overlays;
-  if (pool != nullptr && compiled == nullptr) {
-    local_overlays.reserve(tgds.size());
-    for (const Tgd& tgd : tgds) {
-      local_overlays.push_back(plan::AnalyzeHeadOverlay(tgd));
-    }
-  }
   // Everything is "new" before the first round, so round one degenerates
   // to the full scan the naive chase would do — exactly once. An
   // incremental caller (ChaseOptions::resume_from) instead seeds the
@@ -1149,8 +996,8 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     metrics.rounds.Inc();
     ++round;
     EgdFixpointOutcome egd_out = RunEgdsToFixpointDelta(
-        egds, &instance, mark, options.max_steps - result.steps, symbols,
-        &extras, pool, egd_plans, options.journal);
+        egds, compiled.egds, &instance, mark, options.max_steps - result.steps,
+        symbols, &extras, pool, options.journal);
     if (!AbsorbEgdOutcome(egd_out, &result)) return result;
     dirty_accum += egd_out.dirtied;
     DeltaView delta(instance, mark, extras);
@@ -1164,18 +1011,16 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     // evaluated; facts the round itself adds become the next delta.
     InstanceWatermark frontier = instance.TakeWatermark();
     if (speculative) {
-      if (!RunTgdPhaseSpeculative(
-              tgds, compiled != nullptr ? compiled->footprints : footprints,
-              compiled, &instance, delta, symbols, /*ledger=*/nullptr, pool,
-              options, &result, options.journal)) {
+      if (!RunTgdPhaseSpeculative(tgds, compiled, &instance, delta, symbols,
+                                  /*ledger=*/nullptr, pool, options, &result,
+                                  options.journal)) {
         return result;
       }
     } else {
       for (size_t d = 0; d < tgds.size(); ++d) {
         const Tgd& tgd = tgds[d];
         if (!TouchesDelta(tgd.body, delta)) continue;
-        const plan::TgdPlan* plan =
-            compiled != nullptr ? &compiled->tgds[d] : nullptr;
+        const plan::TgdPlan& plan = compiled.tgds[d];
         obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
         tgd_span.AttrInt("dep", static_cast<int64_t>(d));
         // Collect the violated triggers for this delta, then apply them.
@@ -1187,11 +1032,10 @@ ChaseResult ChaseRestrictedDelta(Instance start,
         // partition workers.)
         std::atomic<int64_t> n_matches{0};
         const size_t n_pending = CollectDeltaMatches(
-            tgd.body, tgd.var_count, instance, delta, pool,
-            plan != nullptr ? &plan->body : nullptr,
+            tgd.body, plan.body, instance, delta, pool,
             [&](const Binding& body_match) {
               n_matches.fetch_add(1, std::memory_order_relaxed);
-              return !HeadSatisfied(tgd, plan, instance, body_match);
+              return !HasMatchPlanned(plan.head, instance, body_match);
             },
             &pending, tgd_span.id());
         metrics.tgd_matches.Inc(n_matches.load(std::memory_order_relaxed));
@@ -1202,11 +1046,7 @@ ChaseResult ChaseRestrictedDelta(Instance start,
         // sequentially — same order as the interleaved loop below, so the
         // run stays bit-identical — and queue the head tuples for the
         // relation-sharded insert pass.
-        const plan::HeadOverlayPlan* overlay_plan = OverlayFor(
-            plan,
-            pool != nullptr && compiled == nullptr ? &local_overlays[d]
-                                                   : nullptr,
-            pool);
+        const plan::HeadOverlayPlan* overlay_plan = OverlayFor(plan, pool);
         if (overlay_plan != nullptr) {
           HeadOverlay overlay;
           overlay.plan = overlay_plan;
@@ -1216,7 +1056,7 @@ ChaseResult ChaseRestrictedDelta(Instance start,
             const Binding& trigger = pending[t];
             if (!overlay.DecideFire(trigger)) continue;
             result.nulls_created +=
-                QueueTgdStep(tgd, plan, trigger, symbols, &inserts, d,
+                QueueTgdStep(plan.apply, tgd, trigger, symbols, &inserts, d,
                              options.journal);
             ++result.steps;
             ++applied;
@@ -1232,15 +1072,10 @@ ChaseResult ChaseRestrictedDelta(Instance start,
           for (size_t t = 0; t < n_pending; ++t) {
             const Binding& trigger = pending[t];
             // Re-check: an earlier application may have satisfied it.
-            if (HeadSatisfied(tgd, plan, instance, trigger)) {
-              continue;
-            }
+            if (HasMatchPlanned(plan.head, instance, trigger)) continue;
             result.nulls_created +=
-                plan != nullptr
-                    ? ApplyTgdStepPlanned(plan->apply, trigger, &instance,
-                                          symbols, &tgd, d, options.journal)
-                    : ApplyTgdStep(tgd, trigger, &instance, symbols, d,
-                                   options.journal);
+                ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols,
+                                    &tgd, d, options.journal);
             ++result.steps;
             ++applied;
             if (result.steps >= options.max_steps) {
@@ -1296,19 +1131,13 @@ ChaseResult ChaseOblivious(Instance start,
                            const std::vector<Egd>& egds,
                            SymbolTable* symbols, const ChaseOptions& options,
                            ThreadPool* pool,
-                           const plan::CompiledSetting* compiled) {
+                           const plan::CompiledSetting& compiled) {
   ChaseResult result(std::move(start));
   Instance& instance = result.instance;
   TriggerLedger fired;
-  const std::vector<plan::EgdPlan>* egd_plans =
-      compiled != nullptr ? &compiled->egds : nullptr;
   const bool speculative =
       pool != nullptr &&
       ResolveSchedule(options) == ChaseSchedule::kSpeculative;
-  std::vector<TgdFootprint> footprints;
-  if (speculative && compiled == nullptr) {
-    footprints = plan::ComputeTgdFootprints(tgds);
-  }
   InstanceWatermark mark = InstanceWatermark::Origin(instance);
   std::vector<std::vector<int>> extras;
   ChaseMetrics& metrics = ChaseMetrics::Get();
@@ -1328,8 +1157,8 @@ ChaseResult ChaseOblivious(Instance start,
     metrics.rounds.Inc();
     ++round;
     EgdFixpointOutcome egd_out = RunEgdsToFixpointDelta(
-        egds, &instance, mark, options.max_steps - result.steps, symbols,
-        &extras, pool, egd_plans);
+        egds, compiled.egds, &instance, mark, options.max_steps - result.steps,
+        symbols, &extras, pool);
     if (!AbsorbEgdOutcome(egd_out, &result)) return result;
     // Merged-away roots can never appear in a binding again: drop their
     // fingerprint generation.
@@ -1344,18 +1173,15 @@ ChaseResult ChaseOblivious(Instance start,
       // Admission happens in the workers (TriggerLedger::Admit through the
       // concurrent fingerprint set); the apply loop only records roots and
       // inserts the pre-instantiated heads.
-      if (!RunTgdPhaseSpeculative(
-              tgds, compiled != nullptr ? compiled->footprints : footprints,
-              compiled, &instance, delta, symbols, &fired, pool, options,
-              &result)) {
+      if (!RunTgdPhaseSpeculative(tgds, compiled, &instance, delta, symbols,
+                                  &fired, pool, options, &result)) {
         return result;
       }
     } else {
       for (size_t d = 0; d < tgds.size(); ++d) {
         const Tgd& tgd = tgds[d];
         if (!TouchesDelta(tgd.body, delta)) continue;
-        const plan::TgdPlan* plan =
-            compiled != nullptr ? &compiled->tgds[d] : nullptr;
+        const plan::TgdPlan& plan = compiled.tgds[d];
         obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
         tgd_span.AttrInt("dep", static_cast<int64_t>(d));
         // Collect unfired triggers first (the instance must not change
@@ -1367,8 +1193,7 @@ ChaseResult ChaseOblivious(Instance start,
         // the registry once per batch.
         std::atomic<int64_t> n_matches{0};
         const size_t n_pending = CollectDeltaMatches(
-            tgd.body, tgd.var_count, instance, delta, pool,
-            plan != nullptr ? &plan->body : nullptr,
+            tgd.body, plan.body, instance, delta, pool,
             [&](const Binding& body_match) {
               n_matches.fetch_add(1, std::memory_order_relaxed);
               return !fired.Contains(TriggerFingerprint(d, tgd, body_match));
@@ -1390,7 +1215,7 @@ ChaseResult ChaseOblivious(Instance start,
               continue;
             }
             result.nulls_created +=
-                QueueTgdStep(tgd, plan, trigger, symbols, &inserts);
+                QueueTgdStep(plan.apply, tgd, trigger, symbols, &inserts);
             ++result.steps;
             if (result.steps >= options.max_steps) {
               result.outcome = ChaseOutcome::kBudgetExhausted;
@@ -1408,10 +1233,7 @@ ChaseResult ChaseOblivious(Instance start,
               continue;
             }
             result.nulls_created +=
-                plan != nullptr
-                    ? ApplyTgdStepPlanned(plan->apply, trigger, &instance,
-                                          symbols)
-                    : ApplyTgdStep(tgd, trigger, &instance, symbols);
+                ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols);
             ++result.steps;
             if (result.steps >= options.max_steps) {
               result.outcome = ChaseOutcome::kBudgetExhausted;
@@ -1429,14 +1251,13 @@ ChaseResult ChaseOblivious(Instance start,
 }  // namespace
 
 EgdFixpointOutcome RunEgdsToFixpointDelta(
-    const std::vector<Egd>& egds, Instance* instance,
-    const InstanceWatermark& mark, int64_t max_steps,
+    const std::vector<Egd>& egds, const std::vector<plan::EgdPlan>& egd_plans,
+    Instance* instance, const InstanceWatermark& mark, int64_t max_steps,
     const SymbolTable* symbols, std::vector<std::vector<int>>* extras,
-    ThreadPool* pool, const std::vector<plan::EgdPlan>* egd_plans,
-    ChaseJournal* journal) {
+    ThreadPool* pool, ChaseJournal* journal) {
   EgdFixpointOutcome out;
   if (egds.empty()) return out;
-  PDX_DCHECK(egd_plans == nullptr || egd_plans->size() == egds.size());
+  PDX_CHECK_EQ(egd_plans.size(), egds.size());
   obs::Span fixpoint_span(obs::Tracer::Global(), "chase.egd_fixpoint");
   obs::Counter& merge_counter = ChaseMetrics::Get().egd_merges;
   int64_t passes = 0;
@@ -1462,16 +1283,13 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
     for (size_t e = 0; e < egds.size(); ++e) {
       const Egd& egd = egds[e];
       if (!TouchesDelta(egd.body, delta)) continue;
-      const plan::EgdPlan* plan =
-          egd_plans != nullptr ? &(*egd_plans)[e] : nullptr;
       // Collect every trigger violated under the pre-pass resolution, then
       // merge in collection order, skipping rows an earlier merge of the
       // batch already equated. Triggers a merge newly enables bind a tuple
       // it dirtied, so the next pass's frontier catches them.
       const size_t slots = CollectDeltaSlots(
-          egd.body, egd.var_count, *instance, delta, pool,
-          plan != nullptr ? &plan->body : nullptr, pass_span.id(), &rows.slots,
-          [&egd](std::vector<Value>* buffer, const Binding& m) {
+          egd.body, egd_plans[e].body, *instance, delta, pool, pass_span.id(),
+          &rows.slots, [&egd](std::vector<Value>* buffer, const Binding& m) {
             if (m.values[egd.left_var] == m.values[egd.right_var]) {
               return false;
             }
@@ -1543,51 +1361,26 @@ const char* StrategyName(ChaseStrategy strategy) {
   return "unknown";
 }
 
-// True when this run executes through compiled plans: opted in (the
-// default), not globally forced off, and not the naive baseline engine.
-bool UsesPlans(const ChaseOptions& options) {
-  return options.compile_plans &&
-         options.strategy != ChaseStrategy::kRestrictedNaive &&
-         !plan::ForceInterpreter();
-}
-
 ChaseResult ChaseDispatch(Instance start, const std::vector<Tgd>& tgds,
                           const std::vector<Egd>& egds, SymbolTable* symbols,
                           const ChaseOptions& options) {
+  if (options.strategy == ChaseStrategy::kRestrictedNaive) {
+    return ChaseRestrictedNaive(std::move(start), tgds, egds, symbols,
+                                options);
+  }
   // One cache probe per run; re-chases of the same setting hit and reuse
   // the plans compiled on first sight.
-  std::shared_ptr<const plan::CompiledSetting> compiled;
-  if (UsesPlans(options)) {
-    compiled = plan::PlanCache::Global().GetOrCompile(tgds, egds);
+  std::shared_ptr<const plan::CompiledSetting> compiled =
+      plan::PlanCache::Global().GetOrCompile(tgds, egds);
+  const int threads = ResolveThreadCount(options);
+  std::unique_ptr<ThreadPool> pool =
+      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  if (options.strategy == ChaseStrategy::kOblivious) {
+    return ChaseOblivious(std::move(start), tgds, egds, symbols, options,
+                          pool.get(), *compiled);
   }
-  switch (options.strategy) {
-    case ChaseStrategy::kOblivious: {
-      int threads = ResolveThreadCount(options);
-      if (threads > 1) {
-        ThreadPool pool(threads);
-        return ChaseOblivious(std::move(start), tgds, egds, symbols, options,
-                              &pool, compiled.get());
-      }
-      return ChaseOblivious(std::move(start), tgds, egds, symbols, options,
-                            nullptr, compiled.get());
-    }
-    case ChaseStrategy::kRestrictedNaive:
-      return ChaseRestrictedNaive(std::move(start), tgds, egds, symbols,
-                                  options);
-    case ChaseStrategy::kRestricted: {
-      int threads = ResolveThreadCount(options);
-      if (threads > 1) {
-        ThreadPool pool(threads);
-        return ChaseRestrictedDelta(std::move(start), tgds, egds, symbols,
-                                    options, &pool, compiled.get());
-      }
-      return ChaseRestrictedDelta(std::move(start), tgds, egds, symbols,
-                                  options, nullptr, compiled.get());
-    }
-  }
-  ChaseResult result(std::move(start));
-  result.outcome = ChaseOutcome::kBudgetExhausted;
-  return result;
+  return ChaseRestrictedDelta(std::move(start), tgds, egds, symbols, options,
+                              pool.get(), *compiled);
 }
 
 }  // namespace
@@ -1609,8 +1402,8 @@ std::optional<ChaseSchedule> ParseScheduleName(std::string_view name) {
 }
 
 ChaseSchedule ResolveSchedule(const ChaseOptions& options) {
-  // The override is read once per process, like PDX_FORCE_INTERPRETER:
-  // sanitizer lanes pin a schedule for a whole test binary.
+  // The override is read once per process: sanitizer lanes pin a schedule
+  // for a whole test binary.
   static const std::optional<ChaseSchedule> forced =
       []() -> std::optional<ChaseSchedule> {
     const char* env = std::getenv("PDX_FORCE_SCHEDULE");
@@ -1634,7 +1427,6 @@ ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
   run_span.AttrStr("strategy", StrategyName(options.strategy))
       .AttrInt("threads", ResolveThreadCount(options))
       .AttrStr("schedule", ScheduleName(ResolveSchedule(options)))
-      .AttrBool("compiled", UsesPlans(options))
       .AttrInt("tgds", static_cast<int64_t>(tgds.size()))
       .AttrInt("egds", static_cast<int64_t>(egds.size()));
   ChaseResult result =

@@ -37,9 +37,10 @@ enum class ChaseStrategy {
   // default.
   kRestricted,
   // The restricted chase re-scanning the whole instance to find each
-  // trigger and applying egds via Substitute's eager relation rebuild.
-  // Kept as the cross-validation baseline and for A/B benches against the
-  // union-find value layer.
+  // trigger and applying egds via Substitute's eager relation rebuild,
+  // interpreted straight off the dependency AST. The test and bench
+  // oracle: the differential tests and bench_chase --quick check the
+  // compiled delta engines against it.
   kRestrictedNaive,
   // The oblivious chase, delta-driven: every body homomorphism fires
   // exactly once (tracked by a trigger-fingerprint set), whether or not a
@@ -95,30 +96,19 @@ struct ChaseOptions {
   // Worker threads for delta trigger enumeration (kRestricted/kOblivious):
   // 0 = hardware concurrency, 1 = fully sequential. Any value > 1 fans the
   // collect half of every tgd batch and egd pass across partitioned
-  // parallel enumeration; the apply half stays sequential, in the same
-  // order. Results are identical at every setting — same outcome, steps,
-  // failure, nulls_created and canonical fingerprint (see DESIGN.md
-  // "Parallel execution model").
+  // parallel enumeration. In the apply half the decide step (which
+  // triggers fire, and their fresh nulls) stays sequential, in the same
+  // order; under the barrier schedule large batches then fan their inserts
+  // out over relation shards. Results are identical at every setting —
+  // same outcome, steps, failure, nulls_created and canonical fingerprint
+  // (see DESIGN.md "Parallel execution model").
   int num_threads = 0;
 
   // The tgd-phase schedule (see ChaseSchedule). The PDX_FORCE_SCHEDULE
   // environment variable ("barrier" | "speculative") overrides it
-  // process-wide, the way PDX_FORCE_INTERPRETER pins the interpreter —
-  // tools/check.sh's TSan lanes use it to pin the speculative path. See
-  // ResolveSchedule().
+  // process-wide; tools/check.sh's TSan lanes use it to pin the
+  // speculative path. See ResolveSchedule().
   ChaseSchedule schedule = ChaseSchedule::kBarrier;
-
-  // Compile the setting into match/apply plans (plan/ir.h) and execute
-  // trigger enumeration, head filters and the egd fixpoint through them
-  // (kRestricted/kOblivious; kRestrictedNaive always interprets — it is
-  // the baseline). Plans are fetched from the process-wide PlanCache, so
-  // repeated chases of one setting compile it exactly once. The chase
-  // result's resolved view and canonical fingerprint are invariant;
-  // enumeration order (hence raw tuple order and fresh-null identities)
-  // may differ from the interpreter's. The PDX_FORCE_INTERPRETER
-  // environment variable overrides this to false process-wide
-  // (plan/compiler.h, ForceInterpreter).
-  bool compile_plans = true;
 
   // Incremental resume (kRestricted only): when non-null, the first
   // round's delta covers only the facts added to the start instance after
@@ -197,6 +187,11 @@ ChaseSchedule ResolveSchedule(const ChaseOptions& options);
 // witness existential variables; an egd trigger merges a null into the
 // other value or fails on a constant/constant clash.
 //
+// The delta engines (kRestricted, kOblivious) execute trigger enumeration,
+// head probes, applies and the egd fixpoint through the setting's compiled
+// plans (plan/ir.h), fetched from the process-wide PlanCache: repeated
+// chases of one setting compile it exactly once.
+//
 // The chase is fair: it loops over dependencies round-robin until a full
 // pass finds no applicable trigger.
 ChaseResult Chase(const Instance& start, const std::vector<Tgd>& tgds,
@@ -262,20 +257,17 @@ struct EgdPlan;
 // in the same order as without one — so outcome, steps, failure message
 // and every null-root identity are identical at every thread count.
 //
-// With non-null `egd_plans` (compiled plans indexed parallel to `egds`),
-// trigger enumeration executes through the dependency compiler's plans
-// instead of the interpreter; the fixpoint closure is unchanged.
+// Trigger enumeration executes through `egd_plans`, the compiled plans
+// indexed parallel to `egds` (CompiledSetting::egds).
 //
 // With a non-null `journal`, every successful merge is recorded under the
 // row that forced it, feeding deletion propagation's egd-death detection
 // (chase/stream.h).
 EgdFixpointOutcome RunEgdsToFixpointDelta(
-    const std::vector<Egd>& egds, Instance* instance,
-    const InstanceWatermark& mark, int64_t max_steps,
+    const std::vector<Egd>& egds, const std::vector<plan::EgdPlan>& egd_plans,
+    Instance* instance, const InstanceWatermark& mark, int64_t max_steps,
     const SymbolTable* symbols, std::vector<std::vector<int>>* extras,
-    ThreadPool* pool = nullptr,
-    const std::vector<plan::EgdPlan>* egd_plans = nullptr,
-    ChaseJournal* journal = nullptr);
+    ThreadPool* pool = nullptr, ChaseJournal* journal = nullptr);
 
 // True if `instance` satisfies the tgd / egd under standard first-order
 // semantics (nulls behave as ordinary values).

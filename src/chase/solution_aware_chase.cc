@@ -7,7 +7,6 @@
 #include "hom/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/compiler.h"
 #include "plan/ir.h"
 #include "plan/plan_cache.h"
 
@@ -54,132 +53,32 @@ bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
 // The per-match collection step: skip satisfied triggers, extend violated
 // ones into `solution` (guaranteed possible since solution ⊇ instance
 // satisfies the tgd). Pure reads of `instance` and `solution`, so workers
-// may run it concurrently. With a non-null plan, the satisfaction probe
-// and the witness search both execute the compiled head program (compiled
-// with the universal variables pre-bound — exactly this call shape).
+// may run it concurrently. The satisfaction probe and the witness search
+// both execute the compiled head program (compiled with the universal
+// variables pre-bound — exactly this call shape).
 void CollectOneTrigger(const Instance& instance, const Instance& solution,
-                       const Tgd& tgd, const plan::TgdPlan* plan,
-                       const Binding& body_match,
+                       const plan::TgdPlan& plan, const Binding& body_match,
                        std::vector<SolutionAwareTrigger>* out) {
-  const bool satisfied =
-      plan != nullptr
-          ? HasMatchPlanned(plan->head, instance, body_match)
-          : HasMatch(tgd.head, tgd.var_count, instance, body_match);
-  if (satisfied) {
+  if (HasMatchPlanned(plan.head, instance, body_match)) {
     return;  // satisfied trigger
   }
   SaMetrics::Get().tgd_matches.Inc();
   // Violated in `instance`; find the witness inside `solution`.
-  const auto witness = [&](const Binding& full) {
-    out->push_back({body_match, full});
-    return false;  // first witness suffices
-  };
-  bool witnessed =
-      plan != nullptr
-          ? EnumerateMatchesPlanned(plan->head, solution, body_match, witness)
-          : EnumerateMatches(tgd.head, tgd.var_count, solution, body_match,
-                             witness);
+  bool witnessed = EnumerateMatchesPlanned(
+      plan.head, solution, body_match, [&](const Binding& full) {
+        out->push_back({body_match, full});
+        return false;  // first witness suffices
+      });
   PDX_CHECK(witnessed)
       << "solution-aware chase: the provided solution violates a tgd";
 }
 
-// Collects the violated triggers for `tgd` whose body touches `delta`,
-// each extended into `solution`. With a pool, the delta partitions are
-// fanned across the workers and the per-partition buffers concatenated in
+// The asynchronously startable collection of one tgd's violated triggers,
+// each extended into `solution`: the delta partitions fan across the
+// pool's workers and Join() concatenates the per-partition buffers in
 // partition order — the same trigger order the sequential enumeration
-// produces.
-void CollectSolutionAwareTriggers(const Instance& instance,
-                                  const DeltaView& delta,
-                                  const Instance& solution, const Tgd& tgd,
-                                  const plan::TgdPlan* plan, ThreadPool* pool,
-                                  std::vector<SolutionAwareTrigger>* out,
-                                  uint64_t parent_span = 0) {
-  if (pool == nullptr) {
-    const auto collect = [&](const Binding& body_match) {
-      CollectOneTrigger(instance, solution, tgd, plan, body_match, out);
-      return true;  // keep collecting
-    };
-    if (plan != nullptr) {
-      EnumerateMatchesDeltaPlanned(plan->body, instance, delta,
-                                   Binding::Empty(tgd.var_count), collect);
-    } else {
-      EnumerateMatchesDelta(tgd.body, tgd.var_count, instance, delta,
-                            Binding::Empty(tgd.var_count), collect);
-    }
-    return;
-  }
-  std::vector<DeltaPartition> parts = PartitionDeltaMatches(
-      tgd.body, delta, static_cast<size_t>(pool->size()) * 4);
-  if (parts.empty()) return;
-  std::vector<std::vector<SolutionAwareTrigger>> buffers(parts.size());
-  pool->ParallelFor(parts.size(), [&](size_t p) {
-    obs::Span part_span(obs::Tracer::Global(), "chase.collect_part",
-                        parent_span);
-    part_span.AttrInt("partition", static_cast<int64_t>(p));
-    const auto collect = [&](const Binding& body_match) {
-      CollectOneTrigger(instance, solution, tgd, plan, body_match,
-                        &buffers[p]);
-      return true;
-    };
-    if (plan != nullptr) {
-      EnumerateMatchesDeltaPartitionPlanned(plan->body, instance, delta,
-                                            parts[p],
-                                            Binding::Empty(tgd.var_count),
-                                            collect);
-    } else {
-      EnumerateMatchesDeltaPartition(tgd.body, tgd.var_count, instance,
-                                     delta, parts[p],
-                                     Binding::Empty(tgd.var_count), collect);
-    }
-    part_span.AttrInt("collected", static_cast<int64_t>(buffers[p].size()));
-  });
-  for (std::vector<SolutionAwareTrigger>& buffer : buffers) {
-    out->insert(out->end(), std::make_move_iterator(buffer.begin()),
-                std::make_move_iterator(buffer.end()));
-  }
-}
-
-// Relation footprints for cross-dependency pipelining (same rule as
-// chase.cc): collecting a tgd reads its body and head relations of the
-// chased instance (matches + the HasMatch filter; the witness search runs
-// in the immutable `solution`), applying writes its head relations.
-// Collection of B may overlap application of A iff A's writes are
-// disjoint from B's reads. The solution-aware chase invents no nulls —
-// witnesses come from the solution — so pipelining leaves the result
-// bit-identical, not just canonically equal.
-struct SaFootprint {
-  std::vector<bool> reads;
-  std::vector<bool> writes;
-};
-
-std::vector<SaFootprint> ComputeSaFootprints(const std::vector<Tgd>& tgds,
-                                             int relation_count) {
-  std::vector<SaFootprint> out(tgds.size());
-  for (size_t d = 0; d < tgds.size(); ++d) {
-    out[d].reads.assign(relation_count, false);
-    out[d].writes.assign(relation_count, false);
-    for (const Atom& atom : tgds[d].body) out[d].reads[atom.relation] = true;
-    for (const Atom& atom : tgds[d].head) {
-      out[d].reads[atom.relation] = true;
-      out[d].writes[atom.relation] = true;
-    }
-  }
-  return out;
-}
-
-bool SaPipelineCompatible(const SaFootprint& applying,
-                          const SaFootprint& collecting) {
-  for (size_t r = 0; r < applying.writes.size(); ++r) {
-    if (applying.writes[r] && collecting.reads[r]) return false;
-  }
-  return true;
-}
-
-// An asynchronously startable collection of one tgd's triggers (the
-// ParallelFor body of CollectSolutionAwareTriggers packaged with its
-// buffers so it can outlive the call): Start() hands the partitions to
-// the pool's workers while the caller applies the previous tgd's
-// triggers, Join() waits and concatenates in partition order.
+// produces. Run() collects synchronously; Start() hands the partitions to
+// the workers while the caller applies the previous tgd's triggers.
 class SaCollectJob {
  public:
   SaCollectJob(const Instance* instance, const DeltaView* delta,
@@ -189,7 +88,6 @@ class SaCollectJob {
       : instance_(instance),
         delta_(delta),
         solution_(solution),
-        tgd_(tgd),
         plan_(plan),
         pool_(pool),
         parent_span_(parent_span),
@@ -229,30 +127,20 @@ class SaCollectJob {
                         parent_span_);
     part_span.AttrInt("partition", static_cast<int64_t>(p))
         .AttrBool("pipelined", pipelined_);
-    const auto collect = [&](const Binding& body_match) {
-      CollectOneTrigger(*instance_, *solution_, *tgd_, plan_, body_match,
-                        &buffers_[p]);
-      return true;
-    };
-    if (plan_ != nullptr) {
-      EnumerateMatchesDeltaPartitionPlanned(plan_->body, *instance_, *delta_,
-                                            parts_[p],
-                                            Binding::Empty(tgd_->var_count),
-                                            collect);
-    } else {
-      EnumerateMatchesDeltaPartition(tgd_->body, tgd_->var_count, *instance_,
-                                     *delta_, parts_[p],
-                                     Binding::Empty(tgd_->var_count),
-                                     collect);
-    }
+    EnumerateMatchesDeltaPartitionPlanned(
+        plan_->body, *instance_, *delta_, parts_[p],
+        Binding::Empty(plan_->body.var_count), [&](const Binding& body_match) {
+          CollectOneTrigger(*instance_, *solution_, *plan_, body_match,
+                            &buffers_[p]);
+          return true;
+        });
     part_span.AttrInt("collected", static_cast<int64_t>(buffers_[p].size()));
   }
 
   const Instance* instance_;
   const DeltaView* delta_;
   const Instance* solution_;
-  const Tgd* tgd_;
-  const plan::TgdPlan* plan_;  // nullptr => interpret
+  const plan::TgdPlan* plan_;
   ThreadPool* pool_;
   uint64_t parent_span_;
   bool pipelined_;
@@ -279,22 +167,18 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
       threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   ThreadPool* pool = owned_pool.get();
   // Compiled plans, shared with the plain chase via the process cache.
-  std::shared_ptr<const plan::CompiledSetting> compiled;
-  if (options.compile_plans && !plan::ForceInterpreter()) {
-    compiled = plan::PlanCache::Global().GetOrCompile(tgds, egds);
-  }
-  const auto plan_for = [&](size_t d) -> const plan::TgdPlan* {
-    return compiled != nullptr ? &compiled->tgds[d] : nullptr;
-  };
+  std::shared_ptr<const plan::CompiledSetting> compiled =
+      plan::PlanCache::Global().GetOrCompile(tgds, egds);
   // The speculative schedule here enables only cross-dependency
-  // pipelining (there is no null invention to speculate on).
+  // pipelining (there is no null invention to speculate on). Footprints
+  // follow the chase's rule: collecting a tgd reads its body and head
+  // relations of the chased instance (the witness search runs in the
+  // immutable `solution`), applying writes its head relations. Witnesses
+  // come from the solution, so pipelining leaves the result bit-identical,
+  // not just canonically equal.
   const bool pipelining =
       pool != nullptr &&
       ResolveSchedule(options) == ChaseSchedule::kSpeculative;
-  std::vector<SaFootprint> footprints;
-  if (pipelining) {
-    footprints = ComputeSaFootprints(tgds, instance.schema().relation_count());
-  }
   // Delta-driven fixpoint: per round, only triggers touching facts added
   // (or tuples dirtied by an egd merge) since the previous round are
   // evaluated. Round one sees everything as new.
@@ -314,9 +198,8 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
     // instance's value layer, which leave tuple indexes (and thus the
     // round's watermark) intact and report the dirty tuples into `extras`.
     EgdFixpointOutcome egd_out = RunEgdsToFixpointDelta(
-        egds, &instance, mark, options.max_steps - result.steps,
-        /*symbols=*/nullptr, &extras, pool,
-        compiled != nullptr ? &compiled->egds : nullptr);
+        egds, compiled->egds, &instance, mark,
+        options.max_steps - result.steps, /*symbols=*/nullptr, &extras, pool);
     result.steps += egd_out.steps;
     if (egd_out.failed) {
       result.outcome = ChaseOutcome::kFailed;
@@ -340,8 +223,9 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
     std::unique_ptr<SaCollectJob> ahead;
     bool exhausted = false;
     for (size_t i = 0; i < active.size() && !exhausted; ++i) {
-      size_t d = active[i];
+      const size_t d = active[i];
       const Tgd& tgd = tgds[d];
+      const plan::TgdPlan& plan = compiled->tgds[d];
       obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
       tgd_span.AttrInt("dep", static_cast<int64_t>(d));
       std::vector<SolutionAwareTrigger> pending;
@@ -349,65 +233,49 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
         // Collected while the previous tgd was applying.
         pending = ahead->Join();
         ahead.reset();
-      } else if (pipelining) {
-        SaCollectJob job(&instance, &delta, &solution, &tgd, plan_for(d),
-                         pool, tgd_span.id(), /*pipelined=*/false);
+      } else if (pool != nullptr) {
+        SaCollectJob job(&instance, &delta, &solution, &tgd, &plan, pool,
+                         tgd_span.id(), /*pipelined=*/false);
         job.Run();
         pending = job.Join();
       } else {
-        CollectSolutionAwareTriggers(instance, delta, solution, tgd,
-                                     plan_for(d), pool, &pending,
-                                     tgd_span.id());
+        EnumerateMatchesDeltaPlanned(
+            plan.body, instance, delta, Binding::Empty(tgd.var_count),
+            [&](const Binding& body_match) {
+              CollectOneTrigger(instance, solution, plan, body_match,
+                                &pending);
+              return true;
+            });
       }
       tgd_span.AttrInt("collected", static_cast<int64_t>(pending.size()));
       // Overlap the next active tgd's collection with this apply phase
       // when the footprints permit.
       if (pipelining && i + 1 < active.size() &&
-          SaPipelineCompatible(footprints[d], footprints[active[i + 1]])) {
+          plan::FootprintsCompatible(compiled->footprints[d],
+                                     compiled->footprints[active[i + 1]])) {
+        const size_t next = active[i + 1];
         ahead = std::make_unique<SaCollectJob>(
-            &instance, &delta, &solution, &tgds[active[i + 1]],
-            plan_for(active[i + 1]), pool, tgd_span.id(),
-            /*pipelined=*/true);
+            &instance, &delta, &solution, &tgds[next], &compiled->tgds[next],
+            pool, tgd_span.id(), /*pipelined=*/true);
         ahead->Start();
         SaMetrics::Get().pipeline_overlaps.Inc();
       }
-      const plan::TgdPlan* plan = plan_for(d);
       for (const SolutionAwareTrigger& trigger : pending) {
         // Re-check on the body match: an earlier application this round
         // may have satisfied it.
-        const bool satisfied =
-            plan != nullptr
-                ? HasMatchPlanned(plan->head, instance, trigger.body)
-                : HasMatch(tgd.head, tgd.var_count, instance, trigger.body);
-        if (satisfied) {
-          continue;
-        }
-        if (plan != nullptr) {
-          // Head rows through the fused apply template; the witness
-          // binding supplies every slot, existentials included.
-          size_t cursor = 0;
-          for (const plan::HeadAtom& atom : plan->apply.head_atoms) {
-            Tuple tuple;
-            tuple.reserve(atom.arity);
-            for (int s = 0; s < atom.arity; ++s) {
-              const plan::HeadSlot& slot = plan->apply.slots[cursor++];
-              tuple.push_back(slot.is_const
-                                  ? slot.key
-                                  : trigger.extended.values[slot.var]);
-            }
-            instance.AddFact(atom.relation, std::move(tuple));
+        if (HasMatchPlanned(plan.head, instance, trigger.body)) continue;
+        // Head rows through the fused apply template; the witness binding
+        // supplies every slot, existentials included.
+        size_t cursor = 0;
+        for (const plan::HeadAtom& atom : plan.apply.head_atoms) {
+          Tuple tuple;
+          tuple.reserve(atom.arity);
+          for (int s = 0; s < atom.arity; ++s) {
+            const plan::HeadSlot& slot = plan.apply.slots[cursor++];
+            tuple.push_back(slot.is_const ? slot.key
+                                          : trigger.extended.values[slot.var]);
           }
-        } else {
-          for (const Atom& atom : tgd.head) {
-            Tuple tuple;
-            tuple.reserve(atom.terms.size());
-            for (const Term& t : atom.terms) {
-              tuple.push_back(t.is_constant()
-                                  ? t.constant()
-                                  : trigger.extended.values[t.var()]);
-            }
-            instance.AddFact(atom.relation, std::move(tuple));
-          }
+          instance.AddFact(atom.relation, std::move(tuple));
         }
         ++result.steps;
         if (result.steps >= options.max_steps) {
@@ -435,8 +303,6 @@ ChaseResult SolutionAwareChase(const Instance& start,
                                const ChaseOptions& options) {
   obs::Span run_span(obs::Tracer::Global(), "chase");
   run_span.AttrStr("strategy", "solution_aware")
-      .AttrBool("compiled",
-                options.compile_plans && !plan::ForceInterpreter())
       .AttrInt("tgds", static_cast<int64_t>(tgds.size()))
       .AttrInt("egds", static_cast<int64_t>(egds.size()));
   ChaseResult result =

@@ -39,24 +39,22 @@ StreamingChase::StreamingChase(const Schema* schema, std::vector<Tgd> tgds,
   // The journal belongs to this object; a caller-supplied one would be
   // cleared by the fallback path behind the caller's back.
   options_.journal = nullptr;
-  if (options_.compile_plans && !plan::ForceInterpreter()) {
-    compiled_ = plan::PlanCache::Global().GetOrCompile(tgds_, egds_);
-    // Pivot-bound rederive plans: one per (tgd, head atom), with that
-    // atom's universal variables assumed bound (see stream.h).
-    rederive_plans_.resize(tgds_.size());
-    for (size_t d = 0; d < tgds_.size(); ++d) {
-      const Tgd& tgd = tgds_[d];
-      rederive_plans_[d].reserve(tgd.head.size());
-      for (const Atom& atom : tgd.head) {
-        std::vector<bool> bound(tgd.var_count, false);
-        for (const Term& t : atom.terms) {
-          if (!t.is_constant() && !tgd.existential[t.var()]) {
-            bound[t.var()] = true;
-          }
+  compiled_ = plan::PlanCache::Global().GetOrCompile(tgds_, egds_);
+  // Pivot-bound rederive plans: one per (tgd, head atom), with that atom's
+  // universal variables assumed bound (see stream.h).
+  rederive_plans_.resize(tgds_.size());
+  for (size_t d = 0; d < tgds_.size(); ++d) {
+    const Tgd& tgd = tgds_[d];
+    rederive_plans_[d].reserve(tgd.head.size());
+    for (const Atom& atom : tgd.head) {
+      std::vector<bool> bound(tgd.var_count, false);
+      for (const Term& t : atom.terms) {
+        if (!t.is_constant() && !tgd.existential[t.var()]) {
+          bound[t.var()] = true;
         }
-        rederive_plans_[d].push_back(
-            plan::CompileBody(tgd.body, tgd.var_count, bound));
       }
+      rederive_plans_[d].push_back(
+          plan::CompileBody(tgd.body, tgd.var_count, bound));
     }
   }
 }
@@ -193,8 +191,7 @@ int64_t StreamingChase::Rederive(const std::vector<RemovedRef>& removed,
     const Tuple& removed_tuple = r.second->first;
     for (size_t d = 0; d < tgds_.size(); ++d) {
       const Tgd& tgd = tgds_[d];
-      const plan::TgdPlan* plan =
-          compiled_ != nullptr ? &compiled_->tgds[d] : nullptr;
+      const plan::BodyPlan& head_plan = compiled_->tgds[d].head;
       for (size_t h = 0; h < tgd.head.size(); ++h) {
         const Atom& atom = tgd.head[h];
         if (atom.relation != removed_rel) continue;
@@ -213,26 +210,17 @@ int64_t StreamingChase::Rederive(const std::vector<RemovedRef>& removed,
           }
         }
         if (!unifies) continue;
-        const auto collect = [&](const Binding& m) {
-          const bool satisfied =
-              plan != nullptr ? HasMatchPlanned(plan->head, instance_, m)
-                              : HasMatch(tgd.head, tgd.var_count, instance_, m);
-          if (!satisfied &&
-              seen.insert(TriggerFingerprintRow(d, m.values.data(),
-                                                m.values.size(),
-                                                tgd.existential))
-                  .second) {
-            violated.emplace_back(d, m);
-          }
-          return true;
-        };
-        if (plan != nullptr) {
-          EnumerateMatchesPlanned(rederive_plans_[d][h], instance_, partial,
-                                  collect);
-        } else {
-          EnumerateMatches(tgd.body, tgd.var_count, instance_, partial,
-                           collect);
-        }
+        EnumerateMatchesPlanned(
+            rederive_plans_[d][h], instance_, partial, [&](const Binding& m) {
+              if (!HasMatchPlanned(head_plan, instance_, m) &&
+                  seen.insert(TriggerFingerprintRow(d, m.values.data(),
+                                                    m.values.size(),
+                                                    tgd.existential))
+                      .second) {
+                violated.emplace_back(d, m);
+              }
+              return true;
+            });
       }
     }
   }
@@ -241,12 +229,7 @@ int64_t StreamingChase::Rederive(const std::vector<RemovedRef>& removed,
   int64_t fired = 0;
   for (const auto& [d, trigger] : violated) {
     const Tgd& tgd = tgds_[d];
-    const plan::TgdPlan* plan =
-        compiled_ != nullptr ? &compiled_->tgds[d] : nullptr;
-    const bool satisfied =
-        plan != nullptr ? HasMatchPlanned(plan->head, instance_, trigger)
-                        : HasMatch(tgd.head, tgd.var_count, instance_, trigger);
-    if (satisfied) continue;
+    if (HasMatchPlanned(compiled_->tgds[d].head, instance_, trigger)) continue;
     Binding extended = trigger;
     for (VariableId v = 0; v < tgd.var_count; ++v) {
       if (tgd.existential[v] && !extended.bound[v]) {

@@ -74,9 +74,9 @@ struct StreamStats {
 // fingerprints — leaving the state exactly as before the call, which is
 // what lets the serving layer replay a failed coalesced batch per ticket.
 //
-// Restricted strategy only (resume_from's contract); any schedule, thread
-// count and compile mode. Not thread-safe: one writer, like the admission
-// queue that drives it in src/serve/.
+// Restricted strategy only (resume_from's contract); any schedule and
+// thread count. Not thread-safe: one writer, like the admission queue
+// that drives it in src/serve/.
 class StreamingChase {
  public:
   // `schema` and `symbols` must outlive the object. `options.strategy`
@@ -146,8 +146,7 @@ class StreamingChase {
   // plan assumes *nothing* bound (its first access path is a scan), so
   // running it under Rederive's pivot binding would rescan a whole
   // relation per removed fact; these plans probe the bound positions
-  // instead. Built alongside compiled_; empty on the interpreter path
-  // (EnumerateMatches picks access paths dynamically).
+  // instead. Built alongside compiled_.
   std::vector<std::vector<plan::BodyPlan>> rederive_plans_;
 
   // (Re)builds or extends the support index to cover the whole journal.

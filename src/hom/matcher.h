@@ -52,6 +52,12 @@ bool EnumerateMatches(const std::vector<Atom>& atoms, int var_count,
                       const Instance& instance, const Binding& partial,
                       const std::function<bool(const Binding&)>& fn);
 
+// The interpreted delta enumerators below (EnumerateMatchesDelta and
+// EnumerateMatchesDeltaPartition) have no production caller: every delta
+// engine runs its compiled plans through the *Planned twins further down.
+// They stay as the reference semantics the match VM is checked against
+// (plan_compiler_test, DeltaExecutorMatchesInterpreterPerPartition).
+//
 // Delta-restricted enumeration (the semi-naive restriction): enumerates
 // only homomorphisms that match at least one body atom to a fact inside
 // `delta`, i.e. a fact added since the delta's watermark. Every such match

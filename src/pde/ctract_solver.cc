@@ -57,11 +57,10 @@ StatusOr<CtractSolveResult> CtractExistsSolution(
   // Step 1: (I, J_can) = chase of (I, J) with Σ_st. Σ_st bodies are over S
   // and heads over T, so the chase adds only target facts and terminates
   // after one pass over the (fixed) source triggers. Both chases of this
-  // procedure run through compiled plans when
-  // chase_options.compile_plans is set (the default): the Σ_st and Σ_ts
-  // plan sets are cached process-wide, so repeated solves — and the
-  // repeated ctract invocations the pdxcli bench loop issues — compile
-  // each of them exactly once.
+  // procedure run through compiled plans: the Σ_st and Σ_ts plan sets are
+  // cached process-wide, so repeated solves — and the repeated ctract
+  // invocations the pdxcli bench loop issues — compile each of them
+  // exactly once.
   Instance combined = setting.CombineInstances(source, target);
   Instance j_can(&setting.schema());
   {

@@ -19,10 +19,9 @@ StatusOr<DataExchangeResult> SolveDataExchange(
   tgds.insert(tgds.end(), setting.target_tgds().begin(),
               setting.target_tgds().end());
   Instance combined = setting.CombineInstances(source, target);
-  // With chase_options.compile_plans (the default) this chase executes
-  // through the dependency compiler; the combined Σ_st ∪ Σ_t plan set is
-  // cached by structural fingerprint, so repeated exchanges over one
-  // setting compile it once.
+  // This chase executes through the dependency compiler; the combined
+  // Σ_st ∪ Σ_t plan set is cached by structural fingerprint, so repeated
+  // exchanges over one setting compile it once.
   ChaseResult chase =
       Chase(combined, tgds, setting.target_egds(), symbols, chase_options);
 

@@ -92,32 +92,27 @@ class Searcher {
       ts_deps_.push_back(std::move(dep));
     }
     ts_cands_.resize(ts_deps_.size());
-    if (options_.compile_plans && !plan::ForceInterpreter()) {
-      // One cache probe per solve, keyed by the combined st+target setting
-      // in tgd_order_ order (so compiled_->tgds[t] pairs with
-      // tgd_order_[t]). Node re-chases never recompile; repeated solves of
-      // the same setting hit the process cache.
-      std::vector<Tgd> all_tgds;
-      all_tgds.reserve(tgd_order_.size());
-      for (const Tgd* tgd : tgd_order_) all_tgds.push_back(*tgd);
-      compiled_ =
-          plan::PlanCache::Global().GetOrCompile(all_tgds,
-                                                 setting_.target_egds());
-      // Σ_ts acts as checks, not chase rules: only the body programs are
-      // worth compiling (the head probes run against cached bindings with
-      // per-disjunct atom lists, which stay interpreted).
-      ts_body_plans_.reserve(ts_deps_.size());
-      for (const TsDep& dep : ts_deps_) {
-        ts_body_plans_.push_back(
-            plan::CompileBody(*dep.body, dep.var_count, {}));
-      }
+    // One cache probe per solve, keyed by the combined st+target setting in
+    // tgd_order_ order (so compiled_->tgds[t] pairs with tgd_order_[t]).
+    // Node re-chases never recompile; repeated solves of the same setting
+    // hit the process cache.
+    std::vector<Tgd> all_tgds;
+    all_tgds.reserve(tgd_order_.size());
+    for (const Tgd* tgd : tgd_order_) all_tgds.push_back(*tgd);
+    compiled_ = plan::PlanCache::Global().GetOrCompile(all_tgds,
+                                                       setting_.target_egds());
+    // Σ_ts acts as checks, not chase rules: only the body programs are
+    // worth compiling (the head probes run against cached bindings with
+    // per-disjunct atom lists, which stay interpreted).
+    ts_body_plans_.reserve(ts_deps_.size());
+    for (const TsDep& dep : ts_deps_) {
+      ts_body_plans_.push_back(plan::CompileBody(*dep.body, dep.var_count, {}));
     }
   }
 
   GenericSolveResult Run(Instance start) {
     obs::Span run_span(obs::Tracer::Global(), "solve.generic");
-    run_span.AttrBool("enumerate_all", options_.enumerate_all)
-        .AttrBool("compiled", compiled_ != nullptr);
+    run_span.AttrBool("enumerate_all", options_.enumerate_all);
     int threads = options_.num_threads <= 0
                       ? ThreadPool::HardwareConcurrency()
                       : options_.num_threads;
@@ -331,9 +326,8 @@ class Searcher {
   bool ApplyEgdFixpoint(Instance* k, const InstanceWatermark& since,
                         std::vector<std::vector<int>>* extras) {
     EgdFixpointOutcome out = RunEgdsToFixpointDelta(
-        setting_.target_egds(), k, since,
-        std::numeric_limits<int64_t>::max(), symbols_, extras, pool_.get(),
-        compiled_ != nullptr ? &compiled_->egds : nullptr);
+        setting_.target_egds(), compiled_->egds, k, since,
+        std::numeric_limits<int64_t>::max(), symbols_, extras, pool_.get());
     return !out.failed;
   }
 
@@ -363,50 +357,35 @@ class Searcher {
     for (size_t t = 0; t < tgd_order_.size(); ++t) {
       const Tgd& tgd = *tgd_order_[t];
       if (!TouchesDelta(tgd.body, delta)) continue;
-      const plan::TgdPlan* plan =
-          compiled_ != nullptr ? &compiled_->tgds[t] : nullptr;
-      const auto discover = [&](const Binding& match) {
-        ++result_.candidates_discovered;
-        const bool satisfied =
-            plan != nullptr
-                ? HasMatchPlanned(plan->head, k, match)
-                : HasMatch(tgd.head, tgd.var_count, k, match);
-        if (!satisfied) {
-          tgd_cands_[t].push_back({match, false});
-        }
-        return true;
-      };
-      if (plan != nullptr) {
-        EnumerateMatchesDeltaPlanned(plan->body, k, delta,
-                                     Binding::Empty(tgd.var_count), discover);
-      } else {
-        EnumerateMatchesDelta(tgd.body, tgd.var_count, k, delta,
-                              Binding::Empty(tgd.var_count), discover);
-      }
+      const plan::TgdPlan& plan = compiled_->tgds[t];
+      EnumerateMatchesDeltaPlanned(
+          plan.body, k, delta, Binding::Empty(tgd.var_count),
+          [&](const Binding& match) {
+            ++result_.candidates_discovered;
+            if (!HasMatchPlanned(plan.head, k, match)) {
+              tgd_cands_[t].push_back({match, false});
+            }
+            return true;
+          });
     }
     bool permanent = false;
     for (size_t j = 0; j < ts_deps_.size() && !permanent; ++j) {
       const TsDep& dep = ts_deps_[j];
       if (!TouchesDelta(*dep.body, delta)) continue;
-      const auto discover = [&](const Binding& match) {
-        ++result_.candidates_discovered;
-        for (const std::vector<Atom>* head : dep.heads) {
-          if (HasMatch(*head, dep.var_count, k, match)) return true;
-        }
-        if (IsPermanentViolation(k, match, dep.var_count)) {
-          permanent = true;
-          return false;  // stop: the node is dead
-        }
-        ts_cands_[j].push_back({match, false});
-        return true;
-      };
-      if (!ts_body_plans_.empty()) {
-        EnumerateMatchesDeltaPlanned(ts_body_plans_[j], k, delta,
-                                     Binding::Empty(dep.var_count), discover);
-      } else {
-        EnumerateMatchesDelta(*dep.body, dep.var_count, k, delta,
-                              Binding::Empty(dep.var_count), discover);
-      }
+      EnumerateMatchesDeltaPlanned(
+          ts_body_plans_[j], k, delta, Binding::Empty(dep.var_count),
+          [&](const Binding& match) {
+            ++result_.candidates_discovered;
+            for (const std::vector<Atom>* head : dep.heads) {
+              if (HasMatch(*head, dep.var_count, k, match)) return true;
+            }
+            if (IsPermanentViolation(k, match, dep.var_count)) {
+              permanent = true;
+              return false;  // stop: the node is dead
+            }
+            ts_cands_[j].push_back({match, false});
+            return true;
+          });
     }
     return !permanent;
   }
@@ -459,16 +438,11 @@ class Searcher {
         const Tgd& tgd = *tgd_order_[t];
         if (tgd.IsFull() != full_pass) continue;
         std::vector<Candidate>& bucket = tgd_cands_[t];
-        const plan::TgdPlan* plan =
-            compiled_ != nullptr ? &compiled_->tgds[t] : nullptr;
+        const plan::BodyPlan& head_plan = compiled_->tgds[t].head;
         for (size_t c = 0; c < bucket.size(); ++c) {
           if (bucket[c].satisfied) continue;
           ++result_.candidate_checks;
-          const bool satisfied =
-              plan != nullptr
-                  ? HasMatchPlanned(plan->head, k, bucket[c].binding)
-                  : HasMatch(tgd.head, tgd.var_count, k, bucket[c].binding);
-          if (satisfied) {
+          if (HasMatchPlanned(head_plan, k, bucket[c].binding)) {
             MarkSatisfied(t, c);
             continue;
           }
@@ -524,7 +498,7 @@ class Searcher {
   std::unique_ptr<ThreadPool> pool_;  // egd-fixpoint collection only
   // Compiled plans: compiled_->tgds parallel to tgd_order_, compiled_->egds
   // parallel to setting_.target_egds(); ts_body_plans_ parallel to
-  // ts_deps_. All empty/null when interpreting.
+  // ts_deps_.
   std::shared_ptr<const plan::CompiledSetting> compiled_;
   std::vector<plan::BodyPlan> ts_body_plans_;
 };

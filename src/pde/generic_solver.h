@@ -35,12 +35,6 @@ struct GenericSolverOptions {
   // search — outcome, nodes and the trigger-cache counters below — is
   // independent of this knob.
   int num_threads = 1;
-  // Execute trigger discovery, head checks and the per-node egd fixpoint
-  // through compiled plans (plan/ir.h), fetched once per solve from the
-  // process-wide PlanCache — node re-chases of the same setting never
-  // recompile. The solve outcome is independent of this knob; it is
-  // overridden to false process-wide by PDX_FORCE_INTERPRETER.
-  bool compile_plans = true;
 };
 
 struct GenericSolveResult {
@@ -80,7 +74,10 @@ struct GenericSolveResult {
 // Completeness follows the paper's Lemma 2: for any solution J*, tracing
 // the solution-aware chase against J* is one of the explored paths up to
 // injective renaming of non-input values. Visited states are memoized by
-// canonical fingerprint.
+// canonical fingerprint. Trigger discovery, head checks and the per-node
+// egd fixpoint run through compiled plans (plan/ir.h), fetched once per
+// solve from the process-wide PlanCache, so node re-chases never
+// recompile.
 //
 // kBudgetExhausted means "unknown": no claim is made either way.
 StatusOr<GenericSolveResult> GenericExistsSolution(

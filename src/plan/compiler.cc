@@ -1,7 +1,6 @@
 #include "plan/compiler.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "base/string_util.h"
@@ -285,6 +284,12 @@ BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
   return plan;
 }
 
+namespace {
+
+// Structural analysis of a tgd head for the sharded apply's overlay
+// decide (see HeadOverlayPlan in plan/ir.h for the exactness conditions).
+// Pure function of the head's shape; CompileTgd embeds the result in the
+// apply template.
 HeadOverlayPlan AnalyzeHeadOverlay(const Tgd& tgd) {
   HeadOverlayPlan out;
   const size_t n = tgd.head.size();
@@ -340,6 +345,11 @@ HeadOverlayPlan AnalyzeHeadOverlay(const Tgd& tgd) {
   return out;
 }
 
+// Read/write relation footprints of a dependency set, indexed parallel to
+// `tgds` and sized to the largest relation id any of them mentions.
+// reads = body ∪ head relations, writes = head relations; the containment
+// reads ⊇ writes makes footprint disjointness symmetric enough for the
+// chase's topological scheduler (FootprintsCompatible in plan/ir.h).
 std::vector<TgdFootprint> ComputeTgdFootprints(const std::vector<Tgd>& tgds) {
   RelationId bound = 0;
   for (const Tgd& tgd : tgds) {
@@ -360,6 +370,8 @@ std::vector<TgdFootprint> ComputeTgdFootprints(const std::vector<Tgd>& tgds) {
   }
   return out;
 }
+
+}  // namespace
 
 TgdPlan CompileTgd(const Tgd& tgd, const CompilerHints& hints) {
   TgdPlan plan;
@@ -417,14 +429,6 @@ std::string DumpPlans(const CompiledSetting& compiled,
   }
   out += StrCat("fingerprint: ", compiled.fingerprint, "\n");
   return out;
-}
-
-bool ForceInterpreter() {
-  static const bool force = [] {
-    const char* env = std::getenv("PDX_FORCE_INTERPRETER");
-    return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  }();
-  return force;
 }
 
 }  // namespace plan

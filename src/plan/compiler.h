@@ -63,19 +63,6 @@ TgdPlan CompileTgd(const Tgd& tgd,
 EgdPlan CompileEgd(const Egd& egd,
                    const CompilerHints& hints = CompilerHints());
 
-// Structural analysis of a tgd head for the sharded apply's overlay
-// decide (see HeadOverlayPlan in plan/ir.h for the exactness conditions).
-// Pure function of the head's shape; CompileTgd embeds the result in the
-// apply template, and the interpreter path calls it directly.
-HeadOverlayPlan AnalyzeHeadOverlay(const Tgd& tgd);
-
-// Read/write relation footprints of a dependency set, indexed parallel to
-// `tgds` and sized to the largest relation id any of them mentions.
-// reads = body ∪ head relations, writes = head relations; the containment
-// reads ⊇ writes makes footprint disjointness symmetric enough for the
-// chase's topological scheduler (see FootprintsCompatible in chase.cc).
-std::vector<TgdFootprint> ComputeTgdFootprints(const std::vector<Tgd>& tgds);
-
 // Compiles a whole setting; fingerprint filled in.
 std::shared_ptr<const CompiledSetting> CompileSetting(
     const std::vector<Tgd>& tgds, const std::vector<Egd>& egds,
@@ -89,12 +76,6 @@ std::string DumpPlans(const CompiledSetting& compiled,
                       const std::vector<Tgd>& tgds,
                       const std::vector<Egd>& egds, const Schema& schema,
                       const SymbolTable& symbols);
-
-// True when the PDX_FORCE_INTERPRETER environment variable is set and
-// non-"0": every plan consumer falls back to the interpreter regardless of
-// ChaseOptions::compile_plans, so sanitizer passes can pin either
-// execution path (tools/check.sh). Read once per process.
-bool ForceInterpreter();
 
 }  // namespace plan
 }  // namespace pdx

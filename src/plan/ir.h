@@ -22,6 +22,7 @@
 // trigger sets are collected fully before applying, and all result
 // contracts are stated on resolved views and canonical fingerprints.
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -152,10 +153,20 @@ struct TgdFootprint {
   std::vector<bool> writes;
 };
 
+// True iff collecting `collecting`'s triggers may overlap applying
+// `applying`: no relation `applying` writes is one `collecting` reads.
+inline bool FootprintsCompatible(const TgdFootprint& applying,
+                                 const TgdFootprint& collecting) {
+  const size_t n = std::min(applying.writes.size(), collecting.reads.size());
+  for (size_t r = 0; r < n; ++r) {
+    if (applying.writes[r] && collecting.reads[r]) return false;
+  }
+  return true;
+}
+
 // The fused apply template of one tgd: everything the chase's apply phase
 // (barrier or speculative) needs to instantiate the head from a complete
-// body match, absorbing what chase.cc's SpecLayout used to re-derive per
-// round. Parser validation guarantees existential variables never occur in
+// body match. Parser validation guarantees existential variables never occur in
 // the body, so every complete body match binds exactly the non-existential
 // variables: `body_bound` is the bound mask of every trigger, and
 // `fresh_per_trigger` is a constant.

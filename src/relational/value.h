@@ -104,9 +104,19 @@ class SymbolTable {
   // collect reserves one exact-size range per delta partition). Reserved
   // ids that are never turned into facts are simply retired — null ids
   // must be unique, not dense — but callers should keep retirement rare:
-  // holes inflate every id-indexed structure downstream.
+  // holes inflate every id-indexed structure downstream. A reservation
+  // that would run the counter past 2^32 - 1 aborts, naming the table:
+  // wrapping would hand out ids that alias live nulls.
   uint32_t ReserveNullRange(uint32_t count) {
-    return next_null_id_.fetch_add(count, std::memory_order_relaxed);
+    uint32_t first = next_null_id_.load(std::memory_order_relaxed);
+    do {
+      PDX_CHECK(uint64_t{first} + count <= UINT32_MAX)
+          << "SymbolTable@" << static_cast<const void*>(this)
+          << ": null id space exhausted (" << first << " ids handed out, "
+          << count << " more requested)";
+    } while (!next_null_id_.compare_exchange_weak(
+        first, first + count, std::memory_order_relaxed));
+    return first;
   }
 
   // Upper bound on null ids handed out so far (including retired ids that

@@ -1,12 +1,11 @@
 // Cross-validation of the parallel delta chase against the sequential
 // path over the full schedule matrix: schedule ∈ {barrier, speculative}
-// × num_threads ∈ {1, 2, 8} × compile_plans ∈ {on, off}, the chase
-// must produce equivalent results on randomized workloads covering the
-// tgd pipeline, the merge-heavy egd cascade, the oblivious engine,
-// disjoint-footprint families, failing runs, the solver-level verdict,
-// and auto-compaction. Barrier mode (the default) is bit-identical at
-// fixed compile mode — same canonical fingerprint at every thread count;
-// speculative (worker-side head instantiation, concurrent ledger
+// × num_threads ∈ {1, 2, 8}, the chase must produce equivalent results on
+// randomized workloads covering the tgd pipeline, the merge-heavy egd
+// cascade, the oblivious engine, disjoint-footprint families, failing
+// runs, the solver-level verdict, and auto-compaction. Barrier mode (the
+// default) is bit-identical — same canonical fingerprint at every thread
+// count; speculative (worker-side head instantiation, concurrent ledger
 // admission, footprint-DAG collect/apply overlap) hands out
 // schedule-dependent null ids, so its results are asserted equal
 // under canonical null renumbering
@@ -41,16 +40,13 @@ using testing_util::CanonicalizedFingerprint;
 using testing_util::Unwrap;
 
 constexpr int kThreadCounts[] = {1, 2, 8};
-constexpr bool kCompileModes[] = {true, false};
 
 using testing_util::SchedulesToTest;
 
 // Trace tag for one cell of the schedule matrix.
-std::string CellTag(uint64_t seed, int threads, ChaseSchedule schedule,
-                    bool compile) {
+std::string CellTag(uint64_t seed, int threads, ChaseSchedule schedule) {
   return "seed " + std::to_string(seed) + " threads " +
-         std::to_string(threads) + " " + ScheduleName(schedule) +
-         (compile ? " compiled" : " interpreted");
+         std::to_string(threads) + " " + ScheduleName(schedule);
 }
 
 struct ParallelChaseTest : ::testing::Test {
@@ -102,57 +98,39 @@ struct ParallelChaseTest : ::testing::Test {
   ChaseResult Run(const Instance& start, const std::vector<Tgd>& tgds,
                   const std::vector<Egd>& egds, int threads,
                   ChaseStrategy strategy = ChaseStrategy::kRestricted,
-                  ChaseSchedule schedule = ChaseSchedule::kBarrier,
-                  bool compile = true) {
+                  ChaseSchedule schedule = ChaseSchedule::kBarrier) {
     ChaseOptions options;
     options.strategy = strategy;
     options.num_threads = threads;
     options.schedule = schedule;
-    options.compile_plans = compile;
     return Chase(start, tgds, egds, &symbols, options);
   }
 
-  // Runs the workload over the full schedule × threads × compile matrix
-  // and asserts all observable results match the single-threaded barrier
-  // reference: exactly in barrier mode (bit-identity holds per compile
-  // mode — compiled and interpreted enumeration orders differ, so each
-  // gets its own exact reference), up to canonical null renumbering under
-  // speculative (outcome, steps, nulls, the resolved fact count and
-  // the canonicalized fingerprint stay invariant across the whole
-  // matrix, compile modes included).
+  // Runs the workload over the full schedule × threads matrix and asserts
+  // all observable results match the single-threaded barrier reference:
+  // exactly in barrier mode, up to canonical null renumbering under
+  // speculative (outcome, steps, nulls, the resolved fact count and the
+  // canonicalized fingerprint stay invariant across the whole matrix).
   void ExpectThreadInvariant(const Instance& start,
                              const std::vector<Tgd>& tgds,
                              const std::vector<Egd>& egds,
                              ChaseStrategy strategy, uint64_t seed) {
-    ChaseResult ref0 = Run(start, tgds, egds, /*threads=*/1, strategy);
-    uint64_t ref_canonical = CanonicalizedFingerprint(ref0.instance);
-    for (bool compile : kCompileModes) {
-      ChaseResult ref =
-          Run(start, tgds, egds, /*threads=*/1, strategy,
-              ChaseSchedule::kBarrier, compile);
-      SCOPED_TRACE(std::string("reference, ") +
-                   (compile ? "compiled" : "interpreted") + ", seed " +
-                   std::to_string(seed));
-      ASSERT_EQ(ref.outcome, ref0.outcome);
-      ASSERT_EQ(ref.steps, ref0.steps);
-      ASSERT_EQ(ref.nulls_created, ref0.nulls_created);
-      ASSERT_EQ(CanonicalizedFingerprint(ref.instance), ref_canonical);
-      uint64_t ref_fp = ref.instance.CanonicalFingerprint();
-      for (ChaseSchedule schedule : SchedulesToTest()) {
-        for (int threads : kThreadCounts) {
-          ChaseResult got =
-              Run(start, tgds, egds, threads, strategy, schedule, compile);
-          SCOPED_TRACE(CellTag(seed, threads, schedule, compile));
-          ASSERT_EQ(got.outcome, ref.outcome);
-          ASSERT_EQ(got.steps, ref.steps);
-          ASSERT_EQ(got.nulls_created, ref.nulls_created);
-          ASSERT_EQ(got.instance.ResolvedFactCount(),
-                    ref.instance.ResolvedFactCount());
-          if (schedule == ChaseSchedule::kBarrier) {
-            ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
-          } else {
-            ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
-          }
+    ChaseResult ref = Run(start, tgds, egds, /*threads=*/1, strategy);
+    uint64_t ref_fp = ref.instance.CanonicalFingerprint();
+    uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
+    for (ChaseSchedule schedule : SchedulesToTest()) {
+      for (int threads : kThreadCounts) {
+        ChaseResult got = Run(start, tgds, egds, threads, strategy, schedule);
+        SCOPED_TRACE(CellTag(seed, threads, schedule));
+        ASSERT_EQ(got.outcome, ref.outcome);
+        ASSERT_EQ(got.steps, ref.steps);
+        ASSERT_EQ(got.nulls_created, ref.nulls_created);
+        ASSERT_EQ(got.instance.ResolvedFactCount(),
+                  ref.instance.ResolvedFactCount());
+        if (schedule == ChaseSchedule::kBarrier) {
+          ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
+        } else {
+          ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
         }
       }
     }
@@ -216,30 +194,26 @@ TEST_F(ParallelChaseTest, DisjointDependenciesPipelineIsThreadInvariant) {
         start.AddFact(r, {u, v});
       }
     }
-    for (bool compile : kCompileModes) {
-      ChaseOptions ref_options;
-      ref_options.num_threads = 1;
-      ref_options.compile_plans = compile;
-      ChaseResult ref = Chase(start, deps.tgds, {}, &wide_symbols, ref_options);
-      ASSERT_EQ(ref.outcome, ChaseOutcome::kSuccess);
-      uint64_t ref_fp = ref.instance.CanonicalFingerprint();
-      uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
-      for (ChaseSchedule schedule : SchedulesToTest()) {
-        for (int threads : kThreadCounts) {
-          ChaseOptions options;
-          options.num_threads = threads;
-          options.schedule = schedule;
-          options.compile_plans = compile;
-          ChaseResult got = Chase(start, deps.tgds, {}, &wide_symbols, options);
-          SCOPED_TRACE(CellTag(seed, threads, schedule, compile));
-          ASSERT_EQ(got.outcome, ref.outcome);
-          ASSERT_EQ(got.steps, ref.steps);
-          ASSERT_EQ(got.nulls_created, ref.nulls_created);
-          if (schedule == ChaseSchedule::kBarrier) {
-            ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
-          } else {
-            ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
-          }
+    ChaseOptions ref_options;
+    ref_options.num_threads = 1;
+    ChaseResult ref = Chase(start, deps.tgds, {}, &wide_symbols, ref_options);
+    ASSERT_EQ(ref.outcome, ChaseOutcome::kSuccess);
+    uint64_t ref_fp = ref.instance.CanonicalFingerprint();
+    uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
+    for (ChaseSchedule schedule : SchedulesToTest()) {
+      for (int threads : kThreadCounts) {
+        ChaseOptions options;
+        options.num_threads = threads;
+        options.schedule = schedule;
+        ChaseResult got = Chase(start, deps.tgds, {}, &wide_symbols, options);
+        SCOPED_TRACE(CellTag(seed, threads, schedule));
+        ASSERT_EQ(got.outcome, ref.outcome);
+        ASSERT_EQ(got.steps, ref.steps);
+        ASSERT_EQ(got.nulls_created, ref.nulls_created);
+        if (schedule == ChaseSchedule::kBarrier) {
+          ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
+        } else {
+          ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
         }
       }
     }
@@ -256,30 +230,23 @@ TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
     Instance start = RandomEdges(16, 2, seed);
     ChaseResult ref = Run(start, copy_tgds, key_egds, /*threads=*/1);
     if (ref.outcome == ChaseOutcome::kFailed) ++failures;
-    for (bool compile : kCompileModes) {
-      ChaseResult compile_ref =
-          Run(start, copy_tgds, key_egds, /*threads=*/1,
-              ChaseStrategy::kRestricted, ChaseSchedule::kBarrier, compile);
-      ASSERT_EQ(compile_ref.outcome, ref.outcome);
-      for (ChaseSchedule schedule : SchedulesToTest()) {
-        for (int threads : kThreadCounts) {
-          ChaseResult got =
-              Run(start, copy_tgds, key_egds, threads,
-                  ChaseStrategy::kRestricted, schedule, compile);
-          SCOPED_TRACE(CellTag(seed, threads, schedule, compile));
-          ASSERT_EQ(got.outcome, ref.outcome);
+    for (ChaseSchedule schedule : SchedulesToTest()) {
+      for (int threads : kThreadCounts) {
+        ChaseResult got = Run(start, copy_tgds, key_egds, threads,
+                              ChaseStrategy::kRestricted, schedule);
+        SCOPED_TRACE(CellTag(seed, threads, schedule));
+        ASSERT_EQ(got.outcome, ref.outcome);
+        if (schedule == ChaseSchedule::kBarrier) {
+          ASSERT_EQ(got.steps, ref.steps);
+          ASSERT_EQ(got.failure, ref.failure);
+        }
+        if (ref.outcome == ChaseOutcome::kSuccess) {
           if (schedule == ChaseSchedule::kBarrier) {
-            ASSERT_EQ(got.steps, compile_ref.steps);
-            ASSERT_EQ(got.failure, compile_ref.failure);
-          }
-          if (ref.outcome == ChaseOutcome::kSuccess) {
-            if (schedule == ChaseSchedule::kBarrier) {
-              ASSERT_EQ(got.instance.CanonicalFingerprint(),
-                        compile_ref.instance.CanonicalFingerprint());
-            } else {
-              ASSERT_EQ(CanonicalizedFingerprint(got.instance),
-                        CanonicalizedFingerprint(ref.instance));
-            }
+            ASSERT_EQ(got.instance.CanonicalFingerprint(),
+                      ref.instance.CanonicalFingerprint());
+          } else {
+            ASSERT_EQ(CanonicalizedFingerprint(got.instance),
+                      CanonicalizedFingerprint(ref.instance));
           }
         }
       }
@@ -335,7 +302,7 @@ TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
             Unwrap(SolveDataExchange(setting, source, setting.EmptyInstance(),
                                      &de_symbols, options),
                    "SolveDataExchange");
-        SCOPED_TRACE(CellTag(seed, threads, schedule, /*compile=*/true));
+        SCOPED_TRACE(CellTag(seed, threads, schedule));
         ASSERT_EQ(got.has_solution, ref.has_solution);
         if (ref.has_solution) {
           ASSERT_EQ(got.nulls_created, ref.nulls_created);

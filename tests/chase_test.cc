@@ -7,6 +7,7 @@
 #include "chase/journal.h"
 #include "gtest/gtest.h"
 #include "logic/parser.h"
+#include "plan/compiler.h"
 
 namespace pdx {
 namespace {
@@ -218,6 +219,7 @@ TEST_F(ChaseTest, EgdFixpointMergesKeyClass) {
   constexpr int kFacts = 80;
   const std::vector<Egd> egds = ParseEgds("H(x,y) & H(x,z) -> y = z.");
   ASSERT_EQ(egds.size(), 1u);
+  const std::vector<plan::EgdPlan> egd_plans = {plan::CompileEgd(egds[0])};
   Instance start(&schema_);
   std::vector<Value> nulls;
   for (int i = 0; i < kFacts; ++i) {
@@ -228,9 +230,8 @@ TEST_F(ChaseTest, EgdFixpointMergesKeyClass) {
     Instance instance = start;
     std::vector<std::vector<int>> extras;
     EgdFixpointOutcome out = RunEgdsToFixpointDelta(
-        egds, &instance, InstanceWatermark::Origin(instance),
-        /*max_steps=*/1'000'000, &symbols_, &extras, pool,
-        /*egd_plans=*/nullptr, journal);
+        egds, egd_plans, &instance, InstanceWatermark::Origin(instance),
+        /*max_steps=*/1'000'000, &symbols_, &extras, pool, journal);
     return std::make_pair(std::move(out), std::move(instance));
   };
 

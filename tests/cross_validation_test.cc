@@ -181,10 +181,6 @@ TEST_P(ChaseStrategyCrossValidationTest, CtractAgreesAcrossStrategies) {
   naive_options.strategy = ChaseStrategy::kRestrictedNaive;
   ChaseOptions delta_options;
   delta_options.strategy = ChaseStrategy::kRestricted;
-  // Compiled-plan toggle per seed: even seeds run the delta engine
-  // through the dependency compiler, odd seeds through the interpreter,
-  // so both lanes stay covered by the randomized sweep.
-  delta_options.compile_plans = seed % 2 == 0;
 
   CtractSolveResult naive = Unwrap(CtractExistsSolution(
       setting, source, target, &symbols, naive_options));
@@ -222,7 +218,6 @@ TEST_P(ChaseStrategyCrossValidationTest, DataExchangeAgreesAcrossStrategies) {
   naive_options.strategy = ChaseStrategy::kRestrictedNaive;
   ChaseOptions delta_options;
   delta_options.strategy = ChaseStrategy::kRestricted;
-  delta_options.compile_plans = seed % 2 == 0;
 
   DataExchangeResult naive = Unwrap(SolveDataExchange(
       setting, source, target, &symbols, naive_options));
@@ -231,24 +226,6 @@ TEST_P(ChaseStrategyCrossValidationTest, DataExchangeAgreesAcrossStrategies) {
 
   EXPECT_EQ(naive.has_solution, delta.has_solution) << "seed " << seed;
 
-  // Plan-vs-interpreter: the same delta solve with compile_plans flipped
-  // must agree on the verdict and on the universal solution up to null
-  // renaming (the compiled executor's enumeration order — and hence fresh
-  // null identities — is its own).
-  ChaseOptions flipped_options = delta_options;
-  flipped_options.compile_plans = !delta_options.compile_plans;
-  DataExchangeResult flipped = Unwrap(SolveDataExchange(
-      setting, source, target, &symbols, flipped_options));
-  EXPECT_EQ(flipped.has_solution, delta.has_solution)
-      << "compiled/interpreted disagreement on seed " << seed;
-  if (flipped.has_solution && delta.has_solution) {
-    ASSERT_TRUE(flipped.universal_solution.has_value());
-    EXPECT_EQ(flipped.nulls_created, delta.nulls_created) << "seed " << seed;
-    EXPECT_EQ(
-        testing_util::CanonicalizedFingerprint(*flipped.universal_solution),
-        testing_util::CanonicalizedFingerprint(*delta.universal_solution))
-        << "compiled/interpreted fingerprint divergence on seed " << seed;
-  }
   if (naive.has_solution && delta.has_solution) {
     ASSERT_TRUE(naive.universal_solution.has_value());
     ASSERT_TRUE(delta.universal_solution.has_value());
@@ -338,7 +315,6 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EnginesAgreeOnEgdHeavyChases) {
   naive_options.strategy = ChaseStrategy::kRestrictedNaive;
   ChaseOptions delta_options;
   delta_options.strategy = ChaseStrategy::kRestricted;
-  delta_options.compile_plans = seed % 2 == 0;
   ChaseResult naive =
       Chase(start, deps->tgds, deps->egds, &symbols, naive_options);
   ChaseResult delta =
@@ -371,25 +347,6 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EnginesAgreeOnEgdHeavyChases) {
               testing_util::CanonicalizedFingerprint(delta.instance))
         << "seed " << seed << " threads " << parallel_options.num_threads
         << " schedule " << ScheduleName(parallel_options.schedule);
-  }
-
-  // Plan-vs-interpreter cross-validation: flipping compile_plans on the
-  // sequential delta chase must reproduce the outcome, counts, and the
-  // result up to null renaming (the two-atom bodies here make the
-  // compiled join order coincide with the interpreter's).
-  ChaseOptions flipped_options = delta_options;
-  flipped_options.compile_plans = !delta_options.compile_plans;
-  ChaseResult flipped =
-      Chase(start, deps->tgds, deps->egds, &symbols, flipped_options);
-  ASSERT_EQ(flipped.outcome, delta.outcome)
-      << "compiled/interpreted disagreement on seed " << seed << "\nI:\n"
-      << start.ToString(symbols);
-  if (delta.outcome == ChaseOutcome::kSuccess) {
-    EXPECT_EQ(flipped.steps, delta.steps) << "seed " << seed;
-    EXPECT_EQ(flipped.nulls_created, delta.nulls_created) << "seed " << seed;
-    EXPECT_EQ(testing_util::CanonicalizedFingerprint(flipped.instance),
-              testing_util::CanonicalizedFingerprint(delta.instance))
-        << "compiled/interpreted fingerprint divergence on seed " << seed;
   }
 
   if (delta.outcome != ChaseOutcome::kSuccess) return;

@@ -150,10 +150,6 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
     ChaseOptions delta_options;
     delta_options.strategy = ChaseStrategy::kRestricted;
     delta_options.max_steps = 5000;
-    // Compiled-plan toggle drawn per trial; every delta-engine
-    // configuration of this trial (sequential and parallel) uses the same
-    // lane, and the flipped lane is cross-validated below.
-    delta_options.compile_plans = rng.UniformInt(2) == 1;
     ChaseResult naive =
         Chase(start, deps->tgds, deps->egds, &symbols_, naive_options);
     ChaseResult delta =
@@ -192,29 +188,6 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
           << "\nI:\n" << start.ToString(symbols_);
     }
 
-    // Plan-vs-interpreter cross-validation: the same sequential delta
-    // chase with compile_plans flipped. On these rule sets (bodies of at
-    // most two atoms) the compiled join order coincides with the
-    // interpreter's, so outcome, step count, null count and the
-    // canonicalized fingerprint must all agree.
-    ChaseOptions flipped_options = delta_options;
-    flipped_options.compile_plans = !delta_options.compile_plans;
-    ChaseResult flipped =
-        Chase(start, deps->tgds, deps->egds, &symbols_, flipped_options);
-    ASSERT_EQ(flipped.outcome, delta.outcome)
-        << "compiled/interpreted disagreement, trial " << trial
-        << " compile_plans " << flipped_options.compile_plans << "\nI:\n"
-        << start.ToString(symbols_);
-    if (delta.outcome == ChaseOutcome::kSuccess) {
-      EXPECT_EQ(flipped.steps, delta.steps) << "trial " << trial;
-      EXPECT_EQ(flipped.nulls_created, delta.nulls_created)
-          << "trial " << trial;
-      EXPECT_EQ(testing_util::CanonicalizedFingerprint(flipped.instance),
-                testing_util::CanonicalizedFingerprint(delta.instance))
-          << "compiled/interpreted fingerprint divergence, trial " << trial
-          << "\nI:\n" << start.ToString(symbols_);
-    }
-
     if (delta.outcome != ChaseOutcome::kSuccess) continue;
 
     // Restricted-chase results are unique up to homomorphic equivalence,
@@ -249,11 +222,10 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
 // Streaming churn fuzz: a random ±Δ stream absorbed batch-by-batch by a
 // StreamingChase must track a fresh engine chasing the net instance —
 // dependency satisfaction and homomorphic equivalence after every batch —
-// whatever the schedule, thread count and compile mode drawn for the
-// trial. The universe is constant-only E facts, so the egd-bearing rule
-// set only ever merges invented nulls: no churn order can fail the chase,
-// and deleting an egd firing's body exercises the full re-chase fallback
-// instead.
+// whatever the schedule and thread count drawn for the trial. The
+// universe is constant-only E facts, so the egd-bearing rule set only ever
+// merges invented nulls: no churn order can fail the chase, and deleting
+// an egd firing's body exercises the full re-chase fallback instead.
 TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
   Rng rng(GetParam() + 6000);
   const char* kRuleSets[] = {
@@ -283,7 +255,6 @@ TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
 
     ChaseOptions options;
     options.max_steps = 5000;
-    options.compile_plans = rng.UniformInt(2) == 1;
     const int kThreadChoices[] = {1, 2, 8};
     options.num_threads = kThreadChoices[rng.UniformInt(3)];
     options.schedule = testing_util::DrawSchedule(&rng);

@@ -2,16 +2,20 @@
 // reordering, access-path selection, delta specialization, apply
 // templates), PlanCache behavior and its metrics, executor-vs-interpreter
 // match-set equality (including resolve-on-read under merges and the
-// semi-naive delta restriction), and the solver cache criterion — node
-// re-chases of one setting compile it exactly once per process.
+// semi-naive delta restriction), and the cache criteria — solver node
+// re-chases, streaming batches and repeated solution-aware chases of one
+// setting compile it exactly once per process.
 
 #include "plan/compiler.h"
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "chase/chase.h"
+#include "chase/solution_aware_chase.h"
+#include "chase/stream.h"
 #include "hom/matcher.h"
 #include "logic/parser.h"
 #include "obs/metrics.h"
@@ -360,46 +364,9 @@ TEST_F(PlanCompilerTest, DeltaExecutorMatchesInterpreterPerPartition) {
   }
 }
 
-TEST_F(PlanCompilerTest, ChaseResultsAgreeAcrossCompileToggle) {
-  // End-to-end: the same chase with compile_plans on and off reaches the
-  // same instance (same null identities — the compiled path preserves the
-  // interpreter's fresh-null order) on a tgd+egd interleaving.
-  auto deps = ParseDependencies(
-      "E(x,y) -> exists z: H(x,z) & F(y,z). "
-      "H(x,y) & H(x,z) -> y = z. "
-      "F(x,y) & F(x,z) -> y = z.",
-      schema_, &symbols_);
-  ASSERT_TRUE(deps.ok());
-  Value a = symbols_.InternConstant("a");
-  Value b = symbols_.InternConstant("b");
-  Value c = symbols_.InternConstant("c");
-  Instance start(&schema_);
-  start.AddFact(0, {a, b});
-  start.AddFact(0, {b, c});
-  start.AddFact(0, {a, c});
-
-  ChaseOptions interpreted_options;
-  interpreted_options.compile_plans = false;
-  ChaseOptions compiled_options;
-  compiled_options.compile_plans = true;
-  ChaseResult interpreted =
-      Chase(start, deps->tgds, deps->egds, &symbols_, interpreted_options);
-  ChaseResult compiled =
-      Chase(start, deps->tgds, deps->egds, &symbols_, compiled_options);
-  ASSERT_EQ(interpreted.outcome, ChaseOutcome::kSuccess);
-  ASSERT_EQ(compiled.outcome, ChaseOutcome::kSuccess);
-  EXPECT_EQ(interpreted.steps, compiled.steps);
-  EXPECT_EQ(interpreted.nulls_created, compiled.nulls_created);
-  EXPECT_EQ(testing_util::CanonicalizedFingerprint(interpreted.instance),
-            testing_util::CanonicalizedFingerprint(compiled.instance));
-}
-
 // --- Solver cache criterion ---------------------------------------------
 
 TEST_F(PlanCompilerTest, SolverNodeRechasesCompileEachSettingOnce) {
-  if (plan::ForceInterpreter()) {
-    GTEST_SKIP() << "PDX_FORCE_INTERPRETER disables plan compilation";
-  }
   // A setting shaped to be structurally unique in this process (arity-3
   // target relation), so its first solve is the one and only compile; the
   // search explores multiple nodes, each re-chasing through the same
@@ -436,6 +403,76 @@ TEST_F(PlanCompilerTest, SolverNodeRechasesCompileEachSettingOnce) {
   EXPECT_EQ(compiled_total.Value() - compiled_before, 1)
       << "a repeated solve of the same setting must not recompile";
   EXPECT_GE(hits.Value() - hits_before, 1);
+}
+
+// --- Stream and solution-aware cache criteria ---------------------------
+
+TEST_F(PlanCompilerTest, StreamingChaseBatchesCompileTheSettingOnce) {
+  // Arity-4 relations keep the setting structurally unique in this
+  // process, so constructing the stream is its one compile; Initialize and
+  // every ResumeWithDeltas batch re-chase through the cached plans.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("A", 4).ok());
+  ASSERT_TRUE(schema.AddRelation("B", 4).ok());
+  SymbolTable symbols;
+  DependencySet deps = Unwrap(ParseDependencies(
+      "A(x,y,z,w) -> exists v: B(x,y,w,v). "
+      "B(x,y,w,v) & B(x,y,w,u) -> v = u.",
+      schema, &symbols));
+  auto c = [&](const std::string& name) {
+    return symbols.InternConstant(name);
+  };
+  auto fact = [&](int i) {
+    const std::string k = std::to_string(i);
+    return Fact{0, Tuple{c("a" + k), c("b"), c("c"), c("d" + k)}};
+  };
+  Instance base(&schema);
+  base.AddFact(fact(0));
+
+  obs::Counter compiled_total = obs::MetricsRegistry::Global().GetCounter(
+      "pdx_plan_compiled_total");
+  const int64_t before = compiled_total.Value();
+  StreamingChase stream(&schema, deps.tgds, deps.egds, &symbols);
+  ASSERT_TRUE(stream.Initialize(base).ok());
+  for (int i = 1; i <= 4; ++i) {
+    StatusOr<StreamStats> stats =
+        stream.ResumeWithDeltas({fact(i)}, {fact(i - 1)});
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats.value().steps, 0);
+  }
+  EXPECT_EQ(stream.instance().tuples(1).size(), 1u);
+  EXPECT_EQ(compiled_total.Value() - before, 1)
+      << "a stream must compile its setting once across all batches";
+}
+
+TEST_F(PlanCompilerTest, SolutionAwareChaseRunsCompileTheSettingOnce) {
+  // Arity-5 relations: structurally unique, as above.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("C", 5).ok());
+  ASSERT_TRUE(schema.AddRelation("D", 5).ok());
+  SymbolTable symbols;
+  DependencySet deps = Unwrap(ParseDependencies(
+      "C(x,y,z,u,w) -> exists v: D(x,y,z,u,v).", schema, &symbols));
+  auto c = [&](const std::string& name) {
+    return symbols.InternConstant(name);
+  };
+  Instance start(&schema);
+  start.AddFact(0, {c("a"), c("b"), c("c"), c("d"), c("e")});
+  Instance solution = start;
+  solution.AddFact(1, {c("a"), c("b"), c("c"), c("d"), c("k")});
+
+  obs::Counter compiled_total = obs::MetricsRegistry::Global().GetCounter(
+      "pdx_plan_compiled_total");
+  const int64_t before = compiled_total.Value();
+  for (int run = 0; run < 3; ++run) {
+    ChaseResult result =
+        SolutionAwareChase(start, deps.tgds, deps.egds, solution);
+    ASSERT_EQ(result.outcome, ChaseOutcome::kSuccess);
+    EXPECT_EQ(result.steps, 1);
+    EXPECT_TRUE(result.instance.IsSubsetOf(solution));
+  }
+  EXPECT_EQ(compiled_total.Value() - before, 1)
+      << "repeated solution-aware chases must compile their setting once";
 }
 
 }  // namespace

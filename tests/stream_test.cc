@@ -26,8 +26,8 @@ using testing_util::Unwrap;
 // StreamingChase absorbs must leave it equivalent (canonicalized
 // fingerprint — isomorphism up to null renaming) to a from-scratch
 // restricted chase of the net base instance, across every schedule ×
-// thread count × compile mode, and must never spend more chase steps than
-// the from-scratch run it replaces.
+// thread count, and must never spend more chase steps than the
+// from-scratch run it replaces.
 
 class StreamTest : public ::testing::Test {
  protected:
@@ -83,11 +83,10 @@ class StreamTest : public ::testing::Test {
     return universe;
   }
 
-  ChaseOptions Options(ChaseSchedule schedule, int threads, bool compiled) {
+  ChaseOptions Options(ChaseSchedule schedule, int threads) {
     ChaseOptions options;
     options.schedule = schedule;
     options.num_threads = threads;
-    options.compile_plans = compiled;
     return options;
   }
 
@@ -120,12 +119,11 @@ TEST_F(StreamTest, RejectsNonRestrictedStrategy) {
   EXPECT_EQ(stream.Initialize(base).code(), StatusCode::kInvalidArgument);
 }
 
-// The tentpole invariant. For every schedule × {1, 2, 8} threads ×
-// {compiled, interpreted}: run a churn stream through ResumeWithDeltas and
-// after every batch compare against a from-scratch chase of the net
-// instance — canonicalized fingerprints equal (the workload is tgd-only,
-// hence confluent up to null renaming) and incremental steps within the
-// from-scratch budget.
+// The tentpole invariant. For every schedule × {1, 2, 8} threads: run a
+// churn stream through ResumeWithDeltas and after every batch compare
+// against a from-scratch chase of the net instance — canonicalized
+// fingerprints equal (the workload is tgd-only, hence confluent up to null
+// renaming) and incremental steps within the from-scratch budget.
 TEST_F(StreamTest, DifferentialChurnMatchesFromScratchAcrossMatrix) {
   std::vector<Tgd> tgds =
       ParseTgds("E(x,z) & E(z,y) -> H(x,y). H(x,y) -> exists w: F(y,w).");
@@ -134,45 +132,42 @@ TEST_F(StreamTest, DifferentialChurnMatchesFromScratchAcrossMatrix) {
 
   for (ChaseSchedule schedule : SchedulesToTest()) {
     for (int threads : {1, 2, 8}) {
-      for (bool compiled : {false, true}) {
-        SCOPED_TRACE("schedule=" + std::to_string(static_cast<int>(schedule)) +
-                     " threads=" + std::to_string(threads) +
-                     " compiled=" + std::to_string(compiled));
-        ChaseOptions options = Options(schedule, threads, compiled);
+      SCOPED_TRACE("schedule=" + std::to_string(static_cast<int>(schedule)) +
+                   " threads=" + std::to_string(threads));
+      ChaseOptions options = Options(schedule, threads);
 
-        ChurnOptions churn_options;
-        churn_options.delete_rate = 0.15;
-        churn_options.insert_rate = 0.12;
-        churn_options.overlap = 0.4;
-        churn_options.seed = 7;
-        ChurnStream churn(universe, initially_live, churn_options);
+      ChurnOptions churn_options;
+      churn_options.delete_rate = 0.15;
+      churn_options.insert_rate = 0.12;
+      churn_options.overlap = 0.4;
+      churn_options.seed = 7;
+      ChurnStream churn(universe, initially_live, churn_options);
 
-        StreamingChase stream(&schema_, tgds, {}, &symbols_, options);
-        ASSERT_TRUE(stream.Initialize(churn.NetInstance(&schema_)).ok());
+      StreamingChase stream(&schema_, tgds, {}, &symbols_, options);
+      ASSERT_TRUE(stream.Initialize(churn.NetInstance(&schema_)).ok());
 
-        for (int batch_idx = 0; batch_idx < 5; ++batch_idx) {
-          ChurnBatch batch = churn.Next();
-          StatusOr<StreamStats> stats =
-              stream.ResumeWithDeltas(batch.adds, batch.deletes);
-          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      for (int batch_idx = 0; batch_idx < 5; ++batch_idx) {
+        ChurnBatch batch = churn.Next();
+        StatusOr<StreamStats> stats =
+            stream.ResumeWithDeltas(batch.adds, batch.deletes);
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
-          Instance net = churn.NetInstance(&schema_);
-          ChaseResult scratch = Chase(net, tgds, {}, &symbols_, options);
-          ASSERT_EQ(scratch.outcome, ChaseOutcome::kSuccess);
+        Instance net = churn.NetInstance(&schema_);
+        ChaseResult scratch = Chase(net, tgds, {}, &symbols_, options);
+        ASSERT_EQ(scratch.outcome, ChaseOutcome::kSuccess);
 
-          // The incremental base tracks the net live set exactly.
-          EXPECT_EQ(CanonicalizedFingerprint(stream.base()),
-                    CanonicalizedFingerprint(net))
-              << "batch " << batch_idx;
-          // Incremental re-solve ≡ from-scratch re-chase.
-          EXPECT_EQ(CanonicalizedFingerprint(stream.instance()),
-                    CanonicalizedFingerprint(scratch.instance))
-              << "batch " << batch_idx;
-          // Steps in bounds: a ±Δ batch never costs more than the
-          // from-scratch chase it replaces.
-          EXPECT_LE(stats.value().steps, scratch.steps)
-              << "batch " << batch_idx;
-        }
+        // The incremental base tracks the net live set exactly.
+        EXPECT_EQ(CanonicalizedFingerprint(stream.base()),
+                  CanonicalizedFingerprint(net))
+            << "batch " << batch_idx;
+        // Incremental re-solve ≡ from-scratch re-chase.
+        EXPECT_EQ(CanonicalizedFingerprint(stream.instance()),
+                  CanonicalizedFingerprint(scratch.instance))
+            << "batch " << batch_idx;
+        // Steps in bounds: a ±Δ batch never costs more than the
+        // from-scratch chase it replaces.
+        EXPECT_LE(stats.value().steps, scratch.steps)
+            << "batch " << batch_idx;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "relational/value.h"
 
+#include <cstdint>
 #include <unordered_set>
 
 #include "gtest/gtest.h"
@@ -74,6 +75,16 @@ TEST(SymbolTableTest, ValueToString) {
   Value n = symbols.FreshNull();
   EXPECT_EQ(symbols.ValueToString(a), "swissprot");
   EXPECT_EQ(symbols.ValueToString(n), "_N0");
+}
+
+// Null ids are 32-bit: once a table has handed out 2^32 - 1 of them, the
+// next reservation must abort rather than wrap to id 0 and alias a live
+// null.
+TEST(SymbolTableDeathTest, NullIdExhaustionAborts) {
+  SymbolTable symbols;
+  EXPECT_EQ(symbols.ReserveNullRange(UINT32_MAX), 0u);
+  EXPECT_EQ(symbols.null_count(), UINT32_MAX);
+  EXPECT_DEATH(symbols.FreshNull(), "SymbolTable@.*null id space exhausted");
 }
 
 }  // namespace

@@ -7,15 +7,16 @@
 # `parallel`-labeled tests under ThreadSanitizer (TSan and ASan cannot
 # share a build tree, so the TSan pass builds only the concurrency
 # tests in its own tree and runs just that label). The ASan suite runs
-# twice: once on the default compiled-plan path (the match VM) and once
-# with PDX_FORCE_INTERPRETER=1 pinning the retained interpreter. The TSan
-# suite runs three times: with PDX_FORCE_SCHEDULE=speculative, the same
-# plus PDX_FORCE_INTERPRETER=1, and unforced (the default barrier
-# schedule and its pooled relation-sharded apply).
+# once, over the one compiled-plan engine path (the match VM) and the
+# kRestrictedNaive oracle the differential tests compare it against. The
+# TSan suite runs twice: with PDX_FORCE_SCHEDULE=speculative, and
+# unforced (the default barrier schedule and its pooled relation-sharded
+# apply).
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
-# --quick`: compiled-vs-interpreted cross-check plus conservative
-# throughput floors on pipeline_n512 and egd_heavy_n2048; `bench_stream
+# --quick`: a fingerprint cross-check against the kRestrictedNaive oracle
+# plus conservative throughput floors on pipeline_n512 and
+# egd_heavy_n2048; `bench_stream
 # --quick`: incremental ±Δ re-solve vs full re-chase at 10% churn,
 # fingerprint-cross-checked with a conservative speedup floor) and a
 # pdxcli smoke stage: check/chase/solve on
@@ -86,14 +87,14 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
 
   echo "== perf smoke gate (bench_chase --quick) =="
   cmake --build build -j "$jobs" --target bench_chase
-  # Cross-checks the compiled chase (the match VM) against the
-  # interpreter on pipeline_n512 (same steps and canonical fingerprint)
-  # and fails if VM throughput drops below a conservative facts/sec
-  # floor; then runs
-  # egd_heavy_n2048 at 1 thread against a pooled run (same steps and
-  # fingerprint) and fails below a merges/sec floor, which the quadratic
-  # find-one-then-rescan egd loop could not reach — a regression
-  # tripwire, not a benchmark (full numbers live in BENCH_chase.json).
+  # Cross-checks the delta chase (compiled plans on the match VM) against
+  # the kRestrictedNaive oracle on pipeline_n512 (same canonical
+  # fingerprint) and fails if VM throughput drops below a conservative
+  # facts/sec floor; then runs egd_heavy_n2048 at 1 thread against a
+  # pooled run (same steps and fingerprint) and fails below a merges/sec
+  # floor, which the quadratic find-one-then-rescan egd loop could not
+  # reach — a regression tripwire, not a benchmark (full numbers live in
+  # BENCH_chase.json).
   ./build/bench/bench_chase --quick
 
   echo "== streaming smoke gate (bench_stream --quick) =="
@@ -217,13 +218,6 @@ if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
   echo "== address+undefined sanitizer build =="
   run_suite build-asan "-DPDX_SANITIZE=address;undefined" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  # Same build, interpreter forced: PDX_FORCE_INTERPRETER=1 disables the
-  # compiled match/apply plans process-wide, so the retained interpreter —
-  # the cross-validation baseline — keeps its own sanitizer coverage now
-  # that the default path runs through plan/.
-  echo "== address+undefined sanitizer rerun (interpreter forced) =="
-  PDX_FORCE_INTERPRETER=1 ctest --test-dir build-asan -L tier1 \
-    --output-on-failure -j "$jobs" --timeout 600
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
@@ -239,12 +233,6 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   # pipelining — code TSan most needs to see. The default barrier
   # schedule gets its own unforced pass below.
   PDX_FORCE_SCHEDULE=speculative ctest --test-dir build-tsan -L parallel \
-    --output-on-failure -j "$jobs" --timeout 600
-  # And once more with plans disabled: the speculative engine's
-  # interpreter lane (worker-side interpreted matching) stays data-race
-  # clean even though compiled plans are the default.
-  PDX_FORCE_SCHEDULE=speculative PDX_FORCE_INTERPRETER=1 ctest \
-    --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
   # Unforced: the tests' own schedule matrix, including the default
   # barrier schedule whose pooled apply drains relation-sharded inserts
