@@ -37,12 +37,13 @@ BlockProfile ProfileBlocks(const PdeSetting& setting, const Instance& source,
   Instance i_can = setting.SourcePart(ts_chase.instance);
   BlockProfile profile;
   profile.i_can_facts = static_cast<int64_t>(i_can.fact_count());
-  for (const Block& block : DecomposeIntoBlocks(i_can)) {
-    ++profile.block_count;
+  const BlockDecomposition blocks(i_can);
+  profile.block_count = static_cast<int64_t>(blocks.size());
+  for (size_t b = 0; b < blocks.size(); ++b) {
     profile.max_block_nulls = std::max(
-        profile.max_block_nulls, static_cast<int64_t>(block.nulls.size()));
+        profile.max_block_nulls, static_cast<int64_t>(blocks.null_count(b)));
     profile.max_block_facts = std::max(
-        profile.max_block_facts, static_cast<int64_t>(block.facts.size()));
+        profile.max_block_facts, static_cast<int64_t>(blocks.facts(b).size()));
   }
   return profile;
 }

@@ -171,7 +171,7 @@ void BM_BlockDecomposition(benchmark::State& state) {
     instance.AddFact(0, {n3, n1});
   }
   for (auto _ : state) {
-    auto decomposition = DecomposeIntoBlocks(instance);
+    BlockDecomposition decomposition(instance);
     PDX_CHECK(static_cast<int>(decomposition.size()) == blocks);
     benchmark::DoNotOptimize(decomposition);
   }

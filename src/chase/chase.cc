@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "base/string_util.h"
@@ -39,15 +38,10 @@ struct ChaseMetrics {
   obs::Counter egd_merges;
   obs::Counter compactions;
   obs::Histogram batch_triggers;  // violated triggers per dependency batch
-  // Speculative-schedule extras (see RunTgdPhaseSpeculative), plus the
-  // pooled barrier apply's sharded_inserts. Like the speculative counters,
-  // sharded_inserts sits outside the invariance contract: whether a batch
-  // clears the sharding threshold depends on pool availability, not on
-  // the chase result.
+  // Speculative-schedule extras (see RunTgdPhaseSpeculative).
   obs::Counter spec_triggers;       // head instantiations done in workers
   obs::Counter spec_nulls_retired;  // reserved null ids never inserted
   obs::Counter pipeline_overlaps;   // collections overlapped with an apply
-  obs::Counter sharded_inserts;     // tuples drained via AddFactSharded
 
   static ChaseMetrics& Get() {
     static ChaseMetrics* m = [] {
@@ -68,8 +62,6 @@ struct ChaseMetrics {
           reg.GetCounter("pdx_chase_speculative_nulls_retired_total");
       metrics->pipeline_overlaps =
           reg.GetCounter("pdx_chase_pipeline_overlaps_total");
-      metrics->sharded_inserts =
-          reg.GetCounter("pdx_chase_sharded_inserts_total");
       return metrics;
     }();
     return *m;
@@ -373,143 +365,6 @@ int ApplyTgdStepPlanned(const plan::ApplyTemplate& apply,
 // the same whether it is collected before or after A's facts land.
 using plan::FootprintsCompatible;
 using plan::TgdFootprint;
-
-// --- Sharded apply --------------------------------------------------
-//
-// The apply half of a batch, restructured as decide-then-insert: a
-// sequential decide pass (overlay probe or ledger admission — never a
-// physical index probe) fixes which triggers fire and invents their
-// fresh nulls in deterministic order, queueing the head tuples on
-// per-relation lists; then the insert pass drains one relation per pool
-// worker through Instance::AddFactSharded. Per-relation insert order is
-// the decide order and relation stores are disjoint, so the final raw
-// stores are byte-identical to draining inline — which is exactly what
-// happens to passes too small to be worth the fan-out. The pooled barrier
-// apply is the only user (restricted overlay-exact heads and every
-// oblivious batch).
-class ShardedInserts {
- public:
-  explicit ShardedInserts(int relation_count)
-      : per_relation_(relation_count) {}
-
-  void Add(RelationId relation, Tuple tuple) {
-    per_relation_[relation].push_back(std::move(tuple));
-    ++total_;
-  }
-
-  size_t total() const { return total_; }
-
-  // Inserts everything queued and folds the deferred fact counts; passes
-  // with too little work (or no usable pool) insert inline — the result
-  // is identical either way. Returns the number of tuples the raw stores
-  // actually gained.
-  size_t Drain(Instance* instance, ThreadPool* pool, uint64_t parent_span) {
-    std::vector<RelationId> relations;
-    for (RelationId r = 0;
-         r < static_cast<RelationId>(per_relation_.size()); ++r) {
-      if (!per_relation_[r].empty()) relations.push_back(r);
-    }
-    size_t added = 0;
-    if (pool == nullptr || relations.size() < 2 ||
-        total_ < kMinFactsForSharding) {
-      for (RelationId r : relations) {
-        for (Tuple& tuple : per_relation_[r]) {
-          if (instance->AddFact(r, std::move(tuple))) ++added;
-        }
-        per_relation_[r].clear();
-      }
-      total_ = 0;
-      return added;
-    }
-    for (RelationId r : relations) instance->EnsureOwnedStore(r);
-    std::vector<size_t> shard_added(relations.size(), 0);
-    pool->ParallelFor(relations.size(), [&](size_t i) {
-      obs::Span shard_span(obs::Tracer::Global(), "chase.apply_shard",
-                           parent_span);
-      const RelationId r = relations[i];
-      size_t n = 0;
-      for (Tuple& tuple : per_relation_[r]) {
-        if (instance->AddFactSharded(r, std::move(tuple))) ++n;
-      }
-      shard_added[i] = n;
-      shard_span.AttrInt("relation", static_cast<int64_t>(r))
-          .AttrInt("inserted", static_cast<int64_t>(n));
-    });
-    for (size_t n : shard_added) added += n;
-    instance->CommitShardedFacts(added);
-    ChaseMetrics::Get().sharded_inserts.Inc(static_cast<int64_t>(total_));
-    for (RelationId r : relations) per_relation_[r].clear();
-    total_ = 0;
-    return added;
-  }
-
- private:
-  // Below this, ParallelFor dispatch costs more than the inserts.
-  static constexpr size_t kMinFactsForSharding = 128;
-
-  std::vector<std::vector<Tuple>> per_relation_;
-  size_t total_ = 0;
-};
-
-// Runtime state of the overlay decide: the projection keys (onto the
-// head's universal variables) of the triggers this batch has fired so
-// far. Exact Tuples, not hashes — a collision would silently change
-// restricted-chase semantics, unlike the oblivious ledger where the
-// fingerprint risk is a documented trade. Only constructed for heads the
-// compiler's overlay analysis proved exact.
-struct HeadOverlay {
-  const plan::HeadOverlayPlan* plan = nullptr;
-  std::unordered_set<Tuple, TupleHash> fired;
-
-  // True iff the trigger must fire: its head is not satisfied by this
-  // batch's earlier inserts (collect already filtered heads satisfied by
-  // the pre-batch state). Records the key on fire.
-  bool DecideFire(const Binding& binding) {
-    Tuple key;
-    key.reserve(plan->key.size());
-    for (VariableId v : plan->key) key.push_back(binding.values[v]);
-    return fired.insert(std::move(key)).second;
-  }
-};
-
-// The overlay plan a batch should decide with, or nullptr when the head
-// shape demands the physical re-check (non-exact) or the run is
-// sequential (`pool == nullptr`: the classic interleaved apply is already
-// optimal there and stays the reference discipline).
-const plan::HeadOverlayPlan* OverlayFor(const plan::TgdPlan& plan,
-                                        ThreadPool* pool) {
-  return pool != nullptr && plan.apply.overlay.exact ? &plan.apply.overlay
-                                                     : nullptr;
-}
-
-// Extends `binding` with sequentially drawn fresh nulls and queues the
-// head image on the per-relation insert lists. The deferred twin of
-// ApplyTgdStepPlanned; returns the fresh-null count. `tgd` is only
-// consulted when journaling.
-int QueueTgdStep(const plan::ApplyTemplate& apply, const Tgd& tgd,
-                 const Binding& binding, SymbolTable* symbols,
-                 ShardedInserts* inserts, size_t dep = 0,
-                 ChaseJournal* journal = nullptr) {
-  Binding extended = binding;
-  for (VariableId v : apply.existentials) {
-    extended.Bind(v, symbols->FreshNull());
-  }
-  if (journal != nullptr) {
-    journal->RecordTgd(dep, extended.values.data(), extended.values.size(),
-                       tgd.existential);
-  }
-  size_t cursor = 0;
-  for (const plan::HeadAtom& atom : apply.head_atoms) {
-    Tuple tuple;
-    tuple.reserve(atom.arity);
-    for (int i = 0; i < atom.arity; ++i) {
-      const plan::HeadSlot& slot = apply.slots[cursor++];
-      tuple.push_back(slot.is_const ? slot.key : extended.values[slot.var]);
-    }
-    inserts->Add(atom.relation, std::move(tuple));
-  }
-  return apply.fresh_per_trigger;
-}
 
 // Speculatively collected triggers live in flat, partition-local
 // buffers rather than per-trigger objects: `rows` holds the binding
@@ -1040,48 +895,21 @@ ChaseResult ChaseRestrictedDelta(Instance start,
             &pending, tgd_span.id());
         metrics.tgd_matches.Inc(n_matches.load(std::memory_order_relaxed));
         metrics.batch_triggers.Observe(static_cast<int64_t>(n_pending));
+        // The apply stays sequential at every thread count: each trigger
+        // is re-checked against the live instance, so an earlier
+        // application in this batch may already satisfy it.
         int64_t applied = 0;
-        // Pooled barrier apply, overlay-exact head: decide each trigger
-        // against the batch overlay (no physical probe), invent its nulls
-        // sequentially — same order as the interleaved loop below, so the
-        // run stays bit-identical — and queue the head tuples for the
-        // relation-sharded insert pass.
-        const plan::HeadOverlayPlan* overlay_plan = OverlayFor(plan, pool);
-        if (overlay_plan != nullptr) {
-          HeadOverlay overlay;
-          overlay.plan = overlay_plan;
-          ShardedInserts inserts(instance.schema().relation_count());
-          bool exhausted = false;
-          for (size_t t = 0; t < n_pending; ++t) {
-            const Binding& trigger = pending[t];
-            if (!overlay.DecideFire(trigger)) continue;
-            result.nulls_created +=
-                QueueTgdStep(plan.apply, tgd, trigger, symbols, &inserts, d,
-                             options.journal);
-            ++result.steps;
-            ++applied;
-            if (result.steps >= options.max_steps) {
-              result.outcome = ChaseOutcome::kBudgetExhausted;
-              exhausted = true;
-              break;
-            }
-          }
-          inserts.Drain(&instance, pool, tgd_span.id());
-          if (exhausted) return result;
-        } else {
-          for (size_t t = 0; t < n_pending; ++t) {
-            const Binding& trigger = pending[t];
-            // Re-check: an earlier application may have satisfied it.
-            if (HasMatchPlanned(plan.head, instance, trigger)) continue;
-            result.nulls_created +=
-                ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols,
-                                    &tgd, d, options.journal);
-            ++result.steps;
-            ++applied;
-            if (result.steps >= options.max_steps) {
-              result.outcome = ChaseOutcome::kBudgetExhausted;
-              return result;
-            }
+        for (size_t t = 0; t < n_pending; ++t) {
+          const Binding& trigger = pending[t];
+          if (HasMatchPlanned(plan.head, instance, trigger)) continue;
+          result.nulls_created +=
+              ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols,
+                                  &tgd, d, options.journal);
+          ++result.steps;
+          ++applied;
+          if (result.steps >= options.max_steps) {
+            result.outcome = ChaseOutcome::kBudgetExhausted;
+            return result;
           }
         }
         tgd_span.AttrInt("collected", static_cast<int64_t>(n_pending))
@@ -1201,44 +1029,18 @@ ChaseResult ChaseOblivious(Instance start,
             &pending, tgd_span.id());
         metrics.tgd_matches.Inc(n_matches.load(std::memory_order_relaxed));
         metrics.batch_triggers.Observe(static_cast<int64_t>(n_pending));
-        if (pool != nullptr) {
-          // Pooled barrier apply: ledger admission is the whole decide —
-          // no head probe — so every batch defers its inserts to the
-          // relation shards. Null order is the sequential fire order:
-          // bit-identical to the interleaved loop below.
-          ShardedInserts inserts(instance.schema().relation_count());
-          bool exhausted = false;
-          for (size_t t = 0; t < n_pending; ++t) {
-            const Binding& trigger = pending[t];
-            if (!fired.Insert(TriggerFingerprint(d, tgd, trigger), tgd,
-                              trigger)) {
-              continue;
-            }
-            result.nulls_created +=
-                QueueTgdStep(plan.apply, tgd, trigger, symbols, &inserts);
-            ++result.steps;
-            if (result.steps >= options.max_steps) {
-              result.outcome = ChaseOutcome::kBudgetExhausted;
-              exhausted = true;
-              break;
-            }
+        for (size_t t = 0; t < n_pending; ++t) {
+          const Binding& trigger = pending[t];
+          if (!fired.Insert(TriggerFingerprint(d, tgd, trigger), tgd,
+                            trigger)) {
+            continue;
           }
-          inserts.Drain(&instance, pool, tgd_span.id());
-          if (exhausted) return result;
-        } else {
-          for (size_t t = 0; t < n_pending; ++t) {
-            const Binding& trigger = pending[t];
-            if (!fired.Insert(TriggerFingerprint(d, tgd, trigger), tgd,
-                              trigger)) {
-              continue;
-            }
-            result.nulls_created +=
-                ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols);
-            ++result.steps;
-            if (result.steps >= options.max_steps) {
-              result.outcome = ChaseOutcome::kBudgetExhausted;
-              return result;
-            }
+          result.nulls_created +=
+              ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols);
+          ++result.steps;
+          if (result.steps >= options.max_steps) {
+            result.outcome = ChaseOutcome::kBudgetExhausted;
+            return result;
           }
         }
       }
@@ -1344,13 +1146,12 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
   }
 }
 
-namespace {
-
-// 0 = hardware concurrency; anything else is taken literally.
 int ResolveThreadCount(const ChaseOptions& options) {
   return options.num_threads <= 0 ? ThreadPool::HardwareConcurrency()
                                   : options.num_threads;
 }
+
+namespace {
 
 const char* StrategyName(ChaseStrategy strategy) {
   switch (strategy) {

@@ -52,12 +52,12 @@ enum class ChaseStrategy {
 // How the tgd phase of one round is scheduled across pool workers
 // (kRestricted/kOblivious with num_threads > 1; sequential runs ignore it).
 enum class ChaseSchedule {
-  // Per-dependency barrier: collect-parallel, apply before the next
-  // dependency's collect starts. Fresh nulls are invented in the
-  // deterministic sequential apply order, so results are *bit-identical*
-  // across thread counts. The pooled apply uses the overlay decide +
-  // relation-sharded insert fast path (DESIGN.md §4d) — decisions and
-  // insert order are sequential, only the store writes fan out.
+  // Per-dependency barrier: collect-parallel, then a sequential apply on
+  // the calling thread before the next dependency's collect starts (the
+  // restricted engine re-checks each head against the live instance; the
+  // oblivious engine fires through its ledger). Fresh nulls are invented
+  // in the deterministic apply order, so results are *bit-identical*
+  // across thread counts (DESIGN.md §4d).
   kBarrier,
   // Speculative: workers instantiate heads during collect, drawing fresh
   // nulls from private SymbolTable ranges (one exact ReserveNullRange per
@@ -96,10 +96,9 @@ struct ChaseOptions {
   // Worker threads for delta trigger enumeration (kRestricted/kOblivious):
   // 0 = hardware concurrency, 1 = fully sequential. Any value > 1 fans the
   // collect half of every tgd batch and egd pass across partitioned
-  // parallel enumeration. In the apply half the decide step (which
-  // triggers fire, and their fresh nulls) stays sequential, in the same
-  // order; under the barrier schedule large batches then fan their inserts
-  // out over relation shards. Results are identical at every setting —
+  // parallel enumeration. The apply half (which triggers fire, their
+  // fresh nulls and the inserts) stays sequential, in the same order.
+  // Results are identical at every setting —
   // same outcome, steps, failure, nulls_created and canonical fingerprint
   // (see DESIGN.md "Parallel execution model").
   int num_threads = 0;
@@ -180,6 +179,10 @@ struct ChaseResult {
 // rejects aborts the process, naming the valid values — a stale pin must
 // not silently run a different schedule.
 ChaseSchedule ResolveSchedule(const ChaseOptions& options);
+
+// The worker count options.num_threads asks for: 0 means hardware
+// concurrency, anything else is taken literally.
+int ResolveThreadCount(const ChaseOptions& options);
 
 // Runs the restricted (standard) chase of `start` with the given tgds and
 // egds, in the sense of [9]: a tgd fires for a body homomorphism only if no

@@ -1,159 +1,322 @@
 #include "hom/instance_hom.h"
 
 #include <algorithm>
-
-#include "hom/matcher.h"
-#include "logic/atom.h"
+#include <unordered_map>
 
 namespace pdx {
 
+uint32_t NullSlots::Insert(Value null) {
+  PDX_DCHECK(null.is_null());
+  if ((size_ + 1) * 2 > keys_.size()) {
+    Rehash(std::max<size_t>(16, keys_.size() * 2));
+  }
+  const uint64_t key = null.packed();
+  const size_t mask = keys_.size() - 1;
+  for (size_t i = ValueHash()(null) & mask;; i = (i + 1) & mask) {
+    if (keys_[i] == key) return slots_[i];
+    if (keys_[i] == kEmpty) {
+      keys_[i] = key;
+      slots_[i] = static_cast<uint32_t>(size_++);
+      return slots_[i];
+    }
+  }
+}
+
+uint32_t NullSlots::Find(Value v) const {
+  if (keys_.empty() || !v.is_null()) return kNone;
+  const uint64_t key = v.packed();
+  const size_t mask = keys_.size() - 1;
+  for (size_t i = ValueHash()(v) & mask;; i = (i + 1) & mask) {
+    if (keys_[i] == key) return slots_[i];
+    if (keys_[i] == kEmpty) return kNone;
+  }
+}
+
+void NullSlots::Rehash(size_t capacity) {
+  std::vector<uint64_t> old_keys = std::move(keys_);
+  std::vector<uint32_t> old_slots = std::move(slots_);
+  keys_.assign(capacity, kEmpty);
+  slots_.assign(capacity, 0);
+  const size_t mask = capacity - 1;
+  for (size_t j = 0; j < old_keys.size(); ++j) {
+    if (old_keys[j] == kEmpty) continue;
+    size_t i = ValueHash()(Value::FromPacked(old_keys[j])) & mask;
+    while (keys_[i] != kEmpty) i = (i + 1) & mask;
+    keys_[i] = old_keys[j];
+    slots_[i] = old_slots[j];
+  }
+}
+
+NullAssignment::NullAssignment(NullSlots slots, std::vector<Value> images)
+    : slots_(std::move(slots)), images_(std::move(images)) {
+  PDX_CHECK_EQ(slots_.size(), images_.size());
+}
+
+void NullAssignment::Set(Value null, Value image) {
+  const uint32_t slot = slots_.Insert(null);
+  if (slot == images_.size()) {
+    images_.push_back(image);
+  } else {
+    images_[slot] = image;
+  }
+}
+
 namespace {
 
-// Union-find over null ids (dense-indexed via a map to component slots).
-class NullUnionFind {
- public:
-  int Slot(uint64_t packed) {
-    auto [it, inserted] = slots_.emplace(packed, parent_.size());
-    if (inserted) {
-      parent_.push_back(static_cast<int>(parent_.size()));
-      keys_.push_back(packed);
-    }
-    return it->second;
-  }
+// `instance`, or its resolved compaction when it carries merges: the flat
+// readers below take raw arena values as the resolved ones.
+Instance Unmerged(const Instance& instance) {
+  return instance.has_merges() ? instance.CompactResolved() : instance;
+}
 
-  int Find(int x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
+}  // namespace
+
+BlockDecomposition::BlockDecomposition(const Instance& instance)
+    : instance_(Unmerged(instance)) {
+  const RelationId relations = instance_.schema().relation_count();
+  // Pass 1: a slot per distinct null, in first-occurrence order, joined
+  // by a union-find over slots. A fact connects all its nulls, so
+  // linking each to the fact's first null yields the components of the
+  // graph of nulls.
+  std::vector<uint32_t> parent;
+  const auto find = [&parent](uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
     }
     return x;
+  };
+  // The slot of each fact's first null (kNone if null-free), in scan order.
+  std::vector<uint32_t> first_null;
+  first_null.reserve(instance_.fact_count());
+  for (RelationId r = 0; r < relations; ++r) {
+    const TupleList tuples = instance_.tuples(r);
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      uint32_t first = NullSlots::kNone;
+      for (const Value& v : tuples[i]) {
+        if (!v.is_null()) continue;
+        const uint32_t slot = slots_.Insert(v);
+        if (slot == parent.size()) {
+          parent.push_back(slot);
+          nulls_.push_back(v);
+        }
+        if (first == NullSlots::kNone) {
+          first = slot;
+        } else {
+          parent[find(slot)] = find(first);
+        }
+      }
+      first_null.push_back(first);
+    }
   }
 
-  void Union(int a, int b) { parent_[Find(a)] = Find(b); }
+  // Pass 2: number the blocks by the first fact of each component; the
+  // null-free block (if any) comes last.
+  const uint32_t null_count = static_cast<uint32_t>(nulls_.size());
+  std::vector<uint32_t> block_of_root(null_count, NullSlots::kNone);
+  uint32_t blocks = 0;
+  bool has_null_free = false;
+  for (uint32_t& first : first_null) {
+    if (first == NullSlots::kNone) {
+      has_null_free = true;
+      continue;
+    }
+    uint32_t& block = block_of_root[find(first)];
+    if (block == NullSlots::kNone) block = blocks++;
+    first = block;  // first_null now holds each fact's block
+  }
+  const uint32_t null_free = blocks;
+  if (has_null_free) ++blocks;
 
-  const std::unordered_map<uint64_t, int>& slots() const { return slots_; }
+  // Pass 3: the fact spans, a counting sort of the scan by block.
+  fact_begin_.assign(blocks + 1, 0);
+  for (uint32_t& b : first_null) {
+    if (b == NullSlots::kNone) b = null_free;
+    ++fact_begin_[b + 1];
+  }
+  for (uint32_t b = 0; b < blocks; ++b) fact_begin_[b + 1] += fact_begin_[b];
+  facts_.resize(first_null.size());
+  std::vector<uint32_t> cursor(fact_begin_.begin(), fact_begin_.end() - 1);
+  size_t scan = 0;
+  for (RelationId r = 0; r < relations; ++r) {
+    const size_t count = instance_.tuples(r).size();
+    for (size_t i = 0; i < count; ++i) {
+      facts_[cursor[first_null[scan++]]++] =
+          FactRef{r, static_cast<int32_t>(i)};
+    }
+  }
+
+  // Pass 4: renumber the slots so each block owns a contiguous range,
+  // keeping first-occurrence order inside it.
+  null_begin_.assign(blocks + 1, 0);
+  std::vector<uint32_t> block_of_slot(null_count);
+  for (uint32_t s = 0; s < null_count; ++s) {
+    block_of_slot[s] = block_of_root[find(s)];
+    ++null_begin_[block_of_slot[s] + 1];
+  }
+  for (uint32_t b = 0; b < blocks; ++b) null_begin_[b + 1] += null_begin_[b];
+  cursor.assign(null_begin_.begin(), null_begin_.end() - 1);
+  std::vector<Value> by_block(null_count);
+  for (uint32_t s = 0; s < null_count; ++s) {
+    by_block[cursor[block_of_slot[s]]++] = nulls_[s];
+  }
+  nulls_ = std::move(by_block);
+  slots_ = NullSlots();
+  for (const Value& v : nulls_) slots_.Insert(v);
+}
+
+namespace {
+
+// Backtracking search for one block's homomorphism into a merge-free
+// target, straight over the raw tuple arenas: the block's nulls are the
+// variables (indexed locally from the block's first slot), its constants
+// must match exactly. The next fact matched is always one with the most
+// known positions, through the smallest index bucket of a known
+// position, or one point lookup when every position is known.
+// Scratch buffers are reused across the blocks of one MapBlocks call.
+class BlockMatcher {
+ public:
+  BlockMatcher(const BlockDecomposition& blocks, const Instance& target)
+      : blocks_(blocks), target_(target) {}
+
+  bool Map(size_t b, Value* images) {
+    const Instance& source = blocks_.instance();
+    const uint32_t base = blocks_.null_begin(b);
+    bound_.assign(blocks_.null_count(b), 0);
+    goals_.clear();
+    terms_.clear();
+    for (const FactRef& f : blocks_.facts(b)) {
+      const TupleView tuple = source.tuples(f.relation)[f.tuple];
+      goals_.push_back(Goal{f.relation, tuple.size(), tuple.data(),
+                            terms_.size()});
+      for (const Value& v : tuple) {
+        terms_.push_back(v.is_null() ? static_cast<int32_t>(
+                                           blocks_.slots().Find(v) - base)
+                                     : -1);
+      }
+    }
+    return Search(0, images + base);
+  }
 
  private:
-  std::unordered_map<uint64_t, int> slots_;
-  std::vector<int> parent_;
-  std::vector<uint64_t> keys_;
+  struct Goal {
+    RelationId relation;
+    int arity;
+    const Value* values;  // the source fact
+    size_t terms;         // offset into terms_
+  };
+
+  // How many of the goal's positions are constants or bound nulls; their
+  // values are staged in `row_`, which is read only before recursing.
+  int Known(const Goal& goal, const Value* images) {
+    const int32_t* terms = terms_.data() + goal.terms;
+    row_.resize(goal.arity);
+    int known = 0;
+    for (int pos = 0; pos < goal.arity; ++pos) {
+      const int32_t t = terms[pos];
+      if (t >= 0 && !bound_[t]) continue;
+      row_[pos] = t < 0 ? goal.values[pos] : images[t];
+      ++known;
+    }
+    return known;
+  }
+
+  // Matches goals_[depth..], most-bound goal first. Fully bound goals are
+  // point lookups checked in this loop; only a goal that binds a new null
+  // recurses, so the depth stays within the block's null count however
+  // many facts the block has.
+  bool Search(size_t depth, Value* images) {
+    for (; depth < goals_.size(); ++depth) {
+      size_t best = depth;
+      int best_known = -1;
+      for (size_t j = depth;
+           j < goals_.size() && best_known < goals_[best].arity; ++j) {
+        const int known = Known(goals_[j], images);
+        if (known > best_known) {
+          best = j;
+          best_known = known;
+        }
+      }
+      std::swap(goals_[depth], goals_[best]);
+      if (Known(goals_[depth], images) < goals_[depth].arity) break;
+      if (!target_.ContainsExact(goals_[depth].relation, row_.data(),
+                                 static_cast<size_t>(goals_[depth].arity))) {
+        return false;
+      }
+    }
+    if (depth == goals_.size()) return true;
+    const Goal& goal = goals_[depth];
+    const int32_t* terms = terms_.data() + goal.terms;
+    int probe = -1;
+    TupleIndexSpan bucket;
+    for (int pos = 0; pos < goal.arity; ++pos) {
+      const int32_t t = terms[pos];
+      if (t >= 0 && !bound_[t]) continue;
+      TupleIndexSpan span =
+          target_.TuplesWithValueAt(goal.relation, pos, row_[pos]);
+      if (span.empty()) return false;
+      if (probe < 0 || span.size() < bucket.size()) {
+        probe = pos;
+        bucket = span;
+      }
+    }
+    const TupleList tuples = target_.tuples(goal.relation);
+    const size_t candidates = probe < 0 ? tuples.size() : bucket.size();
+    const size_t mark = newly_bound_.size();
+    for (size_t c = 0; c < candidates; ++c) {
+      const Value* t = tuples[probe < 0 ? c : bucket[c]].data();
+      bool consistent = true;
+      for (int pos = 0; pos < goal.arity && consistent; ++pos) {
+        const int32_t term = terms[pos];
+        if (term < 0) {
+          consistent = t[pos] == goal.values[pos];
+        } else if (bound_[term]) {
+          consistent = t[pos] == images[term];
+        } else {
+          bound_[term] = 1;
+          images[term] = t[pos];
+          newly_bound_.push_back(term);
+        }
+      }
+      if (consistent && Search(depth + 1, images)) return true;
+      while (newly_bound_.size() > mark) {
+        bound_[newly_bound_.back()] = 0;
+        newly_bound_.pop_back();
+      }
+    }
+    return false;
+  }
+
+  const BlockDecomposition& blocks_;
+  const Instance& target_;
+  std::vector<Goal> goals_;     // the block's facts, in search order
+  std::vector<int32_t> terms_;  // per goal position: local null, or -1
+  std::vector<uint8_t> bound_;  // per local null
+  std::vector<int32_t> newly_bound_;  // undo stack of bound locals
+  std::vector<Value> row_;
 };
 
 }  // namespace
 
-std::vector<Block> DecomposeIntoBlocks(const Instance& instance) {
-  // Connected components of the graph of nulls: nulls co-occurring in one
-  // fact are connected (a fact connects *all* its nulls pairwise, which is
-  // the same component either way).
-  NullUnionFind uf;
-  instance.ForEachFact([&uf](const Fact& f) {
-    int first_slot = -1;
-    for (const Value& v : f.tuple) {
-      if (!v.is_null()) continue;
-      int slot = uf.Slot(v.packed());
-      if (first_slot == -1) {
-        first_slot = slot;
-      } else {
-        uf.Union(first_slot, slot);
-      }
-    }
-  });
-
-  std::unordered_map<int, int> root_to_block;
-  std::vector<Block> blocks;
-  Block constant_block;
-  instance.ForEachFact([&](const Fact& f) {
-    int root = -1;
-    for (const Value& v : f.tuple) {
-      if (v.is_null()) {
-        root = uf.Find(uf.Slot(v.packed()));
-        break;
-      }
-    }
-    if (root == -1) {
-      constant_block.facts.push_back(f);
-      return;
-    }
-    auto [it, inserted] = root_to_block.emplace(
-        root, static_cast<int>(blocks.size()));
-    if (inserted) blocks.emplace_back();
-    blocks[it->second].facts.push_back(f);
-  });
-
-  // Collect distinct nulls per block.
-  for (Block& block : blocks) {
-    std::unordered_map<uint64_t, bool> seen;
-    for (const Fact& f : block.facts) {
-      for (const Value& v : f.tuple) {
-        if (v.is_null() && seen.emplace(v.packed(), true).second) {
-          block.nulls.push_back(v);
-        }
-      }
-    }
+size_t MapBlocks(const BlockDecomposition& blocks, size_t begin, size_t end,
+                 const Instance& target, Value* images) {
+  PDX_CHECK(!target.has_merges());
+  BlockMatcher matcher(blocks, target);
+  for (size_t b = begin; b < end; ++b) {
+    if (!matcher.Map(b, images)) return b;
   }
-  if (!constant_block.facts.empty()) {
-    blocks.push_back(std::move(constant_block));
-  }
-  return blocks;
-}
-
-std::optional<NullAssignment> FindBlockHomomorphism(const Block& block,
-                                                    const Instance& target) {
-  // Null-free blocks map iff every fact is literally present: a plain
-  // subset check, far cheaper than driving the matcher.
-  if (block.nulls.empty()) {
-    for (const Fact& f : block.facts) {
-      if (!target.Contains(f)) return std::nullopt;
-    }
-    return NullAssignment{};
-  }
-  // Translate the block into a conjunction of atoms: nulls become
-  // variables, constants stay constant.
-  std::unordered_map<uint64_t, VariableId> var_of_null;
-  for (const Value& n : block.nulls) {
-    var_of_null.emplace(n.packed(), static_cast<VariableId>(var_of_null.size()));
-  }
-  std::vector<Atom> atoms;
-  atoms.reserve(block.facts.size());
-  for (const Fact& f : block.facts) {
-    Atom atom;
-    atom.relation = f.relation;
-    atom.terms.reserve(f.tuple.size());
-    for (const Value& v : f.tuple) {
-      if (v.is_null()) {
-        atom.terms.push_back(Term::Var(var_of_null.at(v.packed())));
-      } else {
-        atom.terms.push_back(Term::Const(v));
-      }
-    }
-    atoms.push_back(std::move(atom));
-  }
-  int var_count = static_cast<int>(var_of_null.size());
-  NullAssignment assignment;
-  bool found = EnumerateMatches(
-      atoms, var_count, target, Binding::Empty(var_count),
-      [&](const Binding& binding) {
-        for (const auto& [packed, var] : var_of_null) {
-          assignment[packed] = binding.values[var];
-        }
-        return false;  // stop at the first homomorphism
-      });
-  if (!found) return std::nullopt;
-  return assignment;
+  return end;
 }
 
 std::optional<NullAssignment> FindInstanceHomomorphism(
     const Instance& source, const Instance& target) {
-  NullAssignment combined;
-  for (const Block& block : DecomposeIntoBlocks(source)) {
-    std::optional<NullAssignment> block_assignment =
-        FindBlockHomomorphism(block, target);
-    if (!block_assignment.has_value()) return std::nullopt;
-    for (const auto& [packed, value] : *block_assignment) {
-      combined[packed] = value;
-    }
+  const BlockDecomposition blocks(source);
+  std::vector<Value> images(blocks.nulls().size());
+  if (MapBlocks(blocks, 0, blocks.size(), Unmerged(target), images.data()) !=
+      blocks.size()) {
+    return std::nullopt;
   }
-  return combined;
+  return NullAssignment(blocks.slots(), std::move(images));
 }
 
 namespace {
@@ -291,17 +454,28 @@ Instance CanonicalizeNulls(const Instance& instance) {
 
 Instance ApplyAssignment(const Instance& source,
                          const NullAssignment& assignment) {
-  Instance image(&source.schema());
-  source.ForEachFact([&](const Fact& f) {
-    Tuple mapped = f.tuple;
-    for (Value& v : mapped) {
-      if (v.is_null()) {
-        auto it = assignment.find(v.packed());
-        if (it != assignment.end()) v = it->second;
-      }
+  const Instance from = Unmerged(source);
+  const RelationId relations = from.schema().relation_count();
+  std::vector<uint8_t> rebuild(relations, 0);
+  for (RelationId r = 0; r < relations; ++r) {
+    const TupleList tuples = from.tuples(r);
+    const Value* values = tuples.data();
+    const size_t n = tuples.size() * static_cast<size_t>(tuples.arity());
+    rebuild[r] = std::any_of(values, values + n, [&](const Value& v) {
+      return assignment.Apply(v) != v;
+    });
+  }
+  Instance image =
+      from.KeepRelations([&](RelationId r) { return rebuild[r] == 0; });
+  Tuple mapped;
+  for (RelationId r = 0; r < relations; ++r) {
+    if (!rebuild[r]) continue;
+    for (TupleView tuple : from.tuples(r)) {
+      mapped.assign(tuple.begin(), tuple.end());
+      for (Value& v : mapped) v = assignment.Apply(v);
+      image.AddFact(r, mapped.data(), mapped.size());
     }
-    image.AddFact(f.relation, std::move(mapped));
-  });
+  }
   return image;
 }
 

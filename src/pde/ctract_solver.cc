@@ -1,8 +1,11 @@
 #include "pde/ctract_solver.h"
 
 #include <algorithm>
+#include <atomic>
+#include <vector>
 
 #include "base/string_util.h"
+#include "base/thread_pool.h"
 #include "chase/chase.h"
 #include "hom/instance_hom.h"
 #include "obs/metrics.h"
@@ -11,6 +14,10 @@
 namespace pdx {
 
 namespace {
+
+// Blocks per pooled check task: fixed, so chunk boundaries do not depend
+// on the thread count.
+constexpr size_t kBlocksPerChunk = 1024;
 
 struct CtractMetrics {
   obs::Counter runs, blocks, block_checks;
@@ -92,37 +99,65 @@ StatusOr<CtractSolveResult> CtractExistsSolution(
         .AttrInt("i_can_size", result.i_can_size);
   }
 
-  // Step 3: per-block homomorphism checks from I_can into I.
-  NullAssignment h;
-  bool all_blocks_map = true;
-  for (const Block& block : DecomposeIntoBlocks(i_can)) {
-    ++result.block_count;
-    metrics.blocks.Inc();
+  // Step 3: per-block homomorphism checks from I_can into I. Blocks own
+  // disjoint nulls (Theorem 5), so fixed chunks of them fan across a pool
+  // and every check writes its nulls' images into their own dense slots:
+  // the verdict and h are the same at every thread count. After a failing
+  // block, chunks not yet started are skipped.
+  const BlockDecomposition blocks(i_can);
+  result.block_count = static_cast<int64_t>(blocks.size());
+  metrics.blocks.Inc(result.block_count);
+  for (size_t b = 0; b < blocks.size(); ++b) {
     result.max_block_nulls = std::max(
-        result.max_block_nulls, static_cast<int64_t>(block.nulls.size()));
-    if (!all_blocks_map) continue;  // keep collecting stats
-    obs::Span check_span(obs::Tracer::Global(), "ctract.block_check");
-    check_span.AttrInt("nulls", static_cast<int64_t>(block.nulls.size()));
-    metrics.block_checks.Inc();
-    std::optional<NullAssignment> block_h =
-        FindBlockHomomorphism(block, source);
-    check_span.AttrBool("mapped", block_h.has_value());
-    if (!block_h.has_value()) {
-      all_blocks_map = false;
-      continue;
-    }
-    for (const auto& [packed, value] : *block_h) h[packed] = value;
+        result.max_block_nulls, static_cast<int64_t>(blocks.null_count(b)));
   }
-  result.has_solution = all_blocks_map;
+  std::vector<Value> images(blocks.nulls().size());
+  const Instance into = source.has_merges() ? source.CompactResolved() : source;
+  const size_t chunks =
+      (blocks.size() + kBlocksPerChunk - 1) / kBlocksPerChunk;
+  std::atomic<bool> failed{false};
+  {
+    obs::Span check_span(obs::Tracer::Global(), "ctract.block_check");
+    const auto check_chunk = [&](size_t c) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      obs::Span chunk_span(obs::Tracer::Global(), "ctract.block_chunk",
+                           check_span.id());
+      const size_t begin = c * kBlocksPerChunk;
+      const size_t end = std::min(blocks.size(), begin + kBlocksPerChunk);
+      const size_t failing =
+          MapBlocks(blocks, begin, end, into, images.data());
+      const bool mapped = failing == end;
+      if (!mapped) failed.store(true, std::memory_order_relaxed);
+      metrics.block_checks.Inc(
+          static_cast<int64_t>(failing - begin + (mapped ? 0 : 1)));
+      chunk_span.AttrInt("chunk", static_cast<int64_t>(c))
+          .AttrInt("blocks", static_cast<int64_t>(end - begin))
+          .AttrBool("mapped", mapped);
+    };
+    const int threads = std::min<int>(ResolveThreadCount(chase_options),
+                                      static_cast<int>(chunks));
+    if (threads > 1) {
+      ThreadPool pool(threads);
+      pool.ParallelFor(chunks, check_chunk);
+    } else {
+      for (size_t c = 0; c < chunks; ++c) check_chunk(c);
+    }
+    check_span.AttrInt("blocks", result.block_count)
+        .AttrInt("chunks", static_cast<int64_t>(chunks))
+        .AttrBool("mapped", !failed.load());
+  }
+  result.has_solution = !failed.load();
   run_span.AttrInt("blocks", result.block_count)
       .AttrBool("has_solution", result.has_solution);
-  if (!all_blocks_map) return result;
+  if (!result.has_solution) return result;
 
   // Witness construction (Theorem 5, ⇐): J_img = h_J(J_can) where h_J maps
   // the nulls that J_can shares with I_can per h and fixes everything
   // else. ApplyAssignment leaves nulls outside `h` unchanged, which is
-  // exactly h_J.
-  result.solution = ApplyAssignment(j_can, h);
+  // exactly h_J, and rebuilds only the J_can relations holding a null h
+  // maps.
+  result.solution =
+      ApplyAssignment(j_can, NullAssignment(blocks.slots(), std::move(images)));
   return result;
 }
 

@@ -178,19 +178,13 @@ Instance PdeSetting::CombineInstances(const Instance& source,
 }
 
 Instance PdeSetting::SourcePart(const Instance& combined) const {
-  Instance part(schema_.get());
-  combined.ForEachFact([&](const Fact& f) {
-    if (is_source(f.relation)) part.AddFact(f);
-  });
-  return part;
+  return combined.KeepRelations(
+      [this](RelationId r) { return is_source(r); });
 }
 
 Instance PdeSetting::TargetPart(const Instance& combined) const {
-  Instance part(schema_.get());
-  combined.ForEachFact([&](const Fact& f) {
-    if (is_target(f.relation)) part.AddFact(f);
-  });
-  return part;
+  return combined.KeepRelations(
+      [this](RelationId r) { return is_target(r); });
 }
 
 std::string PdeSetting::ToString(const SymbolTable& symbols) const {

@@ -103,7 +103,9 @@ class PdeSetting {
   Instance CombineInstances(const Instance& source,
                             const Instance& target) const;
 
-  // Projections of a combined instance onto one side.
+  // Projections of a combined instance onto one side: O(#relations),
+  // sharing the kept relations' copy-on-write stores (a resolved copy
+  // when `combined` carries egd merges; see Instance::KeepRelations).
   Instance SourcePart(const Instance& combined) const;
   Instance TargetPart(const Instance& combined) const;
 

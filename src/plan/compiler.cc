@@ -286,65 +286,6 @@ BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
 
 namespace {
 
-// Structural analysis of a tgd head for the sharded apply's overlay
-// decide (see HeadOverlayPlan in plan/ir.h for the exactness conditions).
-// Pure function of the head's shape; CompileTgd embeds the result in the
-// apply template.
-HeadOverlayPlan AnalyzeHeadOverlay(const Tgd& tgd) {
-  HeadOverlayPlan out;
-  const size_t n = tgd.head.size();
-  if (n == 0) return out;
-  // Union-find over head atoms, connected through shared existential
-  // variables (first_atom_with[v] remembers the representative atom of
-  // each existential seen so far).
-  std::vector<int> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = static_cast<int>(i);
-  auto find = [&](int a) {
-    while (parent[a] != a) a = parent[a] = parent[parent[a]];
-    return a;
-  };
-  std::vector<int> first_atom_with(tgd.var_count, -1);
-  std::vector<bool> relation_seen;
-  bool relation_repeats = false;
-  for (size_t i = 0; i < n; ++i) {
-    const Atom& atom = tgd.head[i];
-    if (atom.relation >= 0) {
-      if (static_cast<size_t>(atom.relation) >= relation_seen.size()) {
-        relation_seen.resize(atom.relation + 1, false);
-      }
-      if (relation_seen[atom.relation]) relation_repeats = true;
-      relation_seen[atom.relation] = true;
-    }
-    for (const Term& t : atom.terms) {
-      if (t.is_constant() || !tgd.existential[t.var()]) continue;
-      int& rep = first_atom_with[t.var()];
-      if (rep < 0) {
-        rep = static_cast<int>(i);
-      } else {
-        parent[find(static_cast<int>(i))] = find(rep);
-      }
-    }
-  }
-  int components = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (find(static_cast<int>(i)) == static_cast<int>(i)) ++components;
-  }
-  if (components != 1 || relation_repeats) return out;
-  out.exact = true;
-  for (VariableId v = 0; v < tgd.var_count; ++v) {
-    if (tgd.existential[v]) continue;
-    bool in_head = false;
-    for (const Atom& atom : tgd.head) {
-      for (const Term& t : atom.terms) {
-        if (!t.is_constant() && t.var() == v) { in_head = true; break; }
-      }
-      if (in_head) break;
-    }
-    if (in_head) out.key.push_back(v);
-  }
-  return out;
-}
-
 // Read/write relation footprints of a dependency set, indexed parallel to
 // `tgds` and sized to the largest relation id any of them mentions.
 // reads = body ∪ head relations, writes = head relations; the containment
@@ -376,7 +317,6 @@ std::vector<TgdFootprint> ComputeTgdFootprints(const std::vector<Tgd>& tgds) {
 TgdPlan CompileTgd(const Tgd& tgd, const CompilerHints& hints) {
   TgdPlan plan;
   plan.apply = BuildApplyTemplate(tgd);
-  plan.apply.overlay = AnalyzeHeadOverlay(tgd);
   plan.body = CompileBody(tgd.body, tgd.var_count, {}, hints);
   plan.head = CompileBody(tgd.head, tgd.var_count, plan.apply.body_bound,
                           hints);

@@ -77,27 +77,6 @@ bool Instance::AddFact(RelationId relation, const Value* values, size_t n) {
   return true;
 }
 
-void Instance::EnsureOwnedStore(RelationId relation) {
-  PDX_CHECK_GE(relation, 0);
-  PDX_CHECK_LT(relation, static_cast<RelationId>(stores_.size()));
-  Mutable(relation);
-}
-
-bool Instance::AddFactSharded(RelationId relation, Tuple tuple) {
-  PDX_DCHECK(stores_[relation].use_count() == 1)
-      << "AddFactSharded needs EnsureOwnedStore first";
-  PDX_CHECK_EQ(static_cast<int>(tuple.size()), schema_->arity(relation))
-      << "arity mismatch inserting into " << schema_->relation_name(relation);
-  if (!resolver_.trivial()) {
-    for (Value& v : tuple) v = resolver_.Resolve(v);
-  }
-  RelationStore& store = *stores_[relation];
-  const uint64_t hash = HashValueSeq(tuple.data(), tuple.size());
-  if (store.DedupFind(tuple, hash) >= 0) return false;
-  store.Append(tuple, hash);
-  return true;
-}
-
 int Instance::FindResolvedTupleIndex(RelationId relation,
                                      const Tuple& resolved) const {
   const RelationStore& store = *stores_[relation];
@@ -443,6 +422,23 @@ Instance Instance::CompactResolved(bool keep_resolver) const {
   ForEachFact([&compact](const Fact& f) { compact.AddFact(f); });
   if (keep_resolver) compact.resolver_ = resolver_;
   return compact;
+}
+
+Instance Instance::KeepRelations(
+    const std::function<bool(RelationId)>& keep) const {
+  Instance part(schema_);
+  if (has_merges()) {
+    ForEachFact([&](const Fact& f) {
+      if (keep(f.relation)) part.AddFact(f);
+    });
+    return part;
+  }
+  for (RelationId r = 0; r < static_cast<RelationId>(stores_.size()); ++r) {
+    if (!keep(r)) continue;
+    part.stores_[r] = stores_[r];
+    part.fact_count_ += stores_[r]->count;
+  }
+  return part;
 }
 
 namespace {

@@ -81,31 +81,6 @@ class Instance {
   bool AddFact(RelationId relation, Tuple tuple);
   bool AddFact(const Fact& fact) { return AddFact(fact.relation, fact.tuple); }
 
-  // --- Sharded apply (the chase's parallel insert phase) -------------
-  //
-  // The per-relation COW stores make relation-sharded insertion safe: two
-  // threads inserting into *different* relations touch disjoint
-  // RelationStores, and the resolver is only read (Resolve is a const
-  // lookup). The protocol is:
-  //
-  //   1. For every relation about to receive facts, the coordinating
-  //      thread calls EnsureOwnedStore(r) — unsharing the COW store up
-  //      front so no worker triggers a clone mid-insert.
-  //   2. Workers call AddFactSharded(r, t), each relation owned by
-  //      exactly one worker for the duration. No reads of the mutated
-  //      relations and no resolver mutation may happen concurrently
-  //      (snapshots taken *before* step 1 stay valid: they hold the
-  //      pre-clone stores).
-  //   3. After joining the workers, the coordinator folds the deferred
-  //      counts with CommitShardedFacts(total added).
-  //
-  // AddFactSharded is exactly AddFact minus the fact_count_ update (a
-  // plain member that workers must not race on); it returns true when the
-  // raw store gained a tuple so callers can accumulate per-shard counts.
-  void EnsureOwnedStore(RelationId relation);
-  bool AddFactSharded(RelationId relation, Tuple tuple);
-  void CommitShardedFacts(size_t added) { fact_count_ += added; }
-
   // Removes every raw tuple resolving to R(resolve(t)) if present
   // (swap-with-last; O(arity × index bucket), not O(relation)). Returns
   // true if the fact existed. Counts as a rewrite of the relation: tuple
@@ -266,6 +241,14 @@ class Instance {
   // working) — used by the chase's mid-run store compaction.
   Instance CompactResolved(bool keep_resolver = false) const;
 
+  // A copy holding only the relations `keep` selects; every other
+  // relation is empty. Without merges the kept relations share this
+  // instance's copy-on-write stores, so the cost is O(#relations) and a
+  // later write to either side clones only the written relation. With
+  // merges it materializes the kept relations' resolved facts instead,
+  // dropping the merge history as CompactResolved() does.
+  Instance KeepRelations(const std::function<bool(RelationId)>& keep) const;
+
   // Order-insensitive structural fingerprint of the *resolved* view,
   // invariant under the *names* of nulls: nulls are canonically renamed by
   // first occurrence in the sorted fact sequence. Two instances with equal
@@ -286,7 +269,7 @@ class Instance {
   // any store mutation; a newer resolver version invalidates entries
   // lazily. The mutex serializes concurrent *readers* rebuilding entries
   // against a shared store (mutations never run concurrently with reads
-  // of the same store — the sharded-apply protocol guarantees that).
+  // of the same store).
   // Entry references are stable under further map inserts, so returned
   // spans stay valid for the duration of a read-only enumeration.
   struct ClassBucketCache {

@@ -17,7 +17,7 @@
 //
 // These tests carry the `parallel` ctest label and are additionally run
 // under TSan by tools/check.sh: an unforced pass covers both schedules
-// (including the pooled barrier apply's relation-sharded inserts), and
+// (including the barrier schedule's pooled collect), and
 // the PDX_FORCE_SCHEDULE=speculative lanes pin the speculative path —
 // testing_util::SchedulesToTest() narrows the matrix accordingly. Sizes
 // are deliberately modest so the TSan passes stay fast.

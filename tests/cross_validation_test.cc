@@ -5,11 +5,16 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
+#include "base/string_util.h"
 #include "gtest/gtest.h"
 #include "chase/stream.h"
 #include "hom/instance_hom.h"
+#include "hom/matcher.h"
+#include "logic/atom.h"
 #include "logic/parser.h"
 #include "pde/ctract_solver.h"
 #include "pde/data_exchange.h"
@@ -484,6 +489,228 @@ TEST_P(StreamingChurnCrossValidationTest,
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingChurnCrossValidationTest,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
+
+// Figure 3's pooled block checks: the solve must not depend on the chase
+// thread count or schedule. Every run of the {1, 4} threads × {barrier,
+// speculative} matrix agrees on the verdict and the I_can statistics,
+// every witness verifies, barrier witnesses are bit-identical across
+// thread counts, and the verdict matches an oracle that maps all of I_can
+// into I as one conjunction, with no block decomposition at all.
+
+// I_can for (I, ∅), from the two sequential chases of Figure 3.
+Instance ComputeICan(const PdeSetting& setting, const Instance& source,
+                     SymbolTable* symbols) {
+  ChaseOptions sequential;
+  sequential.num_threads = 1;
+  ChaseResult st = Chase(source, setting.st_tgds(), symbols, sequential);
+  ChaseResult ts = Chase(setting.TargetPart(st.instance), setting.ts_tgds(),
+                         symbols, sequential);
+  return setting.SourcePart(ts.instance);
+}
+
+// The whole-instance oracle: HasMatch of every fact of `i_can` at once,
+// its nulls as variables, into `source`.
+bool WholeInstanceMaps(const Instance& i_can, const Instance& source) {
+  std::unordered_map<uint64_t, VariableId> var_of_null;
+  std::vector<Atom> atoms;
+  i_can.ForEachFact([&](const Fact& f) {
+    Atom atom;
+    atom.relation = f.relation;
+    for (const Value& v : f.tuple) {
+      if (!v.is_null()) {
+        atom.terms.push_back(Term::Const(v));
+        continue;
+      }
+      auto [it, inserted] = var_of_null.emplace(
+          v.packed(), static_cast<VariableId>(var_of_null.size()));
+      atom.terms.push_back(Term::Var(it->second));
+    }
+    atoms.push_back(std::move(atom));
+  });
+  return HasMatch(atoms, static_cast<int>(var_of_null.size()), source);
+}
+
+// Solves across the thread × schedule matrix, checks that every run
+// agrees, and returns the first run's result.
+CtractSolveResult SolveAcrossThreadsAndSchedules(const PdeSetting& setting,
+                                                 const Instance& source,
+                                                 SymbolTable* symbols,
+                                                 const std::string& context) {
+  const Instance target = setting.EmptyInstance();
+  std::optional<CtractSolveResult> first;
+  std::optional<uint64_t> barrier_fingerprint;
+  for (ChaseSchedule schedule : testing_util::SchedulesToTest()) {
+    for (int threads : {1, 4}) {
+      ChaseOptions options;
+      options.num_threads = threads;
+      options.schedule = schedule;
+      CtractSolveResult run = Unwrap(
+          CtractExistsSolution(setting, source, target, symbols, options));
+      const std::string where = StrCat(context, " threads ", threads,
+                                       " schedule ", ScheduleName(schedule));
+      if (run.has_solution) {
+        EXPECT_TRUE(
+            IsSolution(setting, source, target, *run.solution, *symbols))
+            << where;
+        if (schedule == ChaseSchedule::kBarrier) {
+          const uint64_t fp = run.solution->CanonicalFingerprint();
+          if (!barrier_fingerprint.has_value()) barrier_fingerprint = fp;
+          EXPECT_EQ(fp, *barrier_fingerprint) << where;
+        }
+      }
+      if (!first.has_value()) {
+        first = std::move(run);
+        continue;
+      }
+      EXPECT_EQ(run.has_solution, first->has_solution) << where;
+      EXPECT_EQ(run.block_count, first->block_count) << where;
+      EXPECT_EQ(run.max_block_nulls, first->max_block_nulls) << where;
+      EXPECT_EQ(run.j_can_size, first->j_can_size) << where;
+      EXPECT_EQ(run.i_can_size, first->i_can_size) << where;
+    }
+  }
+  return std::move(*first);
+}
+
+struct BlockCheckParam {
+  GenKind kind;
+  uint64_t seed;
+  int facts;
+  int constant_pool;
+};
+
+class CtractBlockCheckCrossValidationTest
+    : public ::testing::TestWithParam<BlockCheckParam> {};
+
+TEST_P(CtractBlockCheckCrossValidationTest,
+       PooledBlockChecksAgreeAcrossThreadsSchedulesAndOracle) {
+  const BlockCheckParam& param = GetParam();
+  Rng rng(param.seed);
+  SymbolTable symbols;
+  SettingGenOptions opts;
+  opts.max_arity = 2;
+  opts.st_tgd_count = 2;
+  opts.ts_tgd_count = 2;
+  GeneratedSetting generated =
+      Unwrap(param.kind == GenKind::kLavTs
+                 ? MakeRandomLavSetting(opts, &rng, &symbols)
+                 : MakeRandomFullStSetting(opts, &rng, &symbols));
+  const PdeSetting& setting = generated.setting;
+  Instance source = MakeRandomSourceInstance(
+      setting, param.facts, param.constant_pool, &rng, &symbols);
+  const std::string context =
+      StrCat("seed ", param.seed, "\nΣst:\n", generated.sigma_st,
+             "\nΣts:\n", generated.sigma_ts);
+  CtractSolveResult result =
+      SolveAcrossThreadsAndSchedules(setting, source, &symbols, context);
+  // The oracle backtracks chronologically across unrelated blocks, so it
+  // only runs where I_can is small.
+  Instance i_can = ComputeICan(setting, source, &symbols);
+  EXPECT_EQ(static_cast<int64_t>(i_can.fact_count()), result.i_can_size);
+  if (i_can.fact_count() <= 64) {
+    EXPECT_EQ(WholeInstanceMaps(i_can, source), result.has_solution)
+        << context;
+  }
+}
+
+std::vector<BlockCheckParam> MakeBlockCheckParams() {
+  std::vector<BlockCheckParam> params;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    params.push_back({GenKind::kLavTs, seed, 8, 4});
+    params.push_back({GenKind::kFullSt, seed, 8, 4});
+  }
+  // Seeds whose I_can has 1.4K-4.4K blocks — several fixed-size chunks
+  // per solve — with and without a solution.
+  for (uint64_t seed : {202, 209, 211}) {
+    params.push_back({GenKind::kLavTs, seed, 6000, 3000});
+  }
+  for (uint64_t seed : {209, 216}) {
+    params.push_back({GenKind::kFullSt, seed, 6000, 3000});
+  }
+  return params;
+}
+
+std::string BlockCheckParamName(
+    const ::testing::TestParamInfo<BlockCheckParam>& info) {
+  return std::string(info.param.kind == GenKind::kLavTs ? "LavTs"
+                                                        : "FullSt") +
+         "Seed" + std::to_string(info.param.seed) + "Facts" +
+         std::to_string(info.param.facts);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomCtract, CtractBlockCheckCrossValidationTest,
+                         ::testing::ValuesIn(MakeBlockCheckParams()),
+                         BlockCheckParamName);
+
+// Hand-built failures. Σ_ts copies every U(x) back into C(x) — null-free
+// I_can facts — and asks every T(x, z) for some D(x, w) — one block of one
+// null per x. `missing` removes one fact from I, so exactly one block
+// fails.
+class CtractFailingBlockTest : public ::testing::Test {
+ protected:
+  static constexpr int kKeys = 3000;  // blocks enough for several chunks
+
+  CtractFailingBlockTest()
+      : setting_(Unwrap(PdeSetting::Create(
+            {{"A", 2}, {"B", 1}, {"C", 1}, {"D", 2}}, {{"T", 2}, {"U", 1}},
+            "A(x,y) -> exists z: T(x,z). B(x) -> U(x).",
+            "T(x,z) -> exists w: D(x,w). U(x) -> C(x).", "", &symbols_))) {}
+
+  // I over kKeys keys k0..: A(k, k), B(k), C(k), D(k, k), except the
+  // fact `missing` names.
+  Instance MakeSource(const std::string& missing_relation, int missing_key) {
+    Instance source = setting_.EmptyInstance();
+    for (int i = 0; i < kKeys; ++i) {
+      const Value k = symbols_.InternConstant(StrCat("k", i));
+      const bool skip = i == missing_key;
+      source.AddFact(Rel("A"), {k, k});
+      source.AddFact(Rel("B"), {k});
+      if (!(skip && missing_relation == "C")) source.AddFact(Rel("C"), {k});
+      if (!(skip && missing_relation == "D")) source.AddFact(Rel("D"), {k, k});
+    }
+    return source;
+  }
+
+  RelationId Rel(const std::string& name) {
+    return Unwrap(setting_.schema().FindRelation(name));
+  }
+
+  void ExpectOnlyOneBlockFails(const Instance& source) {
+    CtractSolveResult result = SolveAcrossThreadsAndSchedules(
+        setting_, source, &symbols_, "hand-built");
+    EXPECT_FALSE(result.has_solution);
+    EXPECT_FALSE(result.solution.has_value());
+    EXPECT_EQ(result.block_count, kKeys + 1);  // + the null-free block
+    EXPECT_EQ(result.max_block_nulls, 1);
+    // The oracle fails fast: the interpreter matches the atom with no
+    // candidate first.
+    EXPECT_FALSE(
+        WholeInstanceMaps(ComputeICan(setting_, source, &symbols_), source));
+  }
+
+  SymbolTable symbols_;
+  PdeSetting setting_;
+};
+
+TEST_F(CtractFailingBlockTest, OnlyTheNullFreeBlockIsMissingFromI) {
+  ExpectOnlyOneBlockFails(MakeSource("C", kKeys / 2));
+}
+
+TEST_F(CtractFailingBlockTest, OnlyABlockInTheLastChunkFails) {
+  // Blocks are numbered by first fact, so the last key's block is the
+  // last null block: it sits in the final chunk.
+  ExpectOnlyOneBlockFails(MakeSource("D", kKeys - 1));
+}
+
+TEST_F(CtractFailingBlockTest, CompleteSourceHasASolution) {
+  const Instance source = MakeSource("", -1);
+  CtractSolveResult result =
+      SolveAcrossThreadsAndSchedules(setting_, source, &symbols_, "complete");
+  EXPECT_TRUE(result.has_solution);
+  EXPECT_EQ(result.block_count, kKeys + 1);
+  // No whole-instance oracle here: it recurses once per I_can fact, too
+  // deep for a sanitizer build's stack at this size.
+}
 
 }  // namespace
 }  // namespace pdx

@@ -1,5 +1,8 @@
 #include "pde/ctract_solver.h"
 
+#include <string>
+
+#include "base/string_util.h"
 #include "gtest/gtest.h"
 #include "pde/solution.h"
 #include "tests/test_util.h"
@@ -155,6 +158,50 @@ TEST_F(CtractSolverTest, CorrectOnCliqueSettingViaTheorem5) {
   EXPECT_FALSE(no.has_solution);
   // Theorem 6's contrast: outside C_tract blocks can grow with the input.
   EXPECT_GT(no.max_block_nulls, 1);
+}
+
+// Figure 3's block checks fan fixed chunks of blocks over a pool sized by
+// ChaseOptions::num_threads (this test is in the `parallel` label, so both
+// TSan lanes sanitize it). Every key k contributes one block {D(k, w)};
+// the verdict, the block statistics and the witness must match the
+// sequential run at every thread count, with and without a failing block.
+TEST(CtractPooledBlockCheckTest, ChunkedChecksMatchTheSequentialRun) {
+  SymbolTable symbols;
+  PdeSetting setting = Unwrap(PdeSetting::Create(
+      {{"A", 2}, {"D", 2}}, {{"T", 2}}, "A(x,y) -> exists z: T(x,z).",
+      "T(x,z) -> exists w: D(x,w).", "", &symbols));
+  const RelationId a = Unwrap(setting.schema().FindRelation("A"));
+  const RelationId d = Unwrap(setting.schema().FindRelation("D"));
+  constexpr int kKeys = 5000;  // several chunks of blocks
+  for (int missing : {-1, kKeys - 1}) {
+    Instance source = setting.EmptyInstance();
+    for (int i = 0; i < kKeys; ++i) {
+      const Value k = symbols.InternConstant(StrCat("k", i));
+      source.AddFact(a, {k, k});
+      if (i != missing) source.AddFact(d, {k, k});
+    }
+    ChaseOptions sequential;
+    sequential.num_threads = 1;
+    CtractSolveResult reference = Unwrap(CtractExistsSolution(
+        setting, source, setting.EmptyInstance(), &symbols, sequential));
+    EXPECT_EQ(reference.has_solution, missing < 0);
+    EXPECT_EQ(reference.block_count, kKeys);
+    for (int threads : {2, 4}) {
+      ChaseOptions pooled;
+      pooled.num_threads = threads;
+      CtractSolveResult run = Unwrap(CtractExistsSolution(
+          setting, source, setting.EmptyInstance(), &symbols, pooled));
+      EXPECT_EQ(run.has_solution, reference.has_solution) << threads;
+      EXPECT_EQ(run.block_count, reference.block_count) << threads;
+      EXPECT_EQ(run.max_block_nulls, 1) << threads;
+      if (!run.has_solution) continue;
+      EXPECT_EQ(testing_util::CanonicalizedFingerprint(*run.solution),
+                testing_util::CanonicalizedFingerprint(*reference.solution))
+          << threads;
+      EXPECT_TRUE(IsSolution(setting, source, setting.EmptyInstance(),
+                             *run.solution, symbols));
+    }
+  }
 }
 
 }  // namespace

@@ -32,35 +32,60 @@ TEST_F(InstanceHomTest, BlocksGroupConnectedNulls) {
   instance.AddFact(0, {a_, b_});  // null-free block
   instance.AddFact(0, {b_, c_});  // null-free block
 
-  std::vector<Block> blocks = DecomposeIntoBlocks(instance);
+  BlockDecomposition blocks(instance);
   ASSERT_EQ(blocks.size(), 3u);
-  // Identify blocks by null count.
-  std::vector<size_t> fact_counts;
-  std::vector<size_t> null_counts;
-  for (const Block& block : blocks) {
-    fact_counts.push_back(block.facts.size());
-    null_counts.push_back(block.nulls.size());
-  }
-  std::sort(null_counts.begin(), null_counts.end());
-  EXPECT_EQ(null_counts, (std::vector<size_t>{0, 1, 2}));
+  // Blocks are numbered by first fact; the null-free block comes last.
+  EXPECT_EQ(blocks.null_count(0), 2u);
+  EXPECT_EQ(blocks.facts(0).size(), 2u);
+  EXPECT_EQ(blocks.null_count(1), 1u);
+  EXPECT_EQ(blocks.facts(1).size(), 1u);
+  EXPECT_EQ(blocks.null_count(2), 0u);
+  EXPECT_EQ(blocks.facts(2).size(), 2u);
+  // Each block owns a contiguous slot range holding its own nulls, in
+  // first-occurrence order.
+  EXPECT_EQ(blocks.null_begin(0), 0u);
+  EXPECT_EQ(blocks.nulls(), (std::vector<Value>{n1, n2, n3}));
+  EXPECT_EQ(blocks.slots().Find(n3), blocks.null_begin(1));
+  EXPECT_EQ(blocks.slots().Find(a_), NullSlots::kNone);
   size_t total_facts = 0;
-  for (size_t n : fact_counts) total_facts += n;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    total_facts += blocks.facts(b).size();
+  }
   EXPECT_EQ(total_facts, instance.fact_count());
+  // A fact span addresses the decomposed instance's tuples.
+  const FactRef& first = blocks.facts(0).front();
+  EXPECT_EQ(blocks.instance().tuples(first.relation)[first.tuple].ToTuple(),
+            (Tuple{n1, n2}));
+}
+
+TEST_F(InstanceHomTest, BlocksOfAMergedInstanceUseItsResolvedView) {
+  Instance instance(&schema_);
+  Value n1 = symbols_.FreshNull();
+  Value n2 = symbols_.FreshNull();
+  instance.AddFact(0, {n1, a_});
+  instance.AddFact(0, {n2, a_});
+  instance.AddFact(0, {n2, b_});
+  ASSERT_TRUE(instance.MergeValues(n1, n2).merged);
+  BlockDecomposition blocks(instance);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks.null_count(0), 1u);
+  EXPECT_EQ(blocks.facts(0).size(), 2u);
+  EXPECT_FALSE(blocks.instance().has_merges());
 }
 
 TEST_F(InstanceHomTest, EmptyInstanceHasNoBlocks) {
   Instance instance(&schema_);
-  EXPECT_TRUE(DecomposeIntoBlocks(instance).empty());
+  EXPECT_EQ(BlockDecomposition(instance).size(), 0u);
 }
 
 TEST_F(InstanceHomTest, NullFreeInstanceIsOneBlock) {
   Instance instance(&schema_);
   instance.AddFact(0, {a_, b_});
   instance.AddFact(0, {b_, c_});
-  std::vector<Block> blocks = DecomposeIntoBlocks(instance);
+  BlockDecomposition blocks(instance);
   ASSERT_EQ(blocks.size(), 1u);
-  EXPECT_TRUE(blocks[0].nulls.empty());
-  EXPECT_EQ(blocks[0].facts.size(), 2u);
+  EXPECT_EQ(blocks.null_count(0), 0u);
+  EXPECT_EQ(blocks.facts(0).size(), 2u);
 }
 
 TEST_F(InstanceHomTest, HomomorphismMapsNullsToValues) {
@@ -105,7 +130,7 @@ TEST_F(InstanceHomTest, ConstantsMustMapToThemselves) {
   target.AddFact(0, {a_, c_});
   auto h = FindInstanceHomomorphism(source, target);
   ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(h->at(n.packed()), c_);
+  EXPECT_EQ(h->Apply(n), c_);
 }
 
 TEST_F(InstanceHomTest, NullFreeFactsRequireExactPresence) {
@@ -131,8 +156,8 @@ TEST_F(InstanceHomTest, BlocksFactorizeTheSearch) {
   auto h = FindInstanceHomomorphism(source, target);
   ASSERT_TRUE(h.has_value());
   EXPECT_EQ(h->size(), 2u);
-  EXPECT_EQ(h->at(n1.packed()), c_);
-  EXPECT_EQ(h->at(n2.packed()), c_);
+  EXPECT_EQ(h->Apply(n1), c_);
+  EXPECT_EQ(h->Apply(n2), c_);
 }
 
 TEST_F(InstanceHomTest, ApplyAssignmentKeepsUnassignedNulls) {
@@ -141,9 +166,75 @@ TEST_F(InstanceHomTest, ApplyAssignmentKeepsUnassignedNulls) {
   Value n2 = symbols_.FreshNull();
   source.AddFact(0, {n1, n2});
   NullAssignment partial;
-  partial[n1.packed()] = a_;
+  partial.Set(n1, a_);
   Instance image = ApplyAssignment(source, partial);
   EXPECT_TRUE(image.Contains(0, {a_, n2}));
+}
+
+TEST_F(InstanceHomTest, MapBlocksReportsTheFirstFailingBlock) {
+  Instance source(&schema_);
+  Value n1 = symbols_.FreshNull();
+  Value n2 = symbols_.FreshNull();
+  Value n3 = symbols_.FreshNull();
+  source.AddFact(0, {a_, n1});
+  source.AddFact(0, {c_, n2});  // nothing starts at c in the target
+  source.AddFact(0, {n3, n3});  // no self-loop in the target either
+  Instance target(&schema_);
+  target.AddFact(0, {a_, b_});
+  BlockDecomposition blocks(source);
+  ASSERT_EQ(blocks.size(), 3u);
+  std::vector<Value> images(blocks.nulls().size());
+  EXPECT_EQ(MapBlocks(blocks, 0, 3, target, images.data()), 1u);
+  EXPECT_EQ(images[blocks.slots().Find(n1)], b_);
+  // Ranges are independent: block 2 fails on its own.
+  EXPECT_EQ(MapBlocks(blocks, 2, 3, target, images.data()), 2u);
+  EXPECT_EQ(MapBlocks(blocks, 0, 1, target, images.data()), 1u);
+}
+
+TEST_F(InstanceHomTest, BlockSearchBacktracksAcrossFacts) {
+  // E(n1, n2), E(n2, c): only n1 = a, n2 = b works. The search matches
+  // E(n2, c) first (it has a constant) and its first candidate, n2 = a
+  // from E(a, c), is a dead end for E(n1, n2).
+  Instance source(&schema_);
+  Value n1 = symbols_.FreshNull();
+  Value n2 = symbols_.FreshNull();
+  source.AddFact(0, {n1, n2});
+  source.AddFact(0, {n2, c_});
+  Instance target(&schema_);
+  target.AddFact(0, {a_, c_});
+  target.AddFact(0, {a_, b_});
+  target.AddFact(0, {b_, c_});
+  auto h = FindInstanceHomomorphism(source, target);
+  ASSERT_TRUE(h.has_value());
+  EXPECT_TRUE(ApplyAssignment(source, *h).IsSubsetOf(target));
+  EXPECT_EQ(h->Apply(n2), b_);
+}
+
+TEST_F(InstanceHomTest, ApplyAssignmentSharesUntouchedRelations) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("E", 2).ok());
+  ASSERT_TRUE(schema.AddRelation("F", 2).ok());
+  Instance source(&schema);
+  Value n1 = symbols_.FreshNull();
+  Value n2 = symbols_.FreshNull();
+  source.AddFact(0, {n1, n2});
+  source.AddFact(1, {a_, n2});
+  source.AddFact(1, {b_, c_});
+  NullAssignment h;
+  h.Set(n1, a_);  // only E holds n1
+  Instance image = ApplyAssignment(source, h);
+  EXPECT_TRUE(image.Contains(0, {a_, n2}));
+  EXPECT_FALSE(image.Contains(0, {n1, n2}));
+  EXPECT_EQ(image.fact_count(), 3u);
+  // F was shared, not copied: it still addresses the source's arena.
+  EXPECT_EQ(image.tuples(1).data(), source.tuples(1).data());
+  EXPECT_NE(image.tuples(0).data(), source.tuples(0).data());
+  // Copy-on-write: writing either side leaves the other unchanged.
+  image.AddFact(1, {c_, c_});
+  EXPECT_FALSE(source.Contains(1, {c_, c_}));
+  EXPECT_EQ(source.fact_count(), 3u);
+  source.AddFact(1, {a_, a_});
+  EXPECT_FALSE(image.Contains(1, {a_, a_}));
 }
 
 TEST_F(InstanceHomTest, HomomorphismMayMapNullsToNulls) {
@@ -155,7 +246,7 @@ TEST_F(InstanceHomTest, HomomorphismMayMapNullsToNulls) {
   target.AddFact(0, {a_, n2});
   auto h = FindInstanceHomomorphism(source, target);
   ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(h->at(n1.packed()), n2);
+  EXPECT_EQ(h->Apply(n1), n2);
 }
 
 // --- CanonicalizeNulls -------------------------------------------------
@@ -166,7 +257,7 @@ class CanonicalizeNullsTest : public InstanceHomTest {
   Instance Rename(const Instance& instance,
                   const std::vector<std::pair<Value, Value>>& pairs) {
     NullAssignment renaming;
-    for (const auto& [from, to] : pairs) renaming[from.packed()] = to;
+    for (const auto& [from, to] : pairs) renaming.Set(from, to);
     return ApplyAssignment(instance, renaming);
   }
 };

@@ -1,5 +1,9 @@
 #include "pde/setting.h"
 
+#include <string>
+#include <vector>
+
+#include "base/string_util.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -101,6 +105,96 @@ TEST(SettingTest, CombineAndProject) {
   EXPECT_EQ(combined.fact_count(), 2u);
   EXPECT_TRUE(setting.SourcePart(combined).FactsEqual(source));
   EXPECT_TRUE(setting.TargetPart(combined).FactsEqual(target));
+}
+
+// The projections share the kept relations' copy-on-write stores: O(1)
+// per relation, and a write to either side never shows through on the
+// other.
+TEST(SettingTest, ProjectionsShareStoresCopyOnWrite) {
+  SymbolTable symbols;
+  PdeSetting setting = MakeExample1Setting(&symbols);
+  const RelationId e = setting.schema().FindRelation("E").value();
+  const RelationId h = setting.schema().FindRelation("H").value();
+  Instance combined =
+      ParseOrDie(setting, "E(a,b). E(b,c). H(a,c). H(c,a).", &symbols);
+  Instance source_part = setting.SourcePart(combined);
+  Instance target_part = setting.TargetPart(combined);
+  EXPECT_EQ(source_part.tuples(e).data(), combined.tuples(e).data());
+  EXPECT_EQ(target_part.tuples(h).data(), combined.tuples(h).data());
+  EXPECT_EQ(source_part.fact_count(), 2u);
+  EXPECT_EQ(target_part.fact_count(), 2u);
+  EXPECT_TRUE(source_part.tuples(h).empty());
+  EXPECT_TRUE(target_part.tuples(e).empty());
+
+  const Value a = symbols.InternConstant("a");
+  const Value d = symbols.InternConstant("d");
+  source_part.AddFact(e, {a, d});
+  target_part.AddFact(h, {d, d});
+  EXPECT_EQ(combined.ToString(symbols), "E(a,b).\nE(b,c).\nH(a,c).\nH(c,a).");
+  EXPECT_EQ(combined.fact_count(), 4u);
+
+  Instance before_source = setting.SourcePart(combined);
+  Instance before_target = setting.TargetPart(combined);
+  combined.AddFact(e, {d, a});
+  combined.RemoveFact(h, {a, symbols.InternConstant("c")});
+  EXPECT_EQ(before_source.ToString(symbols), "E(a,b).\nE(b,c).");
+  EXPECT_EQ(before_target.fact_count(), 2u);
+  EXPECT_TRUE(before_target.Contains(h, {a, symbols.InternConstant("c")}));
+}
+
+// The shared projections hold exactly what a per-fact copy holds, in the
+// same tuple order.
+TEST(SettingTest, ProjectionsMatchAPerFactCopy) {
+  SymbolTable symbols;
+  PdeSetting setting = MakeExample1Setting(&symbols);
+  Instance combined = setting.EmptyInstance();
+  for (int i = 0; i < 200; ++i) {
+    const Value x = symbols.InternConstant(StrCat("c", i % 17));
+    const Value y = symbols.InternConstant(StrCat("c", i % 23));
+    combined.AddFact(i % 3 == 0 ? 1 : 0,
+                     {x, i % 5 == 0 ? symbols.FreshNull() : y});
+  }
+  for (bool source_side : {true, false}) {
+    Instance copy = setting.EmptyInstance();
+    combined.ForEachFact([&](const Fact& f) {
+      if (setting.is_source(f.relation) == source_side) copy.AddFact(f);
+    });
+    Instance part = source_side ? setting.SourcePart(combined)
+                                : setting.TargetPart(combined);
+    EXPECT_EQ(part.fact_count(), copy.fact_count());
+    EXPECT_TRUE(part.FactsEqual(copy));
+    EXPECT_EQ(part.CanonicalFingerprint(), copy.CanonicalFingerprint());
+    for (RelationId r = 0; r < setting.schema().relation_count(); ++r) {
+      ASSERT_EQ(part.tuples(r).size(), copy.tuples(r).size());
+      for (size_t i = 0; i < part.tuples(r).size(); ++i) {
+        EXPECT_TRUE(part.tuples(r)[i] == copy.tuples(r)[i]);
+      }
+    }
+  }
+}
+
+// An instance carrying egd merges projects its resolved view: the result
+// holds resolved tuples and no merge history.
+TEST(SettingTest, MergedInstanceProjectsItsResolvedView) {
+  SymbolTable symbols;
+  PdeSetting setting = MakeExample1Setting(&symbols);
+  const RelationId h = setting.schema().FindRelation("H").value();
+  Instance combined =
+      ParseOrDie(setting, "E(a,b). H(a,_n). H(a,_m). H(_m,b).", &symbols);
+  const Value a = symbols.InternConstant("a");
+  const Value b = symbols.InternConstant("b");
+  const std::vector<Value> nulls = combined.Nulls();
+  ASSERT_EQ(nulls.size(), 2u);
+  ASSERT_TRUE(combined.MergeValues(nulls[0], nulls[1]).merged);
+  ASSERT_TRUE(combined.MergeValues(nulls[0], b).merged);
+  Instance target_part = setting.TargetPart(combined);
+  EXPECT_FALSE(target_part.has_merges());
+  EXPECT_EQ(target_part.fact_count(), 2u);  // H(a,b), H(b,b)
+  EXPECT_TRUE(target_part.Contains(h, {a, b}));
+  EXPECT_TRUE(target_part.Contains(h, {b, b}));
+  EXPECT_FALSE(target_part.HasNulls());
+  EXPECT_TRUE(setting.SourcePart(combined).FactsEqual(
+      ParseOrDie(setting, "E(a,b).", &symbols)));
 }
 
 TEST(SettingTest, ToStringMentionsAllParts) {

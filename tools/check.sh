@@ -10,8 +10,8 @@
 # once, over the one compiled-plan engine path (the match VM) and the
 # kRestrictedNaive oracle the differential tests compare it against. The
 # TSan suite runs twice: with PDX_FORCE_SCHEDULE=speculative, and
-# unforced (the default barrier schedule and its pooled relation-sharded
-# apply).
+# unforced (the default barrier schedule: its pooled collect, the pooled
+# egd slot collect and Figure 3's pooled block checks).
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
 # --quick`: a fingerprint cross-check against the kRestrictedNaive oracle
@@ -226,7 +226,7 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
     --target thread_pool_test trigger_ledger_test chase_parallel_test \
-    sharded_apply_test fuzz_test obs_test serve_test stream_test
+    ctract_solver_test fuzz_test obs_test serve_test stream_test
   # PDX_FORCE_SCHEDULE=speculative makes every parallel-labeled chase
   # take the speculative path (ResolveSchedule reads it process-wide):
   # worker-side head instantiation, concurrent ledger, cross-dependency
@@ -235,9 +235,10 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   PDX_FORCE_SCHEDULE=speculative ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
   # Unforced: the tests' own schedule matrix, including the default
-  # barrier schedule whose pooled apply drains relation-sharded inserts
-  # (AddFactSharded) — the path bulk_exchange and pdxd run, and the only
-  # TSan pass that reaches it.
+  # barrier schedule — the path bulk_exchange and pdxd run — whose
+  # pooled collect, pooled egd slot collect and pooled Figure 3 block
+  # checks (ctract_solver_test) run concurrently; the apply itself is
+  # sequential.
   echo "== thread sanitizer rerun (unforced schedules) =="
   ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
