@@ -14,8 +14,8 @@
 // engine pays one union plus re-examination of the dirty tuples.
 //
 // A second axis (thread_scaling) runs the delta strategy at 1/2/4/8
-// threads under barrier and 2/4/8 under speculative, each point reported
-// against the 1-thread sequential run.
+// threads, each point reported against the 1-thread sequential run and
+// checked to produce the same raw fingerprint and step count.
 //
 // Usage: bench_chase [output.json]   (default BENCH_chase.json in cwd)
 //        bench_chase --quick         (perf smoke gate: pipeline_n512
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "chase/chase.h"
-#include "hom/instance_hom.h"
 #include "logic/parser.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -51,11 +50,6 @@ struct StrategyStats {
   int64_t result_facts = 0;
   double facts_per_sec = 0;
   uint64_t fingerprint = 0;
-  // Fingerprint after canonical null renumbering (computed outside the
-  // timed region): the cross-check that speculative runs — whose null
-  // identities are schedule-dependent — produced the same instance up to
-  // a bijective null renaming.
-  uint64_t canonical_fingerprint = 0;
 };
 
 struct WorkloadResult {
@@ -65,11 +59,10 @@ struct WorkloadResult {
   StrategyStats delta;
 };
 
-// One (num_threads, schedule) point of the thread-scaling dimension
-// (delta strategy only; the naive engine has no parallel path).
+// One num_threads point of the thread-scaling dimension (delta strategy
+// only; the naive engine has no parallel path).
 struct ThreadPoint {
   int threads = 0;
-  ChaseSchedule schedule = ChaseSchedule::kBarrier;
   double wall_ms = 0;
   int64_t steps = 0;
   double speedup_vs_1t = 0;
@@ -145,12 +138,10 @@ struct BenchContext {
 StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
                      const std::vector<Tgd>& tgds,
                      const std::vector<Egd>& egds, ChaseStrategy strategy,
-                     int num_threads = 1,
-                     ChaseSchedule schedule = ChaseSchedule::kBarrier) {
+                     int num_threads = 1) {
   ChaseOptions options;
   options.strategy = strategy;
   options.num_threads = num_threads;
-  options.schedule = schedule;
   options.max_steps = 10'000'000;
   StrategyStats stats;
   // The metrics registry is the authoritative step count: the JSON below
@@ -186,11 +177,7 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
     // engines are compared on the same (materialized-equivalent) view.
     stats.result_facts =
         static_cast<int64_t>(result.instance.ResolvedFactCount());
-    if (rep == 0) {
-      stats.fingerprint = result.instance.CanonicalFingerprint();
-      stats.canonical_fingerprint =
-          CanonicalizeNulls(result.instance).CanonicalFingerprint();
-    }
+    if (rep == 0) stats.fingerprint = result.instance.CanonicalFingerprint();
   }
   // Throughput in derived facts (result minus input) per second.
   double derived =
@@ -226,15 +213,10 @@ WorkloadResult RunWorkload(BenchContext& ctx, const std::string& name,
 }
 
 // The thread-scaling dimension: the same workload, delta strategy, at
-// 1/2/4/8 worker threads under barrier, then 2/4/8 under speculative
-// (sequential runs ignore the schedule, so speculative has no 1-thread
-// point of its own). Every point's speedup is against the 1-thread
-// sequential run, the barrier base. Every barrier point is cross-checked against
-// the base for identical fingerprints and step counts — the parallel path
-// must change wall time only. Every speculative point must match the
-// base's step count and its canonicalized fingerprint (its null
-// identities are schedule-dependent, so only renaming-invariant equality
-// is meaningful). The egd fixpoint runs the same batched passes at every
+// 1/2/4/8 worker threads. Every point's speedup is against the 1-thread
+// sequential run, and every point is cross-checked against it for an
+// identical raw fingerprint and step count — the pool must change wall
+// time only. The egd fixpoint runs the same batched passes at every
 // thread count; the pool only fans out their collect half.
 ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
                                      const std::string& name,
@@ -245,41 +227,25 @@ ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
   result.name = name;
   result.input_facts = static_cast<int64_t>(start.fact_count());
   StrategyStats base;
-  for (ChaseSchedule schedule :
-       {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative}) {
-    const bool barrier = schedule == ChaseSchedule::kBarrier;
-    for (int threads : {1, 2, 4, 8}) {
-      if (!barrier && threads == 1) continue;
-      StrategyStats stats =
-          RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-                 threads, schedule);
-      if (barrier && threads == 1) {
-        base = stats;
-      } else if (barrier) {
-        PDX_CHECK(stats.fingerprint == base.fingerprint)
-            << "thread count changed the result on " << name;
-        PDX_CHECK(stats.steps == base.steps)
-            << "thread count changed the step count on " << name;
-      } else {
-        PDX_CHECK(stats.canonical_fingerprint == base.canonical_fingerprint)
-            << ScheduleName(schedule)
-            << " run not isomorphic to barrier base on " << name;
-        PDX_CHECK(stats.steps == base.steps)
-            << ScheduleName(schedule) << " run changed the step count on "
-            << name;
-      }
-      ThreadPoint point;
-      point.threads = threads;
-      point.schedule = schedule;
-      point.wall_ms = stats.wall_ms;
-      point.steps = stats.steps;
-      point.speedup_vs_1t =
-          stats.wall_ms > 0 ? base.wall_ms / stats.wall_ms : 0;
-      result.points.push_back(point);
-      std::fprintf(stderr, "%-24s %d threads %-11s %9.2f ms (speedup %5.2fx)\n",
-                   name.c_str(), threads, ScheduleName(schedule),
-                   stats.wall_ms, point.speedup_vs_1t);
+  for (int threads : {1, 2, 4, 8}) {
+    StrategyStats stats = RunOne(symbols, start, tgds, egds,
+                                 ChaseStrategy::kRestricted, threads);
+    if (threads == 1) {
+      base = stats;
+    } else {
+      PDX_CHECK(stats.fingerprint == base.fingerprint)
+          << "thread count changed the result on " << name;
+      PDX_CHECK(stats.steps == base.steps)
+          << "thread count changed the step count on " << name;
     }
+    ThreadPoint point;
+    point.threads = threads;
+    point.wall_ms = stats.wall_ms;
+    point.steps = stats.steps;
+    point.speedup_vs_1t = stats.wall_ms > 0 ? base.wall_ms / stats.wall_ms : 0;
+    result.points.push_back(point);
+    std::fprintf(stderr, "%-24s %d threads %9.2f ms (speedup %5.2fx)\n",
+                 name.c_str(), threads, stats.wall_ms, point.speedup_vs_1t);
   }
   return result;
 }
@@ -324,7 +290,6 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
     for (const ThreadPoint& p : r.points) {
       w.BeginObject();
       w.Key("threads").Int(p.threads);
-      w.Key("schedule").String(ScheduleName(p.schedule));
       w.Key("wall_ms").Double(p.wall_ms, 3);
       w.Key("chase_steps").Int(p.steps);
       w.Key("speedup_vs_1t").Double(p.speedup_vs_1t, 2);
@@ -435,11 +400,8 @@ int Main(int argc, char** argv) {
                                   start, ctx.egd_heavy_tgds,
                                   ctx.egd_heavy_egds));
   }
-  // Thread scaling on the two headline workloads, plus a wide
-  // disjoint-dependency workload where consecutive tgds touch disjoint
-  // relations, so the speculative engine's cross-dependency pipelining
-  // actually overlaps collect with apply (on the two headline workloads
-  // the dependencies share relations and pipelining never engages).
+  // Thread scaling on the two headline workloads, plus a wide workload of
+  // four tgd families over disjoint relations.
   std::vector<ThreadScalingResult> scaling;
   {
     Instance start = ctx.RandomEdges(512, 2, 17);
@@ -454,11 +416,9 @@ int Main(int argc, char** argv) {
   }
   {
     // Heads keyed on (x,y): nearly every collected trigger fires, so the
-    // apply phase is insert-heavy — the case speculative instantiation
-    // (workers pre-build the head tuples) and pipelining (the next
-    // dependency's collect runs during this one's inserts) target. A
-    // head keyed on x alone would fire once per node and collect ~16
-    // triggers per fire, wasting the speculative instantiation.
+    // apply phase is insert-heavy and the workers' pre-built head rows
+    // carry most of the apply's tuple work. A head keyed on x alone would
+    // fire once per node and collect ~16 triggers per fire.
     Schema wide;
     SymbolTable wide_symbols;
     std::string rules;

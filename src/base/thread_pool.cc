@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "base/logging.h"
 #include "obs/metrics.h"
 
 namespace pdx {
@@ -138,7 +137,6 @@ void ThreadPool::Shutdown() {
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& fn) {
-  PDX_CHECK(!async_active_) << "ParallelFor while an async job is outstanding";
   if (n == 0) return;
   PoolMetrics& metrics = PoolMetrics::Get();
   metrics.jobs.Inc();
@@ -175,60 +173,6 @@ void ThreadPool::ParallelFor(size_t n,
     job_ = nullptr;
   }
   metrics.inflight.Add(-1);
-}
-
-void ThreadPool::ParallelForAsync(size_t n, std::function<void(size_t)> fn) {
-  PDX_CHECK(!async_active_) << "only one async job may be outstanding";
-  async_fn_ = std::move(fn);
-  async_n_ = n;
-  async_active_ = true;
-  async_dispatched_ = false;
-  if (n == 0 || workers_.empty()) return;  // deferred: Wait() runs inline
-
-  PoolMetrics& metrics = PoolMetrics::Get();
-  metrics.jobs.Inc();
-  metrics.tasks.Inc(static_cast<int64_t>(n));
-  metrics.inflight.Add(1);
-  // Shard for workers plus the caller: the caller's shard (index 0) sits
-  // untouched until Wait(), where the caller drains it — or a worker
-  // steals it first if the others run dry.
-  size_t participants = std::min(workers_.size() + 1, n);
-  async_job_.fn = &async_fn_;
-  async_job_.shard_count = participants;
-  async_job_.shards = std::make_unique<Shard[]>(participants);
-  for (size_t s = 0; s < participants; ++s) {
-    async_job_.shards[s].next.store(s * n / participants,
-                                    std::memory_order_relaxed);
-    async_job_.shards[s].end = (s + 1) * n / participants;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = &async_job_;
-    ++job_seq_;
-    workers_active_ = workers_.size();
-  }
-  work_cv_.notify_all();
-  async_dispatched_ = true;
-}
-
-void ThreadPool::Wait() {
-  if (!async_active_) return;
-  async_active_ = false;
-  if (!async_dispatched_) {
-    // Nothing was handed to workers (empty job or no workers): run inline.
-    for (size_t i = 0; i < async_n_; ++i) async_fn_(i);
-    async_fn_ = nullptr;
-    return;
-  }
-  RunShards(&async_job_, 0);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return workers_active_ == 0; });
-    job_ = nullptr;
-  }
-  PoolMetrics::Get().inflight.Add(-1);
-  async_fn_ = nullptr;
-  async_job_.shards.reset();
 }
 
 }  // namespace pdx

@@ -29,17 +29,6 @@ namespace pdx {
 // ParallelFor returns (workers check out under the pool mutex), so callers
 // may read per-index result buffers without further locking. One job runs
 // at a time; ParallelFor must not be re-entered from inside fn.
-//
-// ParallelForAsync starts a job on the worker threads only and returns
-// immediately, letting the caller overlap its own (data-disjoint) work —
-// the chase pipelines collection of dependency k+1 over application of k
-// this way. Wait() joins the job: the caller helps drain the remaining
-// shards, then blocks until every worker has checked out, with the same
-// happens-before guarantee as ParallelFor. Exactly one async job may be
-// outstanding, no ParallelFor may run while one is, and Wait() must be
-// called before the pool is destroyed or the job's fn/buffers go out of
-// scope. On a pool with no workers the job is simply deferred and runs
-// inline in Wait().
 class ThreadPool {
  public:
   // Spawns max(0, threads - 1) workers.
@@ -57,15 +46,6 @@ class ThreadPool {
   // not call back into this pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  // Starts fn(i) for every i in [0, n) on the worker threads and returns
-  // without waiting. fn is copied into the pool and stays alive until the
-  // matching Wait() returns.
-  void ParallelForAsync(size_t n, std::function<void(size_t)> fn);
-
-  // Joins the outstanding async job (no-op if there is none): helps drain
-  // its shards, then waits for the workers to check out.
-  void Wait();
-
   // --- One-off task queue (the pdxd server's worker pool) --------------
   //
   // Submit enqueues `task` for execution on some worker thread and returns
@@ -81,7 +61,7 @@ class ThreadPool {
   // and in-flight task has finished, then joins the worker threads.
   // Idempotent; the destructor calls it. Must not be invoked from inside
   // a task (a task waiting for its own pool to drain deadlocks) or while
-  // a ParallelFor / unjoined async job is in flight.
+  // a ParallelFor is in flight.
   void Shutdown();
 
   // std::thread::hardware_concurrency with a floor of 1.
@@ -113,14 +93,6 @@ class ThreadPool {
   size_t tasks_active_ = 0;          // guarded by mu_
   bool draining_ = false;            // guarded by mu_: Shutdown has begun
   std::vector<std::thread> workers_;
-
-  // Async job state, touched only by the owning (caller) thread between
-  // ParallelForAsync and Wait; workers reach it through job_ as usual.
-  Job async_job_;
-  std::function<void(size_t)> async_fn_;
-  size_t async_n_ = 0;
-  bool async_active_ = false;
-  bool async_dispatched_ = false;  // false => run inline in Wait()
 };
 
 }  // namespace pdx

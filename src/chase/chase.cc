@@ -1,8 +1,6 @@
 #include "chase/chase.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -20,15 +18,11 @@ namespace pdx {
 
 namespace {
 
-// Chase metrics on the process registry. Everything above the speculative
-// block is a deterministic function of the chase inputs — identical at
-// every num_threads setting (obs_test pins this): the per-run totals are
-// added once at the Chase() wrapper, the per-match and per-merge counters
-// are incremented on the hot path (match counting runs inside pool
-// workers, exercising the registry's thread-local shards). The speculative
-// counters move only under ChaseSchedule::kSpeculative and sit outside the
-// invariance contract: how many reserved null ids go unused depends on
-// partitioning and block-allocation accidents, not on the chase result.
+// Chase metrics on the process registry, each a deterministic function of
+// the chase inputs — identical at every num_threads setting (obs_test pins
+// this): the per-run totals are added once at the Chase() wrapper, the
+// per-match and per-merge counters on the hot path (the egd fixpoint's
+// merge counter per merge, the tgd phase's match counts once per batch).
 struct ChaseMetrics {
   obs::Counter runs;
   obs::Counter steps;
@@ -38,10 +32,6 @@ struct ChaseMetrics {
   obs::Counter egd_merges;
   obs::Counter compactions;
   obs::Histogram batch_triggers;  // violated triggers per dependency batch
-  // Speculative-schedule extras (see RunTgdPhaseSpeculative).
-  obs::Counter spec_triggers;       // head instantiations done in workers
-  obs::Counter spec_nulls_retired;  // reserved null ids never inserted
-  obs::Counter pipeline_overlaps;   // collections overlapped with an apply
 
   static ChaseMetrics& Get() {
     static ChaseMetrics* m = [] {
@@ -56,12 +46,6 @@ struct ChaseMetrics {
       metrics->compactions = reg.GetCounter("pdx_chase_compactions_total");
       metrics->batch_triggers = reg.GetHistogram(
           "pdx_chase_batch_triggers", {1, 4, 16, 64, 256, 1024, 4096});
-      metrics->spec_triggers =
-          reg.GetCounter("pdx_chase_speculative_triggers_total");
-      metrics->spec_nulls_retired =
-          reg.GetCounter("pdx_chase_speculative_nulls_retired_total");
-      metrics->pipeline_overlaps =
-          reg.GetCounter("pdx_chase_pipeline_overlaps_total");
       return metrics;
     }();
     return *m;
@@ -167,46 +151,6 @@ size_t CollectDeltaSlots(const std::vector<Atom>& atoms,
   return parts.size();
 }
 
-// Collects the body matches for which `keep` returns true (see
-// CollectDeltaSlots) into the first `returned` entries of `out`. Entries
-// beyond are capacity kept from earlier rounds, so steady-state rounds
-// copy-assign into existing Bindings instead of allocating per trigger.
-size_t CollectDeltaMatches(
-    const std::vector<Atom>& atoms, const plan::BodyPlan& body,
-    const Instance& instance, const DeltaView& delta, ThreadPool* pool,
-    const std::function<bool(const Binding&)>& keep,
-    std::vector<Binding>* out, uint64_t parent_span = 0) {
-  size_t used = 0;
-  const auto emit = [&](const Binding& m) {
-    if (used < out->size()) {
-      (*out)[used] = m;
-    } else {
-      out->push_back(m);
-    }
-    ++used;
-  };
-  if (pool == nullptr) {
-    EnumerateDelta(body, instance, delta, /*part=*/nullptr,
-                   [&](const Binding& m) {
-                     if (keep(m)) emit(m);
-                     return true;
-                   });
-    return used;
-  }
-  std::vector<std::vector<Binding>> buffers;
-  const size_t n = CollectDeltaSlots(
-      atoms, body, instance, delta, pool, parent_span, &buffers,
-      [&](std::vector<Binding>* buffer, const Binding& m) {
-        if (!keep(m)) return false;
-        buffer->push_back(m);
-        return true;
-      });
-  for (size_t p = 0; p < n; ++p) {
-    for (const Binding& m : buffers[p]) emit(m);
-  }
-  return used;
-}
-
 // The egd fixpoint's violated-trigger rows: one flat buffer per collect
 // slot, one var_count-strided row per violated body match. They live per
 // thread so steady-state collects allocate nothing (the generic solver
@@ -255,429 +199,136 @@ int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
   return fresh;
 }
 
-// Applies one tgd chase step for the trigger `binding` through the fused
-// apply template: fresh nulls drawn in the template's existential order
-// (ascending variable ids), head rows built slot by slot. Returns the
-// number of fresh nulls created. With a journal, the extended row is
-// recorded under `dep` for deletion propagation; `tgd` is only consulted
-// then (the existential fingerprint mask).
-int ApplyTgdStepPlanned(const plan::ApplyTemplate& apply,
-                        const Binding& binding, Instance* instance,
-                        SymbolTable* symbols, const Tgd* tgd = nullptr,
-                        size_t dep = 0, ChaseJournal* journal = nullptr) {
-  // Zero-allocation apply: fresh nulls land in a stack array parallel to
-  // apply.existentials and each head row is staged in a stack buffer for
-  // the span AddFact. Exotic shapes fall back to the Binding-extension
-  // path.
-  constexpr size_t kStack = 16;
-  const size_t n_exist = apply.existentials.size();
-  bool narrow = n_exist <= kStack;
-  for (const plan::HeadAtom& atom : apply.head_atoms) {
-    narrow = narrow && static_cast<size_t>(atom.arity) <= kStack;
-  }
-  if (narrow) {
-    Value fresh[kStack];
-    for (size_t i = 0; i < n_exist; ++i) {
-      PDX_DCHECK(!binding.bound[apply.existentials[i]]);
-      fresh[i] = symbols->FreshNull();
-    }
-    if (journal != nullptr) {
-      // Journaled runs pay one extended-row materialization per firing;
-      // the journal-off hot path stays allocation-free.
-      std::vector<Value> full = binding.values;
-      for (size_t i = 0; i < n_exist; ++i) {
-        full[apply.existentials[i]] = fresh[i];
-      }
-      journal->RecordTgd(dep, full.data(), full.size(), tgd->existential);
-    }
-    Value row[kStack];
-    size_t cursor = 0;
-    for (const plan::HeadAtom& atom : apply.head_atoms) {
-      for (int i = 0; i < atom.arity; ++i) {
-        const plan::HeadSlot& slot = apply.slots[cursor++];
-        if (slot.is_const) {
-          row[i] = slot.key;
-        } else if (binding.bound[slot.var]) {
-          row[i] = binding.values[slot.var];
-        } else {
-          // Existential: the list is tiny (fresh_per_trigger), so a
-          // linear scan beats any per-trigger map.
-          size_t e = 0;
-          while (e < n_exist && apply.existentials[e] != slot.var) ++e;
-          PDX_DCHECK(e < n_exist);
-          row[i] = e < n_exist ? fresh[e] : Value();
-        }
-      }
-      instance->AddFact(atom.relation, row,
-                        static_cast<size_t>(atom.arity));
-    }
-    return apply.fresh_per_trigger;
-  }
-  Binding extended = binding;
-  for (VariableId v : apply.existentials) {
-    PDX_DCHECK(!extended.bound[v]);
-    extended.Bind(v, symbols->FreshNull());
-  }
-  if (journal != nullptr) {
-    journal->RecordTgd(dep, extended.values.data(), extended.values.size(),
-                       tgd->existential);
-  }
-  size_t cursor = 0;
-  for (const plan::HeadAtom& atom : apply.head_atoms) {
-    Tuple tuple;
-    tuple.reserve(atom.arity);
-    for (int i = 0; i < atom.arity; ++i) {
-      const plan::HeadSlot& slot = apply.slots[cursor++];
-      tuple.push_back(slot.is_const ? slot.key : extended.values[slot.var]);
-    }
-    instance->AddFact(atom.relation, std::move(tuple));
-  }
-  return apply.fresh_per_trigger;
-}
-
-// TriggerFingerprint and TriggerLedger moved to chase/trigger_ledger.h:
-// the deletion-propagation journal (chase/journal.h) shares the ledger's
-// exactly-once/retire discipline, so the class is now a public header.
-
-// --- Speculative parallel execution (ChaseSchedule::kSpeculative) -----
-//
-// In barrier mode, workers only *collect* triggers and the sequential
-// apply phase invents nulls and inserts, so results are bit-identical at
-// every thread count. Speculative mode moves head instantiation (and, for
-// the oblivious engine, ledger admission) into the workers and overlaps
-// collection of the next compatible dependency with the current apply
-// phase. The per-round trigger sets, apply order, outcome, steps,
-// nulls_created and every resolved-view property are unchanged — but
-// which null *ids* the existential witnesses get depends on which worker
-// instantiated them, so results equal the barrier mode's only up to a
-// bijective null renaming (CanonicalizeNulls in hom/instance_hom.h).
-
-// Relation read/write footprints (plan::TgdFootprint, carried on the
-// compiled setting) drive the cross-dependency scheduler. Collecting a
-// tgd's triggers reads its body relations (the matcher) and its head
-// relations (the restricted violated-trigger filter probes the head; kept
-// in the read set for both engines); applying a tgd writes its head
-// relations. Collection
-// of B may safely overlap application of A iff A's writes are disjoint
-// from B's reads: the copy-on-write stores never move on append — only
-// the written relation's store changes — so every relation outside A's
-// write set is stable under concurrent readers, and B's trigger set is
-// the same whether it is collected before or after A's facts land.
-using plan::FootprintsCompatible;
-using plan::TgdFootprint;
-
-// Speculatively collected triggers live in flat, partition-local
-// buffers rather than per-trigger objects: `rows` holds the binding
-// values (var_count per trigger, existential slots already filled with
-// nulls from the worker's private range) and `heads` the fully
-// instantiated head-atom values (head_width per trigger, atoms
-// concatenated in tgd.head order). Flat storage is what makes
-// speculation pay off — the worker's per-trigger cost is appending
-// values (no per-trigger heap objects, so the allocator never sees
-// cross-thread traffic), and the sequential apply phase becomes a
-// streaming scan in prefetch order instead of a pointer chase over
-// worker-allocated triggers.
-struct SpecBuffer {
+// One collect slot of the tgd phase, in flat buffers rather than
+// per-trigger objects: `rows` holds each kept match's binding values
+// (var_count per trigger) and `heads` its head rows (head_width per
+// trigger, atoms concatenated in tgd.head order), built by the worker that
+// found the match. The existential slots of both stay unfilled until the
+// apply mints the trigger's nulls. `fps` holds the oblivious engine's
+// trigger fingerprints, parallel to the rows. A worker only appends
+// values, so the collect allocates no per-trigger objects and the apply
+// is a streaming scan in enumeration order.
+struct TgdRows {
   std::vector<Value> rows;
   std::vector<Value> heads;
-  std::vector<uint64_t> fps;  // admitted fingerprints (oblivious only)
-  size_t count = 0;
+  std::vector<uint64_t> fps;
+  size_t count = 0;     // kept triggers
+  int64_t matches = 0;  // body matches enumerated, kept or not
+
+  void clear() {
+    rows.clear();
+    heads.clear();
+    fps.clear();
+    count = 0;
+    matches = 0;
+  }
 };
 
-// Speculative collection of one dependency's pending triggers: the delta
-// partitions fan across the pool and each partition task instantiates the
-// heads of the matches it admits through the tgd's apply template, drawing
-// nulls from one exact-size partition-local range. With a null ledger the
-// admission filter is the restricted engine's head probe; otherwise it is
-// concurrent ledger admission (exactly one partition wins each
-// fingerprint, which also collapses the duplicate matches the extras
-// overlap can produce). The job either Run()s synchronously with the
-// caller participating, or has its partitions driven externally by the
-// scheduler's combined lookahead batch (RunPartition is safe from any pool
-// worker); `buffers()` exposes the results in partition order — the
-// sequential enumeration order, so the apply order is schedule-invariant.
-class SpecCollectJob {
- public:
-  SpecCollectJob(const Tgd* tgd, size_t dep_index, const plan::TgdPlan* plan,
-                 const Instance* instance, const DeltaView* delta,
-                 SymbolTable* symbols, TriggerLedger* ledger,
-                 ThreadPool* pool, uint64_t parent_span, bool pipelined)
-      : tgd_(tgd),
-        dep_(dep_index),
-        plan_(plan),
-        instance_(instance),
-        delta_(delta),
-        symbols_(symbols),
-        ledger_(ledger),
-        pool_(pool),
-        parent_span_(parent_span),
-        pipelined_(pipelined) {
-    parts_ = PartitionDeltaMatches(tgd->body, *delta,
-                                   static_cast<size_t>(pool->size()) * 4);
-    buffers_.resize(parts_.size());
-  }
-
-  // Collects synchronously, the caller participating.
-  void Run() {
-    pool_->ParallelFor(parts_.size(),
-                       [this](size_t p) { RunPartition(p); });
-  }
-
-  size_t partition_count() const { return parts_.size(); }
-
-  // The collected buffers, in partition order. Only valid once every
-  // partition has run (after Run(), or after the scheduler joined the
-  // async batch driving RunPartition); they stay owned by the job, so
-  // the job must outlive the apply scan that reads them.
-  const std::vector<SpecBuffer>& buffers() const { return buffers_; }
-
-  // One partition's work; reentrant across distinct `p`, so a combined
-  // lookahead batch can interleave partitions of several jobs on the
-  // pool's workers.
-  void RunPartition(size_t p) {
-    obs::Span part_span(obs::Tracer::Global(), "chase.collect_part",
-                        parent_span_);
-    part_span.AttrInt("partition", static_cast<int64_t>(p))
-        .AttrBool("speculative", true)
-        .AttrBool("pipelined", pipelined_);
-    ChaseMetrics& metrics = ChaseMetrics::Get();
-    SpecBuffer& buffer = buffers_[p];
-    const plan::ApplyTemplate& apply = plan_->apply;
-    const auto admit = [&](const Binding& m) {
-      metrics.tgd_matches.Inc();
-      if (ledger_ != nullptr) {
-        uint64_t fp = TriggerFingerprint(dep_, *tgd_, m);
-        if (!ledger_->Admit(fp)) return true;
-        buffer.fps.push_back(fp);
-      } else if (HasMatchPlanned(plan_->head, *instance_, m)) {
-        return true;
-      }
-      const size_t row = buffer.rows.size();
-      buffer.rows.insert(buffer.rows.end(), m.values.begin(),
-                         m.values.end());
-      for (VariableId v : apply.existentials) PDX_DCHECK(!m.bound[v]);
-      // Existential row/head slots hold junk until the patch pass
-      // below fills them from the partition's exact null range.
-      for (const plan::HeadSlot& slot : apply.slots) {
-        buffer.heads.push_back(slot.is_const ? slot.key
-                                             : buffer.rows[row + slot.var]);
-      }
-      ++buffer.count;
-      return true;
-    };
-    EnumerateDelta(plan_->body, *instance_, *delta_, &parts_[p], admit);
-    // Reserve the partition's nulls in one exact fetch_add only now that
-    // the admitted count is known: block-sized draws would retire their
-    // unused tails, and the resulting holes in the null id space inflate
-    // every id-indexed structure downstream (the union-find resolver
-    // arrays most of all — sparse ids measurably slow the egd fixpoint).
-    const size_t fresh = apply.existentials.size();
-    if (buffer.count > 0 && fresh > 0) {
-      const uint32_t base = symbols_->ReserveNullRange(
-          static_cast<uint32_t>(buffer.count * fresh));
-      const size_t var_count = static_cast<size_t>(tgd_->var_count);
-      for (size_t t = 0; t < buffer.count; ++t) {
-        Value* row = buffer.rows.data() + t * var_count;
-        for (size_t e = 0; e < fresh; ++e) {
-          row[apply.existentials[e]] =
-              Value::Null(base + static_cast<uint32_t>(t * fresh + e));
-        }
-        Value* head = buffer.heads.data() + t * apply.head_width;
-        for (const auto& [pos, v] : apply.head_null_slots) {
-          head[pos] = row[v];
-        }
-      }
-    }
-    metrics.spec_triggers.Inc(static_cast<int64_t>(buffer.count));
-    part_span.AttrInt("collected", static_cast<int64_t>(buffer.count));
-  }
-
- private:
-  const Tgd* tgd_;
-  size_t dep_;
-  const plan::TgdPlan* plan_;
-  const Instance* instance_;
-  const DeltaView* delta_;
-  SymbolTable* symbols_;
-  TriggerLedger* ledger_;  // nullptr => restricted head-probe filter
-  ThreadPool* pool_;
-  uint64_t parent_span_;
-  bool pipelined_;
-  std::vector<DeltaPartition> parts_;
-  std::vector<SpecBuffer> buffers_;
-};
-
-// One round's tgd phase under the kSpeculative schedule, shared by the
-// restricted (ledger == nullptr) and oblivious engines: for each
-// dependency touching the delta, collect fully instantiated triggers (see
-// SpecCollectJob), then apply them sequentially in enumeration order.
-//
-// Scheduling is topological over the footprint DAG rather than one-ahead:
-// before applying dependency i, the scheduler gathers *every* not-yet-
-// collected dependency j > i whose read footprint is disjoint from the
-// writes of every dependency that will apply before it (positions [i, j)
-// — applied or not, their inserts land before j's buffers are consumed),
-// and starts their collections as one combined async batch on the pool's
-// workers (the pool runs one job at a time, so the batch interleaves all
-// their partitions). Independent tgd families thus run collect → apply
-// concurrently end-to-end instead of overlapping a single dependency.
-// Applies still happen in active-list order, which keeps steps and
-// nulls_created schedule-invariant.
-//
-// The apply re-checks each restricted head physically and inserts inline;
-// oblivious triggers were admitted by the workers, so the apply only
-// records their roots and inserts. Returns false when the step budget was
-// exhausted (`result` is finalized).
-bool RunTgdPhaseSpeculative(const std::vector<Tgd>& tgds,
-                            const plan::CompiledSetting& compiled,
-                            Instance* instance, const DeltaView& delta,
-                            SymbolTable* symbols, TriggerLedger* ledger,
-                            ThreadPool* pool, const ChaseOptions& options,
-                            ChaseResult* result,
-                            ChaseJournal* journal = nullptr) {
+// One round's tgd phase at every thread count, shared by the restricted
+// engine (ledger == nullptr) and the oblivious engine. For each tgd
+// touching the delta:
+//   - Collect (CollectDeltaSlots into the run-owned `slots`): keep each
+//     match the filter lets through and build its head rows. The
+//     restricted filter drops matches whose head already holds
+//     (HasMatchPlanned); the oblivious one drops fingerprints that already
+//     fired (read-only TriggerLedger::Contains).
+//   - Apply, on the calling thread in slot order, which is the sequential
+//     enumeration order. The restricted engine re-checks each head against
+//     the live instance, since an earlier trigger of the batch may have
+//     satisfied it; the oblivious engine admits the fingerprint through
+//     TriggerLedger::Insert, which also collapses the repeats that
+//     merge-dirtied extras put into two partitions. Only then does the
+//     trigger mint its nulls (FreshNull, in existential order), journal its
+//     extended row and insert its head rows.
+// Null ids thus follow the apply order alone, so results are bit-identical
+// at every thread count and no null id is drawn for a skipped trigger.
+// Returns false when the step budget was exhausted (`result` is
+// finalized).
+bool RunTgdPhase(const std::vector<Tgd>& tgds,
+                 const plan::CompiledSetting& compiled, const DeltaView& delta,
+                 SymbolTable* symbols, TriggerLedger* ledger, ThreadPool* pool,
+                 int64_t max_steps, ChaseJournal* journal,
+                 std::vector<TgdRows>* slots, ChaseResult* result) {
   ChaseMetrics& metrics = ChaseMetrics::Get();
-  const std::vector<TgdFootprint>& footprints = compiled.footprints;
-  std::vector<size_t> active;
+  Instance& instance = result->instance;
   for (size_t d = 0; d < tgds.size(); ++d) {
-    if (TouchesDelta(tgds[d].body, delta)) active.push_back(d);
-  }
-  // The jobs own the flat trigger buffers the apply scans read; each is
-  // released once its dependency has applied.
-  std::vector<std::unique_ptr<SpecCollectJob>> jobs(active.size());
-  std::vector<bool> collected(active.size(), false);
-  // Active-list positions whose collections run in the current combined
-  // async batch; empty when no batch is in flight.
-  std::vector<size_t> inflight;
-  const auto make_job = [&](size_t i, bool pipelined, uint64_t parent) {
-    const size_t d = active[i];
-    return std::make_unique<SpecCollectJob>(
-        &tgds[d], d, &compiled.tgds[d], instance, &delta, symbols, ledger,
-        pool, parent, pipelined);
-  };
-  const auto join_batch = [&] {
-    if (inflight.empty()) return;
-    pool->Wait();
-    for (size_t j : inflight) collected[j] = true;
-    inflight.clear();
-  };
-  // Starts the combined lookahead batch for the apply at position i.
-  const auto start_lookahead = [&](size_t i, uint64_t parent) {
-    if (!inflight.empty()) return;  // pool runs one async job at a time
-    for (size_t j = i + 1; j < active.size(); ++j) {
-      if (collected[j]) continue;
-      bool ready = true;
-      for (size_t k = i; k < j && ready; ++k) {
-        ready = FootprintsCompatible(footprints[active[k]],
-                                     footprints[active[j]]);
-      }
-      if (ready) inflight.push_back(j);
-    }
-    if (inflight.empty()) return;
-    auto units = std::make_shared<
-        std::vector<std::pair<SpecCollectJob*, size_t>>>();
-    for (size_t j : inflight) {
-      jobs[j] = make_job(j, /*pipelined=*/true, parent);
-      for (size_t p = 0; p < jobs[j]->partition_count(); ++p) {
-        units->emplace_back(jobs[j].get(), p);
-      }
-    }
-    metrics.pipeline_overlaps.Inc(static_cast<int64_t>(inflight.size()));
-    if (units->empty()) {
-      // Nothing to enumerate (empty partitions): collected trivially.
-      for (size_t j : inflight) collected[j] = true;
-      inflight.clear();
-      return;
-    }
-    pool->ParallelForAsync(units->size(), [units](size_t u) {
-      (*units)[u].first->RunPartition((*units)[u].second);
-    });
-  };
-  bool exhausted = false;
-  for (size_t i = 0; i < active.size() && !exhausted; ++i) {
-    const size_t d = active[i];
     const Tgd& tgd = tgds[d];
+    if (!TouchesDelta(tgd.body, delta)) continue;
     const plan::TgdPlan& plan = compiled.tgds[d];
     const plan::ApplyTemplate& apply = plan.apply;
     obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
-    tgd_span.AttrInt("dep", static_cast<int64_t>(d))
-        .AttrStr("schedule", ScheduleName(ChaseSchedule::kSpeculative));
-    const bool was_inflight =
-        std::find(inflight.begin(), inflight.end(), i) != inflight.end();
-    if (was_inflight || (!collected[i] && !inflight.empty())) {
-      // Either our own collection runs in the batch, or we must collect
-      // synchronously and the pool is busy: join the batch first.
-      join_batch();
+    tgd_span.AttrInt("dep", static_cast<int64_t>(d));
+    const size_t used = CollectDeltaSlots(
+        tgd.body, plan.body, instance, delta, pool, tgd_span.id(), slots,
+        [&](TgdRows* buffer, const Binding& m) {
+          ++buffer->matches;
+          if (ledger != nullptr) {
+            const uint64_t fp = TriggerFingerprint(d, tgd, m);
+            if (ledger->Contains(fp)) return false;
+            buffer->fps.push_back(fp);
+          } else if (HasMatchPlanned(plan.head, instance, m)) {
+            return false;
+          }
+          const size_t row = buffer->rows.size();
+          buffer->rows.insert(buffer->rows.end(), m.values.begin(),
+                              m.values.end());
+          for (const plan::HeadSlot& slot : apply.slots) {
+            buffer->heads.push_back(
+                slot.is_const ? slot.key : buffer->rows[row + slot.var]);
+          }
+          ++buffer->count;
+          return true;
+        });
+    int64_t matches = 0;
+    size_t collected = 0;
+    for (size_t s = 0; s < used; ++s) {
+      matches += (*slots)[s].matches;
+      collected += (*slots)[s].count;
     }
-    if (!collected[i]) {
-      jobs[i] = make_job(i, /*pipelined=*/false, tgd_span.id());
-      jobs[i]->Run();
-      collected[i] = true;
-    }
-    const std::vector<SpecBuffer>& pending = jobs[i]->buffers();
-    size_t total = 0;
-    for (const SpecBuffer& buffer : pending) total += buffer.count;
-    metrics.batch_triggers.Observe(static_cast<int64_t>(total));
-    // Launch the lookahead before applying so collections of every ready
-    // dependency overlap this apply phase.
-    start_lookahead(i, tgd_span.id());
+    metrics.tgd_matches.Inc(matches);
+    metrics.batch_triggers.Observe(static_cast<int64_t>(collected));
     // Every trigger binds exactly the body variables (ApplyTemplate), so
     // one scratch Binding with that mask serves the whole scan: only its
-    // values are refreshed from the flat rows, and the existential slots
-    // stay masked off, as the head re-check and the oblivious root index
-    // both require.
+    // values are refreshed from the rows, and the existential slots stay
+    // masked off, as the head re-check and the ledger's root index need.
     Binding scratch = Binding::Empty(tgd.var_count);
     scratch.bound = apply.body_bound;
     const size_t var_count = static_cast<size_t>(tgd.var_count);
     int64_t applied = 0;
-    for (const SpecBuffer& buffer : pending) {
-      const Value* row = buffer.rows.data();
-      const Value* head = buffer.heads.data();
+    for (size_t s = 0; s < used; ++s) {
+      TgdRows& buffer = (*slots)[s];
+      Value* row = buffer.rows.data();
+      Value* head = buffer.heads.data();
       for (size_t t = 0; t < buffer.count;
            ++t, row += var_count, head += apply.head_width) {
         std::copy(row, row + var_count, scratch.values.begin());
-        if (ledger == nullptr) {
-          if (HasMatchPlanned(plan.head, *instance, scratch)) {
-            // Re-check: an earlier application may have satisfied it. The
-            // skipped trigger's speculative nulls are retired unused.
-            metrics.spec_nulls_retired.Inc(apply.fresh_per_trigger);
-            continue;
-          }
-        } else {
-          // Admission already happened in the worker; only the
-          // generation index is still owed.
-          ledger->RecordRoots(buffer.fps[t], tgd, scratch);
-        }
+        const bool fires =
+            ledger == nullptr ? !HasMatchPlanned(plan.head, instance, scratch)
+                              : ledger->Insert(buffer.fps[t], tgd, scratch);
+        if (!fires) continue;
+        for (VariableId v : apply.existentials) row[v] = symbols->FreshNull();
+        for (const auto& [pos, v] : apply.head_null_slots) head[pos] = row[v];
         if (journal != nullptr) {
-          // `row` is the full extended binding: the workers already
-          // patched the existential slots from their reserved ranges.
           journal->RecordTgd(d, row, var_count, tgd.existential);
         }
         const Value* cursor = head;
         for (const plan::HeadAtom& atom : apply.head_atoms) {
-          instance->AddFact(atom.relation,
-                            Tuple(cursor, cursor + atom.arity));
+          instance.AddFact(atom.relation, cursor,
+                           static_cast<size_t>(atom.arity));
           cursor += atom.arity;
         }
         result->nulls_created += apply.fresh_per_trigger;
-        ++result->steps;
         ++applied;
-        if (result->steps >= options.max_steps) {
+        if (++result->steps >= max_steps) {
           result->outcome = ChaseOutcome::kBudgetExhausted;
-          exhausted = true;
-          break;
+          return false;
         }
       }
-      if (exhausted) break;
     }
-    tgd_span.AttrInt("collected", static_cast<int64_t>(total))
+    tgd_span.AttrInt("collected", static_cast<int64_t>(collected))
         .AttrInt("applied", applied);
-    jobs[i].reset();
   }
-  // A lookahead batch may still be in flight when the budget cuts the
-  // apply loop short; its results are dropped, but the workers must check
-  // out before the round state goes away.
-  if (!inflight.empty()) pool->Wait();
-  return !exhausted;
+  return true;
 }
 
 // Applies one egd substitution for the violated trigger (a, b), or fails
@@ -795,14 +446,12 @@ bool AbsorbEgdOutcome(const EgdFixpointOutcome& egd_out, ChaseResult* result) {
 // so watermarks stay valid and only the dirty equivalence classes are
 // re-examined.
 //
-// With a pool, each tgd's trigger collection is fanned across the delta
-// partitions; the apply phase stays sequential in enumeration order, and
-// later tgds still see earlier tgds' additions, so the per-round state
-// sequence — and with it every fresh-null assignment — is bit-identical
-// to the single-threaded run. Under ChaseSchedule::kSpeculative the
-// workers additionally instantiate heads and pipeline across dependencies
-// (RunTgdPhaseSpeculative); the result is then equal only up to a
-// bijective null renaming.
+// Each round's tgd phase is RunTgdPhase: with a pool, each tgd's collect
+// fans across the delta partitions; the apply stays sequential in
+// enumeration order and mints every fresh null there, and later tgds still
+// see earlier tgds' additions, so the per-round state sequence — and with
+// it every fresh-null assignment — is bit-identical to the single-threaded
+// run.
 ChaseResult ChaseRestrictedDelta(Instance start,
                                  const std::vector<Tgd>& tgds,
                                  const std::vector<Egd>& egds,
@@ -812,11 +461,6 @@ ChaseResult ChaseRestrictedDelta(Instance start,
                                  const plan::CompiledSetting& compiled) {
   ChaseResult result(std::move(start));
   Instance& instance = result.instance;
-  // Sequential runs always take the barrier path (ResolveSchedule's
-  // choice only matters once a pool exists).
-  const bool speculative =
-      pool != nullptr &&
-      ResolveSchedule(options) == ChaseSchedule::kSpeculative;
   // Everything is "new" before the first round, so round one degenerates
   // to the full scan the naive chase would do — exactly once. An
   // incremental caller (ChaseOptions::resume_from) instead seeds the
@@ -836,11 +480,9 @@ ChaseResult ChaseRestrictedDelta(Instance start,
   int64_t dirty_accum = 0;
   ChaseMetrics& metrics = ChaseMetrics::Get();
   int64_t round = 0;
-  // Trigger buffer shared across rounds and dependencies: steady-state
-  // collects assign into retained Binding capacity (see
-  // CollectDeltaMatches) instead of re-allocating two vectors per
-  // trigger.
-  std::vector<Binding> pending;
+  // Collect slots shared across rounds and dependencies: cleared, not
+  // freed, so steady-state rounds append into retained capacity.
+  std::vector<TgdRows> slots;
   while (true) {
     if (result.steps >= options.max_steps) {
       result.outcome = ChaseOutcome::kBudgetExhausted;
@@ -865,56 +507,9 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     // Facts present now are covered once this round's triggers have been
     // evaluated; facts the round itself adds become the next delta.
     InstanceWatermark frontier = instance.TakeWatermark();
-    if (speculative) {
-      if (!RunTgdPhaseSpeculative(tgds, compiled, &instance, delta, symbols,
-                                  /*ledger=*/nullptr, pool, options, &result,
-                                  options.journal)) {
-        return result;
-      }
-    } else {
-      for (size_t d = 0; d < tgds.size(); ++d) {
-        const Tgd& tgd = tgds[d];
-        if (!TouchesDelta(tgd.body, delta)) continue;
-        const plan::TgdPlan& plan = compiled.tgds[d];
-        obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
-        tgd_span.AttrInt("dep", static_cast<int64_t>(d));
-        // Collect the violated triggers for this delta, then apply them.
-        // (Applying while enumerating would mutate the instance under the
-        // matcher.) Body matches are counted locally and flushed to the
-        // registry once per batch: the keep filter is the hottest lambda
-        // in the engine and a sharded atomic per call is measurable.
-        // (Relaxed atomic: pooled collection invokes the filter from
-        // partition workers.)
-        std::atomic<int64_t> n_matches{0};
-        const size_t n_pending = CollectDeltaMatches(
-            tgd.body, plan.body, instance, delta, pool,
-            [&](const Binding& body_match) {
-              n_matches.fetch_add(1, std::memory_order_relaxed);
-              return !HasMatchPlanned(plan.head, instance, body_match);
-            },
-            &pending, tgd_span.id());
-        metrics.tgd_matches.Inc(n_matches.load(std::memory_order_relaxed));
-        metrics.batch_triggers.Observe(static_cast<int64_t>(n_pending));
-        // The apply stays sequential at every thread count: each trigger
-        // is re-checked against the live instance, so an earlier
-        // application in this batch may already satisfy it.
-        int64_t applied = 0;
-        for (size_t t = 0; t < n_pending; ++t) {
-          const Binding& trigger = pending[t];
-          if (HasMatchPlanned(plan.head, instance, trigger)) continue;
-          result.nulls_created +=
-              ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols,
-                                  &tgd, d, options.journal);
-          ++result.steps;
-          ++applied;
-          if (result.steps >= options.max_steps) {
-            result.outcome = ChaseOutcome::kBudgetExhausted;
-            return result;
-          }
-        }
-        tgd_span.AttrInt("collected", static_cast<int64_t>(n_pending))
-            .AttrInt("applied", applied);
-      }
+    if (!RunTgdPhase(tgds, compiled, delta, symbols, /*ledger=*/nullptr, pool,
+                     options.max_steps, options.journal, &slots, &result)) {
+      return result;
     }
     mark = std::move(frontier);
     extras.clear();
@@ -963,18 +558,11 @@ ChaseResult ChaseOblivious(Instance start,
   ChaseResult result(std::move(start));
   Instance& instance = result.instance;
   TriggerLedger fired;
-  const bool speculative =
-      pool != nullptr &&
-      ResolveSchedule(options) == ChaseSchedule::kSpeculative;
   InstanceWatermark mark = InstanceWatermark::Origin(instance);
   std::vector<std::vector<int>> extras;
   ChaseMetrics& metrics = ChaseMetrics::Get();
   int64_t round = 0;
-  // Trigger buffer shared across rounds and dependencies: steady-state
-  // collects assign into retained Binding capacity (see
-  // CollectDeltaMatches) instead of re-allocating two vectors per
-  // trigger.
-  std::vector<Binding> pending;
+  std::vector<TgdRows> slots;
   while (true) {
     if (result.steps >= options.max_steps) {
       result.outcome = ChaseOutcome::kBudgetExhausted;
@@ -997,53 +585,10 @@ ChaseResult ChaseOblivious(Instance start,
       return result;
     }
     InstanceWatermark frontier = instance.TakeWatermark();
-    if (speculative) {
-      // Admission happens in the workers (TriggerLedger::Admit through the
-      // concurrent fingerprint set); the apply loop only records roots and
-      // inserts the pre-instantiated heads.
-      if (!RunTgdPhaseSpeculative(tgds, compiled, &instance, delta, symbols,
-                                  &fired, pool, options, &result)) {
-        return result;
-      }
-    } else {
-      for (size_t d = 0; d < tgds.size(); ++d) {
-        const Tgd& tgd = tgds[d];
-        if (!TouchesDelta(tgd.body, delta)) continue;
-        const plan::TgdPlan& plan = compiled.tgds[d];
-        obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
-        tgd_span.AttrInt("dep", static_cast<int64_t>(d));
-        // Collect unfired triggers first (the instance must not change
-        // under the matcher), then fire them. The ledger is only read
-        // during collection (workers filter against it concurrently);
-        // Insert runs in the sequential fire loop, which also collapses
-        // the repeats the extras overlap can produce. As in the
-        // restricted loop, matches are counted locally and flushed to
-        // the registry once per batch.
-        std::atomic<int64_t> n_matches{0};
-        const size_t n_pending = CollectDeltaMatches(
-            tgd.body, plan.body, instance, delta, pool,
-            [&](const Binding& body_match) {
-              n_matches.fetch_add(1, std::memory_order_relaxed);
-              return !fired.Contains(TriggerFingerprint(d, tgd, body_match));
-            },
-            &pending, tgd_span.id());
-        metrics.tgd_matches.Inc(n_matches.load(std::memory_order_relaxed));
-        metrics.batch_triggers.Observe(static_cast<int64_t>(n_pending));
-        for (size_t t = 0; t < n_pending; ++t) {
-          const Binding& trigger = pending[t];
-          if (!fired.Insert(TriggerFingerprint(d, tgd, trigger), tgd,
-                            trigger)) {
-            continue;
-          }
-          result.nulls_created +=
-              ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols);
-          ++result.steps;
-          if (result.steps >= options.max_steps) {
-            result.outcome = ChaseOutcome::kBudgetExhausted;
-            return result;
-          }
-        }
-      }
+    if (!RunTgdPhase(tgds, compiled, delta, symbols, &fired, pool,
+                     options.max_steps, /*journal=*/nullptr, &slots,
+                     &result)) {
+      return result;
     }
     mark = std::move(frontier);
     extras.clear();
@@ -1184,42 +729,6 @@ ChaseResult ChaseDispatch(Instance start, const std::vector<Tgd>& tgds,
                               pool.get(), *compiled);
 }
 
-}  // namespace
-
-const char* ScheduleName(ChaseSchedule schedule) {
-  switch (schedule) {
-    case ChaseSchedule::kBarrier: return "barrier";
-    case ChaseSchedule::kSpeculative: return "speculative";
-  }
-  return "unknown";
-}
-
-std::optional<ChaseSchedule> ParseScheduleName(std::string_view name) {
-  for (ChaseSchedule schedule :
-       {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative}) {
-    if (name == ScheduleName(schedule)) return schedule;
-  }
-  return std::nullopt;
-}
-
-ChaseSchedule ResolveSchedule(const ChaseOptions& options) {
-  // The override is read once per process: sanitizer lanes pin a schedule
-  // for a whole test binary.
-  static const std::optional<ChaseSchedule> forced =
-      []() -> std::optional<ChaseSchedule> {
-    const char* env = std::getenv("PDX_FORCE_SCHEDULE");
-    if (env == nullptr || env[0] == '\0') return std::nullopt;
-    std::optional<ChaseSchedule> parsed = ParseScheduleName(env);
-    PDX_CHECK(parsed.has_value())
-        << "PDX_FORCE_SCHEDULE=" << env
-        << " names no schedule (valid: barrier, speculative)";
-    return parsed;
-  }();
-  return forced.value_or(options.schedule);
-}
-
-namespace {
-
 ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
                      const std::vector<Egd>& egds, SymbolTable* symbols,
                      const ChaseOptions& options) {
@@ -1227,7 +736,6 @@ ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
   obs::Span run_span(obs::Tracer::Global(), "chase");
   run_span.AttrStr("strategy", StrategyName(options.strategy))
       .AttrInt("threads", ResolveThreadCount(options))
-      .AttrStr("schedule", ScheduleName(ResolveSchedule(options)))
       .AttrInt("tgds", static_cast<int64_t>(tgds.size()))
       .AttrInt("egds", static_cast<int64_t>(egds.size()));
   ChaseResult result =

@@ -2,9 +2,7 @@
 #define PDX_CHASE_CHASE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,39 +47,6 @@ enum class ChaseStrategy {
   kOblivious,
 };
 
-// How the tgd phase of one round is scheduled across pool workers
-// (kRestricted/kOblivious with num_threads > 1; sequential runs ignore it).
-enum class ChaseSchedule {
-  // Per-dependency barrier: collect-parallel, then a sequential apply on
-  // the calling thread before the next dependency's collect starts (the
-  // restricted engine re-checks each head against the live instance; the
-  // oblivious engine fires through its ledger). Fresh nulls are invented
-  // in the deterministic apply order, so results are *bit-identical*
-  // across thread counts (DESIGN.md §4d).
-  kBarrier,
-  // Speculative: workers instantiate heads during collect, drawing fresh
-  // nulls from private SymbolTable ranges (one exact ReserveNullRange per
-  // delta partition), so the sequential apply only re-checks and inserts;
-  // oblivious ledger admission moves into the workers; and collection of
-  // footprint-compatible dependencies overlaps the current apply through
-  // the topological lookahead (cross-dependency pipelining). Outcome,
-  // steps, nulls_created, rounds and every resolved-view property stay
-  // invariant, but fresh-null *identities* become schedule-dependent:
-  // results equal barrier's only up to a bijective null renaming (checked
-  // via CanonicalizeNulls; see DESIGN.md "Speculative head
-  // instantiation").
-  kSpeculative,
-};
-
-// Printable name ("barrier"/"speculative"), used by span attributes, bench
-// output and pdxcli --schedule.
-const char* ScheduleName(ChaseSchedule schedule);
-
-// The schedule named `name` (exactly as ScheduleName spells it), or
-// nullopt. The one parser behind pdxcli --schedule, PDX_FORCE_SCHEDULE and
-// the tests' schedule pinning.
-std::optional<ChaseSchedule> ParseScheduleName(std::string_view name);
-
 class ChaseJournal;
 
 struct ChaseOptions {
@@ -96,18 +61,13 @@ struct ChaseOptions {
   // Worker threads for delta trigger enumeration (kRestricted/kOblivious):
   // 0 = hardware concurrency, 1 = fully sequential. Any value > 1 fans the
   // collect half of every tgd batch and egd pass across partitioned
-  // parallel enumeration. The apply half (which triggers fire, their
-  // fresh nulls and the inserts) stays sequential, in the same order.
-  // Results are identical at every setting —
-  // same outcome, steps, failure, nulls_created and canonical fingerprint
-  // (see DESIGN.md "Parallel execution model").
+  // parallel enumeration; workers also build the kept triggers' head rows.
+  // The apply half (which triggers fire, their fresh nulls and the
+  // inserts) stays sequential, in the same order, so results are
+  // bit-identical at every setting — same outcome, steps, failure,
+  // nulls_created, null ids and fingerprint (see DESIGN.md "Parallel
+  // execution model").
   int num_threads = 0;
-
-  // The tgd-phase schedule (see ChaseSchedule). The PDX_FORCE_SCHEDULE
-  // environment variable ("barrier" | "speculative") overrides it
-  // process-wide; tools/check.sh's TSan lanes use it to pin the
-  // speculative path. See ResolveSchedule().
-  ChaseSchedule schedule = ChaseSchedule::kBarrier;
 
   // Incremental resume (kRestricted only): when non-null, the first
   // round's delta covers only the facts added to the start instance after
@@ -172,13 +132,6 @@ struct ChaseResult {
     return v;
   }
 };
-
-// The schedule a run will actually use: the PDX_FORCE_SCHEDULE
-// environment variable ("barrier" | "speculative"; read once per process)
-// wins, else options.schedule. A non-empty value that ParseScheduleName
-// rejects aborts the process, naming the valid values — a stale pin must
-// not silently run a different schedule.
-ChaseSchedule ResolveSchedule(const ChaseOptions& options);
 
 // The worker count options.num_threads asks for: 0 means hardware
 // concurrency, anything else is taken literally.

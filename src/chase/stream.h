@@ -74,9 +74,9 @@ struct StreamStats {
 // fingerprints — leaving the state exactly as before the call, which is
 // what lets the serving layer replay a failed coalesced batch per ticket.
 //
-// Restricted strategy only (resume_from's contract); any schedule and
-// thread count. Not thread-safe: one writer, like the admission queue
-// that drives it in src/serve/.
+// Restricted strategy only (resume_from's contract); any thread count.
+// Not thread-safe: one writer, like the admission queue that drives it in
+// src/serve/.
 class StreamingChase {
  public:
   // `schema` and `symbols` must outlive the object. `options.strategy`

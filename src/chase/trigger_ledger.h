@@ -64,31 +64,26 @@ inline uint64_t TriggerFingerprintRow(size_t dep_index, const Value* row,
 // re-forms — delete → re-insert fires exactly once more, not zero times
 // and not twice (stressed in trigger_ledger_test).
 //
-// The fingerprint set is a sharded concurrent set, so admission can run
-// from pool workers during a speculative collect phase (Admit); the
-// by-root generation index stays sequential — it is only written from the
-// apply loop (RecordRoots / Insert) and read between rounds (RetireRoots).
+// The fingerprint set is a sharded concurrent set, so pool workers can
+// filter against it (Contains) during the chase's pooled collect; the
+// by-root generation index stays sequential — it is only written by Insert
+// from the apply loop and read between rounds (RetireRoots).
 class TriggerLedger {
  public:
   // Claims the fingerprint; true iff this caller won it (the trigger is
   // new and must fire exactly once). Safe from any thread.
   bool Admit(uint64_t fp) { return fired_.Insert(fp); }
 
-  // Indexes an admitted fingerprint under the null roots of its binding so
-  // RetireRoots can drop the whole generation. Sequential (apply phase).
-  void RecordRoots(uint64_t fp, const Tgd& tgd, const Binding& binding) {
+  // Sequential admission (the apply loop): claims the fingerprint and
+  // indexes it under the null roots of its binding, so RetireRoots can drop
+  // the whole generation. Returns true if the trigger is new and must fire.
+  bool Insert(uint64_t fp, const Tgd& tgd, const Binding& binding) {
+    if (!Admit(fp)) return false;
     for (VariableId v = 0; v < tgd.var_count; ++v) {
       if (binding.bound[v] && binding.values[v].is_null()) {
         by_root_[binding.values[v].packed()].push_back(fp);
       }
     }
-  }
-
-  // Sequential admission + indexing (the barrier-mode fire loop). Returns
-  // true if the trigger is new and must fire.
-  bool Insert(uint64_t fp, const Tgd& tgd, const Binding& binding) {
-    if (!Admit(fp)) return false;
-    RecordRoots(fp, tgd, binding);
     return true;
   }
 

@@ -284,36 +284,6 @@ BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
   return plan;
 }
 
-namespace {
-
-// Read/write relation footprints of a dependency set, indexed parallel to
-// `tgds` and sized to the largest relation id any of them mentions.
-// reads = body ∪ head relations, writes = head relations; the containment
-// reads ⊇ writes makes footprint disjointness symmetric enough for the
-// chase's topological scheduler (FootprintsCompatible in plan/ir.h).
-std::vector<TgdFootprint> ComputeTgdFootprints(const std::vector<Tgd>& tgds) {
-  RelationId bound = 0;
-  for (const Tgd& tgd : tgds) {
-    for (const Atom& atom : tgd.body) bound = std::max(bound, atom.relation);
-    for (const Atom& atom : tgd.head) bound = std::max(bound, atom.relation);
-  }
-  std::vector<TgdFootprint> out(tgds.size());
-  for (size_t d = 0; d < tgds.size(); ++d) {
-    out[d].reads.assign(bound + 1, false);
-    out[d].writes.assign(bound + 1, false);
-    for (const Atom& atom : tgds[d].body) out[d].reads[atom.relation] = true;
-    for (const Atom& atom : tgds[d].head) {
-      // Head relations are both written (apply inserts) and read (the
-      // restricted engine's head-satisfaction probe).
-      out[d].reads[atom.relation] = true;
-      out[d].writes[atom.relation] = true;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 TgdPlan CompileTgd(const Tgd& tgd, const CompilerHints& hints) {
   TgdPlan plan;
   plan.apply = BuildApplyTemplate(tgd);
@@ -339,7 +309,6 @@ std::shared_ptr<const CompiledSetting> CompileSetting(
   for (const Tgd& tgd : tgds) compiled->tgds.push_back(CompileTgd(tgd, hints));
   compiled->egds.reserve(egds.size());
   for (const Egd& egd : egds) compiled->egds.push_back(CompileEgd(egd, hints));
-  compiled->footprints = ComputeTgdFootprints(tgds);
   compiled->fingerprint = SettingFingerprint(tgds, egds);
   return compiled;
 }

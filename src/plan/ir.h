@@ -22,7 +22,6 @@
 // trigger sets are collected fully before applying, and all result
 // contracts are stated on resolved views and canonical fingerprints.
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -119,42 +118,19 @@ struct HeadAtom {
   int arity = 0;
 };
 
-// Which relations one tgd reads and writes, as bitsets indexed by
-// RelationId (sized to the largest relation the dependency set mentions;
-// consumers treat out-of-range as false). `reads` covers body *and* head
-// relations — the restricted chase's head-satisfaction probe reads the
-// head — so reads ⊇ writes, and two tgds with disjoint (writes, reads)
-// pairs can safely overlap one's apply with the other's collect. This is
-// the edge relation of the footprint DAG the scheduler in chase.cc walks.
-struct TgdFootprint {
-  std::vector<bool> reads;
-  std::vector<bool> writes;
-};
-
-// True iff collecting `collecting`'s triggers may overlap applying
-// `applying`: no relation `applying` writes is one `collecting` reads.
-inline bool FootprintsCompatible(const TgdFootprint& applying,
-                                 const TgdFootprint& collecting) {
-  const size_t n = std::min(applying.writes.size(), collecting.reads.size());
-  for (size_t r = 0; r < n; ++r) {
-    if (applying.writes[r] && collecting.reads[r]) return false;
-  }
-  return true;
-}
-
-// The fused apply template of one tgd: everything the chase's apply phase
-// (barrier or speculative) needs to instantiate the head from a complete
-// body match. Parser validation guarantees existential variables never occur in
-// the body, so every complete body match binds exactly the non-existential
-// variables: `body_bound` is the bound mask of every trigger, and
-// `fresh_per_trigger` is a constant.
+// The fused apply template of one tgd: everything the chase's tgd phase
+// needs to instantiate the head from a complete body match. Parser
+// validation guarantees existential variables never occur in the body, so
+// every complete body match binds exactly the non-existential variables:
+// `body_bound` is the bound mask of every trigger, and `fresh_per_trigger`
+// is a constant.
 struct ApplyTemplate {
   size_t head_width = 0;      // sum of head-atom arities
   int fresh_per_trigger = 0;  // = existentials.size()
   std::vector<VariableId> existentials;  // ascending variable order
   // Positions within a trigger's flat head row holding an existential
-  // variable, with the variable: the slots the speculative collect patches
-  // once a partition's exact null range is reserved.
+  // variable, with the variable: the slots the apply patches once it has
+  // minted the trigger's nulls.
   std::vector<std::pair<size_t, VariableId>> head_null_slots;
   std::vector<bool> body_bound;  // size var_count
   std::vector<HeadSlot> slots;   // flat, atoms concatenated in head order
@@ -183,9 +159,6 @@ struct EgdPlan {
 struct CompiledSetting {
   std::vector<TgdPlan> tgds;
   std::vector<EgdPlan> egds;
-  // Parallel to `tgds`: the read/write footprints the topological
-  // scheduler consumes (ComputeTgdFootprints over the same tgd vector).
-  std::vector<TgdFootprint> footprints;
   uint64_t fingerprint = 0;
 };
 

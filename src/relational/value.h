@@ -99,14 +99,13 @@ class SymbolTable {
   Value FreshNull() { return Value::Null(ReserveNullRange(1)); }
 
   // Reserves `count` consecutive null ids [first, first + count) for the
-  // caller's exclusive use and returns `first`. One lock-free fetch_add,
-  // so pool workers can draw private ranges concurrently (the speculative
-  // collect reserves one exact-size range per delta partition). Reserved
-  // ids that are never turned into facts are simply retired — null ids
-  // must be unique, not dense — but callers should keep retirement rare:
-  // holes inflate every id-indexed structure downstream. A reservation
-  // that would run the counter past 2^32 - 1 aborts, naming the table:
-  // wrapping would hand out ids that alias live nulls.
+  // caller's exclusive use and returns `first`, in one lock-free
+  // compare-and-swap loop (FreshNull is the one-id case; the chase mints
+  // every null through it, in apply order). Reserved ids that are never
+  // turned into facts are simply retired — null ids must be unique, not
+  // dense — but holes inflate every id-indexed structure downstream. A
+  // reservation that would run the counter past 2^32 - 1 aborts, naming
+  // the table: wrapping would hand out ids that alias live nulls.
   uint32_t ReserveNullRange(uint32_t count) {
     uint32_t first = next_null_id_.load(std::memory_order_relaxed);
     do {

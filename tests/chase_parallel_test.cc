@@ -1,33 +1,30 @@
 // Cross-validation of the parallel delta chase against the sequential
-// path over the full schedule matrix: schedule ∈ {barrier, speculative}
-// × num_threads ∈ {1, 2, 8}, the chase must produce equivalent results on
-// randomized workloads covering the tgd pipeline, the merge-heavy egd
-// cascade, the oblivious engine, disjoint-footprint families, failing
-// runs, the solver-level verdict, and auto-compaction. Barrier mode (the
-// default) is bit-identical — same canonical fingerprint at every thread
-// count; speculative (worker-side head instantiation, concurrent ledger
-// admission, footprint-DAG collect/apply overlap) hands out
-// schedule-dependent null ids, so its results are asserted equal
-// under canonical null renumbering
-// (testing_util::CanonicalizedFingerprint) while outcome, steps,
-// nulls_created and the resolved fact count stay exactly invariant
-// across the whole matrix. The canonicalization helpers themselves are
+// path: at num_threads ∈ {1, 2, 4, 8} the chase must produce bit-identical
+// results — same outcome, steps, failure, nulls_created, raw
+// CanonicalFingerprint and null ids — on randomized workloads covering the
+// tgd pipeline, the merge-heavy egd cascade, the oblivious engine, several
+// independent tgd families, failing runs, the solver-level verdict and
+// auto-compaction. Two workloads aim at the places where the pooled tgd
+// phase could let thread timing reach null ids: an apply re-check that
+// skips collected triggers, and oblivious matches that merge-dirtied
+// extras put into two partitions. The canonicalization helpers are
 // unit-tested below on hand-built instances (the refinement-level tests
 // live in instance_hom_test.cc).
 //
-// These tests carry the `parallel` ctest label and are additionally run
-// under TSan by tools/check.sh: an unforced pass covers both schedules
-// (including the barrier schedule's pooled collect), and
-// the PDX_FORCE_SCHEDULE=speculative lanes pin the speculative path —
-// testing_util::SchedulesToTest() narrows the matrix accordingly. Sizes
-// are deliberately modest so the TSan passes stay fast.
+// These tests carry the `parallel` ctest label and run under TSan in
+// tools/check.sh. Sizes are deliberately modest so the TSan pass stays
+// fast.
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "base/string_util.h"
 #include "chase/chase.h"
 #include "logic/parser.h"
+#include "obs/trace.h"
 #include "pde/data_exchange.h"
 #include "tests/test_util.h"
 #include "workload/random.h"
@@ -39,14 +36,72 @@ using testing_util::AssertHomEquivalent;
 using testing_util::CanonicalizedFingerprint;
 using testing_util::Unwrap;
 
-constexpr int kThreadCounts[] = {1, 2, 8};
+constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
-using testing_util::SchedulesToTest;
-
-// Trace tag for one cell of the schedule matrix.
-std::string CellTag(uint64_t seed, int threads, ChaseSchedule schedule) {
+// Trace tag for one cell of a thread sweep.
+std::string CellTag(uint64_t seed, int threads) {
   return "seed " + std::to_string(seed) + " threads " +
-         std::to_string(threads) + " " + ScheduleName(schedule);
+         std::to_string(threads);
+}
+
+// One chase run: its result, the null ids it drew from the symbol table
+// and its resolved facts with every null id taken relative to the first
+// id the run could draw — raw null identities, comparable across runs
+// that share one symbol table.
+struct RunOutput {
+  ChaseResult result;
+  int64_t ids_drawn = 0;
+  std::vector<Fact> facts;
+};
+
+RunOutput ChaseAndRecord(const Instance& start, const std::vector<Tgd>& tgds,
+                         const std::vector<Egd>& egds, SymbolTable* symbols,
+                         const ChaseOptions& options) {
+  const uint32_t first = symbols->null_count();
+  RunOutput out{Chase(start, tgds, egds, symbols, options), 0, {}};
+  out.ids_drawn = symbols->null_count() - first;
+  out.facts = out.result.instance.AllFacts();
+  for (Fact& fact : out.facts) {
+    for (Value& v : fact.tuple) {
+      if (v.is_null() && v.id() >= first) v = Value::Null(v.id() - first);
+    }
+  }
+  std::sort(out.facts.begin(), out.facts.end());
+  return out;
+}
+
+// Asserts `got` is bit-identical to the sequential reference `ref`, and
+// that every null id the run drew reached the instance.
+void ExpectBitIdentical(const RunOutput& got, const RunOutput& ref) {
+  ASSERT_EQ(got.result.outcome, ref.result.outcome);
+  ASSERT_EQ(got.result.steps, ref.result.steps);
+  ASSERT_EQ(got.result.failure, ref.result.failure);
+  ASSERT_EQ(got.result.nulls_created, ref.result.nulls_created);
+  ASSERT_EQ(got.ids_drawn, got.result.nulls_created);
+  ASSERT_EQ(got.result.instance.CanonicalFingerprint(),
+            ref.result.instance.CanonicalFingerprint());
+  ASSERT_EQ(got.facts, ref.facts);
+}
+
+// Runs `run` traced and sets `*dropped` to the triggers its applies
+// dropped: the sum of collected - applied over its chase.tgd spans
+// (restricted re-checks that found the head already satisfied, or
+// oblivious repeats the ledger turned away).
+RunOutput RunTraced(const std::function<RunOutput()>& run, int64_t* dropped) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Enable();
+  RunOutput out = run();
+  std::vector<obs::SpanRecord> spans = tracer.Drain();
+  tracer.Disable();
+  *dropped = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != "chase.tgd") continue;
+    for (const obs::SpanAttr& attr : span.attrs) {
+      if (attr.key == "collected") *dropped += attr.i;
+      if (attr.key == "applied") *dropped -= attr.i;
+    }
+  }
+  return out;
 }
 
 struct ParallelChaseTest : ::testing::Test {
@@ -95,44 +150,25 @@ struct ParallelChaseTest : ::testing::Test {
     return instance;
   }
 
-  ChaseResult Run(const Instance& start, const std::vector<Tgd>& tgds,
-                  const std::vector<Egd>& egds, int threads,
-                  ChaseStrategy strategy = ChaseStrategy::kRestricted,
-                  ChaseSchedule schedule = ChaseSchedule::kBarrier) {
+  RunOutput Run(const Instance& start, const std::vector<Tgd>& tgds,
+                const std::vector<Egd>& egds, int threads,
+                ChaseStrategy strategy = ChaseStrategy::kRestricted) {
     ChaseOptions options;
     options.strategy = strategy;
     options.num_threads = threads;
-    options.schedule = schedule;
-    return Chase(start, tgds, egds, &symbols, options);
+    return ChaseAndRecord(start, tgds, egds, &symbols, options);
   }
 
-  // Runs the workload over the full schedule × threads matrix and asserts
-  // all observable results match the single-threaded barrier reference:
-  // exactly in barrier mode, up to canonical null renumbering under
-  // speculative (outcome, steps, nulls, the resolved fact count and the
-  // canonicalized fingerprint stay invariant across the whole matrix).
+  // Runs the workload at every thread count and asserts each run is
+  // bit-identical to the single-threaded one.
   void ExpectThreadInvariant(const Instance& start,
                              const std::vector<Tgd>& tgds,
                              const std::vector<Egd>& egds,
                              ChaseStrategy strategy, uint64_t seed) {
-    ChaseResult ref = Run(start, tgds, egds, /*threads=*/1, strategy);
-    uint64_t ref_fp = ref.instance.CanonicalFingerprint();
-    uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
-    for (ChaseSchedule schedule : SchedulesToTest()) {
-      for (int threads : kThreadCounts) {
-        ChaseResult got = Run(start, tgds, egds, threads, strategy, schedule);
-        SCOPED_TRACE(CellTag(seed, threads, schedule));
-        ASSERT_EQ(got.outcome, ref.outcome);
-        ASSERT_EQ(got.steps, ref.steps);
-        ASSERT_EQ(got.nulls_created, ref.nulls_created);
-        ASSERT_EQ(got.instance.ResolvedFactCount(),
-                  ref.instance.ResolvedFactCount());
-        if (schedule == ChaseSchedule::kBarrier) {
-          ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
-        } else {
-          ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
-        }
-      }
+    RunOutput ref = Run(start, tgds, egds, /*threads=*/1, strategy);
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE(CellTag(seed, threads));
+      ExpectBitIdentical(Run(start, tgds, egds, threads, strategy), ref);
     }
   }
 };
@@ -163,12 +199,81 @@ TEST_F(ParallelChaseTest, ObliviousIsThreadInvariant) {
   }
 }
 
-// A multi-dependency workload whose tgd families have pairwise disjoint
-// relation footprints (the shape of bench_chase's disjoint_4x), so the
-// footprint-DAG scheduler actually overlaps collection with application
-// across families and the pooled barrier apply shards inserts over four
-// target relations. Exercises the collect-ahead and shard paths rather
-// than leaving them to footprint luck in the other workloads.
+// The restricted apply re-check skips collected triggers: every E fact
+// of a node is collected in round one, when no H fact exists yet, but only
+// the node's first trigger fires; the rest find the head satisfied at
+// apply. A skipped trigger must draw no null id, or every later id shifts.
+TEST_F(ParallelChaseTest, ApplyRecheckSkipsDrawNoNullIds) {
+  std::vector<Tgd> tgds = Deps("E(x,y) -> exists z: H(x,z)."
+                               "H(x,z) -> exists w: F(z,w).")
+                              .tgds;
+  for (uint64_t seed : {61u, 62u}) {
+    Instance start = RandomEdges(32, 4, seed);
+    int64_t dropped = 0;
+    RunOutput ref = RunTraced(
+        [&] { return Run(start, tgds, {}, /*threads=*/1); }, &dropped);
+    ASSERT_EQ(ref.result.outcome, ChaseOutcome::kSuccess);
+    EXPECT_GT(dropped, 0) << "the workload must skip collected triggers";
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE(CellTag(seed, threads));
+      ExpectBitIdentical(Run(start, tgds, {}, threads), ref);
+    }
+  }
+}
+
+// Oblivious matches that merge-dirtied extras put into two partitions.
+// E is functional, so round one's H(x, n) gets a single key partner
+// P(x, y) in round two, and round three's egd merges n into the constant
+// y. That dirties the old H tuple, so round three enumerates each
+// H(x, y) & P(x, y) match twice: pivoting on the dirtied H tuple (an
+// extra) and on the new P tuple. The two copies land in different
+// partitions of a pooled collect; the ledger must admit the first in
+// enumeration order at every thread count, and only it mints a null.
+TEST_F(ParallelChaseTest, ObliviousRepeatsAcrossPartitionsAreThreadInvariant) {
+  Schema keyed;
+  SymbolTable keyed_symbols;
+  for (const char* name : {"E", "H", "P", "R"}) {
+    PDX_CHECK(keyed.AddRelation(name, 2).ok());
+  }
+  DependencySet deps = Unwrap(
+      ParseDependencies("E(x,y) -> exists z: H(x,z)."
+                        "H(x,z) & E(x,y) -> P(x,y)."
+                        "H(x,z) & P(x,y) -> exists v: R(z,v)."
+                        "H(x,z) & P(x,y) -> z = y.",
+                        keyed, &keyed_symbols),
+      "keyed deps");
+  for (uint64_t seed : {81u, 82u}) {
+    Rng rng(seed);
+    Instance start(&keyed);
+    for (int i = 0; i < 64; ++i) {
+      start.AddFact(0, {keyed_symbols.InternConstant(StrCat("n", i)),
+                        keyed_symbols.InternConstant(
+                            StrCat("n", rng.UniformInt(64)))});
+    }
+    ChaseOptions options;
+    options.strategy = ChaseStrategy::kOblivious;
+    options.num_threads = 1;
+    int64_t dropped = 0;
+    RunOutput ref = RunTraced(
+        [&] {
+          return ChaseAndRecord(start, deps.tgds, deps.egds, &keyed_symbols,
+                                options);
+        },
+        &dropped);
+    ASSERT_EQ(ref.result.outcome, ChaseOutcome::kSuccess);
+    EXPECT_GT(dropped, 0) << "the workload must collect repeated matches";
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE(CellTag(seed, threads));
+      options.num_threads = threads;
+      ExpectBitIdentical(ChaseAndRecord(start, deps.tgds, deps.egds,
+                                        &keyed_symbols, options),
+                         ref);
+    }
+  }
+}
+
+// A multi-dependency workload of four tgd families over pairwise disjoint
+// relations (the shape of bench_chase's disjoint_4x).
 TEST_F(ParallelChaseTest, DisjointDependenciesPipelineIsThreadInvariant) {
   Schema wide;
   SymbolTable wide_symbols;
@@ -194,62 +299,32 @@ TEST_F(ParallelChaseTest, DisjointDependenciesPipelineIsThreadInvariant) {
         start.AddFact(r, {u, v});
       }
     }
-    ChaseOptions ref_options;
-    ref_options.num_threads = 1;
-    ChaseResult ref = Chase(start, deps.tgds, {}, &wide_symbols, ref_options);
-    ASSERT_EQ(ref.outcome, ChaseOutcome::kSuccess);
-    uint64_t ref_fp = ref.instance.CanonicalFingerprint();
-    uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
-    for (ChaseSchedule schedule : SchedulesToTest()) {
-      for (int threads : kThreadCounts) {
-        ChaseOptions options;
-        options.num_threads = threads;
-        options.schedule = schedule;
-        ChaseResult got = Chase(start, deps.tgds, {}, &wide_symbols, options);
-        SCOPED_TRACE(CellTag(seed, threads, schedule));
-        ASSERT_EQ(got.outcome, ref.outcome);
-        ASSERT_EQ(got.steps, ref.steps);
-        ASSERT_EQ(got.nulls_created, ref.nulls_created);
-        if (schedule == ChaseSchedule::kBarrier) {
-          ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
-        } else {
-          ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
-        }
-      }
+    ChaseOptions options;
+    options.num_threads = 1;
+    RunOutput ref =
+        ChaseAndRecord(start, deps.tgds, {}, &wide_symbols, options);
+    ASSERT_EQ(ref.result.outcome, ChaseOutcome::kSuccess);
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE(CellTag(seed, threads));
+      options.num_threads = threads;
+      ExpectBitIdentical(
+          ChaseAndRecord(start, deps.tgds, {}, &wide_symbols, options), ref);
     }
   }
 }
 
-// Constant/constant clashes: whether the closure holds a clash is
-// order-independent, so the verdict agrees under every schedule. On
-// barrier the egd fixpoint merges in the same order at every thread
-// count, so a failing run also stops at the same step on the same clash.
+// Constant/constant clashes: the egd fixpoint merges in the same order at
+// every thread count, so a failing run stops at the same step on the same
+// clash.
 TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
   int failures = 0;
   for (uint64_t seed = 50; seed < 58; ++seed) {
     Instance start = RandomEdges(16, 2, seed);
-    ChaseResult ref = Run(start, copy_tgds, key_egds, /*threads=*/1);
-    if (ref.outcome == ChaseOutcome::kFailed) ++failures;
-    for (ChaseSchedule schedule : SchedulesToTest()) {
-      for (int threads : kThreadCounts) {
-        ChaseResult got = Run(start, copy_tgds, key_egds, threads,
-                              ChaseStrategy::kRestricted, schedule);
-        SCOPED_TRACE(CellTag(seed, threads, schedule));
-        ASSERT_EQ(got.outcome, ref.outcome);
-        if (schedule == ChaseSchedule::kBarrier) {
-          ASSERT_EQ(got.steps, ref.steps);
-          ASSERT_EQ(got.failure, ref.failure);
-        }
-        if (ref.outcome == ChaseOutcome::kSuccess) {
-          if (schedule == ChaseSchedule::kBarrier) {
-            ASSERT_EQ(got.instance.CanonicalFingerprint(),
-                      ref.instance.CanonicalFingerprint());
-          } else {
-            ASSERT_EQ(CanonicalizedFingerprint(got.instance),
-                      CanonicalizedFingerprint(ref.instance));
-          }
-        }
-      }
+    RunOutput ref = Run(start, copy_tgds, key_egds, /*threads=*/1);
+    if (ref.result.outcome == ChaseOutcome::kFailed) ++failures;
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE(CellTag(seed, threads));
+      ExpectBitIdentical(Run(start, copy_tgds, key_egds, threads), ref);
     }
   }
   // Dense random graphs with a key egd over copied constants must clash
@@ -258,8 +333,7 @@ TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
 }
 
 // Solver-level verdicts through SolveDataExchange: solution existence and
-// the universal solution itself must not depend on num_threads or on
-// speculative execution.
+// the universal solution itself must not depend on num_threads.
 TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
   SymbolTable de_symbols;
   PdeSetting setting = Unwrap(
@@ -293,27 +367,19 @@ TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
                                  &de_symbols, ref_options),
                "SolveDataExchange");
     (ref.has_solution ? with_solution : without)++;
-    for (ChaseSchedule schedule : SchedulesToTest()) {
-      for (int threads : kThreadCounts) {
-        ChaseOptions options;
-        options.num_threads = threads;
-        options.schedule = schedule;
-        DataExchangeResult got =
-            Unwrap(SolveDataExchange(setting, source, setting.EmptyInstance(),
-                                     &de_symbols, options),
-                   "SolveDataExchange");
-        SCOPED_TRACE(CellTag(seed, threads, schedule));
-        ASSERT_EQ(got.has_solution, ref.has_solution);
-        if (ref.has_solution) {
-          ASSERT_EQ(got.nulls_created, ref.nulls_created);
-          if (schedule == ChaseSchedule::kBarrier) {
-            ASSERT_EQ(got.universal_solution->CanonicalFingerprint(),
-                      ref.universal_solution->CanonicalFingerprint());
-          } else {
-            ASSERT_EQ(CanonicalizedFingerprint(*got.universal_solution),
-                      CanonicalizedFingerprint(*ref.universal_solution));
-          }
-        }
+    for (int threads : kThreadCounts) {
+      ChaseOptions options;
+      options.num_threads = threads;
+      DataExchangeResult got =
+          Unwrap(SolveDataExchange(setting, source, setting.EmptyInstance(),
+                                   &de_symbols, options),
+                 "SolveDataExchange");
+      SCOPED_TRACE(CellTag(seed, threads));
+      ASSERT_EQ(got.has_solution, ref.has_solution);
+      if (ref.has_solution) {
+        ASSERT_EQ(got.nulls_created, ref.nulls_created);
+        ASSERT_EQ(got.universal_solution->CanonicalFingerprint(),
+                  ref.universal_solution->CanonicalFingerprint());
       }
     }
   }
@@ -330,37 +396,26 @@ TEST_F(ParallelChaseTest, CompactionPreservesResults) {
   ChaseOptions plain;
   plain.num_threads = 1;
   plain.compact_duplicate_ratio = 0;  // outside (0,1): disabled
-  ChaseResult no_compact =
-      Chase(start, egd_heavy_tgds, egd_heavy_egds, &symbols, plain);
-  EXPECT_EQ(no_compact.compactions, 0);
+  RunOutput no_compact =
+      ChaseAndRecord(start, egd_heavy_tgds, egd_heavy_egds, &symbols, plain);
+  EXPECT_EQ(no_compact.result.compactions, 0);
 
-  for (ChaseSchedule schedule : SchedulesToTest()) {
-    for (int threads : kThreadCounts) {
-      ChaseOptions options;
-      options.num_threads = threads;
-      options.schedule = schedule;
-      options.compact_duplicate_ratio = 0.2;
-      options.compact_min_facts = 32;
-      ChaseResult got =
-          Chase(start, egd_heavy_tgds, egd_heavy_egds, &symbols, options);
-      SCOPED_TRACE(std::string("threads ") + std::to_string(threads) + " " +
-                   ScheduleName(schedule));
-      ASSERT_EQ(got.outcome, ChaseOutcome::kSuccess);
-      EXPECT_GT(got.compactions, 0);
-      ASSERT_EQ(got.steps, no_compact.steps);
-      if (schedule == ChaseSchedule::kBarrier) {
-        ASSERT_EQ(got.instance.CanonicalFingerprint(),
-                  no_compact.instance.CanonicalFingerprint());
-      } else {
-        ASSERT_EQ(CanonicalizedFingerprint(got.instance),
-                  CanonicalizedFingerprint(no_compact.instance));
-      }
-      // Compaction drops resolved duplicates from the raw stores, and the
-      // resolved view is untouched.
-      EXPECT_LE(got.instance.fact_count(), no_compact.instance.fact_count());
-      ASSERT_EQ(got.instance.ResolvedFactCount(),
-                no_compact.instance.ResolvedFactCount());
-    }
+  for (int threads : kThreadCounts) {
+    ChaseOptions options;
+    options.num_threads = threads;
+    options.compact_duplicate_ratio = 0.2;
+    options.compact_min_facts = 32;
+    RunOutput got = ChaseAndRecord(start, egd_heavy_tgds, egd_heavy_egds,
+                                   &symbols, options);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_GT(got.result.compactions, 0);
+    ExpectBitIdentical(got, no_compact);
+    // Compaction drops resolved duplicates from the raw stores, and the
+    // resolved view is untouched.
+    EXPECT_LE(got.result.instance.fact_count(),
+              no_compact.result.instance.fact_count());
+    ASSERT_EQ(got.result.instance.ResolvedFactCount(),
+              no_compact.result.instance.ResolvedFactCount());
   }
 }
 

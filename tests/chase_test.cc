@@ -1,6 +1,5 @@
 #include "chase/chase.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "base/thread_pool.h"
@@ -268,34 +267,6 @@ TEST_F(ChaseTest, EgdFixpointMergesKeyClass) {
   EXPECT_EQ(par_instance.CanonicalFingerprint(),
             seq_instance.CanonicalFingerprint());
   for (Value v : nulls) EXPECT_EQ(par_instance.ResolveValue(v), root);
-}
-
-// One parser spells every schedule: the names ScheduleName prints parse
-// back, and anything else (a removed schedule, the empty string, another
-// casing) is rejected.
-TEST(ChaseScheduleTest, ScheduleNamesRoundTrip) {
-  for (ChaseSchedule schedule :
-       {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative}) {
-    EXPECT_EQ(ParseScheduleName(ScheduleName(schedule)), schedule);
-  }
-  EXPECT_EQ(ParseScheduleName("barrier"), ChaseSchedule::kBarrier);
-  EXPECT_EQ(ParseScheduleName("speculative"), ChaseSchedule::kSpeculative);
-  for (const char* bad : {"dag", "", "Barrier"}) {
-    EXPECT_FALSE(ParseScheduleName(bad).has_value()) << "'" << bad << "'";
-  }
-}
-
-// A stale PDX_FORCE_SCHEDULE pin aborts instead of silently running the
-// default schedule. ResolveSchedule reads the variable once per process,
-// so the threadsafe style runs the statement in a freshly started child.
-TEST(ChaseScheduleDeathTest, UnknownForcedScheduleAborts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        setenv("PDX_FORCE_SCHEDULE", "dag", /*overwrite=*/1);
-        ResolveSchedule(ChaseOptions());
-      },
-      "PDX_FORCE_SCHEDULE=dag names no schedule");
 }
 
 }  // namespace

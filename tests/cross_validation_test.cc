@@ -239,27 +239,22 @@ TEST_P(ChaseStrategyCrossValidationTest, DataExchangeAgreesAcrossStrategies) {
         << "seed " << seed;
   }
 
-  // A randomized parallel configuration of the delta solve (thread count
-  // and schedule drawn per seed; narrowed to the pinned schedule under
-  // the TSan lanes) must return the same verdict, and the same universal
-  // solution up to null renaming.
+  // The delta solve at a thread count drawn per seed must be
+  // bit-identical to the sequential one: same verdict, same nulls and the
+  // same raw fingerprint of the universal solution.
   ChaseOptions parallel_options = delta_options;
   const int kThreadChoices[] = {1, 2, 8};
   parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-  parallel_options.schedule = testing_util::DrawSchedule(&rng);
   DataExchangeResult parallel = Unwrap(SolveDataExchange(
       setting, source, target, &symbols, parallel_options));
   EXPECT_EQ(parallel.has_solution, delta.has_solution)
-      << "seed " << seed << " threads " << parallel_options.num_threads
-      << " schedule " << ScheduleName(parallel_options.schedule);
+      << "seed " << seed << " threads " << parallel_options.num_threads;
   if (parallel.has_solution && delta.has_solution) {
     ASSERT_TRUE(parallel.universal_solution.has_value());
     EXPECT_EQ(parallel.nulls_created, delta.nulls_created) << "seed " << seed;
-    EXPECT_EQ(
-        testing_util::CanonicalizedFingerprint(*parallel.universal_solution),
-        testing_util::CanonicalizedFingerprint(*delta.universal_solution))
-        << "seed " << seed << " threads " << parallel_options.num_threads
-        << " schedule " << ScheduleName(parallel_options.schedule);
+    EXPECT_EQ(parallel.universal_solution->CanonicalFingerprint(),
+              delta.universal_solution->CanonicalFingerprint())
+        << "seed " << seed << " threads " << parallel_options.num_threads;
   }
 }
 
@@ -329,30 +324,24 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EnginesAgreeOnEgdHeavyChases) {
       << "engine disagreement on seed " << seed << "\nI:\n"
       << start.ToString(symbols);
 
-  // A randomized parallel configuration of the delta chase (threads and
-  // schedule drawn per seed; narrowed to the pinned schedule under the
-  // TSan lanes): same outcome always; on success, the same step count —
-  // pending sets are schedule-invariant — and the same result up to null
-  // renaming.
+  // The delta chase at a thread count drawn per seed must be
+  // bit-identical to the sequential one: same outcome, steps, failure,
+  // nulls and raw fingerprint.
   ChaseOptions parallel_options = delta_options;
   const int kThreadChoices[] = {1, 2, 8};
   parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-  parallel_options.schedule = testing_util::DrawSchedule(&rng);
   ChaseResult parallel =
       Chase(start, deps->tgds, deps->egds, &symbols, parallel_options);
   ASSERT_EQ(parallel.outcome, delta.outcome)
       << "parallel disagreement on seed " << seed << " threads "
-      << parallel_options.num_threads << " schedule "
-      << ScheduleName(parallel_options.schedule) << "\nI:\n"
+      << parallel_options.num_threads << "\nI:\n"
       << start.ToString(symbols);
-  if (delta.outcome == ChaseOutcome::kSuccess) {
-    EXPECT_EQ(parallel.steps, delta.steps) << "seed " << seed;
-    EXPECT_EQ(parallel.nulls_created, delta.nulls_created) << "seed " << seed;
-    EXPECT_EQ(testing_util::CanonicalizedFingerprint(parallel.instance),
-              testing_util::CanonicalizedFingerprint(delta.instance))
-        << "seed " << seed << " threads " << parallel_options.num_threads
-        << " schedule " << ScheduleName(parallel_options.schedule);
-  }
+  EXPECT_EQ(parallel.steps, delta.steps) << "seed " << seed;
+  EXPECT_EQ(parallel.failure, delta.failure) << "seed " << seed;
+  EXPECT_EQ(parallel.nulls_created, delta.nulls_created) << "seed " << seed;
+  EXPECT_EQ(parallel.instance.CanonicalFingerprint(),
+            delta.instance.CanonicalFingerprint())
+      << "seed " << seed << " threads " << parallel_options.num_threads;
 
   if (delta.outcome != ChaseOutcome::kSuccess) return;
 
@@ -491,11 +480,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamingChurnCrossValidationTest,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
 
 // Figure 3's pooled block checks: the solve must not depend on the chase
-// thread count or schedule. Every run of the {1, 4} threads × {barrier,
-// speculative} matrix agrees on the verdict and the I_can statistics,
-// every witness verifies, barrier witnesses are bit-identical across
-// thread counts, and the verdict matches an oracle that maps all of I_can
-// into I as one conjunction, with no block decomposition at all.
+// thread count. Runs at 1 and 4 threads agree on the verdict and the I_can
+// statistics, every witness verifies and is bit-identical across thread
+// counts, and the verdict matches an oracle that maps all of I_can into I
+// as one conjunction, with no block decomposition at all.
 
 // I_can for (I, ∅), from the two sequential chases of Figure 3.
 Instance ComputeICan(const PdeSetting& setting, const Instance& source,
@@ -530,43 +518,37 @@ bool WholeInstanceMaps(const Instance& i_can, const Instance& source) {
   return HasMatch(atoms, static_cast<int>(var_of_null.size()), source);
 }
 
-// Solves across the thread × schedule matrix, checks that every run
-// agrees, and returns the first run's result.
-CtractSolveResult SolveAcrossThreadsAndSchedules(const PdeSetting& setting,
-                                                 const Instance& source,
-                                                 SymbolTable* symbols,
-                                                 const std::string& context) {
+// Solves at 1 and 4 threads, checks that the runs agree bit for bit, and
+// returns the first run's result.
+CtractSolveResult SolveAcrossThreadCounts(const PdeSetting& setting,
+                                          const Instance& source,
+                                          SymbolTable* symbols,
+                                          const std::string& context) {
   const Instance target = setting.EmptyInstance();
   std::optional<CtractSolveResult> first;
-  std::optional<uint64_t> barrier_fingerprint;
-  for (ChaseSchedule schedule : testing_util::SchedulesToTest()) {
-    for (int threads : {1, 4}) {
-      ChaseOptions options;
-      options.num_threads = threads;
-      options.schedule = schedule;
-      CtractSolveResult run = Unwrap(
-          CtractExistsSolution(setting, source, target, symbols, options));
-      const std::string where = StrCat(context, " threads ", threads,
-                                       " schedule ", ScheduleName(schedule));
-      if (run.has_solution) {
-        EXPECT_TRUE(
-            IsSolution(setting, source, target, *run.solution, *symbols))
-            << where;
-        if (schedule == ChaseSchedule::kBarrier) {
-          const uint64_t fp = run.solution->CanonicalFingerprint();
-          if (!barrier_fingerprint.has_value()) barrier_fingerprint = fp;
-          EXPECT_EQ(fp, *barrier_fingerprint) << where;
-        }
-      }
-      if (!first.has_value()) {
-        first = std::move(run);
-        continue;
-      }
-      EXPECT_EQ(run.has_solution, first->has_solution) << where;
-      EXPECT_EQ(run.block_count, first->block_count) << where;
-      EXPECT_EQ(run.max_block_nulls, first->max_block_nulls) << where;
-      EXPECT_EQ(run.j_can_size, first->j_can_size) << where;
-      EXPECT_EQ(run.i_can_size, first->i_can_size) << where;
+  for (int threads : {1, 4}) {
+    ChaseOptions options;
+    options.num_threads = threads;
+    CtractSolveResult run = Unwrap(
+        CtractExistsSolution(setting, source, target, symbols, options));
+    const std::string where = StrCat(context, " threads ", threads);
+    if (run.has_solution) {
+      EXPECT_TRUE(IsSolution(setting, source, target, *run.solution, *symbols))
+          << where;
+    }
+    if (!first.has_value()) {
+      first = std::move(run);
+      continue;
+    }
+    EXPECT_EQ(run.has_solution, first->has_solution) << where;
+    EXPECT_EQ(run.block_count, first->block_count) << where;
+    EXPECT_EQ(run.max_block_nulls, first->max_block_nulls) << where;
+    EXPECT_EQ(run.j_can_size, first->j_can_size) << where;
+    EXPECT_EQ(run.i_can_size, first->i_can_size) << where;
+    if (run.has_solution && first->has_solution) {
+      EXPECT_EQ(run.solution->CanonicalFingerprint(),
+                first->solution->CanonicalFingerprint())
+          << where;
     }
   }
   return std::move(*first);
@@ -583,7 +565,7 @@ class CtractBlockCheckCrossValidationTest
     : public ::testing::TestWithParam<BlockCheckParam> {};
 
 TEST_P(CtractBlockCheckCrossValidationTest,
-       PooledBlockChecksAgreeAcrossThreadsSchedulesAndOracle) {
+       PooledBlockChecksAgreeAcrossThreadsAndOracle) {
   const BlockCheckParam& param = GetParam();
   Rng rng(param.seed);
   SymbolTable symbols;
@@ -602,7 +584,7 @@ TEST_P(CtractBlockCheckCrossValidationTest,
       StrCat("seed ", param.seed, "\nΣst:\n", generated.sigma_st,
              "\nΣts:\n", generated.sigma_ts);
   CtractSolveResult result =
-      SolveAcrossThreadsAndSchedules(setting, source, &symbols, context);
+      SolveAcrossThreadCounts(setting, source, &symbols, context);
   // The oracle backtracks chronologically across unrelated blocks, so it
   // only runs where I_can is small.
   Instance i_can = ComputeICan(setting, source, &symbols);
@@ -676,7 +658,7 @@ class CtractFailingBlockTest : public ::testing::Test {
   }
 
   void ExpectOnlyOneBlockFails(const Instance& source) {
-    CtractSolveResult result = SolveAcrossThreadsAndSchedules(
+    CtractSolveResult result = SolveAcrossThreadCounts(
         setting_, source, &symbols_, "hand-built");
     EXPECT_FALSE(result.has_solution);
     EXPECT_FALSE(result.solution.has_value());
@@ -705,7 +687,7 @@ TEST_F(CtractFailingBlockTest, OnlyABlockInTheLastChunkFails) {
 TEST_F(CtractFailingBlockTest, CompleteSourceHasASolution) {
   const Instance source = MakeSource("", -1);
   CtractSolveResult result =
-      SolveAcrossThreadsAndSchedules(setting_, source, &symbols_, "complete");
+      SolveAcrossThreadCounts(setting_, source, &symbols_, "complete");
   EXPECT_TRUE(result.has_solution);
   EXPECT_EQ(result.block_count, kKeys + 1);
   // No whole-instance oracle here: it recurses once per I_can fact, too

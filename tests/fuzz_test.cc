@@ -159,34 +159,25 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
         << "engine disagreement, trial " << trial << "\nI:\n"
         << start.ToString(symbols_);
 
-    // A randomized parallel configuration of the same delta chase: thread
-    // count and schedule (barrier/speculative) drawn per trial
-    // (narrowed to the pinned schedule under PDX_FORCE_SCHEDULE, i.e. the
-    // TSan lanes). The parallel run must
-    // agree with the sequential delta run on outcome; on success,
-    // per-round pending sets are schedule-invariant, so steps must match
-    // exactly and the results must be equal up to null renaming.
+    // The same delta chase at a thread count drawn per trial must be
+    // bit-identical to the sequential run: same outcome, steps, failure,
+    // nulls and raw fingerprint.
     ChaseOptions parallel_options = delta_options;
     const int kThreadChoices[] = {1, 2, 8};
     parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-    parallel_options.schedule = testing_util::DrawSchedule(&rng);
     ChaseResult parallel =
         Chase(start, deps->tgds, deps->egds, &symbols_, parallel_options);
     ASSERT_EQ(parallel.outcome, delta.outcome)
         << "parallel disagreement, trial " << trial << " threads "
-        << parallel_options.num_threads << " schedule "
-        << ScheduleName(parallel_options.schedule) << "\nI:\n"
+        << parallel_options.num_threads << "\nI:\n"
         << start.ToString(symbols_);
-    if (delta.outcome == ChaseOutcome::kSuccess) {
-      EXPECT_EQ(parallel.steps, delta.steps) << "trial " << trial;
-      EXPECT_EQ(parallel.nulls_created, delta.nulls_created)
-          << "trial " << trial;
-      EXPECT_EQ(testing_util::CanonicalizedFingerprint(parallel.instance),
-                testing_util::CanonicalizedFingerprint(delta.instance))
-          << "trial " << trial << " threads " << parallel_options.num_threads
-          << " schedule " << ScheduleName(parallel_options.schedule)
-          << "\nI:\n" << start.ToString(symbols_);
-    }
+    EXPECT_EQ(parallel.steps, delta.steps) << "trial " << trial;
+    EXPECT_EQ(parallel.failure, delta.failure) << "trial " << trial;
+    EXPECT_EQ(parallel.nulls_created, delta.nulls_created) << "trial " << trial;
+    EXPECT_EQ(parallel.instance.CanonicalFingerprint(),
+              delta.instance.CanonicalFingerprint())
+        << "trial " << trial << " threads " << parallel_options.num_threads
+        << "\nI:\n" << start.ToString(symbols_);
 
     if (delta.outcome != ChaseOutcome::kSuccess) continue;
 
@@ -222,7 +213,7 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
 // Streaming churn fuzz: a random ±Δ stream absorbed batch-by-batch by a
 // StreamingChase must track a fresh engine chasing the net instance —
 // dependency satisfaction and homomorphic equivalence after every batch —
-// whatever the schedule and thread count drawn for the trial. The
+// whatever the thread count drawn for the trial. The
 // universe is constant-only E facts, so the egd-bearing rule set only ever
 // merges invented nulls: no churn order can fail the chase, and deleting
 // an egd firing's body exercises the full re-chase fallback instead.
@@ -257,7 +248,6 @@ TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
     options.max_steps = 5000;
     const int kThreadChoices[] = {1, 2, 8};
     options.num_threads = kThreadChoices[rng.UniformInt(3)];
-    options.schedule = testing_util::DrawSchedule(&rng);
 
     ChurnOptions churn_options;
     churn_options.delete_rate = 0.2;
@@ -286,8 +276,8 @@ TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
       testing_util::AssertHomEquivalent(
           stream.instance(), scratch.instance,
           "trial " + std::to_string(trial) + " batch " +
-              std::to_string(batch_idx) + " schedule " +
-              ScheduleName(options.schedule));
+              std::to_string(batch_idx) + " threads " +
+              std::to_string(options.num_threads));
     }
   }
 }

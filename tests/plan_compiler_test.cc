@@ -134,7 +134,7 @@ TEST_F(PlanCompilerTest, ApplyTemplateCapturesHeadShapeAndExistentials) {
   EXPECT_EQ(apply.fresh_per_trigger, 2);
   ASSERT_EQ(apply.existentials.size(), 2u);
   // Ascending variable order — the interpreter invents fresh nulls in that
-  // order, and the speculative layouts rely on it.
+  // order, and the chase's apply mints them in the same order.
   EXPECT_LT(apply.existentials[0], apply.existentials[1]);
   // Flat head row: H(x,z) F(z,w) -> slots 1 and 2 hold z, slot 3 holds w.
   ASSERT_EQ(apply.slots.size(), 4u);

@@ -147,13 +147,11 @@ TEST_F(SolutionAwareChaseTest, NoApplicableStepLeavesStartUnchanged) {
   EXPECT_TRUE(result.instance.FactsEqual(start));
 }
 
-// Cross-dependency pipelining (the speculative schedule with a pool): the
-// solution-aware chase invents no nulls — witnesses come from the
-// solution — so overlapping collection of the next disjoint-footprint
-// dependency with the current apply phase must keep results BIT-identical
-// to the sequential run (same fingerprint, not just isomorphic), at every
-// thread count.
-TEST_F(SolutionAwareChaseTest, PipeliningKeepsResultsBitIdentical) {
+// The solution-aware chase invents no nulls — witnesses come from the
+// solution — and applies in enumeration order, so a pooled collect must
+// keep results bit-identical to the sequential run (same facts, not just
+// isomorphic), at every thread count.
+TEST_F(SolutionAwareChaseTest, PooledRunsAreBitIdenticalToSequential) {
   Schema wide;
   SymbolTable wide_symbols;
   for (const char* name : {"A0", "B0", "A1", "B1"}) {
@@ -177,13 +175,15 @@ TEST_F(SolutionAwareChaseTest, PipeliningKeepsResultsBitIdentical) {
       solution.AddFact(a + 1, {node(u), node("w" + std::to_string(i))});
     }
   }
-  ChaseResult ref = SolutionAwareChase(start, deps->tgds, {}, solution);
+  ChaseOptions sequential;
+  sequential.num_threads = 1;
+  ChaseResult ref =
+      SolutionAwareChase(start, deps->tgds, {}, solution, sequential);
   ASSERT_EQ(ref.outcome, ChaseOutcome::kSuccess);
   EXPECT_GT(ref.steps, 0);
   for (int threads : {2, 8}) {
     ChaseOptions options;
     options.num_threads = threads;
-    options.schedule = ChaseSchedule::kSpeculative;
     ChaseResult got =
         SolutionAwareChase(start, deps->tgds, {}, solution, options);
     ASSERT_EQ(got.outcome, ref.outcome) << "threads " << threads;

@@ -2,8 +2,6 @@
 #define PDX_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,12 +57,11 @@ inline PdeSetting MakePathSetting(SymbolTable* symbols) {
 }
 
 // Fingerprint after canonical null renumbering (CanonicalizeNulls in
-// hom/instance_hom.h): invariant under any bijective renaming of nulls,
-// which is exactly the equivalence speculative parallel chase results are
-// unique up to. Raw CanonicalFingerprint() tie-breaks its fact sort on
-// original null ids, so it can differ between isomorphic instances whose
-// nulls sit in symmetric positions — use this for cross-schedule
-// comparisons.
+// hom/instance_hom.h): invariant under any bijective renaming of nulls.
+// Raw CanonicalFingerprint() tie-breaks its fact sort on original null
+// ids, so it can differ between isomorphic instances whose nulls sit in
+// symmetric positions — use this to compare engines that may number their
+// nulls differently (the naive oracle against the delta engines).
 inline uint64_t CanonicalizedFingerprint(const Instance& instance) {
   return CanonicalizeNulls(instance).CanonicalFingerprint();
 }
@@ -81,27 +78,6 @@ inline void AssertHomEquivalent(const Instance& a, const Instance& b,
       << "no homomorphism a -> b" << (context.empty() ? "" : ": ") << context;
   EXPECT_TRUE(FindInstanceHomomorphism(b, a).has_value())
       << "no homomorphism b -> a" << (context.empty() ? "" : ": ") << context;
-}
-
-// The schedules a parallel-invariance test should exercise: barrier and
-// speculative by default. Under PDX_FORCE_SCHEDULE (which ResolveSchedule
-// makes win process-wide anyway), only the forced one — tools/check.sh's
-// TSan lanes pin a schedule so the sanitized runs cover exactly that path
-// instead of re-running every mode.
-inline std::vector<ChaseSchedule> SchedulesToTest() {
-  if (const char* env = std::getenv("PDX_FORCE_SCHEDULE")) {
-    if (std::optional<ChaseSchedule> forced = ParseScheduleName(env)) {
-      return {*forced};
-    }
-  }
-  return {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative};
-}
-
-// Draws a schedule for fuzz-style trials: uniform over SchedulesToTest(),
-// so a pinned TSan lane fuzzes only the pinned path.
-inline ChaseSchedule DrawSchedule(Rng* rng) {
-  std::vector<ChaseSchedule> schedules = SchedulesToTest();
-  return schedules[rng->UniformInt(static_cast<uint32_t>(schedules.size()))];
 }
 
 }  // namespace testing_util

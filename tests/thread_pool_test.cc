@@ -98,78 +98,6 @@ TEST(ThreadPoolTest, ManySequentialJobs) {
   EXPECT_EQ(total.load(), 200 * 17);
 }
 
-// --- ParallelForAsync / Wait (cross-dependency pipelining) -------------
-
-// Workers process the async job while the caller does unrelated work
-// between Start and Wait; every index runs exactly once and all effects
-// are visible after Wait.
-TEST(ThreadPoolTest, AsyncOverlapsCallerWork) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 2048;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelForAsync(kN, [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  // Caller-side work the async job must not disturb (this is what the
-  // chase's apply phase does while the next collect runs).
-  int64_t acc = 0;
-  for (int64_t k = 0; k < 100'000; ++k) acc += k ^ (k << 1);
-  pool.Wait();
-  EXPECT_NE(acc, 0);
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-// Plain (non-atomic) writes by the async body happen-before Wait returns.
-TEST(ThreadPoolTest, AsyncResultsVisibleAfterWait) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 4096;
-  std::vector<int64_t> out(kN, 0);
-  pool.ParallelForAsync(kN,
-                        [&](size_t i) { out[i] = static_cast<int64_t>(i) + 7; });
-  pool.Wait();
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(out[i], static_cast<int64_t>(i) + 7) << "index " << i;
-  }
-}
-
-// n == 0 and worker-less pools defer the job and run it inline at Wait;
-// both must still execute exactly once (or not at all for n == 0).
-TEST(ThreadPoolTest, AsyncDegenerateCases) {
-  ThreadPool solo(1);  // caller only: deferred-inline path
-  std::vector<int> hits(64, 0);
-  solo.ParallelForAsync(hits.size(), [&](size_t i) { ++hits[i]; });
-  solo.Wait();
-  for (size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i], 1) << "index " << i;
-  }
-
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  pool.ParallelForAsync(0, [&](size_t) { ran.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 0);
-}
-
-// Wait without a pending async job is a no-op, and the pool alternates
-// freely between async and synchronous jobs.
-TEST(ThreadPoolTest, AsyncInterleavesWithParallelFor) {
-  ThreadPool pool(3);
-  pool.Wait();  // nothing pending: must return immediately
-  std::atomic<int64_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelForAsync(13, [&](size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-    pool.Wait();
-    pool.ParallelFor(17, [&](size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(total.load(), 50 * (13 + 17));
-}
-
 // --- One-off task queue (Submit/Shutdown) --------------------------------
 
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {

@@ -1,9 +1,10 @@
-// Concurrent admission stress for ConcurrentFingerprintSet, the ledger
-// behind the oblivious chase's worker-side trigger dedup: when every
-// worker races to admit the same fingerprints, each fingerprint must be
-// won by exactly one caller (no duplicate firings) and every fingerprint
-// must end up admitted (no lost triggers), across generations of
-// retire-and-readmit the egd fixpoint drives. Carries the `parallel`
+// Concurrent admission stress for ConcurrentFingerprintSet, the set
+// behind the oblivious chase's trigger ledger (pool workers filter against
+// it during the collect): when every thread races to admit the same
+// fingerprints, each fingerprint must be won by exactly one caller (no
+// duplicate firings) and every fingerprint must end up admitted (no lost
+// triggers), across generations of retire-and-readmit the egd fixpoint
+// drives. Carries the `parallel`
 // ctest label; tools/check.sh additionally runs it under TSan.
 
 #include <atomic>
@@ -148,7 +149,7 @@ TEST(TriggerLedgerTest, RetireSingleFingerprintReadmitsExactlyOnce) {
       EXPECT_FALSE(ledger.Retire(Fp(f)));  // double-retire is refused
       ++retired;
     }
-    // Concurrent re-admission (a speculative collect phase re-fires).
+    // Concurrent re-admission from several threads at once.
     std::atomic<uint64_t> wins{0};
     pool.ParallelFor(kThreads, [&](size_t) {
       uint64_t local_wins = 0;

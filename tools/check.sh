@@ -9,9 +9,8 @@
 # tests in its own tree and runs just that label). The ASan suite runs
 # once, over the one compiled-plan engine path (the match VM) and the
 # kRestrictedNaive oracle the differential tests compare it against. The
-# TSan suite runs twice: with PDX_FORCE_SCHEDULE=speculative, and
-# unforced (the default barrier schedule: its pooled collect, the pooled
-# egd slot collect and Figure 3's pooled block checks).
+# TSan suite runs once: it sanitizes the chase's one pooled tgd collect,
+# the pooled egd slot collect and Figure 3's pooled block checks.
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
 # --quick`: a fingerprint cross-check against the kRestrictedNaive oracle
@@ -21,7 +20,9 @@
 # fingerprint-cross-checked with a conservative speedup floor) and a
 # pdxcli smoke stage: check/chase/solve on
 # the shipped Example 1 setting with --metrics-out/--trace-out, failing on
-# malformed exporter output, plus a -DPDX_OBS_NOOP=ON build gate proving
+# malformed exporter output, on a chase whose facts differ between 1 and
+# 8 threads, or on a flag pdxcli should reject but accepts, plus a
+# -DPDX_OBS_NOOP=ON build gate proving
 # the library and CLI still compile with the observability layer stubbed
 # out (the stubs are all-inline, so nothing short of building exercises
 # them).
@@ -83,6 +84,30 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
       python3 -m json.tool "$smoke_dir/$trace.trace.json" >/dev/null ||
         { echo "smoke: $trace.trace.json is not valid JSON" >&2; exit 1; }
     fi
+  done
+
+  # The chase prints the same facts, null ids included, at every thread
+  # count.
+  for threads in 1 8; do
+    ./build/tools/pdxcli chase --setting data/genomics.pdx \
+      --source data/genomics_source.facts --threads "$threads" \
+      >"$smoke_dir/chase_t$threads.txt"
+  done
+  cmp -s "$smoke_dir/chase_t1.txt" "$smoke_dir/chase_t8.txt" ||
+    { echo "smoke: chase output differs between 1 and 8 threads" >&2
+      exit 1; }
+
+  # pdxcli rejects what it does not read: a flag its command does not
+  # take, and a --threads value that is not a non-negative integer, both
+  # exit 2 instead of being ignored or read as 0 (all cores).
+  for bad in "--schedule speculative" "--threads x"; do
+    rc=0
+    # $bad is a flag and its value: split on purpose.
+    # shellcheck disable=SC2086
+    ./build/tools/pdxcli chase --setting data/example1.pdx \
+      --source data/example1_path.facts $bad >/dev/null 2>&1 || rc=$?
+    [[ "$rc" == 2 ]] ||
+      { echo "smoke: pdxcli chase $bad exited $rc, want 2" >&2; exit 1; }
   done
 
   echo "== perf smoke gate (bench_chase --quick) =="
@@ -221,25 +246,16 @@ if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
-  echo "== thread sanitizer build (parallel tests, speculative forced) =="
+  echo "== thread sanitizer build (parallel tests) =="
   cmake -B build-tsan -S . -DPDX_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
     --target thread_pool_test trigger_ledger_test chase_parallel_test \
     ctract_solver_test fuzz_test obs_test serve_test stream_test
-  # PDX_FORCE_SCHEDULE=speculative makes every parallel-labeled chase
-  # take the speculative path (ResolveSchedule reads it process-wide):
-  # worker-side head instantiation, concurrent ledger, cross-dependency
-  # pipelining — code TSan most needs to see. The default barrier
-  # schedule gets its own unforced pass below.
-  PDX_FORCE_SCHEDULE=speculative ctest --test-dir build-tsan -L parallel \
-    --output-on-failure -j "$jobs" --timeout 600
-  # Unforced: the tests' own schedule matrix, including the default
-  # barrier schedule — the path bulk_exchange and pdxd run — whose
-  # pooled collect, pooled egd slot collect and pooled Figure 3 block
-  # checks (ctract_solver_test) run concurrently; the apply itself is
-  # sequential.
-  echo "== thread sanitizer rerun (unforced schedules) =="
+  # One pass: the chase's pooled tgd collect (workers build head rows and
+  # read the trigger ledger), the pooled egd slot collect and the pooled
+  # Figure 3 block checks (ctract_solver_test) run concurrently; every
+  # apply is sequential.
   ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
 fi

@@ -3,11 +3,10 @@
 // Usage:
 //   pdxcli check   --setting FILE
 //   pdxcli chase   --setting FILE --source FILE [--target FILE] [--threads N]
-//                  [--schedule barrier|speculative]
 //                  [--dump-plans] [--repeat N]
 //   pdxcli solve   --setting FILE --source FILE [--target FILE]
-//                  [--solver auto|ctract|generic] [--minimize] [--diff]
-//                  [--threads N]
+//                  [--solver auto|ctract|generic] [--core] [--minimize]
+//                  [--diff] [--threads N]
 //   pdxcli certain --setting FILE --source FILE [--target FILE]
 //                  --query 'q(x) :- H(x,y).' [--threads N]
 //   pdxcli repairs --setting FILE --source FILE --target FILE
@@ -19,16 +18,22 @@
 // duration and writes Chrome trace_event JSON (load it in chrome://tracing
 // or https://ui.perfetto.dev).
 //
+// A flag the command does not read, or a --threads/--repeat value that is
+// not a non-negative integer, is rejected with exit code 2. --threads 0
+// means all cores.
+//
 // Setting files use the [source]/[target]/[st]/[ts]/[t] format of
 // pde/setting_file.h; instance files hold facts like "E(a,b).".
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/string_util.h"
@@ -59,31 +64,6 @@ struct CliArgs {
   std::string command;
   std::map<std::string, std::string> flags;
 };
-
-StatusOr<CliArgs> ParseArgs(int argc, char** argv) {
-  if (argc < 2) {
-    return InvalidArgumentError("missing command");
-  }
-  CliArgs args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
-    if (flag.rfind("--", 0) != 0) {
-      return InvalidArgumentError(StrCat("expected --flag, got ", flag));
-    }
-    flag = flag.substr(2);
-    if (flag == "minimize" || flag == "core" || flag == "diff" ||
-        flag == "dump-plans") {
-      args.flags[flag] = "true";
-      continue;
-    }
-    if (i + 1 >= argc) {
-      return InvalidArgumentError(StrCat("flag --", flag, " needs a value"));
-    }
-    args.flags[flag] = argv[++i];
-  }
-  return args;
-}
 
 // --metrics-out / --trace-out plumbing, applied uniformly to every
 // command: tracing is switched on before the command body runs and the
@@ -139,23 +119,11 @@ class ObsExports {
   std::string trace_path_;
 };
 
+// --threads N, which ParseArgs has checked is a non-negative int (0 = all
+// cores); absent means one thread.
 int ParseThreads(const CliArgs& args) {
   auto it = args.flags.find("threads");
   return it == args.flags.end() ? 1 : std::atoi(it->second.c_str());
-}
-
-// --schedule barrier|speculative: the tgd-phase schedule for parallel
-// chases (see ChaseSchedule in chase/chase.h). Absent means barrier, the
-// bit-deterministic default.
-StatusOr<ChaseSchedule> ParseSchedule(const CliArgs& args) {
-  auto it = args.flags.find("schedule");
-  if (it == args.flags.end()) return ChaseSchedule::kBarrier;
-  std::optional<ChaseSchedule> schedule = ParseScheduleName(it->second);
-  if (!schedule.has_value()) {
-    return InvalidArgumentError(StrCat("unknown --schedule ", it->second,
-                                       " (want barrier or speculative)"));
-  }
-  return *schedule;
 }
 
 StatusOr<PdeSetting> LoadSetting(const CliArgs& args, SymbolTable* symbols) {
@@ -244,12 +212,6 @@ int RunChase(const CliArgs& args) {
   Instance combined = setting->CombineInstances(*source, *target);
   ChaseOptions chase_options;
   chase_options.num_threads = ParseThreads(args);
-  auto schedule = ParseSchedule(args);
-  if (!schedule.ok()) {
-    std::cerr << schedule.status().ToString() << "\n";
-    return 2;
-  }
-  chase_options.schedule = *schedule;
   if (args.flags.count("dump-plans") > 0) {
     // Show exactly what the chase below will execute: the compiled plans
     // for Σ_st (this command chases with Σ_st only, no egds).
@@ -516,32 +478,135 @@ int RunExplain(const CliArgs& args) {
   return 1;
 }
 
-int Dispatch(const CliArgs& args) {
-  if (args.command == "check") return RunCheck(args);
-  if (args.command == "chase") return RunChase(args);
-  if (args.command == "solve") return RunSolve(args);
-  if (args.command == "certain") return RunCertain(args);
-  if (args.command == "repairs") return RunRepairs(args);
-  if (args.command == "explain") return RunExplain(args);
-  std::cerr << "unknown command " << args.command << "\n";
-  return 2;
+// How a flag takes its value: a switch takes none, a count takes a
+// non-negative decimal integer that fits in an int, any other flag takes
+// its next argument as is.
+enum class FlagKind { kValue, kSwitch, kCount };
+
+struct FlagSpec {
+  std::string_view name;
+  FlagKind kind = FlagKind::kValue;
+};
+
+// One row per command: its runner and every flag it reads, besides the
+// --metrics-out/--trace-out pair every command takes. ParseArgs rejects any
+// other flag, so a stale or misspelled one fails instead of being ignored.
+struct Command {
+  std::string_view name;
+  int (*run)(const CliArgs&);
+  std::vector<FlagSpec> flags;
+};
+
+const std::vector<Command>& Commands() {
+  constexpr FlagKind kSwitch = FlagKind::kSwitch;
+  constexpr FlagKind kCount = FlagKind::kCount;
+  static const std::vector<Command> commands = {
+      {"check", RunCheck, {{"setting"}}},
+      {"chase",
+       RunChase,
+       {{"setting"},
+        {"source"},
+        {"target"},
+        {"threads", kCount},
+        {"dump-plans", kSwitch},
+        {"repeat", kCount}}},
+      {"solve",
+       RunSolve,
+       {{"setting"},
+        {"source"},
+        {"target"},
+        {"solver"},
+        {"core", kSwitch},
+        {"minimize", kSwitch},
+        {"diff", kSwitch},
+        {"threads", kCount}}},
+      {"certain",
+       RunCertain,
+       {{"setting"}, {"source"}, {"target"}, {"query"}, {"threads", kCount}}},
+      {"repairs", RunRepairs, {{"setting"}, {"source"}, {"target"}}},
+      {"explain", RunExplain, {{"setting"}, {"source"}, {"target"}}},
+  };
+  return commands;
+}
+
+const FlagSpec* FindFlag(const Command& command, std::string_view name) {
+  static const FlagSpec kObsFlags[] = {{"metrics-out"}, {"trace-out"}};
+  for (const FlagSpec& flag : kObsFlags) {
+    if (flag.name == name) return &flag;
+  }
+  for (const FlagSpec& flag : command.flags) {
+    if (flag.name == name) return &flag;
+  }
+  return nullptr;
+}
+
+// True if `text` is a non-negative decimal integer that fits in an int.
+bool IsCount(std::string_view text) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc() && stop == end && value >= 0;
+}
+
+// Parses `pdxcli COMMAND [--flag [VALUE]]...` against the command table.
+StatusOr<std::pair<const Command*, CliArgs>> ParseArgs(int argc,
+                                                        char** argv) {
+  if (argc < 2) {
+    return InvalidArgumentError("missing command");
+  }
+  CliArgs args;
+  args.command = argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : Commands()) {
+    if (c.name == args.command) command = &c;
+  }
+  if (command == nullptr) {
+    return InvalidArgumentError(StrCat("unknown command ", args.command));
+  }
+  for (int i = 2; i < argc; ++i) {
+    std::string flag = argv[i];
+    if (flag.rfind("--", 0) != 0) {
+      return InvalidArgumentError(StrCat("expected --flag, got ", flag));
+    }
+    flag = flag.substr(2);
+    const FlagSpec* spec = FindFlag(*command, flag);
+    if (spec == nullptr) {
+      return InvalidArgumentError(
+          StrCat("pdxcli ", args.command, " takes no flag --", flag));
+    }
+    if (spec->kind == FlagKind::kSwitch) {
+      args.flags[flag] = "true";
+      continue;
+    }
+    if (i + 1 >= argc) {
+      return InvalidArgumentError(StrCat("flag --", flag, " needs a value"));
+    }
+    std::string value = argv[++i];
+    if (spec->kind == FlagKind::kCount && !IsCount(value)) {
+      return InvalidArgumentError(StrCat(
+          "flag --", flag, " needs a non-negative integer, got '", value,
+          "'"));
+    }
+    args.flags[flag] = std::move(value);
+  }
+  return std::make_pair(command, std::move(args));
 }
 
 int Main(int argc, char** argv) {
-  auto args = ParseArgs(argc, argv);
-  if (!args.ok()) {
-    std::cerr << args.status().ToString() << "\n"
+  auto parsed = ParseArgs(argc, argv);
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n"
               << "usage: pdxcli check|chase|solve|certain|repairs|explain "
                  "--setting FILE [--source FILE] [--target FILE] "
-                 "[--solver auto|ctract|generic] [--query Q] "
+                 "[--solver auto|ctract|generic] [--query Q] [--core] "
                  "[--minimize] [--diff] [--threads N] "
-                 "[--schedule barrier|speculative] "
                  "[--dump-plans] [--repeat N] "
                  "[--metrics-out FILE] [--trace-out FILE]\n";
     return 2;
   }
-  ObsExports exports(*args);
-  int rc = Dispatch(*args);
+  const auto& [command, args] = *parsed;
+  ObsExports exports(args);
+  int rc = command->run(args);
   int export_rc = exports.Write();
   return rc != 0 ? rc : export_rc;
 }
