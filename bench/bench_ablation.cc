@@ -1,9 +1,6 @@
-// Ablation experiments for the engineering choices DESIGN.md calls out:
+// Ablation experiment for the engineering choice DESIGN.md calls out:
 //   A1  restricted naive vs. semi-naive (incremental) trigger search —
-//       the re-scan cost dominates chase time at scale;
-//   A2  restricted vs. oblivious chase — result-size and null blow-up of
-//       firing satisfied triggers;
-//   A3  the C_tract solver built on each chase variant (end-to-end view).
+//       the re-scan cost dominates chase time at scale.
 
 #include <benchmark/benchmark.h>
 
@@ -18,8 +15,6 @@ struct AblationContext {
   Schema schema;
   SymbolTable symbols;
   std::vector<Tgd> pipeline;
-  std::vector<Tgd> existential;
-  std::vector<Egd> key;
 
   AblationContext() {
     PDX_CHECK(schema.AddRelation("E", 2).ok());
@@ -29,14 +24,6 @@ struct AblationContext {
         "E(x,z) & E(z,y) -> H(x,y). H(x,y) -> F(x,y).", schema, &symbols);
     PDX_CHECK(deps.ok());
     pipeline = std::move(deps).value().tgds;
-    auto deps2 = ParseDependencies("E(x,y) -> exists z: H(x,z).", schema,
-                                   &symbols);
-    PDX_CHECK(deps2.ok());
-    existential = std::move(deps2).value().tgds;
-    auto deps3 =
-        ParseDependencies("H(x,y) & H(x,z) -> y = z.", schema, &symbols);
-    PDX_CHECK(deps3.ok());
-    key = std::move(deps3).value().egds;
   }
 
   Instance RandomEdges(int n, uint64_t seed) {
@@ -96,50 +83,6 @@ void BM_A1_ChaseIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_A1_ChaseIncremental)
     ->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
-// ---- A2: restricted vs. oblivious --------------------------------------
-
-void BM_A2_Restricted(benchmark::State& state) {
-  AblationContext& ctx = Context();
-  Instance start = ctx.RandomEdges(static_cast<int>(state.range(0)), 103);
-  int64_t nulls = 0;
-  int64_t facts = 0;
-  for (auto _ : state) {
-    ChaseResult result =
-        Chase(start, ctx.existential, ctx.key, &ctx.symbols);
-    PDX_CHECK(result.outcome == ChaseOutcome::kSuccess);
-    nulls = result.nulls_created;
-    facts = static_cast<int64_t>(result.instance.fact_count());
-    benchmark::DoNotOptimize(result.instance);
-  }
-  state.counters["nulls"] = static_cast<double>(nulls);
-  state.counters["result_facts"] = static_cast<double>(facts);
-}
-BENCHMARK(BM_A2_Restricted)
-    ->Arg(32)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_A2_Oblivious(benchmark::State& state) {
-  AblationContext& ctx = Context();
-  Instance start = ctx.RandomEdges(static_cast<int>(state.range(0)), 103);
-  ChaseOptions options;
-  options.strategy = ChaseStrategy::kOblivious;
-  int64_t nulls = 0;
-  int64_t facts = 0;
-  for (auto _ : state) {
-    ChaseResult result =
-        Chase(start, ctx.existential, ctx.key, &ctx.symbols, options);
-    PDX_CHECK(result.outcome == ChaseOutcome::kSuccess);
-    nulls = result.nulls_created;
-    facts = static_cast<int64_t>(result.instance.fact_count());
-    benchmark::DoNotOptimize(result.instance);
-  }
-  state.counters["nulls"] = static_cast<double>(nulls);
-  state.counters["result_facts"] = static_cast<double>(facts);
-}
-BENCHMARK(BM_A2_Oblivious)
-    ->Arg(32)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "chase/journal.h"
-#include "chase/trigger_ledger.h"
 #include "hom/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -204,51 +203,43 @@ int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
 // (var_count per trigger) and `heads` its head rows (head_width per
 // trigger, atoms concatenated in tgd.head order), built by the worker that
 // found the match. The existential slots of both stay unfilled until the
-// apply mints the trigger's nulls. `fps` holds the oblivious engine's
-// trigger fingerprints, parallel to the rows. A worker only appends
-// values, so the collect allocates no per-trigger objects and the apply
-// is a streaming scan in enumeration order.
+// apply mints the trigger's nulls. A worker only appends values, so the
+// collect allocates no per-trigger objects and the apply is a streaming
+// scan in enumeration order.
 struct TgdRows {
   std::vector<Value> rows;
   std::vector<Value> heads;
-  std::vector<uint64_t> fps;
   size_t count = 0;     // kept triggers
   int64_t matches = 0;  // body matches enumerated, kept or not
 
   void clear() {
     rows.clear();
     heads.clear();
-    fps.clear();
     count = 0;
     matches = 0;
   }
 };
 
-// One round's tgd phase at every thread count, shared by the restricted
-// engine (ledger == nullptr) and the oblivious engine. For each tgd
-// touching the delta:
+// One round's tgd phase at every thread count. For each tgd touching the
+// delta:
 //   - Collect (CollectDeltaSlots into the run-owned `slots`): keep each
-//     match the filter lets through and build its head rows. The
-//     restricted filter drops matches whose head already holds
-//     (HasMatchPlanned); the oblivious one drops fingerprints that already
-//     fired (read-only TriggerLedger::Contains).
+//     match whose head does not already hold (HasMatchPlanned) and build
+//     its head rows.
 //   - Apply, on the calling thread in slot order, which is the sequential
-//     enumeration order. The restricted engine re-checks each head against
-//     the live instance, since an earlier trigger of the batch may have
-//     satisfied it; the oblivious engine admits the fingerprint through
-//     TriggerLedger::Insert, which also collapses the repeats that
-//     merge-dirtied extras put into two partitions. Only then does the
-//     trigger mint its nulls (FreshNull, in existential order), journal its
-//     extended row and insert its head rows.
+//     enumeration order. Each head is re-checked against the live
+//     instance, since an earlier trigger of the batch may have satisfied
+//     it. Only then does the trigger mint its nulls (FreshNull, in
+//     existential order), journal its extended row and insert its head
+//     rows.
 // Null ids thus follow the apply order alone, so results are bit-identical
 // at every thread count and no null id is drawn for a skipped trigger.
 // Returns false when the step budget was exhausted (`result` is
 // finalized).
 bool RunTgdPhase(const std::vector<Tgd>& tgds,
                  const plan::CompiledSetting& compiled, const DeltaView& delta,
-                 SymbolTable* symbols, TriggerLedger* ledger, ThreadPool* pool,
-                 int64_t max_steps, ChaseJournal* journal,
-                 std::vector<TgdRows>* slots, ChaseResult* result) {
+                 SymbolTable* symbols, ThreadPool* pool, int64_t max_steps,
+                 ChaseJournal* journal, std::vector<TgdRows>* slots,
+                 ChaseResult* result) {
   ChaseMetrics& metrics = ChaseMetrics::Get();
   Instance& instance = result->instance;
   for (size_t d = 0; d < tgds.size(); ++d) {
@@ -262,13 +253,7 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
         tgd.body, plan.body, instance, delta, pool, tgd_span.id(), slots,
         [&](TgdRows* buffer, const Binding& m) {
           ++buffer->matches;
-          if (ledger != nullptr) {
-            const uint64_t fp = TriggerFingerprint(d, tgd, m);
-            if (ledger->Contains(fp)) return false;
-            buffer->fps.push_back(fp);
-          } else if (HasMatchPlanned(plan.head, instance, m)) {
-            return false;
-          }
+          if (HasMatchPlanned(plan.head, instance, m)) return false;
           const size_t row = buffer->rows.size();
           buffer->rows.insert(buffer->rows.end(), m.values.begin(),
                               m.values.end());
@@ -290,7 +275,7 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
     // Every trigger binds exactly the body variables (ApplyTemplate), so
     // one scratch Binding with that mask serves the whole scan: only its
     // values are refreshed from the rows, and the existential slots stay
-    // masked off, as the head re-check and the ledger's root index need.
+    // masked off, as the head re-check needs.
     Binding scratch = Binding::Empty(tgd.var_count);
     scratch.bound = apply.body_bound;
     const size_t var_count = static_cast<size_t>(tgd.var_count);
@@ -302,10 +287,7 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
       for (size_t t = 0; t < buffer.count;
            ++t, row += var_count, head += apply.head_width) {
         std::copy(row, row + var_count, scratch.values.begin());
-        const bool fires =
-            ledger == nullptr ? !HasMatchPlanned(plan.head, instance, scratch)
-                              : ledger->Insert(buffer.fps[t], tgd, scratch);
-        if (!fires) continue;
+        if (HasMatchPlanned(plan.head, instance, scratch)) continue;
         for (VariableId v : apply.existentials) row[v] = symbols->FreshNull();
         for (const auto& [pos, v] : apply.head_null_slots) head[pos] = row[v];
         if (journal != nullptr) {
@@ -381,7 +363,7 @@ bool RunEgdsToFixpoint(const std::vector<Egd>& egds, Instance* instance,
 
 // The classic scan-from-scratch restricted chase with Substitute-based egd
 // steps, interpreted straight off the AST: the test and bench oracle the
-// compiled delta engines are cross-checked against.
+// compiled delta engine is cross-checked against.
 ChaseResult ChaseRestrictedNaive(Instance start,
                                  const std::vector<Tgd>& tgds,
                                  const std::vector<Egd>& egds,
@@ -507,8 +489,8 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     // Facts present now are covered once this round's triggers have been
     // evaluated; facts the round itself adds become the next delta.
     InstanceWatermark frontier = instance.TakeWatermark();
-    if (!RunTgdPhase(tgds, compiled, delta, symbols, /*ledger=*/nullptr, pool,
-                     options.max_steps, options.journal, &slots, &result)) {
+    if (!RunTgdPhase(tgds, compiled, delta, symbols, pool, options.max_steps,
+                     options.journal, &slots, &result)) {
       return result;
     }
     mark = std::move(frontier);
@@ -540,58 +522,6 @@ ChaseResult ChaseRestrictedDelta(Instance start,
       }
       dirty_accum = 0;
     }
-  }
-}
-
-// The delta-driven oblivious chase: every body homomorphism of every tgd
-// fires exactly once, tracked by the generation-scoped TriggerLedger. Only
-// matches touching the delta (additive or merge-dirtied) are enumerated
-// per round; a match wholly over old, unmerged facts was enumerated (and
-// fingerprinted) in the round its newest fact arrived, so nothing is
-// missed.
-ChaseResult ChaseOblivious(Instance start,
-                           const std::vector<Tgd>& tgds,
-                           const std::vector<Egd>& egds,
-                           SymbolTable* symbols, const ChaseOptions& options,
-                           ThreadPool* pool,
-                           const plan::CompiledSetting& compiled) {
-  ChaseResult result(std::move(start));
-  Instance& instance = result.instance;
-  TriggerLedger fired;
-  InstanceWatermark mark = InstanceWatermark::Origin(instance);
-  std::vector<std::vector<int>> extras;
-  ChaseMetrics& metrics = ChaseMetrics::Get();
-  int64_t round = 0;
-  std::vector<TgdRows> slots;
-  while (true) {
-    if (result.steps >= options.max_steps) {
-      result.outcome = ChaseOutcome::kBudgetExhausted;
-      return result;
-    }
-    obs::Span round_span(obs::Tracer::Global(), "chase.round");
-    round_span.AttrInt("round", round);
-    metrics.rounds.Inc();
-    ++round;
-    EgdFixpointOutcome egd_out = RunEgdsToFixpointDelta(
-        egds, compiled.egds, &instance, mark, options.max_steps - result.steps,
-        symbols, &extras, pool);
-    if (!AbsorbEgdOutcome(egd_out, &result)) return result;
-    // Merged-away roots can never appear in a binding again: drop their
-    // fingerprint generation.
-    fired.RetireRoots(egd_out.retired);
-    DeltaView delta(instance, mark, extras);
-    if (!delta.any()) {
-      result.outcome = ChaseOutcome::kSuccess;
-      return result;
-    }
-    InstanceWatermark frontier = instance.TakeWatermark();
-    if (!RunTgdPhase(tgds, compiled, delta, symbols, &fired, pool,
-                     options.max_steps, /*journal=*/nullptr, &slots,
-                     &result)) {
-      return result;
-    }
-    mark = std::move(frontier);
-    extras.clear();
   }
 }
 
@@ -672,8 +602,6 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
             pass_dirty[relation].push_back(idx);
           }
           out.dirtied += static_cast<int64_t>(merge.dirty.size());
-          out.retired.insert(out.retired.end(), merge.reassigned.begin(),
-                             merge.reassigned.end());
           merged_any = true;
           if (out.steps >= max_steps) {
             out.budget_exhausted = true;
@@ -700,7 +628,6 @@ namespace {
 
 const char* StrategyName(ChaseStrategy strategy) {
   switch (strategy) {
-    case ChaseStrategy::kOblivious: return "oblivious";
     case ChaseStrategy::kRestrictedNaive: return "restricted_naive";
     case ChaseStrategy::kRestricted: return "restricted";
   }
@@ -721,10 +648,6 @@ ChaseResult ChaseDispatch(Instance start, const std::vector<Tgd>& tgds,
   const int threads = ResolveThreadCount(options);
   std::unique_ptr<ThreadPool> pool =
       threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-  if (options.strategy == ChaseStrategy::kOblivious) {
-    return ChaseOblivious(std::move(start), tgds, egds, symbols, options,
-                          pool.get(), *compiled);
-  }
   return ChaseRestrictedDelta(std::move(start), tgds, egds, symbols, options,
                               pool.get(), *compiled);
 }

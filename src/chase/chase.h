@@ -38,13 +38,8 @@ enum class ChaseStrategy {
   // trigger and applying egds via Substitute's eager relation rebuild,
   // interpreted straight off the dependency AST. The test and bench
   // oracle: the differential tests and bench_chase --quick check the
-  // compiled delta engines against it.
+  // compiled delta engine against it.
   kRestrictedNaive,
-  // The oblivious chase, delta-driven: every body homomorphism fires
-  // exactly once (tracked by a trigger-fingerprint set), whether or not a
-  // witness already exists. Produces larger (but still universal) results;
-  // terminates on weakly acyclic sets.
-  kOblivious,
 };
 
 class ChaseJournal;
@@ -58,7 +53,7 @@ struct ChaseOptions {
 
   ChaseStrategy strategy = ChaseStrategy::kRestricted;
 
-  // Worker threads for delta trigger enumeration (kRestricted/kOblivious):
+  // Worker threads for delta trigger enumeration (kRestricted only):
   // 0 = hardware concurrency, 1 = fully sequential. Any value > 1 fans the
   // collect half of every tgd batch and egd pass across partitioned
   // parallel enumeration; workers also build the kept triggers' head rows.
@@ -75,9 +70,8 @@ struct ChaseOptions {
   // the pre-watermark state already satisfies every dependency being
   // chased (it was itself chased to fixpoint and only AddFact happened
   // since — the pdxd generation store's single-writer discipline). The
-  // other strategies ignore it and fall back to the full first scan,
-  // which is always correct, just not amortized. The pointee must outlive
-  // the call.
+  // naive oracle ignores it and does the full first scan, which is always
+  // correct, just not amortized. The pointee must outlive the call.
   const InstanceWatermark* resume_from = nullptr;
 
   // Auto-compaction of merge-heavy raw stores (kRestricted only): when the
@@ -95,11 +89,10 @@ struct ChaseOptions {
   // trigger and every successful egd merge is recorded — with its full
   // extended binding — from the sequential apply phases, so a later ±Δ
   // batch (StreamingChase::ResumeWithDeltas) can count surviving
-  // justifications per derived fact and propagate retractions. The other
-  // strategies ignore it: the naive engine has no delta discipline to
-  // resume, and the oblivious ledger is a per-run local (an oblivious run
-  // cannot be resumed at all). Null keeps the hot path entirely free of
-  // journaling. The pointee must outlive the call.
+  // justifications per derived fact and propagate retractions. The naive
+  // oracle ignores it: it has no delta discipline to resume. Null keeps
+  // the hot path entirely free of journaling. The pointee must outlive the
+  // call.
   ChaseJournal* journal = nullptr;
 };
 
@@ -113,8 +106,8 @@ struct ChaseResult {
   // Egd merge log of the Substitute-based engine (kRestrictedNaive): each
   // substituted null, keyed by Value::packed(), maps to the value it was
   // replaced by (which may itself have been merged later; Resolve()
-  // follows the chain). The union-find engines leave this empty — their
-  // merges live in instance.resolver(), which Resolve() also consults.
+  // follows the chain). The union-find delta engine leaves this empty —
+  // its merges live in instance.resolver(), which Resolve() also consults.
   std::unordered_map<uint64_t, Value> merges;
 
   explicit ChaseResult(Instance i) : instance(std::move(i)) {}
@@ -143,8 +136,8 @@ int ResolveThreadCount(const ChaseOptions& options);
 // witness existential variables; an egd trigger merges a null into the
 // other value or fails on a constant/constant clash.
 //
-// The delta engines (kRestricted, kOblivious) execute trigger enumeration,
-// head probes, applies and the egd fixpoint through the setting's compiled
+// The delta engine (kRestricted) executes trigger enumeration, head
+// probes, applies and the egd fixpoint through the setting's compiled
 // plans (plan/ir.h), fetched from the process-wide PlanCache: repeated
 // chases of one setting compile it exactly once.
 //
@@ -178,10 +171,6 @@ struct EgdFixpointOutcome {
   // bound on the resolved duplicates the fixpoint can have created, used
   // by the chase's auto-compaction trigger.
   int64_t dirtied = 0;
-  // Values whose resolution changed across all merges (the losing
-  // classes): the oblivious chase retires trigger fingerprints indexed
-  // under these roots.
-  std::vector<Value> retired;
 };
 
 class ThreadPool;
@@ -199,7 +188,7 @@ struct EgdPlan;
 // into `extras` (one vector per relation, appended, possibly with
 // duplicates) so the caller's tgd round can re-examine exactly those
 // tuples. `symbols` is only used to render the failure message and may be
-// null. Shared by the delta chase engines, the solution-aware chase, the
+// null. Shared by the delta chase engine, the solution-aware chase, the
 // pde solvers' branch-local fixpoints and StreamingChase.
 //
 // Each pass is batched collect-then-apply: per egd, the delta matches are

@@ -6,15 +6,13 @@ namespace pdx {
 
 namespace {
 // Mixed into egd fingerprints so an egd and a tgd with the same dependency
-// index and binding occupy distinct ledger slots.
+// index and binding occupy distinct fingerprints.
 constexpr uint64_t kEgdTag = 0x8f3a94c1d2e57b63ull;
 }  // namespace
 
-ChaseJournal::ChaseJournal() : ledger_(std::make_unique<TriggerLedger>()) {}
-
 bool ChaseJournal::Record(bool egd, size_t dep, const Value* row, size_t n,
                           uint64_t fp) {
-  if (!ledger_->Admit(fp)) return false;
+  if (!fired_.insert(fp).second) return false;
   Entry e;
   e.begin = static_cast<uint32_t>(pool_.size());
   e.len = static_cast<uint16_t>(n);
@@ -44,7 +42,7 @@ bool ChaseJournal::Kill(size_t i) {
   if (!e.alive) return false;
   e.alive = false;
   --live_;
-  ledger_->Retire(e.fp);
+  fired_.erase(e.fp);
   return true;
 }
 
@@ -53,14 +51,14 @@ void ChaseJournal::Revive(size_t i) {
   if (e.alive) return;
   e.alive = true;
   ++live_;
-  ledger_->Admit(e.fp);
+  fired_.insert(e.fp);
 }
 
 void ChaseJournal::TruncateTo(size_t n) {
   while (entries_.size() > n) {
     const Entry& e = entries_.back();
     if (e.alive) {
-      ledger_->Retire(e.fp);
+      fired_.erase(e.fp);
       --live_;
     }
     pool_.resize(e.begin);
@@ -72,14 +70,14 @@ void ChaseJournal::Swap(ChaseJournal& other) {
   pool_.swap(other.pool_);
   entries_.swap(other.entries_);
   std::swap(live_, other.live_);
-  ledger_.swap(other.ledger_);
+  fired_.swap(other.fired_);
 }
 
 void ChaseJournal::Clear() {
   pool_.clear();
   entries_.clear();
   live_ = 0;
-  ledger_ = std::make_unique<TriggerLedger>();
+  fired_.clear();
 }
 
 }  // namespace pdx

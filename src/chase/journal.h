@@ -1,14 +1,32 @@
 #ifndef PDX_CHASE_JOURNAL_H_
 #define PDX_CHASE_JOURNAL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <unordered_set>
 #include <vector>
 
-#include "chase/trigger_ledger.h"
 #include "relational/value.h"
 
 namespace pdx {
+
+// Fingerprint of a firing: the dependency index plus `row[0, n)` at the
+// positions where `skip` is false (the universal variables — existential
+// slots hold fresh nulls that must not enter the fingerprint, or a
+// re-derived firing could never re-admit).
+inline uint64_t TriggerFingerprintRow(size_t dep_index, const Value* row,
+                                      size_t n,
+                                      const std::vector<bool>& skip) {
+  uint64_t h = 0xcbf29ce484222325ull ^ (dep_index * 0x9e3779b97f4a7c15ull);
+  for (size_t v = 0; v < n; ++v) {
+    if (v < skip.size() && skip[v]) continue;
+    uint64_t x = row[v].packed();
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    h = (h ^ x) * 0x100000001b3ull;
+  }
+  return h;
+}
 
 // The firing journal behind deletion propagation (chase/stream.h): an
 // append-only log of every trigger a restricted chase applied, written
@@ -23,13 +41,13 @@ namespace pdx {
 // (values re-resolve through the live resolver) and store compactions
 // (no tuple indexes are held).
 //
-// Exactly-once discipline: entries are keyed by the universal-binding
-// trigger fingerprint through an embedded TriggerLedger. Recording a
-// fingerprint that already names a *live* entry is refused (a duplicate
-// firing — the restricted decide disciplines make this unreachable, so
-// the refusal is a safety net keeping support counts exact); killing an
-// entry retires its fingerprint, so a deleted trigger whose body match
-// re-forms re-admits and fires exactly once more.
+// Exactly-once discipline: entries are keyed by their universal-binding
+// fingerprint (TriggerFingerprintRow) in a plain set of the live entries'
+// fingerprints. Recording a fingerprint that already names a *live* entry
+// is refused (a duplicate firing — the restricted decide disciplines make
+// this unreachable, so the refusal is a safety net keeping support counts
+// exact); killing an entry retires its fingerprint, so a deleted trigger
+// whose body match re-forms re-admits and fires exactly once more.
 class ChaseJournal {
  public:
   struct Entry {
@@ -38,16 +56,8 @@ class ChaseJournal {
     bool egd = false;    // tgd firing or egd merge
     bool alive = true;   // false once deletion propagation killed it
     uint32_t dep = 0;    // index into the run's tgds / egds vector
-    uint64_t fp = 0;     // universal-binding fingerprint (the ledger key)
+    uint64_t fp = 0;     // universal-binding fingerprint (the set key)
   };
-
-  ChaseJournal();
-
-  // The ledger makes the journal non-copyable; streaming state that needs
-  // transactionality rolls back via Kill/Revive/TruncateTo instead of
-  // copying (see StreamingChase).
-  ChaseJournal(const ChaseJournal&) = delete;
-  ChaseJournal& operator=(const ChaseJournal&) = delete;
 
   // Records one tgd firing: `row[0, n)` is the extended binding
   // (existential slots filled with the invented nulls; `existential`
@@ -77,7 +87,7 @@ class ChaseJournal {
   void Revive(size_t i);
   void TruncateTo(size_t n);
 
-  // Drops everything (fresh ledger): the full re-chase fallback path.
+  // Drops every entry and fingerprint.
   void Clear();
 
   // Exchanges the entire state with `other`. StreamingChase's fallback
@@ -91,9 +101,7 @@ class ChaseJournal {
   std::vector<Value> pool_;
   std::vector<Entry> entries_;
   size_t live_ = 0;
-  // unique_ptr: the ledger's concurrent fingerprint set is neither
-  // copyable nor movable, and Clear() needs to replace it wholesale.
-  std::unique_ptr<TriggerLedger> ledger_;
+  std::unordered_set<uint64_t> fired_;  // fingerprints of the live entries
 };
 
 }  // namespace pdx

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "base/logging.h"
-#include "chase/trigger_ledger.h"
 #include "hom/matcher.h"
 #include "obs/trace.h"
 #include "plan/compiler.h"

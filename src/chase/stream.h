@@ -53,7 +53,7 @@ struct StreamStats {
 //   1. *Retract.* Deletes are resolved against the base; each removed base
 //      fact with no surviving derivation leaves the chased instance, and
 //      the support index cascades: a firing whose body lost a fact dies
-//      (its ledger fingerprint retires, so the trigger is re-admittable),
+//      (its journal fingerprint retires, so the trigger is re-admittable),
 //      each of its head facts loses one producer, and a fact with zero
 //      producers that is not in the base is removed in turn.
 //   2. *Re-derive.* Over-deletion repair: each removed fact is unified
@@ -70,7 +70,7 @@ struct StreamStats {
 // undone, so a dead merge invalidates the resolver wholesale.
 //
 // Failure (an egd clash from the adds, or budget exhaustion) rolls the
-// whole batch back — instances, watermark, journal entries and ledger
+// whole batch back — instances, watermark, journal entries and their
 // fingerprints — leaving the state exactly as before the call, which is
 // what lets the serving layer replay a failed coalesced batch per ticket.
 //

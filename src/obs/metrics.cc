@@ -40,7 +40,7 @@ struct MetricsCore {
   uint32_t next_slot = 0;
   std::deque<std::atomic<int64_t>> gauges;  // stable addresses
   std::vector<std::shared_ptr<ShardBlock>> shards;  // live threads
-  int64_t retired[kShardSlots] = {};                // folded exited threads
+  int64_t exited[kShardSlots] = {};                 // folded exited threads
 
   MetricsCore() : id(NextId()) {}
 
@@ -55,7 +55,7 @@ namespace {
 // Per-thread shard cache. Each entry keeps the shard block alive past the
 // registry's death (writes then land in an orphaned block, harmlessly);
 // conversely, when the thread exits while the registry lives, the entry's
-// destructor folds the block into the registry's retired totals so no
+// destructor folds the block into the registry's exited totals so no
 // count is lost and dead threads cost no memory.
 struct TlsCache {
   struct Entry {
@@ -75,7 +75,7 @@ struct TlsCache {
       if (core == nullptr) continue;
       std::lock_guard<std::mutex> lock(core->mu);
       for (uint32_t s = 0; s < kShardSlots; ++s) {
-        core->retired[s] += e.block->slots[s].load(std::memory_order_relaxed);
+        core->exited[s] += e.block->slots[s].load(std::memory_order_relaxed);
       }
       auto it = std::find(core->shards.begin(), core->shards.end(), e.block);
       if (it != core->shards.end()) core->shards.erase(it);
@@ -106,10 +106,10 @@ std::atomic<int64_t>* ShardFor(const std::shared_ptr<MetricsCore>& core) {
   return tls.last_slots;
 }
 
-// Sum of one sharded slot across retired totals and live shards. Caller
+// Sum of one sharded slot across exited totals and live shards. Caller
 // holds core->mu.
 int64_t SumSlotLocked(const MetricsCore& core, uint32_t slot) {
-  int64_t total = core.retired[slot];
+  int64_t total = core.exited[slot];
   for (const auto& shard : core.shards) {
     total += shard->slots[slot].load(std::memory_order_relaxed);
   }
@@ -299,7 +299,7 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(core_->mu);
   for (uint32_t s = 0; s < internal::kShardSlots; ++s) {
-    core_->retired[s] = 0;
+    core_->exited[s] = 0;
   }
   for (const auto& shard : core_->shards) {
     for (uint32_t s = 0; s < internal::kShardSlots; ++s) {

@@ -1,7 +1,6 @@
 #include "plan/compiler.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "base/string_util.h"
 
@@ -38,13 +37,6 @@ int BoundTermCount(const Atom& atom, const std::vector<bool>& bound) {
     if (t.is_constant() || bound[t.var()]) ++n;
   }
   return n;
-}
-
-size_t CardinalityHint(const CompilerHints& hints, RelationId relation) {
-  if (static_cast<size_t>(relation) < hints.relation_cardinality.size()) {
-    return hints.relation_cardinality[relation];
-  }
-  return std::numeric_limits<size_t>::max();
 }
 
 // Pass 2: the access path for `atom` given the entry bound set. Probing a
@@ -115,23 +107,17 @@ std::vector<SlotOp> BuildPivotOps(const Atom& atom,
 // the entry bound set, emitting one JoinStep per atom.
 std::vector<JoinStep> OrderSteps(const std::vector<Atom>& atoms,
                                  std::vector<int> pending,
-                                 std::vector<bool> bound,
-                                 const CompilerHints& hints) {
+                                 std::vector<bool> bound) {
   std::vector<JoinStep> steps;
   steps.reserve(pending.size());
   while (!pending.empty()) {
     size_t best = 0;
     int best_score = -1;
-    size_t best_card = 0;
     for (size_t i = 0; i < pending.size(); ++i) {
-      const Atom& atom = atoms[pending[i]];
-      int score = BoundTermCount(atom, bound);
-      size_t card = CardinalityHint(hints, atom.relation);
-      if (score > best_score ||
-          (score == best_score && card < best_card)) {
+      int score = BoundTermCount(atoms[pending[i]], bound);
+      if (score > best_score) {
         best = i;
         best_score = score;
-        best_card = card;
       }
     }
     int atom_index = pending[best];
@@ -254,8 +240,7 @@ uint64_t SettingFingerprint(const std::vector<Tgd>& tgds,
 }
 
 BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
-                     const std::vector<bool>& initially_bound,
-                     const CompilerHints& hints) {
+                     const std::vector<bool>& initially_bound) {
   BodyPlan plan;
   plan.var_count = var_count;
   plan.atom_count = static_cast<int>(atoms.size());
@@ -263,7 +248,7 @@ BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
   plan.initially_bound.resize(var_count, false);
   std::vector<int> all(atoms.size());
   for (size_t i = 0; i < atoms.size(); ++i) all[i] = static_cast<int>(i);
-  plan.full = OrderSteps(atoms, all, plan.initially_bound, hints);
+  plan.full = OrderSteps(atoms, all, plan.initially_bound);
   // Pass 3: one pivot-rotation variant per atom, the pivot unified first.
   plan.variants.reserve(atoms.size());
   for (size_t pivot = 0; pivot < atoms.size(); ++pivot) {
@@ -276,39 +261,36 @@ BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
     for (size_t i = 0; i < atoms.size(); ++i) {
       if (i != pivot) pending.push_back(static_cast<int>(i));
     }
-    variant.rest = OrderSteps(atoms, std::move(pending), std::move(bound),
-                              hints);
+    variant.rest = OrderSteps(atoms, std::move(pending), std::move(bound));
     plan.variants.push_back(std::move(variant));
   }
   plan.code = LowerBody(plan);
   return plan;
 }
 
-TgdPlan CompileTgd(const Tgd& tgd, const CompilerHints& hints) {
+TgdPlan CompileTgd(const Tgd& tgd) {
   TgdPlan plan;
   plan.apply = BuildApplyTemplate(tgd);
-  plan.body = CompileBody(tgd.body, tgd.var_count, {}, hints);
-  plan.head = CompileBody(tgd.head, tgd.var_count, plan.apply.body_bound,
-                          hints);
+  plan.body = CompileBody(tgd.body, tgd.var_count, {});
+  plan.head = CompileBody(tgd.head, tgd.var_count, plan.apply.body_bound);
   return plan;
 }
 
-EgdPlan CompileEgd(const Egd& egd, const CompilerHints& hints) {
+EgdPlan CompileEgd(const Egd& egd) {
   EgdPlan plan;
-  plan.body = CompileBody(egd.body, egd.var_count, {}, hints);
+  plan.body = CompileBody(egd.body, egd.var_count, {});
   plan.left_var = egd.left_var;
   plan.right_var = egd.right_var;
   return plan;
 }
 
 std::shared_ptr<const CompiledSetting> CompileSetting(
-    const std::vector<Tgd>& tgds, const std::vector<Egd>& egds,
-    const CompilerHints& hints) {
+    const std::vector<Tgd>& tgds, const std::vector<Egd>& egds) {
   auto compiled = std::make_shared<CompiledSetting>();
   compiled->tgds.reserve(tgds.size());
-  for (const Tgd& tgd : tgds) compiled->tgds.push_back(CompileTgd(tgd, hints));
+  for (const Tgd& tgd : tgds) compiled->tgds.push_back(CompileTgd(tgd));
   compiled->egds.reserve(egds.size());
-  for (const Egd& egd : egds) compiled->egds.push_back(CompileEgd(egd, hints));
+  for (const Egd& egd : egds) compiled->egds.push_back(CompileEgd(egd));
   compiled->fingerprint = SettingFingerprint(tgds, egds);
   return compiled;
 }

@@ -6,9 +6,8 @@
 //
 //   1. Atom reordering by selectivity heuristics — greedy: at each step
 //      pick the pending atom with the most bound terms (constants plus
-//      variables bound by earlier steps), tie-broken by relation
-//      cardinality hints when provided (smaller first) and finally by
-//      original atom index, so compilation is deterministic.
+//      variables bound by earlier steps), tie-broken by original atom
+//      index, so compilation is deterministic.
 //   2. Index selection against Instance's existing accessors — each step
 //      gets an access path: probe a bound-variable position (preferred:
 //      join keys narrow with the binding, and the executor picks the raw
@@ -35,14 +34,6 @@
 namespace pdx {
 namespace plan {
 
-// Optional compiler hints. `relation_cardinality[r]` is an expected tuple
-// count for relation r used only to tie-break atom ordering; plans must
-// stay correct (and are byte-identical) for any instance contents, so the
-// default — no hints — is what the cache-backed entry points use.
-struct CompilerHints {
-  std::vector<size_t> relation_cardinality;
-};
-
 // Structural fingerprint of a setting: a deterministic hash over the
 // shapes the compiler reads (atom relations, term kinds, variable ids,
 // packed constants, existential masks, egd equated variables). Two
@@ -55,18 +46,14 @@ uint64_t SettingFingerprint(const std::vector<Tgd>& tgds,
 // will have bound before execution (empty vector = none); it shapes
 // access-path selection and which variable occurrences become kBind ops.
 BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
-                     const std::vector<bool>& initially_bound,
-                     const CompilerHints& hints = CompilerHints());
+                     const std::vector<bool>& initially_bound);
 
-TgdPlan CompileTgd(const Tgd& tgd,
-                   const CompilerHints& hints = CompilerHints());
-EgdPlan CompileEgd(const Egd& egd,
-                   const CompilerHints& hints = CompilerHints());
+TgdPlan CompileTgd(const Tgd& tgd);
+EgdPlan CompileEgd(const Egd& egd);
 
 // Compiles a whole setting; fingerprint filled in.
 std::shared_ptr<const CompiledSetting> CompileSetting(
-    const std::vector<Tgd>& tgds, const std::vector<Egd>& egds,
-    const CompilerHints& hints = CompilerHints());
+    const std::vector<Tgd>& tgds, const std::vector<Egd>& egds);
 
 // Human-readable plan dump (pdxcli --dump-plans and golden tests): one
 // block per dependency with the chosen atom order, access paths and delta

@@ -229,7 +229,6 @@ Instance::MergeResult Instance::MergeValues(Value a, Value b) {
   out.loser = u.loser;
   if (!u.merged) return out;
   out.merged = true;
-  out.reassigned = std::move(u.reassigned);
   // The tuples whose resolved content changed are exactly those holding a
   // member of the losing class at some position; the inverted index finds
   // them without touching the stores.
@@ -238,7 +237,7 @@ Instance::MergeResult Instance::MergeValues(Value a, Value b) {
     const RelationStore& store = *stores_[r];
     size_t first = out.dirty.size();
     for (const FlatIndex& by_value : store.index) {
-      for (const Value& m : out.reassigned) {
+      for (const Value& m : u.reassigned) {
         for (int32_t idx : by_value.Find(m.packed())) {
           out.dirty.emplace_back(r, idx);
         }

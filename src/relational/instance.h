@@ -160,11 +160,10 @@ class Instance {
     bool conflict = false;
     Value winner;  // surviving root (valid on merged or conflict)
     Value loser;   // absorbed root (valid on merged or conflict)
-    // Values whose resolution changed (the losing class).
-    std::vector<Value> reassigned;
     // Tuples whose resolved content changed: every (relation, tuple index)
-    // holding a reassigned value, deduplicated and sorted. Delta-driven
-    // callers re-examine exactly these instead of whole relations.
+    // holding a member of the losing class, deduplicated and sorted.
+    // Delta-driven callers re-examine exactly these instead of whole
+    // relations.
     std::vector<std::pair<RelationId, int>> dirty;
   };
 

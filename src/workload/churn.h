@@ -19,7 +19,7 @@ struct ChurnOptions {
   // clamped to what the universe still has dead.
   double insert_rate = 0.05;
   // Fraction of each batch's inserts drawn from previously deleted facts
-  // (delete→re-insert cycles — the trigger-ledger re-admission stress)
+  // (delete→re-insert cycles — the journal re-admission stress)
   // rather than from never-yet-live universe facts. Either pool being
   // empty falls through to the other.
   double overlap = 0.25;

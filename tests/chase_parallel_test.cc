@@ -2,14 +2,14 @@
 // path: at num_threads ∈ {1, 2, 4, 8} the chase must produce bit-identical
 // results — same outcome, steps, failure, nulls_created, raw
 // CanonicalFingerprint and null ids — on randomized workloads covering the
-// tgd pipeline, the merge-heavy egd cascade, the oblivious engine, several
-// independent tgd families, failing runs, the solver-level verdict and
-// auto-compaction. Two workloads aim at the places where the pooled tgd
-// phase could let thread timing reach null ids: an apply re-check that
-// skips collected triggers, and oblivious matches that merge-dirtied
-// extras put into two partitions. The canonicalization helpers are
-// unit-tested below on hand-built instances (the refinement-level tests
-// live in instance_hom_test.cc).
+// tgd pipeline, the merge-heavy egd cascade, several independent tgd
+// families, failing runs, the solver-level verdict and auto-compaction.
+// Two workloads aim at the places where the pooled tgd phase could let
+// thread timing reach null ids: an apply re-check that skips collected
+// triggers, and matches that merge-dirtied extras put into two
+// partitions. The canonicalization helpers are unit-tested below on
+// hand-built instances (the refinement-level tests live in
+// instance_hom_test.cc).
 //
 // These tests carry the `parallel` ctest label and run under TSan in
 // tools/check.sh. Sizes are deliberately modest so the TSan pass stays
@@ -85,8 +85,7 @@ void ExpectBitIdentical(const RunOutput& got, const RunOutput& ref) {
 
 // Runs `run` traced and sets `*dropped` to the triggers its applies
 // dropped: the sum of collected - applied over its chase.tgd spans
-// (restricted re-checks that found the head already satisfied, or
-// oblivious repeats the ledger turned away).
+// (re-checks that found the head already satisfied).
 RunOutput RunTraced(const std::function<RunOutput()>& run, int64_t* dropped) {
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.Enable();
@@ -151,10 +150,8 @@ struct ParallelChaseTest : ::testing::Test {
   }
 
   RunOutput Run(const Instance& start, const std::vector<Tgd>& tgds,
-                const std::vector<Egd>& egds, int threads,
-                ChaseStrategy strategy = ChaseStrategy::kRestricted) {
+                const std::vector<Egd>& egds, int threads) {
     ChaseOptions options;
-    options.strategy = strategy;
     options.num_threads = threads;
     return ChaseAndRecord(start, tgds, egds, &symbols, options);
   }
@@ -164,11 +161,11 @@ struct ParallelChaseTest : ::testing::Test {
   void ExpectThreadInvariant(const Instance& start,
                              const std::vector<Tgd>& tgds,
                              const std::vector<Egd>& egds,
-                             ChaseStrategy strategy, uint64_t seed) {
-    RunOutput ref = Run(start, tgds, egds, /*threads=*/1, strategy);
+                             uint64_t seed) {
+    RunOutput ref = Run(start, tgds, egds, /*threads=*/1);
     for (int threads : kThreadCounts) {
       SCOPED_TRACE(CellTag(seed, threads));
-      ExpectBitIdentical(Run(start, tgds, egds, threads, strategy), ref);
+      ExpectBitIdentical(Run(start, tgds, egds, threads), ref);
     }
   }
 };
@@ -176,26 +173,14 @@ struct ParallelChaseTest : ::testing::Test {
 TEST_F(ParallelChaseTest, PipelineIsThreadInvariant) {
   for (uint64_t seed : {17u, 18u, 19u}) {
     Instance start = RandomEdges(48, 2, seed);
-    ExpectThreadInvariant(start, pipeline_tgds, {},
-                          ChaseStrategy::kRestricted, seed);
+    ExpectThreadInvariant(start, pipeline_tgds, {}, seed);
   }
 }
 
 TEST_F(ParallelChaseTest, EgdHeavyIsThreadInvariant) {
   for (uint64_t seed : {29u, 30u, 31u}) {
     Instance start = RandomEdges(32, 3, seed);
-    ExpectThreadInvariant(start, egd_heavy_tgds, egd_heavy_egds,
-                          ChaseStrategy::kRestricted, seed);
-  }
-}
-
-TEST_F(ParallelChaseTest, ObliviousIsThreadInvariant) {
-  for (uint64_t seed : {41u, 42u}) {
-    Instance start = RandomEdges(24, 2, seed);
-    ExpectThreadInvariant(start, pipeline_tgds, {},
-                          ChaseStrategy::kOblivious, seed);
-    ExpectThreadInvariant(start, egd_heavy_tgds, egd_heavy_egds,
-                          ChaseStrategy::kOblivious, seed);
+    ExpectThreadInvariant(start, egd_heavy_tgds, egd_heavy_egds, seed);
   }
 }
 
@@ -221,15 +206,15 @@ TEST_F(ParallelChaseTest, ApplyRecheckSkipsDrawNoNullIds) {
   }
 }
 
-// Oblivious matches that merge-dirtied extras put into two partitions.
-// E is functional, so round one's H(x, n) gets a single key partner
-// P(x, y) in round two, and round three's egd merges n into the constant
-// y. That dirties the old H tuple, so round three enumerates each
+// A keyed workload whose matches merge-dirtied extras can put into two
+// partitions. E is functional, so round one's H(x, n) gets a single key
+// partner P(x, y) in round two, and round three's egd merges n into the
+// constant y. That dirties the old H tuple, so round three enumerates each
 // H(x, y) & P(x, y) match twice: pivoting on the dirtied H tuple (an
-// extra) and on the new P tuple. The two copies land in different
-// partitions of a pooled collect; the ledger must admit the first in
-// enumeration order at every thread count, and only it mints a null.
-TEST_F(ParallelChaseTest, ObliviousRepeatsAcrossPartitionsAreThreadInvariant) {
+// extra) and on the new P tuple. The two copies can land in different
+// partitions of a pooled collect; the collect filter and the apply
+// re-check must still leave every null id equal at every thread count.
+TEST_F(ParallelChaseTest, RepeatsAcrossPartitionsAreThreadInvariant) {
   Schema keyed;
   SymbolTable keyed_symbols;
   for (const char* name : {"E", "H", "P", "R"}) {
@@ -251,17 +236,10 @@ TEST_F(ParallelChaseTest, ObliviousRepeatsAcrossPartitionsAreThreadInvariant) {
                             StrCat("n", rng.UniformInt(64)))});
     }
     ChaseOptions options;
-    options.strategy = ChaseStrategy::kOblivious;
     options.num_threads = 1;
-    int64_t dropped = 0;
-    RunOutput ref = RunTraced(
-        [&] {
-          return ChaseAndRecord(start, deps.tgds, deps.egds, &keyed_symbols,
-                                options);
-        },
-        &dropped);
+    RunOutput ref = ChaseAndRecord(start, deps.tgds, deps.egds,
+                                   &keyed_symbols, options);
     ASSERT_EQ(ref.result.outcome, ChaseOutcome::kSuccess);
-    EXPECT_GT(dropped, 0) << "the workload must collect repeated matches";
     for (int threads : kThreadCounts) {
       SCOPED_TRACE(CellTag(seed, threads));
       options.num_threads = threads;

@@ -104,7 +104,7 @@ TEST_F(StreamTest, InitializeChasesToFixpoint) {
 
 TEST_F(StreamTest, RejectsNonRestrictedStrategy) {
   ChaseOptions options;
-  options.strategy = ChaseStrategy::kOblivious;
+  options.strategy = ChaseStrategy::kRestrictedNaive;
   StreamingChase stream(&schema_, {}, {}, &symbols_, options);
   Instance base(&schema_);
   EXPECT_EQ(stream.Initialize(base).code(), StatusCode::kInvalidArgument);
@@ -249,7 +249,7 @@ TEST_F(StreamTest, CascadeRemovesUnsupportedConsequences) {
   EXPECT_EQ(stats.value().retracted, 0);
 }
 
-// Ledger consistency under retraction: delete → re-insert must re-fire the
+// Journal consistency under retraction: delete → re-insert must re-fire the
 // trigger exactly once (its fingerprint retired with the killed entry).
 TEST_F(StreamTest, DeleteThenReinsertRefiresTrigger) {
   std::vector<Tgd> tgds = ParseTgds("E(x,y) -> exists z: H(x,z).");
