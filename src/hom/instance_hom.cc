@@ -5,62 +5,6 @@
 
 namespace pdx {
 
-uint32_t NullSlots::Insert(Value null) {
-  PDX_DCHECK(null.is_null());
-  if ((size_ + 1) * 2 > keys_.size()) {
-    Rehash(std::max<size_t>(16, keys_.size() * 2));
-  }
-  const uint64_t key = null.packed();
-  const size_t mask = keys_.size() - 1;
-  for (size_t i = ValueHash()(null) & mask;; i = (i + 1) & mask) {
-    if (keys_[i] == key) return slots_[i];
-    if (keys_[i] == kEmpty) {
-      keys_[i] = key;
-      slots_[i] = static_cast<uint32_t>(size_++);
-      return slots_[i];
-    }
-  }
-}
-
-uint32_t NullSlots::Find(Value v) const {
-  if (keys_.empty() || !v.is_null()) return kNone;
-  const uint64_t key = v.packed();
-  const size_t mask = keys_.size() - 1;
-  for (size_t i = ValueHash()(v) & mask;; i = (i + 1) & mask) {
-    if (keys_[i] == key) return slots_[i];
-    if (keys_[i] == kEmpty) return kNone;
-  }
-}
-
-void NullSlots::Rehash(size_t capacity) {
-  std::vector<uint64_t> old_keys = std::move(keys_);
-  std::vector<uint32_t> old_slots = std::move(slots_);
-  keys_.assign(capacity, kEmpty);
-  slots_.assign(capacity, 0);
-  const size_t mask = capacity - 1;
-  for (size_t j = 0; j < old_keys.size(); ++j) {
-    if (old_keys[j] == kEmpty) continue;
-    size_t i = ValueHash()(Value::FromPacked(old_keys[j])) & mask;
-    while (keys_[i] != kEmpty) i = (i + 1) & mask;
-    keys_[i] = old_keys[j];
-    slots_[i] = old_slots[j];
-  }
-}
-
-NullAssignment::NullAssignment(NullSlots slots, std::vector<Value> images)
-    : slots_(std::move(slots)), images_(std::move(images)) {
-  PDX_CHECK_EQ(slots_.size(), images_.size());
-}
-
-void NullAssignment::Set(Value null, Value image) {
-  const uint32_t slot = slots_.Insert(null);
-  if (slot == images_.size()) {
-    images_.push_back(image);
-  } else {
-    images_[slot] = image;
-  }
-}
-
 namespace {
 
 // `instance`, or its resolved compaction when it carries merges: the flat

@@ -7,54 +7,10 @@
 #include <vector>
 
 #include "relational/instance.h"
+#include "relational/null_map.h"
 #include "relational/tuple.h"
 
 namespace pdx {
-
-// Dense slots for distinct labeled nulls: an open-addressing map from
-// Value::packed() to slot numbers 0..size()-1, handed out in first-insert
-// order. Flat arrays sized by the number of distinct nulls — never by the
-// raw null-id span, which a long-lived symbol table makes unbounded.
-class NullSlots {
- public:
-  static constexpr uint32_t kNone = ~uint32_t{0};
-
-  // The slot of `null`, assigning the next one if it is new.
-  uint32_t Insert(Value null);
-  // The slot of `v`, or kNone if it has none (constants never do).
-  uint32_t Find(Value v) const;
-  size_t size() const { return size_; }
-
- private:
-  static constexpr uint64_t kEmpty = ~0ull;  // no packed Value is ~0
-  void Rehash(size_t capacity);
-
-  std::vector<uint64_t> keys_;  // power-of-two size, kEmpty when free
-  std::vector<uint32_t> slots_;
-  size_t size_ = 0;
-};
-
-// A mapping from labeled nulls to values; constants, and nulls it does
-// not assign, map to themselves.
-class NullAssignment {
- public:
-  NullAssignment() = default;
-  // Slot s of `slots` maps to images[s].
-  NullAssignment(NullSlots slots, std::vector<Value> images);
-
-  // Maps `null` to `image`, replacing any earlier image.
-  void Set(Value null, Value image);
-  // The image of `v`.
-  Value Apply(Value v) const {
-    const uint32_t slot = slots_.Find(v);
-    return slot == NullSlots::kNone ? v : images_[slot];
-  }
-  size_t size() const { return slots_.size(); }
-
- private:
-  NullSlots slots_;
-  std::vector<Value> images_;
-};
 
 // One fact of a decomposed instance: tuples(relation)[tuple].
 struct FactRef {

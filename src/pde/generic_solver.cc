@@ -1,7 +1,9 @@
 #include "pde/generic_solver.h"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -24,14 +26,17 @@ namespace {
 // fields are fed from the same per-run tallies (one bulk Inc per run), so
 // BENCH outputs and --metrics-out can never disagree about them.
 struct SolverMetrics {
-  obs::Counter runs, nodes, candidates_discovered, candidate_checks;
-  obs::Counter witness_revalidated;
+  obs::Counter runs, nodes, nodes_clash, nodes_memo, nodes_pruned;
+  obs::Counter candidates_discovered, candidate_checks, witness_revalidated;
   static SolverMetrics& Get() {
     static SolverMetrics* m = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
       auto* metrics = new SolverMetrics();
       metrics->runs = reg.GetCounter("pdx_solver_runs_total");
       metrics->nodes = reg.GetCounter("pdx_solver_nodes_total");
+      metrics->nodes_clash = reg.GetCounter("pdx_solver_nodes_clash_total");
+      metrics->nodes_memo = reg.GetCounter("pdx_solver_nodes_memo_total");
+      metrics->nodes_pruned = reg.GetCounter("pdx_solver_nodes_pruned_total");
       metrics->candidates_discovered =
           reg.GetCounter("pdx_solver_candidates_discovered_total");
       metrics->candidate_checks =
@@ -127,6 +132,9 @@ class Searcher {
     SolverMetrics& metrics = SolverMetrics::Get();
     metrics.runs.Inc();
     metrics.nodes.Inc(nodes_);
+    metrics.nodes_clash.Inc(result_.nodes_clash);
+    metrics.nodes_memo.Inc(result_.nodes_memo);
+    metrics.nodes_pruned.Inc(result_.nodes_pruned);
     metrics.candidates_discovered.Inc(result_.candidates_discovered);
     metrics.candidate_checks.Inc(result_.candidate_checks);
     if (budget_hit_ && !found_) {
@@ -228,10 +236,16 @@ class Searcher {
     // extras feed candidate discovery below — a merge-enabled trigger
     // binds a dirtied tuple, not necessarily an added fact.
     std::vector<std::vector<int>> extras;
-    if (!ApplyEgdFixpoint(&k, since, &extras)) return false;  // clash: dead
+    if (!ApplyEgdFixpoint(&k, since, &extras)) {  // clash: dead
+      ++result_.nodes_clash;
+      return false;
+    }
 
     // Memoization (after egds so equivalent states coincide).
-    if (!visited_.insert(k.CanonicalFingerprint()).second) return false;
+    if (!visited_.insert(k.CanonicalFingerprint()).second) {
+      ++result_.nodes_memo;
+      return false;
+    }
 
     Frame frame = PushFrame();
     bool stop = ExploreCore(std::move(k), depth, since, extras);
@@ -271,48 +285,134 @@ class Searcher {
       }
     }
     InstanceSnapshot snapshot(k);
+    std::vector<std::optional<Value>> forced(exist_vars.size());
+    if (has_egds_ && !exist_vars.empty() &&
+        !ProbeAssignment(snapshot, *trigger.tgd, trigger.binding, exist_vars,
+                         domain, &forced)) {
+      ++result_.nodes_pruned;  // every assignment clashes
+      return false;
+    }
     return BranchOnAssignment(snapshot, depth, *trigger.tgd, trigger.binding,
-                              exist_vars, 0, domain);
+                              exist_vars, forced, 0, domain);
+  }
+
+  // Adds the head of `tgd` under `binding` to `k`.
+  static void AddHead(const Tgd& tgd, const Binding& binding, Instance* k) {
+    for (const Atom& atom : tgd.head) {
+      Tuple tuple;
+      tuple.reserve(atom.terms.size());
+      for (const Term& t : atom.terms) {
+        tuple.push_back(t.is_constant() ? t.constant()
+                                        : binding.values[t.var()]);
+      }
+      k->AddFact(atom.relation, std::move(tuple));
+    }
+  }
+
+  // The most-general probe of a branching node: one branch in which every
+  // existential takes its own fresh null, run to its egd fixpoint. Mapping
+  // each probe null to the value an assignment chooses is a homomorphism
+  // from the probe state into that assignment's state, so every egd
+  // trigger of the probe is one of the assignment too: every clash and
+  // every forced equality of the probe holds for every assignment.
+  // Returns false if the probe clashes (no assignment survives). Otherwise
+  // forced[i] is set when the probe equates exist_vars[i] with a value r
+  // of `domain`: the fresh-null choice for it is then the same state as
+  // choosing r, and when r is a constant every other constant clashes.
+  bool ProbeAssignment(const InstanceSnapshot& snapshot, const Tgd& tgd,
+                       Binding binding,
+                       const std::vector<VariableId>& exist_vars,
+                       const std::vector<Value>& domain,
+                       std::vector<std::optional<Value>>* forced) {
+    std::vector<Value> probe_nulls;
+    probe_nulls.reserve(exist_vars.size());
+    for (VariableId v : exist_vars) {
+      probe_nulls.push_back(symbols_->FreshNull());
+      binding.Bind(v, probe_nulls.back());
+    }
+    Instance probe = snapshot.Branch();
+    AddHead(tgd, binding, &probe);
+    std::vector<std::vector<int>> extras;
+    if (!ApplyEgdFixpoint(&probe, snapshot.watermark(), &extras)) {
+      return false;
+    }
+    auto is_probe_null = [&](Value v) {
+      return std::find(probe_nulls.begin(), probe_nulls.end(), v) !=
+             probe_nulls.end();
+    };
+    const Instance& k = snapshot.get();
+    for (size_t i = 0; i < probe_nulls.size(); ++i) {
+      Value root = probe.ResolveValue(probe_nulls[i]);
+      if (root.is_constant()) {
+        // A head constant outside the domain is no branch of its own.
+        if (std::find(domain.begin(), domain.end(), root) != domain.end()) {
+          (*forced)[i] = root;
+        }
+        continue;
+      }
+      // A null root: a pre-existing one is a root of k already, so it is
+      // in the domain; a probe null may still have absorbed a class of k,
+      // whose root is then the value it is forced to.
+      if (!is_probe_null(root)) {
+        (*forced)[i] = root;
+        continue;
+      }
+      if (const std::vector<Value>* members = probe.resolver().ClassMembers(
+              root)) {
+        for (Value m : *members) {
+          if (!is_probe_null(m)) {
+            (*forced)[i] = k.ResolveValue(m);
+            break;
+          }
+        }
+      }
+    }
+    return true;
   }
 
   // Recursively enumerates assignments for exist_vars[i..): each variable
   // tries every current-domain value, every null invented for an earlier
   // variable of this assignment (those are appended to `domain` as we
-  // recurse), and one fresh null.
+  // recurse), and one fresh null. A variable the probe forced to a value
+  // r skips its fresh null (the same state as r), and every other
+  // constant when r is a constant (a certain clash).
   bool BranchOnAssignment(const InstanceSnapshot& snapshot, int depth,
                           const Tgd& tgd, Binding binding,
-                          const std::vector<VariableId>& exist_vars, size_t i,
-                          std::vector<Value>& domain) {
+                          const std::vector<VariableId>& exist_vars,
+                          const std::vector<std::optional<Value>>& forced,
+                          size_t i, std::vector<Value>& domain) {
     if (i == exist_vars.size()) {
       Instance k2 = snapshot.Branch();
-      for (const Atom& atom : tgd.head) {
-        Tuple tuple;
-        tuple.reserve(atom.terms.size());
-        for (const Term& t : atom.terms) {
-          tuple.push_back(t.is_constant() ? t.constant()
-                                          : binding.values[t.var()]);
-        }
-        k2.AddFact(atom.relation, std::move(tuple));
-      }
+      AddHead(tgd, binding, &k2);
       return Explore(std::move(k2), depth + 1, snapshot.watermark());
     }
     VariableId v = exist_vars[i];
+    const std::optional<Value>& r = forced[i];
     // Existing values (including nulls invented for earlier variables of
     // this assignment, which BranchOnAssignment appended below).
     size_t domain_size = domain.size();
     for (size_t d = 0; d < domain_size; ++d) {
+      if (r.has_value() && r->is_constant() && domain[d].is_constant() &&
+          domain[d] != *r) {
+        ++result_.nodes_pruned;
+        continue;
+      }
       binding.Bind(v, domain[d]);
-      if (BranchOnAssignment(snapshot, depth, tgd, binding, exist_vars, i + 1,
-                             domain)) {
+      if (BranchOnAssignment(snapshot, depth, tgd, binding, exist_vars,
+                             forced, i + 1, domain)) {
         return true;
       }
+    }
+    if (r.has_value()) {
+      ++result_.nodes_pruned;
+      return false;
     }
     // One fresh null.
     Value fresh = symbols_->FreshNull();
     binding.Bind(v, fresh);
     domain.push_back(fresh);
     bool stop = BranchOnAssignment(snapshot, depth, tgd, binding, exist_vars,
-                                   i + 1, domain);
+                                   forced, i + 1, domain);
     domain.pop_back();
     return stop;
   }

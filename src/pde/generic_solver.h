@@ -19,7 +19,8 @@ enum class SolveOutcome {
 };
 
 struct GenericSolverOptions {
-  // Total search-node budget across the whole exploration.
+  // Total search-node budget across the whole exploration. Only visited
+  // nodes count: branches the egd probe prunes are never visited.
   int64_t max_nodes = 1'000'000;
   // Maximum recursion depth (= chase steps along one path). Weakly acyclic
   // settings stay far below this; the bound keeps non-weakly-acyclic Σ_t
@@ -45,7 +46,17 @@ struct GenericSolveResult {
   // the setting contains (up to renaming of nulls) at least one member, so
   // intersecting a monotone query over this set yields the certain answers.
   std::vector<Instance> solutions;
+  // Visited search nodes: what max_nodes budgets. Branches the egd probe
+  // skipped are never visited, so they count in nodes_pruned only.
   int64_t nodes_explored = 0;
+  // Node outcomes: visited nodes that died on a constant/constant clash in
+  // their egd fixpoint, visited nodes whose state the memo already held,
+  // and branches the egd probe skipped without visiting (one per skipped
+  // value choice of an existential, plus one per node whose probe clashed
+  // and so skipped its whole fan-out).
+  int64_t nodes_clash = 0;
+  int64_t nodes_memo = 0;
+  int64_t nodes_pruned = 0;
   // Instrumentation of the incremental violated-trigger cache that drives
   // the search loop (no full-instance trigger rescans happen per node):
   // body matches found by delta-driven discovery, and head-extension tests
@@ -67,6 +78,17 @@ struct GenericSolveResult {
 //     variables of the same trigger);
 //   * a violated Σ_t egd merges a null or kills the branch on a
 //     constant/constant clash;
+//   * before a trigger branches, one most-general egd probe runs: the
+//     trigger's head with a fresh null per existential, chased to its egd
+//     fixpoint. Mapping each probe null to the value an assignment picks
+//     is a homomorphism from the probe state into that assignment's
+//     state, so every clash and every forced equality of the probe holds
+//     for every assignment. A probe clash prunes the node; an existential
+//     the probe equates with a value r of the active domain skips its
+//     fresh-null branch (after the fixpoint it is the state of choosing
+//     r) and, when r is a constant, every other constant (a certain
+//     clash). Enumeration order is otherwise unchanged, and merges that
+//     cascade still run through each child's fixpoint;
 //   * Σ_ts (and disjunctive Σ_ts) act as checks: a violated all-constant
 //     trigger — or any violated trigger when Σ_t has no egds — is
 //     permanent and prunes; otherwise the branch dies only at fixpoints.

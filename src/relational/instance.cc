@@ -206,16 +206,18 @@ TupleIndexSpan Instance::ResolvedClassBucket(
   // = id), so folding the position into them is collision-free.
   const uint64_t key =
       root.packed() ^ (static_cast<uint64_t>(position) << 33);
+  const uint64_t identity = resolver_.identity();
   const uint64_t version = resolver_.version();
   ClassBucketCache& cache = store.class_cache;
   std::lock_guard<std::mutex> lock(cache.mu);
   ClassBucketCache::Entry& entry = cache.map[key];
-  if (entry.version != version) {
+  if (entry.identity != identity || entry.version != version) {
     entry.bucket.clear();
     for (const Value& m : members) {
       TupleIndexSpan bucket = store.index[position].Find(m.packed());
       entry.bucket.insert(entry.bucket.end(), bucket.begin(), bucket.end());
     }
+    entry.identity = identity;
     entry.version = version;
   }
   return TupleIndexSpan(entry.bucket.data(), entry.bucket.size());

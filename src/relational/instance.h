@@ -264,15 +264,18 @@ class Instance {
  private:
   // Per-store memo for class-aware index probes: for one (resolved root,
   // position) key, the concatenation of the index buckets of every class
-  // member, stamped with the resolver version that built it. Cleared on
-  // any store mutation; a newer resolver version invalidates entries
-  // lazily. The mutex serializes concurrent *readers* rebuilding entries
-  // against a shared store (mutations never run concurrently with reads
-  // of the same store).
+  // member, stamped with the identity and version of the resolver that
+  // built it. Cleared on any store mutation; any other resolver state
+  // invalidates entries lazily (the store is shared copy-on-write, so
+  // sibling branches with their own merges read it too). The mutex
+  // serializes concurrent *readers* rebuilding entries against a shared
+  // store (mutations never run concurrently with reads of the same
+  // store).
   // Entry references are stable under further map inserts, so returned
   // spans stay valid for the duration of a read-only enumeration.
   struct ClassBucketCache {
     struct Entry {
+      uint64_t identity = 0;
       uint64_t version = ~0ull;
       std::vector<int32_t> bucket;
     };

@@ -102,10 +102,12 @@ class SymbolTable {
   // caller's exclusive use and returns `first`, in one lock-free
   // compare-and-swap loop (FreshNull is the one-id case; the chase mints
   // every null through it, in apply order). Reserved ids that are never
-  // turned into facts are simply retired — null ids must be unique, not
-  // dense — but holes inflate every id-indexed structure downstream. A
-  // reservation that would run the counter past 2^32 - 1 aborts, naming
-  // the table: wrapping would hand out ids that alias live nulls.
+  // turned into facts are simply retired: null ids must be unique, not
+  // dense, and every null-keyed table is sized by the nulls it holds, not
+  // by their ids (relational/null_map.h). A reservation that would run
+  // the counter past 2^32 - 1 aborts, naming the table: wrapping would
+  // hand out ids that alias live nulls. So id 2^32 - 1 is never handed
+  // out, which NullMap relies on to mark free entries.
   uint32_t ReserveNullRange(uint32_t count) {
     uint32_t first = next_null_id_.load(std::memory_order_relaxed);
     do {

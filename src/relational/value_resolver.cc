@@ -1,13 +1,16 @@
 #include "relational/value_resolver.h"
 
+#include <atomic>
+
 namespace pdx {
 
 ValueResolver::State& ValueResolver::MutableState() {
-  if (state_ == nullptr) {
-    state_ = std::make_shared<State>();
-  } else if (state_.use_count() > 1) {
-    state_ = std::make_shared<State>(*state_);
-  }
+  if (state_ != nullptr && state_.use_count() == 1) return *state_;
+  state_ = state_ == nullptr ? std::make_shared<State>()
+                             : std::make_shared<State>(*state_);
+  static std::atomic<uint64_t> next_identity{0};
+  state_->identity =
+      next_identity.fetch_add(1, std::memory_order_relaxed) + 1;
   return *state_;
 }
 
@@ -50,20 +53,11 @@ ValueResolver::UnionResult ValueResolver::Union(Value a, Value b) {
   if (winner_members.empty()) winner_members.push_back(winner);
   // Eager path compression: every absorbed value points straight at the
   // new root, so Resolve stays a single probe. Absorbed values are
-  // always nulls (a constant in a class is its root), so the dense
-  // null-id parent table covers them; the gap fill keeps untouched ids
-  // resolving to themselves.
+  // always nulls (a constant in a class is its root), so the null-keyed
+  // parent table covers them.
   for (const Value& v : result.reassigned) {
     PDX_DCHECK(v.is_null());
-    const uint32_t id = v.id();
-    if (id >= state.parent.size()) {
-      const size_t old_size = state.parent.size();
-      state.parent.resize(static_cast<size_t>(id) + 1);
-      for (size_t i = old_size; i < state.parent.size(); ++i) {
-        state.parent[i] = Value::Null(static_cast<uint32_t>(i));
-      }
-    }
-    state.parent[id] = winner;
+    *state.parent.Insert(v, winner) = winner;
     winner_members.push_back(v);
   }
   ++state.version;

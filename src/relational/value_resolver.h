@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "relational/null_map.h"
 #include "relational/value.h"
 
 namespace pdx {
@@ -20,13 +21,19 @@ namespace pdx {
 // class root on the fly ("resolve-on-read"). This makes an egd merge a
 // near-O(1) union instead of Substitute's full relation rebuild.
 //
-// Representation: a flat parent map (value -> current root) plus per-root
-// member lists. Union relinks every member of the losing class directly to
-// the winning root — eager path compression — so Resolve() is a single
-// hash probe and never chases chains. Union-by-size bounds total relink
-// work at O(n log n) across any merge sequence; member lists double as the
-// set of values whose resolution a merge changed, which Instance uses to
-// mark exactly the dirty tuples.
+// Representation: a parent table (merged null -> current root) plus
+// per-root member lists. Union relinks every member of the losing class
+// directly to the winning root — eager path compression — so Resolve() is
+// one open-addressing probe and never chases chains. Union-by-size bounds
+// total relink work at O(n log n) across any merge sequence; member lists
+// double as the set of values whose resolution a merge changed, which
+// Instance uses to mark exactly the dirty tuples.
+//
+// The parent table is a NullMap: it holds only the nulls some union
+// absorbed, so its size — and the cost of cloning it — follows the merges
+// this resolver applied, not the largest null id its symbol table ever
+// minted. A search that forks one resolver per node therefore pays for the
+// merges on its path, not for the tenant's history.
 //
 // Copying a ValueResolver is O(1): state is a copy-on-write block shared
 // between copies (mirroring Instance's relation stores), cloned lazily on
@@ -47,14 +54,12 @@ class ValueResolver {
 
   // The root of `v`'s equivalence class (identity for unmerged values).
   // Constants can never lose a union, so only nulls consult the parent
-  // table — one bounds-checked array read, no hashing (this is the
-  // hottest call in merge-heavy chases: every slot comparison under a
-  // non-trivial resolver resolves through here).
+  // table — one open-addressing probe (this is the hottest call in
+  // merge-heavy chases: every slot comparison under a non-trivial
+  // resolver resolves through here).
   Value Resolve(Value v) const {
     if (state_ == nullptr || !v.is_null()) return v;
-    const std::vector<Value>& parent = state_->parent;
-    const uint32_t id = v.id();
-    return id < parent.size() ? parent[id] : v;
+    return state_->parent.Get(v, v);
   }
 
   bool SameClass(Value a, Value b) const {
@@ -91,6 +96,15 @@ class ValueResolver {
   // Number of successful unions ever applied.
   uint64_t version() const { return state_ == nullptr ? 0 : state_->version; }
 
+  // Names this resolver's state: copies share it until one of them
+  // unions, which gives the mutated copy a fresh identity. Two copies
+  // that diverged can reach the same version() with different classes,
+  // so a cache shared between them (Instance's per-store class buckets)
+  // must key on identity() and version() together. 0 when trivial.
+  uint64_t identity() const {
+    return state_ == nullptr ? 0 : state_->identity;
+  }
+
   // Number of non-singleton classes currently tracked.
   size_t class_count() const {
     return state_ == nullptr ? 0 : state_->members.size();
@@ -98,15 +112,16 @@ class ValueResolver {
 
  private:
   struct State {
-    // Class root by null id, dense: parent[id] is Null(id)'s root, or
-    // Null(id) itself when unmerged (ids past the end resolve to
-    // themselves too). Only nulls can lose a union — a constant in a
-    // class is always its root — so constants never need an entry.
-    std::vector<Value> parent;
+    // Class root of every null a union absorbed; unmerged nulls are
+    // absent and resolve to themselves. Only nulls can lose a union — a
+    // constant in a class is always its root — so constants never need
+    // an entry.
+    NullMap<Value> parent;
     // root -> all values of the class, including the root; only classes of
     // size >= 2 appear.
     std::unordered_map<uint64_t, std::vector<Value>> members;
     uint64_t version = 0;
+    uint64_t identity = 0;  // unique per created or cloned state
   };
 
   // The state, cloned first if currently shared with another resolver.

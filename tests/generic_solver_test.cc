@@ -117,6 +117,27 @@ TEST_F(GenericSolverTest, TargetEgdsMergeNulls) {
   EXPECT_EQ(result2.outcome, SolveOutcome::kSolutionFound);
 }
 
+// The only witness for z is a value outside the active domain: every
+// domain value d has Dt(d) and no F(d), so only the fresh-null branch
+// reaches a solution. With the key egd on T the egd probe runs too, and
+// it must keep that branch: nothing forces z there.
+TEST_F(GenericSolverTest, FreshNullWitnessIsExplored) {
+  for (const char* egds : {"", "T(x,z) & T(x,z2) -> z = z2."}) {
+    SymbolTable symbols;
+    auto setting = Unwrap(PdeSetting::Create(
+        {{"S", 1}, {"D", 1}, {"F", 1}}, {{"T", 2}, {"Dt", 1}},
+        "S(x) -> exists z: T(x,z).\nD(x) -> Dt(x).",
+        "T(x,z) & Dt(z) -> F(z).", egds, &symbols));
+    Instance source = ParseOrDie(setting, "S(a). D(a). D(b).", &symbols);
+    GenericSolveResult result = Unwrap(GenericExistsSolution(
+        setting, source, setting.EmptyInstance(), &symbols));
+    ASSERT_EQ(result.outcome, SolveOutcome::kSolutionFound) << egds;
+    EXPECT_TRUE(IsSolution(setting, source, setting.EmptyInstance(),
+                           *result.solution, symbols));
+    EXPECT_TRUE(result.solution->HasNulls()) << egds;
+  }
+}
+
 TEST_F(GenericSolverTest, EgdConstantClashMeansNoSolution) {
   SymbolTable symbols;
   auto setting = Unwrap(PdeSetting::Create(
@@ -243,7 +264,55 @@ TEST_F(GenericSolverTest, EgdSearchIsThreadInvariant) {
     EXPECT_EQ(four.nodes_explored, one.nodes_explored);
     EXPECT_EQ(four.candidates_discovered, one.candidates_discovered);
     EXPECT_EQ(four.candidate_checks, one.candidate_checks);
+    EXPECT_EQ(four.nodes_clash, one.nodes_clash);
+    EXPECT_EQ(four.nodes_memo, one.nodes_memo);
+    EXPECT_EQ(four.nodes_pruned, one.nodes_pruned);
     EXPECT_GT(one.candidates_discovered, 0);
+  }
+}
+
+// A search depends on the instance it starts from, not on how many nulls
+// its symbol table minted before: a long-lived tenant's millionth solve
+// explores exactly the tree its first did (the resolver each node forks
+// is sized by the merges on its path, not by the largest null id).
+TEST_F(GenericSolverTest, SearchIsIndependentOfSymbolTableHistory) {
+  auto solve = [](uint32_t preminted_nulls) {
+    SymbolTable symbols;
+    symbols.ReserveNullRange(preminted_nulls);
+    PdeSetting setting = Unwrap(MakeEgdBoundarySetting(&symbols));
+    Instance source =
+        MakeEgdBoundarySourceInstance(setting, CompleteGraph(3), 3, &symbols);
+    return Unwrap(GenericExistsSolution(setting, source,
+                                        setting.EmptyInstance(), &symbols));
+  };
+  GenericSolveResult fresh = solve(0);
+  GenericSolveResult aged = solve(1'000'000);
+  ASSERT_NE(fresh.outcome, SolveOutcome::kBudgetExhausted);
+  EXPECT_EQ(aged.outcome, fresh.outcome);
+  EXPECT_EQ(aged.nodes_explored, fresh.nodes_explored);
+  EXPECT_EQ(aged.candidates_discovered, fresh.candidates_discovered);
+  EXPECT_EQ(aged.candidate_checks, fresh.candidate_checks);
+}
+
+// The egd probe on Section 4(a)'s setting: once a slot's P-fact exists,
+// the target egds force the next trigger's existentials to known
+// constants, so the probe skips the clashing constants and the fresh
+// nulls before they are visited. The verdict stays what the CLIQUE oracle
+// says (K3 has a 3-clique; a path has no 3-clique), and every visited
+// node is accounted for by at most one dead-end outcome.
+TEST_F(GenericSolverTest, EgdProbePrunesForcedBranches) {
+  SymbolTable symbols;
+  PdeSetting setting = Unwrap(MakeEgdBoundarySetting(&symbols));
+  const std::pair<Graph, SolveOutcome> cases[] = {
+      {CompleteGraph(3), SolveOutcome::kSolutionFound},
+      {PathGraph(3), SolveOutcome::kNoSolution}};
+  for (const auto& [g, want] : cases) {
+    Instance source = MakeEgdBoundarySourceInstance(setting, g, 3, &symbols);
+    GenericSolveResult result = Unwrap(GenericExistsSolution(
+        setting, source, setting.EmptyInstance(), &symbols));
+    EXPECT_EQ(result.outcome, want);
+    EXPECT_GT(result.nodes_pruned, 0);
+    EXPECT_LE(result.nodes_clash + result.nodes_memo, result.nodes_explored);
   }
 }
 

@@ -3,6 +3,8 @@
 // effect on its parent or sibling branches, and DeltaSince exposes exactly
 // what a branch changed.
 
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "relational/snapshot.h"
 #include "relational/value.h"
@@ -209,6 +211,35 @@ TEST_F(SnapshotTest, SiblingBranchesMergeIndependently) {
   EXPECT_FALSE(right.Contains(0, {a_, b_}));
   EXPECT_EQ(parent.ResolveValue(n), n);
   EXPECT_TRUE(parent.Contains(0, {a_, n}));
+}
+
+// Siblings share the snapshot's stores, and with them each store's memo
+// of class-aware index buckets; their resolvers diverge yet reach the same
+// version. A bucket one sibling built for its class must never answer the
+// other's probe for a different class under the same root.
+TEST_F(SnapshotTest, SiblingClassProbesNeverShareBuckets) {
+  Instance parent(&schema_);
+  Value n1 = symbols_.FreshNull();
+  Value n2 = symbols_.FreshNull();
+  parent.AddFact(0, {a_, n1});  // tuple 0
+  parent.AddFact(0, {b_, n2});  // tuple 1
+  InstanceSnapshot snapshot(parent);
+  Instance left = snapshot.Branch();
+  Instance right = snapshot.Branch();
+  ASSERT_TRUE(left.MergeValues(n1, c_).merged);
+  ASSERT_TRUE(right.MergeValues(n2, c_).merged);
+  ASSERT_EQ(left.resolver().version(), right.resolver().version());
+
+  auto tuples = [](TupleIndexSpan span) {
+    return std::vector<int32_t>(span.begin(), span.end());
+  };
+  EXPECT_EQ(tuples(left.TuplesWithResolvedValueAt(0, 1, c_)),
+            std::vector<int32_t>{0});
+  EXPECT_EQ(tuples(right.TuplesWithResolvedValueAt(0, 1, c_)),
+            std::vector<int32_t>{1});
+  EXPECT_EQ(left.CountTuplesWithResolvedValueAt(0, 1, c_), 1u);
+  EXPECT_EQ(tuples(left.TuplesWithResolvedValueAt(0, 1, c_)),
+            std::vector<int32_t>{0});
 }
 
 TEST_F(SnapshotTest, InterleavedMergesNeverAliasResolverState) {

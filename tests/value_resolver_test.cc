@@ -1,11 +1,15 @@
 // Unit tests for the union-find value layer: class semantics (constants
 // win, size-based winner among nulls, constant/constant conflicts),
 // reassigned reporting, and the copy-on-write isolation Instance snapshots
-// rely on.
+// rely on — plus a differential test against a naive std::map union-find
+// over null ids spread across the whole 32-bit id space.
 
 #include "relational/value_resolver.h"
 
 #include <algorithm>
+#include <map>
+#include <random>
+#include <set>
 
 #include "gtest/gtest.h"
 #include "relational/value.h"
@@ -187,6 +191,144 @@ TEST_F(ValueResolverTest, MutatingTheOriginalDoesNotLeakIntoCopies) {
   EXPECT_EQ(base.Resolve(n1), a);
   EXPECT_TRUE(copy2.Resolve(n1).is_null());
   EXPECT_EQ(copy2.version(), 1u);
+}
+
+// The reference the differential test below compares against: a naive
+// union-find over std::map with the same winner rule (constants win,
+// then the larger class, then the first argument's root).
+class NaiveUnionFind {
+ public:
+  struct Outcome {
+    bool merged = false;
+    bool conflict = false;
+    Value winner;
+    Value loser;
+    std::set<Value> reassigned;
+  };
+
+  Value Resolve(Value v) const {
+    auto it = root_.find(v);
+    return it == root_.end() ? v : it->second;
+  }
+
+  // The class of `root` (size >= 2), or nullptr for a singleton.
+  const std::set<Value>* Members(Value root) const {
+    auto it = members_.find(root);
+    return it == members_.end() ? nullptr : &it->second;
+  }
+
+  const std::map<Value, std::set<Value>>& classes() const { return members_; }
+  uint64_t version() const { return version_; }
+
+  Outcome Union(Value a, Value b) {
+    Outcome out;
+    Value ra = Resolve(a);
+    Value rb = Resolve(b);
+    if (ra == rb) return out;
+    if (ra.is_constant() && rb.is_constant()) {
+      out.conflict = true;
+      out.winner = ra;
+      out.loser = rb;
+      return out;
+    }
+    auto size = [this](Value root) {
+      const std::set<Value>* m = Members(root);
+      return m == nullptr ? size_t{1} : m->size();
+    };
+    Value winner = ra;
+    Value loser = rb;
+    if (rb.is_constant() || (ra.is_null() && size(rb) > size(ra))) {
+      std::swap(winner, loser);
+    }
+    const std::set<Value>* lost = Members(loser);
+    out.reassigned = lost == nullptr ? std::set<Value>{loser} : *lost;
+    members_.erase(loser);
+    std::set<Value>& won = members_[winner];
+    won.insert(winner);
+    for (Value v : out.reassigned) {
+      root_[v] = winner;
+      won.insert(v);
+    }
+    ++version_;
+    out.merged = true;
+    out.winner = winner;
+    out.loser = loser;
+    return out;
+  }
+
+ private:
+  std::map<Value, Value> root_;
+  std::map<Value, std::set<Value>> members_;
+  uint64_t version_ = 0;
+};
+
+// Random union sequences on a family of forked resolvers, each checked
+// against its own naive model after every union: Resolve over the whole
+// value pool, every class's members, the reassigned set and conflicts.
+// Null ids span the whole 32-bit space SymbolTable mints from, so a resolver
+// whose tables grew with the largest id (rather than with the number of
+// merged nulls) would try a multi-gigabyte allocation here.
+TEST(ValueResolverDifferentialTest, MatchesNaiveUnionFindAcrossForks) {
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    std::vector<Value> pool;
+    for (uint32_t c = 0; c < 6; ++c) pool.push_back(Value::Constant(c));
+    // SymbolTable hands out null ids below 2^32 - 1.
+    std::uniform_int_distribution<uint32_t> any_id(0, UINT32_MAX - 1);
+    for (int i = 0; i < 40; ++i) pool.push_back(Value::Null(any_id(rng)));
+    pool.push_back(Value::Null(UINT32_MAX - 1));
+    pool.push_back(Value::Null(UINT32_MAX - 2));
+    pool.push_back(Value::Null(0));
+    std::uniform_int_distribution<size_t> pick(0, pool.size() - 1);
+
+    std::vector<ValueResolver> resolvers(1);
+    std::vector<NaiveUnionFind> models(1);
+    for (int step = 0; step < 200; ++step) {
+      // Fork now and then; both the fork and its origin keep mutating,
+      // so copies diverge in both directions.
+      if (resolvers.size() < 8 && rng() % 16 == 0) {
+        size_t from = rng() % resolvers.size();
+        resolvers.push_back(resolvers[from]);
+        models.push_back(models[from]);
+      }
+      size_t r = rng() % resolvers.size();
+      ValueResolver& resolver = resolvers[r];
+      NaiveUnionFind& model = models[r];
+      Value a = pool[pick(rng)];
+      Value b = pool[pick(rng)];
+      ValueResolver::UnionResult got = resolver.Union(a, b);
+      NaiveUnionFind::Outcome want = model.Union(a, b);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      ASSERT_EQ(got.merged, want.merged);
+      ASSERT_EQ(got.conflict, want.conflict);
+      if (want.merged || want.conflict) {
+        EXPECT_EQ(got.winner, want.winner);
+        EXPECT_EQ(got.loser, want.loser);
+      }
+      EXPECT_EQ(std::set<Value>(got.reassigned.begin(), got.reassigned.end()),
+                want.merged ? want.reassigned : std::set<Value>());
+      for (size_t j = 0; j < resolvers.size(); ++j) {
+        EXPECT_EQ(resolvers[j].version(), models[j].version());
+        EXPECT_EQ(resolvers[j].class_count(), models[j].classes().size());
+        for (Value v : pool) {
+          Value root = models[j].Resolve(v);
+          ASSERT_EQ(resolvers[j].Resolve(v), root);
+          if (models[j].Members(root) == nullptr) {
+            EXPECT_EQ(resolvers[j].ClassMembers(root), nullptr);
+          }
+        }
+        for (const auto& [root, members] : models[j].classes()) {
+          const std::vector<Value>* got_members =
+              resolvers[j].ClassMembers(root);
+          ASSERT_NE(got_members, nullptr);
+          EXPECT_EQ(got_members->size(), members.size());
+          EXPECT_EQ(std::set<Value>(got_members->begin(), got_members->end()),
+                    members);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

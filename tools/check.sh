@@ -251,11 +251,11 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
     --target thread_pool_test chase_parallel_test ctract_solver_test \
-    fuzz_test obs_test serve_test stream_test
+    fuzz_test generic_solver_test obs_test serve_test stream_test
   # One pass: the chase's pooled tgd collect (workers probe heads and build
-  # head rows), the pooled egd slot collect and the pooled Figure 3 block
-  # checks (ctract_solver_test) run concurrently; every apply is
-  # sequential.
+  # head rows), the pooled egd slot collect (also run per search node by
+  # generic_solver_test) and the pooled Figure 3 block checks
+  # (ctract_solver_test) run concurrently; every apply is sequential.
   ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
 fi

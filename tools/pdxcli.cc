@@ -326,7 +326,10 @@ int RunSolve(const CliArgs& args) {
     has_solution = result->outcome == SolveOutcome::kSolutionFound;
     solution = std::move(result->solution);
     std::cout << "# solver: generic search, nodes="
-              << result->nodes_explored << "\n";
+              << result->nodes_explored
+              << " clash=" << result->nodes_clash
+              << " memo=" << result->nodes_memo
+              << " pruned=" << result->nodes_pruned << "\n";
   }
 
   if (!has_solution) {
