@@ -6,6 +6,7 @@
 
 #include "base/string_util.h"
 #include "base/thread_pool.h"
+#include "chase/delta_phase.h"
 #include "chase/journal.h"
 #include "hom/matcher.h"
 #include "obs/metrics.h"
@@ -80,74 +81,6 @@ bool FindViolatedEgdTrigger(const Instance& instance, const Egd& egd,
         *out = body_match;
         return false;
       });
-}
-
-// True if some body atom could match inside the delta at all.
-bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
-  for (const Atom& atom : body) {
-    if (delta.dirty(atom.relation)) return true;
-  }
-  return false;
-}
-
-// Enumerates the delta matches of a compiled body — all of them, or one
-// partition's when `part` is non-null.
-bool EnumerateDelta(const plan::BodyPlan& body, const Instance& instance,
-                    const DeltaView& delta, const DeltaPartition* part,
-                    const std::function<bool(const Binding&)>& fn) {
-  const Binding empty = Binding::Empty(body.var_count);
-  return part == nullptr
-             ? EnumerateMatchesDeltaPlanned(body, instance, delta, empty, fn)
-             : EnumerateMatchesDeltaPartitionPlanned(body, instance, delta,
-                                                     *part, empty, fn);
-}
-
-// The collect half of every chase phase: runs `collect(&slots[i], m)`,
-// which returns true iff it kept m, over the delta matches of `body`
-// (compiled from `atoms`, which the partitioning reads). Without a pool
-// all matches go to slot 0; with one, the delta partitions fan across its
-// workers, one slot each, so `collect` must be a pure read apart from its
-// own slot. Returns the slots used; read in slot order they hold the
-// sequential enumeration order. Slots are cleared, not shrunk.
-template <typename Buffer, typename Collect>
-size_t CollectDeltaSlots(const std::vector<Atom>& atoms,
-                         const plan::BodyPlan& body, const Instance& instance,
-                         const DeltaView& delta, ThreadPool* pool,
-                         uint64_t parent_span, std::vector<Buffer>* slots,
-                         const Collect& collect) {
-  if (pool == nullptr) {
-    if (slots->empty()) slots->resize(1);
-    Buffer& buffer = (*slots)[0];
-    buffer.clear();
-    EnumerateDelta(body, instance, delta, /*part=*/nullptr,
-                   [&](const Binding& m) {
-                     collect(&buffer, m);
-                     return true;
-                   });
-    return 1;
-  }
-  // A few partitions per participant so uneven pivot widths still balance
-  // via stealing.
-  std::vector<DeltaPartition> parts = PartitionDeltaMatches(
-      atoms, delta, static_cast<size_t>(pool->size()) * 4);
-  if (slots->size() < parts.size()) slots->resize(parts.size());
-  pool->ParallelFor(parts.size(), [&](size_t p) {
-    // One span per dependency × partition task, parented to the batch
-    // span of the issuing thread (the thread_local nesting stack does not
-    // cross into workers).
-    obs::Span part_span(obs::Tracer::Global(), "chase.collect_part",
-                        parent_span);
-    part_span.AttrInt("partition", static_cast<int64_t>(p));
-    Buffer& buffer = (*slots)[p];
-    buffer.clear();
-    int64_t kept = 0;
-    EnumerateDelta(body, instance, delta, &parts[p], [&](const Binding& m) {
-      if (collect(&buffer, m)) ++kept;
-      return true;
-    });
-    part_span.AttrInt("collected", kept);
-  });
-  return parts.size();
 }
 
 // The egd fixpoint's violated-trigger rows: one flat buffer per collect
@@ -244,13 +177,13 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
   Instance& instance = result->instance;
   for (size_t d = 0; d < tgds.size(); ++d) {
     const Tgd& tgd = tgds[d];
-    if (!TouchesDelta(tgd.body, delta)) continue;
     const plan::TgdPlan& plan = compiled.tgds[d];
+    if (!TouchesDelta(plan.body, delta)) continue;
     const plan::ApplyTemplate& apply = plan.apply;
     obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
     tgd_span.AttrInt("dep", static_cast<int64_t>(d));
     const size_t used = CollectDeltaSlots(
-        tgd.body, plan.body, instance, delta, pool, tgd_span.id(), slots,
+        plan.body, instance, delta, pool, tgd_span.id(), slots,
         [&](TgdRows* buffer, const Binding& m) {
           ++buffer->matches;
           if (HasMatchPlanned(plan.head, instance, m)) return false;
@@ -559,13 +492,13 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
     bool merged_any = false;
     for (size_t e = 0; e < egds.size(); ++e) {
       const Egd& egd = egds[e];
-      if (!TouchesDelta(egd.body, delta)) continue;
+      if (!TouchesDelta(egd_plans[e].body, delta)) continue;
       // Collect every trigger violated under the pre-pass resolution, then
       // merge in collection order, skipping rows an earlier merge of the
       // batch already equated. Triggers a merge newly enables bind a tuple
       // it dirtied, so the next pass's frontier catches them.
       const size_t slots = CollectDeltaSlots(
-          egd.body, egd_plans[e].body, *instance, delta, pool, pass_span.id(),
+          egd_plans[e].body, *instance, delta, pool, pass_span.id(),
           &rows.slots, [&egd](std::vector<Value>* buffer, const Binding& m) {
             if (m.values[egd.left_var] == m.values[egd.right_var]) {
               return false;

@@ -2,9 +2,8 @@
 
 #include <memory>
 
-#include "base/string_util.h"
 #include "base/thread_pool.h"
-#include "hom/matcher.h"
+#include "chase/delta_phase.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/ir.h"
@@ -40,25 +39,18 @@ struct SolutionAwareTrigger {
   Binding extended;
 };
 
-// True if some body atom's relation has new facts in `delta`.
-bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
-  for (const Atom& atom : body) {
-    if (delta.dirty(atom.relation)) return true;
-  }
-  return false;
-}
-
 // The per-match collection step: skip satisfied triggers, extend violated
 // ones into `solution` (guaranteed possible since solution ⊇ instance
 // satisfies the tgd). Pure reads of `instance` and `solution`, so workers
 // may run it concurrently. The satisfaction probe and the witness search
 // both execute the compiled head program (compiled with the universal
-// variables pre-bound — exactly this call shape).
-void CollectOneTrigger(const Instance& instance, const Instance& solution,
+// variables pre-bound — exactly this call shape). Returns true iff it
+// kept the trigger.
+bool CollectOneTrigger(const Instance& instance, const Instance& solution,
                        const plan::TgdPlan& plan, const Binding& body_match,
                        std::vector<SolutionAwareTrigger>* out) {
   if (HasMatchPlanned(plan.head, instance, body_match)) {
-    return;  // satisfied trigger
+    return false;  // satisfied trigger
   }
   SaMetrics::Get().tgd_matches.Inc();
   // Violated in `instance`; find the witness inside `solution`.
@@ -69,47 +61,7 @@ void CollectOneTrigger(const Instance& instance, const Instance& solution,
       });
   PDX_CHECK(witnessed)
       << "solution-aware chase: the provided solution violates a tgd";
-}
-
-// Collects one tgd's violated triggers, each extended into `solution`.
-// With a pool the delta partitions fan across its workers and the
-// per-partition buffers are concatenated in partition order: the trigger
-// order the sequential enumeration produces.
-std::vector<SolutionAwareTrigger> CollectTriggers(
-    const Instance& instance, const DeltaView& delta,
-    const Instance& solution, const Tgd& tgd, const plan::TgdPlan& plan,
-    ThreadPool* pool, uint64_t parent_span) {
-  std::vector<SolutionAwareTrigger> out;
-  const Binding empty = Binding::Empty(tgd.var_count);
-  if (pool == nullptr) {
-    EnumerateMatchesDeltaPlanned(
-        plan.body, instance, delta, empty, [&](const Binding& body_match) {
-          CollectOneTrigger(instance, solution, plan, body_match, &out);
-          return true;
-        });
-    return out;
-  }
-  const std::vector<DeltaPartition> parts = PartitionDeltaMatches(
-      tgd.body, delta, static_cast<size_t>(pool->size()) * 4);
-  std::vector<std::vector<SolutionAwareTrigger>> buffers(parts.size());
-  pool->ParallelFor(parts.size(), [&](size_t p) {
-    obs::Span part_span(obs::Tracer::Global(), "chase.collect_part",
-                        parent_span);
-    part_span.AttrInt("partition", static_cast<int64_t>(p));
-    EnumerateMatchesDeltaPartitionPlanned(
-        plan.body, instance, delta, parts[p], empty,
-        [&](const Binding& body_match) {
-          CollectOneTrigger(instance, solution, plan, body_match,
-                            &buffers[p]);
-          return true;
-        });
-    part_span.AttrInt("collected", static_cast<int64_t>(buffers[p].size()));
-  });
-  for (std::vector<SolutionAwareTrigger>& buffer : buffers) {
-    out.insert(out.end(), std::make_move_iterator(buffer.begin()),
-               std::make_move_iterator(buffer.end()));
-  }
-  return out;
+  return true;
 }
 
 ChaseResult SolutionAwareChaseImpl(const Instance& start,
@@ -137,6 +89,8 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
   // evaluated. Round one sees everything as new.
   InstanceWatermark mark = InstanceWatermark::Origin(instance);
   std::vector<std::vector<int>> extras;
+  // Collect slots shared across rounds and tgds: cleared, not freed.
+  std::vector<std::vector<SolutionAwareTrigger>> slots;
   int64_t round = 0;
   while (true) {
     obs::Span round_span(obs::Tracer::Global(), "chase.round");
@@ -170,35 +124,31 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
     }
     InstanceWatermark frontier = instance.TakeWatermark();
     for (size_t d = 0; d < tgds.size(); ++d) {
-      const Tgd& tgd = tgds[d];
-      if (!TouchesDelta(tgd.body, delta)) continue;
       const plan::TgdPlan& plan = compiled->tgds[d];
+      if (!TouchesDelta(plan.body, delta)) continue;
       obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
       tgd_span.AttrInt("dep", static_cast<int64_t>(d));
-      const std::vector<SolutionAwareTrigger> pending = CollectTriggers(
-          instance, delta, solution, tgd, plan, pool, tgd_span.id());
-      tgd_span.AttrInt("collected", static_cast<int64_t>(pending.size()));
-      for (const SolutionAwareTrigger& trigger : pending) {
-        // Re-check on the body match: an earlier application this round
-        // may have satisfied it.
-        if (HasMatchPlanned(plan.head, instance, trigger.body)) continue;
-        // Head rows through the fused apply template; the witness binding
-        // supplies every slot, existentials included.
-        size_t cursor = 0;
-        for (const plan::HeadAtom& atom : plan.apply.head_atoms) {
-          Tuple tuple;
-          tuple.reserve(atom.arity);
-          for (int s = 0; s < atom.arity; ++s) {
-            const plan::HeadSlot& slot = plan.apply.slots[cursor++];
-            tuple.push_back(slot.is_const ? slot.key
-                                          : trigger.extended.values[slot.var]);
+      const size_t used = CollectDeltaSlots(
+          plan.body, instance, delta, pool, tgd_span.id(), &slots,
+          [&](std::vector<SolutionAwareTrigger>* buffer, const Binding& m) {
+            return CollectOneTrigger(instance, solution, plan, m, buffer);
+          });
+      size_t collected = 0;
+      for (size_t s = 0; s < used; ++s) collected += slots[s].size();
+      tgd_span.AttrInt("collected", static_cast<int64_t>(collected));
+      for (size_t s = 0; s < used; ++s) {
+        for (const SolutionAwareTrigger& trigger : slots[s]) {
+          // Re-check on the body match: an earlier application this round
+          // may have satisfied it.
+          if (HasMatchPlanned(plan.head, instance, trigger.body)) continue;
+          // The witness binding supplies every head slot, existentials
+          // included.
+          AddHeadFacts(plan.apply, trigger.extended.values.data(), &instance);
+          ++result.steps;
+          if (result.steps >= options.max_steps) {
+            result.outcome = ChaseOutcome::kBudgetExhausted;
+            return result;
           }
-          instance.AddFact(atom.relation, std::move(tuple));
-        }
-        ++result.steps;
-        if (result.steps >= options.max_steps) {
-          result.outcome = ChaseOutcome::kBudgetExhausted;
-          return result;
         }
       }
     }

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "base/logging.h"
-#include "hom/matcher.h"
+#include "chase/delta_phase.h"
 #include "obs/trace.h"
 #include "plan/compiler.h"
 #include "plan/ir.h"
@@ -237,15 +237,7 @@ int64_t StreamingChase::Rederive(const std::vector<RemovedRef>& removed,
     }
     journal_.RecordTgd(d, extended.values.data(), extended.values.size(),
                        tgd.existential);
-    for (const Atom& atom : tgd.head) {
-      Tuple tuple;
-      tuple.reserve(atom.terms.size());
-      for (const Term& t : atom.terms) {
-        tuple.push_back(t.is_constant() ? t.constant()
-                                        : extended.values[t.var()]);
-      }
-      instance_.AddFact(atom.relation, std::move(tuple));
-    }
+    AddHeadFacts(compiled_->tgds[d].apply, extended.values.data(), &instance_);
     ++fired;
   }
   stats->rederived += fired;

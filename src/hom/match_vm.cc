@@ -1,10 +1,9 @@
 #include "hom/match_vm.h"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <vector>
-
-#include "plan/bytecode.h"
 
 namespace pdx {
 
@@ -118,10 +117,10 @@ bool RunSlots(VmContext* ctx, const plan::Instr* code, uint32_t begin,
 // atom_index < additive_pivot to tuples below delta->begin(relation),
 // exactly like the interpreter's per-atom max_index bound.
 template <bool kResolved, typename Fn>
-bool RunLoops(VmContext* ctx, const plan::BodyCode& bc, uint32_t entry,
+bool RunLoops(VmContext* ctx, const plan::BodyPlan& plan, uint32_t entry,
               const Instance& instance, const ValueResolver* resolver,
               const DeltaView* delta, int additive_pivot, const Fn& fn) {
-  const plan::Instr* code = bc.code.data();
+  const plan::Instr* code = plan.code.data();
   if (code[entry].op == plan::Instr::kEmit) {
     // Zero remaining joins: the binding is already a complete match.
     return !fn(ctx->binding);
@@ -274,11 +273,13 @@ bool RunLoops(VmContext* ctx, const plan::BodyCode& bc, uint32_t entry,
 // equality). Returns true via `*result` when it applied; false means
 // fall back to the generic loop (multi-level plans, scan access, an
 // unbound variable repeated across positions).
-bool TryFastExists(const plan::BodyCode& bc, const Instance& instance,
+bool TryFastExists(const plan::BodyPlan& plan, const Instance& instance,
                    const Binding& partial, bool* result) {
-  constexpr size_t kMaxArity = 16;
-  const plan::ExistsProbe& probe = bc.exists;
-  if (!probe.valid) return false;  // > 1 level or scan access
+  constexpr size_t kMaxArity = plan::ExistsProbe::kMaxPositions;
+  const plan::ExistsProbe& probe = plan.exists;
+  // Invalid for > 1 level, scan access, or more than kMaxArity positions,
+  // so every position below indexes `buf` and shifts within 32 bits.
+  if (!probe.valid) return false;
   Value key;
   if (probe.var < 0) {
     key = probe.key;
@@ -355,33 +356,31 @@ bool TryFastExists(const plan::BodyCode& bc, const Instance& instance,
 
 }  // namespace
 
-bool VmEnumerateMatches(const plan::BodyPlan& plan, const Instance& instance,
-                        const Binding& partial,
-                        const std::function<bool(const Binding&)>& fn) {
+bool EnumerateMatchesPlanned(const plan::BodyPlan& plan,
+                             const Instance& instance, const Binding& partial,
+                             const std::function<bool(const Binding&)>& fn) {
   PDX_CHECK_EQ(static_cast<int>(partial.bound.size()), plan.var_count);
-  const plan::BodyCode& code = plan.code;
   VmLease ctx;
   AssignResolvedPartial(instance, partial, &ctx->binding);
   ctx->trail.clear();
-  EnsureVmFrames(ctx.get(), code.max_depth);
+  EnsureVmFrames(ctx.get(), plan.max_depth);
   if (instance.has_merges()) {
-    return RunLoops<true>(ctx.get(), code, code.full_entry, instance,
+    return RunLoops<true>(ctx.get(), plan, plan.full_entry, instance,
                           &instance.resolver(), nullptr, -1, fn);
   }
-  return RunLoops<false>(ctx.get(), code, code.full_entry, instance, nullptr,
+  return RunLoops<false>(ctx.get(), plan, plan.full_entry, instance, nullptr,
                          nullptr, -1, fn);
 }
 
-bool VmHasMatch(const plan::BodyPlan& plan, const Instance& instance,
-                const Binding& partial) {
+bool HasMatchPlanned(const plan::BodyPlan& plan, const Instance& instance,
+                     const Binding& partial) {
   PDX_CHECK_EQ(static_cast<int>(partial.bound.size()), plan.var_count);
-  const plan::BodyCode& code = plan.code;
-  if (code.code[code.full_entry].op == plan::Instr::kEmit) {
+  if (plan.code[plan.full_entry].op == plan::Instr::kEmit) {
     return true;  // zero joins: the partial binding is already a match
   }
   bool result = false;
   if (!instance.has_merges() &&
-      TryFastExists(code, instance, partial, &result)) {
+      TryFastExists(plan, instance, partial, &result)) {
     return result;
   }
   // Generic fallback: the full enumeration loop, stopped at the first
@@ -389,51 +388,85 @@ bool VmHasMatch(const plan::BodyPlan& plan, const Instance& instance,
   VmLease ctx;
   AssignResolvedPartial(instance, partial, &ctx->binding);
   ctx->trail.clear();
-  EnsureVmFrames(ctx.get(), code.max_depth);
+  EnsureVmFrames(ctx.get(), plan.max_depth);
   const auto stop = [](const Binding&) { return false; };
   if (instance.has_merges()) {
-    return RunLoops<true>(ctx.get(), code, code.full_entry, instance,
+    return RunLoops<true>(ctx.get(), plan, plan.full_entry, instance,
                           &instance.resolver(), nullptr, -1, stop);
   }
-  return RunLoops<false>(ctx.get(), code, code.full_entry, instance, nullptr,
+  return RunLoops<false>(ctx.get(), plan, plan.full_entry, instance, nullptr,
                          nullptr, -1, stop);
 }
 
-bool VmEnumerateMatchesDeltaPartition(
+void PartitionDeltaMatches(const plan::BodyPlan& plan, const DeltaView& delta,
+                           size_t max_partitions,
+                           std::vector<DeltaPartition>* parts) {
+  // Additive pivots come first (atoms before them are confined to
+  // pre-delta facts, so each match is enumerated under exactly one such
+  // pivot — its first delta atom), then the merge-dirtied extras pivots.
+  size_t total = 0;
+  for (const plan::BodyPlan::Pivot& p : plan.pivots) {
+    size_t begin = delta.begin(p.relation);
+    size_t end = delta.end(p.relation);
+    if (begin < end) total += end - begin;
+    total += delta.extras(p.relation).size();
+  }
+  parts->clear();
+  if (total == 0) return;
+  if (max_partitions == 0) max_partitions = 1;
+  // Equal-width chunks of the combined pivot space; chunks never span
+  // pivots, so the count can exceed the cap by at most one per pivot.
+  size_t chunk = std::max<size_t>(1, (total + max_partitions - 1) /
+                                         max_partitions);
+  for (size_t pivot = 0; pivot < plan.pivots.size(); ++pivot) {
+    size_t begin = delta.begin(plan.pivots[pivot].relation);
+    size_t end = delta.end(plan.pivots[pivot].relation);
+    for (size_t s = begin; s < end; s += chunk) {
+      parts->push_back({pivot, s, std::min(end, s + chunk), false});
+    }
+  }
+  for (size_t pivot = 0; pivot < plan.pivots.size(); ++pivot) {
+    size_t count = delta.extras(plan.pivots[pivot].relation).size();
+    for (size_t s = 0; s < count; s += chunk) {
+      parts->push_back({pivot, s, std::min(count, s + chunk), true});
+    }
+  }
+}
+
+bool EnumerateMatchesDeltaPartitionPlanned(
     const plan::BodyPlan& plan, const Instance& instance,
     const DeltaView& delta, const DeltaPartition& partition,
     const Binding& partial, const std::function<bool(const Binding&)>& fn) {
   PDX_CHECK_EQ(static_cast<int>(partial.bound.size()), plan.var_count);
-  PDX_CHECK_LT(partition.pivot, plan.code.variants.size());
-  const plan::BodyCode& code = plan.code;
-  const plan::BodyCode::Variant& v = code.variants[partition.pivot];
-  const plan::DeltaVariant& variant = plan.variants[partition.pivot];
-  const TupleList tuples = instance.tuples(variant.pivot_relation);
+  PDX_CHECK_LT(partition.pivot, plan.pivots.size());
+  const plan::BodyPlan::Pivot& v = plan.pivots[partition.pivot];
+  const TupleList tuples = instance.tuples(v.relation);
   const bool resolved = instance.has_merges();
   const ValueResolver* resolver = resolved ? &instance.resolver() : nullptr;
   VmLease ctx;
   AssignResolvedPartial(instance, partial, &ctx->start);
-  EnsureVmFrames(ctx.get(), code.max_depth);
-  const int additive_pivot = partition.over_extras ? -1 : variant.pivot;
-  const plan::Instr* instrs = code.code.data();
-  // Unifies one pivot tuple then runs the variant's rest program.
+  EnsureVmFrames(ctx.get(), plan.max_depth);
+  const int additive_pivot =
+      partition.over_extras ? -1 : static_cast<int>(partition.pivot);
+  const plan::Instr* instrs = plan.code.data();
+  // Unifies one pivot tuple then runs the pivot's rest program.
   auto run_pivot = [&](size_t idx) {
     ctx->binding = ctx->start;
     ctx->trail.clear();
     const Value* tuple = tuples.data() + idx * tuples.arity();
     if (resolved) {
-      if (!RunSlots<true>(ctx.get(), instrs, v.pivot_begin, v.pivot_end,
+      if (!RunSlots<true>(ctx.get(), instrs, v.slots_begin, v.slots_end,
                           tuple, resolver)) {
         return false;
       }
-      return RunLoops<true>(ctx.get(), code, v.entry, instance, resolver,
+      return RunLoops<true>(ctx.get(), plan, v.entry, instance, resolver,
                             &delta, additive_pivot, fn);
     }
-    if (!RunSlots<false>(ctx.get(), instrs, v.pivot_begin, v.pivot_end,
+    if (!RunSlots<false>(ctx.get(), instrs, v.slots_begin, v.slots_end,
                          tuple, resolver)) {
       return false;
     }
-    return RunLoops<false>(ctx.get(), code, v.entry, instance, resolver,
+    return RunLoops<false>(ctx.get(), plan, v.entry, instance, resolver,
                            &delta, additive_pivot, fn);
   };
   if (!partition.over_extras) {
@@ -443,7 +476,7 @@ bool VmEnumerateMatchesDeltaPartition(
     }
     return false;
   }
-  const std::vector<int>& extra = delta.extras(variant.pivot_relation);
+  const std::vector<int>& extra = delta.extras(v.relation);
   PDX_CHECK_LE(partition.end, extra.size());
   for (size_t e = partition.begin; e < partition.end; ++e) {
     const size_t idx = static_cast<size_t>(extra[e]);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "hom/match_vm.h"
-#include "plan/ir.h"
 
 namespace pdx {
 
@@ -220,53 +218,25 @@ bool EnumerateMatchesDelta(const std::vector<Atom>& atoms, int var_count,
                            const Instance& instance, const DeltaView& delta,
                            const Binding& partial,
                            const std::function<bool(const Binding&)>& fn) {
-  // One partition per non-empty pivot: enumerating them in order is, by
-  // construction, the whole semi-naive enumeration (see
-  // PartitionDeltaMatches).
-  for (const DeltaPartition& part : PartitionDeltaMatches(atoms, delta, 1)) {
-    if (EnumerateMatchesDeltaPartition(atoms, var_count, instance, delta,
-                                       part, partial, fn)) {
-      return true;
+  // One partition per non-empty pivot range: additive pivots first (atoms
+  // before them are confined to pre-delta facts, so each match is
+  // enumerated under exactly one such pivot — its first delta atom), then
+  // the merge-dirtied extras pivots.
+  for (bool over_extras : {false, true}) {
+    for (size_t pivot = 0; pivot < atoms.size(); ++pivot) {
+      const RelationId rel = atoms[pivot].relation;
+      const DeltaPartition part =
+          over_extras
+              ? DeltaPartition{pivot, 0, delta.extras(rel).size(), true}
+              : DeltaPartition{pivot, delta.begin(rel), delta.end(rel), false};
+      if (part.begin >= part.end) continue;
+      if (EnumerateMatchesDeltaPartition(atoms, var_count, instance, delta,
+                                         part, partial, fn)) {
+        return true;
+      }
     }
   }
   return false;
-}
-
-std::vector<DeltaPartition> PartitionDeltaMatches(
-    const std::vector<Atom>& atoms, const DeltaView& delta,
-    size_t max_partitions) {
-  // Additive pivots come first (atoms before them are confined to
-  // pre-delta facts, so each match is enumerated under exactly one such
-  // pivot — its first delta atom), then the merge-dirtied extras pivots,
-  // mirroring EnumerateMatchesDelta's historical order.
-  size_t total = 0;
-  for (const Atom& atom : atoms) {
-    size_t begin = delta.begin(atom.relation);
-    size_t end = delta.end(atom.relation);
-    if (begin < end) total += end - begin;
-    total += delta.extras(atom.relation).size();
-  }
-  std::vector<DeltaPartition> parts;
-  if (total == 0) return parts;
-  if (max_partitions == 0) max_partitions = 1;
-  // Equal-width chunks of the combined pivot space; chunks never span
-  // pivots, so the count can exceed the cap by at most one per pivot.
-  size_t chunk = std::max<size_t>(1, (total + max_partitions - 1) /
-                                         max_partitions);
-  for (size_t pivot = 0; pivot < atoms.size(); ++pivot) {
-    size_t begin = delta.begin(atoms[pivot].relation);
-    size_t end = delta.end(atoms[pivot].relation);
-    for (size_t s = begin; s < end; s += chunk) {
-      parts.push_back({pivot, s, std::min(end, s + chunk), false});
-    }
-  }
-  for (size_t pivot = 0; pivot < atoms.size(); ++pivot) {
-    size_t count = delta.extras(atoms[pivot].relation).size();
-    for (size_t s = 0; s < count; s += chunk) {
-      parts.push_back({pivot, s, std::min(count, s + chunk), true});
-    }
-  }
-  return parts;
 }
 
 bool EnumerateMatchesDeltaPartition(
@@ -341,66 +311,6 @@ bool HasMatch(const std::vector<Atom>& atoms, int var_count,
 bool HasMatch(const std::vector<Atom>& atoms, int var_count,
               const Instance& instance) {
   return HasMatch(atoms, var_count, instance, Binding::Empty(var_count));
-}
-
-// --- Plan-driven entry points --------------------------------------------
-//
-// Every BodyPlan comes from plan::CompileBody, which always lowers it to
-// bytecode, so the planned entry points are thin wrappers over the match VM.
-
-bool EnumerateMatchesPlanned(const plan::BodyPlan& plan,
-                             const Instance& instance, const Binding& partial,
-                             const std::function<bool(const Binding&)>& fn) {
-  PDX_DCHECK(!plan.code.code.empty());
-  return VmEnumerateMatches(plan, instance, partial, fn);
-}
-
-bool EnumerateMatchesDeltaPlanned(
-    const plan::BodyPlan& plan, const Instance& instance,
-    const DeltaView& delta, const Binding& partial,
-    const std::function<bool(const Binding&)>& fn) {
-  // Mirrors EnumerateMatchesDelta's partition order exactly: one partition
-  // per non-empty additive pivot (in atom order), then per non-empty
-  // extras pivot.
-  for (size_t pivot = 0; pivot < plan.variants.size(); ++pivot) {
-    const RelationId rel = plan.variants[pivot].pivot_relation;
-    const size_t begin = delta.begin(rel);
-    const size_t end = delta.end(rel);
-    if (begin >= end) continue;
-    DeltaPartition part{pivot, begin, end, false};
-    if (EnumerateMatchesDeltaPartitionPlanned(plan, instance, delta, part,
-                                              partial, fn)) {
-      return true;
-    }
-  }
-  for (size_t pivot = 0; pivot < plan.variants.size(); ++pivot) {
-    const RelationId rel = plan.variants[pivot].pivot_relation;
-    const size_t count = delta.extras(rel).size();
-    if (count == 0) continue;
-    DeltaPartition part{pivot, 0, count, true};
-    if (EnumerateMatchesDeltaPartitionPlanned(plan, instance, delta, part,
-                                              partial, fn)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool EnumerateMatchesDeltaPartitionPlanned(
-    const plan::BodyPlan& plan, const Instance& instance,
-    const DeltaView& delta, const DeltaPartition& partition,
-    const Binding& partial, const std::function<bool(const Binding&)>& fn) {
-  PDX_DCHECK(!plan.code.code.empty());
-  return VmEnumerateMatchesDeltaPartition(plan, instance, delta, partition,
-                                          partial, fn);
-}
-
-bool HasMatchPlanned(const plan::BodyPlan& plan, const Instance& instance,
-                     const Binding& partial) {
-  // The VM's dedicated existence entry point skips the std::function
-  // plumbing and point-looks-up fully bound single-atom plans.
-  PDX_DCHECK(!plan.code.code.empty());
-  return VmHasMatch(plan, instance, partial);
 }
 
 }  // namespace pdx

@@ -1,6 +1,13 @@
 #ifndef PDX_HOM_MATCHER_H_
 #define PDX_HOM_MATCHER_H_
 
+// The interpreter: conjunctive matching straight off an atom list, for
+// the one-shot callers that have no compiled plan (conjunctive queries,
+// datalog, implication, Satisfies*) and as the kRestrictedNaive oracle
+// and reference semantics the compiled path (hom/match_vm.h) is tested
+// against. Also the match vocabulary both share: Binding and
+// DeltaPartition.
+
 #include <functional>
 #include <vector>
 
@@ -54,8 +61,8 @@ bool EnumerateMatches(const std::vector<Atom>& atoms, int var_count,
 
 // The interpreted delta enumerators below (EnumerateMatchesDelta and
 // EnumerateMatchesDeltaPartition) have no production caller: every delta
-// engine runs its compiled plans through the *Planned twins further down.
-// They stay as the reference semantics the match VM is checked against
+// engine runs its compiled plans through the match VM (hom/match_vm.h).
+// They stay as the reference semantics the VM is checked against
 // (plan_compiler_test, DeltaExecutorMatchesInterpreterPerPartition).
 //
 // Delta-restricted enumeration (the semi-naive restriction): enumerates
@@ -81,7 +88,8 @@ bool EnumerateMatchesDelta(const std::vector<Atom>& atoms, int var_count,
                            const std::function<bool(const Binding&)>& fn);
 
 // One slice of the work EnumerateMatchesDelta performs: the pivot atom
-// `pivot` ranges over a sub-range of the delta. When `over_extras` is
+// `pivot` ranges over a sub-range of the delta (PartitionDeltaMatches in
+// hom/match_vm.h slices a compiled body into these). When `over_extras` is
 // false, [begin, end) slices the additive tuple range
 // [delta.begin, delta.end) of the pivot's relation; otherwise it slices
 // positions of delta.extras(relation). Atoms before an additive pivot are
@@ -92,17 +100,6 @@ struct DeltaPartition {
   size_t end = 0;
   bool over_extras = false;
 };
-
-// Slices the work of EnumerateMatchesDelta(atoms, instance, delta) into at
-// most ~max_partitions independent partitions of comparable pivot width.
-// Enumerating the partitions one after another, in the returned order,
-// visits exactly the matches EnumerateMatchesDelta visits, in the same
-// order — so a parallel caller that concatenates per-partition results in
-// partition order reproduces the sequential enumeration bit for bit.
-// Deterministic: a pure function of (atoms, delta, max_partitions).
-std::vector<DeltaPartition> PartitionDeltaMatches(
-    const std::vector<Atom>& atoms, const DeltaView& delta,
-    size_t max_partitions);
 
 // Enumerates the matches of one partition. Callback and return semantics
 // are identical to EnumerateMatches; `instance` and `delta` must be the
@@ -121,51 +118,6 @@ bool HasMatch(const std::vector<Atom>& atoms, int var_count,
 // Convenience: HasMatch from the empty binding.
 bool HasMatch(const std::vector<Atom>& atoms, int var_count,
               const Instance& instance);
-
-namespace plan {
-struct BodyPlan;
-}  // namespace plan
-
-// --- Plan-driven entry points (the dependency compiler, plan/ir.h) ------
-//
-// Each mirrors its interpreted counterpart above, executing a compiled
-// BodyPlan's bytecode on the match VM (hom/match_vm.h) instead of
-// searching the atom list: the plan's static join
-// order, access paths and unification programs replace the per-node
-// fewest-candidates selection and per-call index probing. The enumerated
-// match *set* is identical to the interpreter's (per delta partition, per
-// pivot — the same pivot confinement semantics apply); the enumeration
-// *order* may differ, which every consumer tolerates (collect-then-apply
-// phases gather full pending sets, and result contracts are stated on
-// resolved views / canonical fingerprints). Bindings reported to `fn`
-// hold resolved values, exactly as in the interpreted paths. The partial
-// binding may bind any subset of variables: plans compiled under a
-// different assumed-bound set stay correct (kBind ops verify at runtime),
-// only access-path quality is tuned to the compiled assumption.
-
-// EnumerateMatches through `plan.full`.
-bool EnumerateMatchesPlanned(const plan::BodyPlan& plan,
-                             const Instance& instance, const Binding& partial,
-                             const std::function<bool(const Binding&)>& fn);
-
-// EnumerateMatchesDelta through the plan's pivot-rotation variants, in the
-// interpreter's pivot order (additive pivots first, then extras).
-bool EnumerateMatchesDeltaPlanned(
-    const plan::BodyPlan& plan, const Instance& instance,
-    const DeltaView& delta, const Binding& partial,
-    const std::function<bool(const Binding&)>& fn);
-
-// EnumerateMatchesDeltaPartition through `plan.variants[partition.pivot]`.
-// The partition must have been built (PartitionDeltaMatches) against the
-// same atom list the plan was compiled from.
-bool EnumerateMatchesDeltaPartitionPlanned(
-    const plan::BodyPlan& plan, const Instance& instance,
-    const DeltaView& delta, const DeltaPartition& partition,
-    const Binding& partial, const std::function<bool(const Binding&)>& fn);
-
-// HasMatch through `plan.full`.
-bool HasMatchPlanned(const plan::BodyPlan& plan, const Instance& instance,
-                     const Binding& partial);
 
 }  // namespace pdx
 

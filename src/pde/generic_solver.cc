@@ -1,6 +1,7 @@
 #include "pde/generic_solver.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -9,10 +10,9 @@
 
 #include "base/thread_pool.h"
 #include "chase/chase.h"
-#include "hom/matcher.h"
+#include "chase/delta_phase.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/compiler.h"
 #include "plan/ir.h"
 #include "pde/solution.h"
 #include "plan/plan_cache.h"
@@ -59,16 +59,9 @@ enum class TsStatus {
 // A violated st/t tgd trigger to branch on.
 struct PendingTrigger {
   const Tgd* tgd = nullptr;
+  const plan::ApplyTemplate* apply = nullptr;
   Binding binding;
 };
-
-// True if some body atom could match inside the delta at all.
-bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
-  for (const Atom& atom : body) {
-    if (delta.dirty(atom.relation)) return true;
-  }
-  return false;
-}
 
 class Searcher {
  public:
@@ -85,34 +78,39 @@ class Searcher {
     for (const Tgd& tgd : setting_.st_tgds()) tgd_order_.push_back(&tgd);
     for (const Tgd& tgd : setting_.target_tgds()) tgd_order_.push_back(&tgd);
     tgd_cands_.resize(tgd_order_.size());
+    // One cache probe per solve, keyed by the combined setting: the st and
+    // target tgds in tgd_order_ order (so compiled_->tgds[t] pairs with
+    // tgd_order_[t]), then Σ_ts in check form as one tgd per (dependency,
+    // head disjunct), whose body plans drive candidate discovery and whose
+    // head plans (compiled with the body variables bound) the checks. Node
+    // re-chases never recompile; repeated solves of the same setting hit
+    // the process cache.
+    std::vector<Tgd> all_tgds;
+    for (const Tgd* tgd : tgd_order_) all_tgds.push_back(*tgd);
+    std::vector<size_t> ts_heads;  // per ts dependency: its disjunct count
     for (const Tgd& tgd : setting_.ts_tgds()) {
-      ts_deps_.push_back({&tgd.body, {&tgd.head}, tgd.var_count});
+      all_tgds.push_back(tgd);
+      ts_heads.push_back(1);
     }
     for (const DisjunctiveTgd& tgd : setting_.ts_disjunctive_tgds()) {
-      TsDep dep{&tgd.body, {}, tgd.var_count};
-      dep.heads.reserve(tgd.head_disjuncts.size());
-      for (const std::vector<Atom>& d : tgd.head_disjuncts) {
-        dep.heads.push_back(&d);
+      PDX_CHECK(!tgd.head_disjuncts.empty());
+      for (const std::vector<Atom>& disjunct : tgd.head_disjuncts) {
+        all_tgds.push_back(
+            {tgd.body, disjunct, tgd.var_count, tgd.existential, {}});
+      }
+      ts_heads.push_back(tgd.head_disjuncts.size());
+    }
+    compiled_ = plan::PlanCache::Global().GetOrCompile(all_tgds,
+                                                       setting_.target_egds());
+    size_t next = tgd_order_.size();
+    for (size_t heads : ts_heads) {
+      TsDep dep{&compiled_->tgds[next].body, {}, all_tgds[next].var_count};
+      for (size_t h = 0; h < heads; ++h, ++next) {
+        dep.heads.push_back(&compiled_->tgds[next].head);
       }
       ts_deps_.push_back(std::move(dep));
     }
     ts_cands_.resize(ts_deps_.size());
-    // One cache probe per solve, keyed by the combined st+target setting in
-    // tgd_order_ order (so compiled_->tgds[t] pairs with tgd_order_[t]).
-    // Node re-chases never recompile; repeated solves of the same setting
-    // hit the process cache.
-    std::vector<Tgd> all_tgds;
-    all_tgds.reserve(tgd_order_.size());
-    for (const Tgd* tgd : tgd_order_) all_tgds.push_back(*tgd);
-    compiled_ = plan::PlanCache::Global().GetOrCompile(all_tgds,
-                                                       setting_.target_egds());
-    // Σ_ts acts as checks, not chase rules: only the body programs are
-    // worth compiling (the head probes run against cached bindings with
-    // per-disjunct atom lists, which stay interpreted).
-    ts_body_plans_.reserve(ts_deps_.size());
-    for (const TsDep& dep : ts_deps_) {
-      ts_body_plans_.push_back(plan::CompileBody(*dep.body, dep.var_count, {}));
-    }
   }
 
   GenericSolveResult Run(Instance start) {
@@ -122,6 +120,16 @@ class Searcher {
                       ? ThreadPool::HardwareConcurrency()
                       : options_.num_threads;
     if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+    // The egd probe's nulls: one id per existential of the widest tgd,
+    // reserved once and reused by every probe of this solve.
+    if (has_egds_) {
+      uint32_t most = 0;
+      for (size_t t = 0; t < tgd_order_.size(); ++t) {
+        most = std::max(most, static_cast<uint32_t>(
+                                  compiled_->tgds[t].apply.fresh_per_trigger));
+      }
+      if (most > 0) probe_null_base_ = symbols_->ReserveNullRange(most);
+    }
     // At the root everything is "new", so the root's candidate discovery
     // is the one full scan; below the root, children only discover what
     // they added or merged.
@@ -151,11 +159,12 @@ class Searcher {
   }
 
  private:
-  // One ts dependency in check form: body plus the admissible head options
-  // (a single head for plain tgds, one per disjunct otherwise).
+  // One ts dependency in check form: the compiled body plus the
+  // admissible head options (a single head for plain tgds, one per
+  // disjunct otherwise), all plans owned by compiled_.
   struct TsDep {
-    const std::vector<Atom>* body;
-    std::vector<const std::vector<Atom>*> heads;
+    const plan::BodyPlan* body;
+    std::vector<const plan::BodyPlan*> heads;
     int var_count;
   };
 
@@ -287,26 +296,13 @@ class Searcher {
     InstanceSnapshot snapshot(k);
     std::vector<std::optional<Value>> forced(exist_vars.size());
     if (has_egds_ && !exist_vars.empty() &&
-        !ProbeAssignment(snapshot, *trigger.tgd, trigger.binding, exist_vars,
-                         domain, &forced)) {
+        !ProbeAssignment(snapshot, *trigger.apply, trigger.binding,
+                         exist_vars, domain, &forced)) {
       ++result_.nodes_pruned;  // every assignment clashes
       return false;
     }
-    return BranchOnAssignment(snapshot, depth, *trigger.tgd, trigger.binding,
-                              exist_vars, forced, 0, domain);
-  }
-
-  // Adds the head of `tgd` under `binding` to `k`.
-  static void AddHead(const Tgd& tgd, const Binding& binding, Instance* k) {
-    for (const Atom& atom : tgd.head) {
-      Tuple tuple;
-      tuple.reserve(atom.terms.size());
-      for (const Term& t : atom.terms) {
-        tuple.push_back(t.is_constant() ? t.constant()
-                                        : binding.values[t.var()]);
-      }
-      k->AddFact(atom.relation, std::move(tuple));
-    }
+    return BranchOnAssignment(snapshot, depth, *trigger.apply,
+                              trigger.binding, exist_vars, forced, 0, domain);
   }
 
   // The most-general probe of a branching node: one branch in which every
@@ -319,19 +315,24 @@ class Searcher {
   // forced[i] is set when the probe equates exist_vars[i] with a value r
   // of `domain`: the fresh-null choice for it is then the same state as
   // choosing r, and when r is a constant every other constant clashes.
-  bool ProbeAssignment(const InstanceSnapshot& snapshot, const Tgd& tgd,
-                       Binding binding,
+  // The probe nulls are the ids reserved once per solve (Run): the probe
+  // instance is discarded before any child runs and no forced value is a
+  // probe null, so no search state ever holds them and every probe may
+  // reuse them.
+  bool ProbeAssignment(const InstanceSnapshot& snapshot,
+                       const plan::ApplyTemplate& apply, Binding binding,
                        const std::vector<VariableId>& exist_vars,
                        const std::vector<Value>& domain,
                        std::vector<std::optional<Value>>* forced) {
     std::vector<Value> probe_nulls;
     probe_nulls.reserve(exist_vars.size());
     for (VariableId v : exist_vars) {
-      probe_nulls.push_back(symbols_->FreshNull());
+      probe_nulls.push_back(Value::Null(
+          probe_null_base_ + static_cast<uint32_t>(probe_nulls.size())));
       binding.Bind(v, probe_nulls.back());
     }
     Instance probe = snapshot.Branch();
-    AddHead(tgd, binding, &probe);
+    AddHeadFacts(apply, binding.values.data(), &probe);
     std::vector<std::vector<int>> extras;
     if (!ApplyEgdFixpoint(&probe, snapshot.watermark(), &extras)) {
       return false;
@@ -377,13 +378,13 @@ class Searcher {
   // r skips its fresh null (the same state as r), and every other
   // constant when r is a constant (a certain clash).
   bool BranchOnAssignment(const InstanceSnapshot& snapshot, int depth,
-                          const Tgd& tgd, Binding binding,
+                          const plan::ApplyTemplate& apply, Binding binding,
                           const std::vector<VariableId>& exist_vars,
                           const std::vector<std::optional<Value>>& forced,
                           size_t i, std::vector<Value>& domain) {
     if (i == exist_vars.size()) {
       Instance k2 = snapshot.Branch();
-      AddHead(tgd, binding, &k2);
+      AddHeadFacts(apply, binding.values.data(), &k2);
       return Explore(std::move(k2), depth + 1, snapshot.watermark());
     }
     VariableId v = exist_vars[i];
@@ -398,7 +399,7 @@ class Searcher {
         continue;
       }
       binding.Bind(v, domain[d]);
-      if (BranchOnAssignment(snapshot, depth, tgd, binding, exist_vars,
+      if (BranchOnAssignment(snapshot, depth, apply, binding, exist_vars,
                              forced, i + 1, domain)) {
         return true;
       }
@@ -411,8 +412,8 @@ class Searcher {
     Value fresh = symbols_->FreshNull();
     binding.Bind(v, fresh);
     domain.push_back(fresh);
-    bool stop = BranchOnAssignment(snapshot, depth, tgd, binding, exist_vars,
-                                   forced, i + 1, domain);
+    bool stop = BranchOnAssignment(snapshot, depth, apply, binding,
+                                   exist_vars, forced, i + 1, domain);
     domain.pop_back();
     return stop;
   }
@@ -455,39 +456,53 @@ class Searcher {
   // node: returns false in that case.
   bool DiscoverCandidates(const Instance& k, const DeltaView& delta) {
     for (size_t t = 0; t < tgd_order_.size(); ++t) {
-      const Tgd& tgd = *tgd_order_[t];
-      if (!TouchesDelta(tgd.body, delta)) continue;
       const plan::TgdPlan& plan = compiled_->tgds[t];
-      EnumerateMatchesDeltaPlanned(
-          plan.body, k, delta, Binding::Empty(tgd.var_count),
-          [&](const Binding& match) {
-            ++result_.candidates_discovered;
-            if (!HasMatchPlanned(plan.head, k, match)) {
-              tgd_cands_[t].push_back({match, false});
-            }
-            return true;
-          });
+      if (!TouchesDelta(plan.body, delta)) continue;
+      CollectDeltaSlots(plan.body, k, delta, /*pool=*/nullptr, 0, &discovered_,
+                        [&](std::vector<Candidate>* out, const Binding& m) {
+                          ++result_.candidates_discovered;
+                          if (HasMatchPlanned(plan.head, k, m)) return false;
+                          out->push_back({m, false});
+                          return true;
+                        });
+      AppendDiscovered(&tgd_cands_[t]);
     }
     bool permanent = false;
     for (size_t j = 0; j < ts_deps_.size() && !permanent; ++j) {
       const TsDep& dep = ts_deps_[j];
       if (!TouchesDelta(*dep.body, delta)) continue;
-      EnumerateMatchesDeltaPlanned(
-          ts_body_plans_[j], k, delta, Binding::Empty(dep.var_count),
-          [&](const Binding& match) {
-            ++result_.candidates_discovered;
-            for (const std::vector<Atom>* head : dep.heads) {
-              if (HasMatch(*head, dep.var_count, k, match)) return true;
-            }
-            if (IsPermanentViolation(k, match, dep.var_count)) {
-              permanent = true;
-              return false;  // stop: the node is dead
-            }
-            ts_cands_[j].push_back({match, false});
-            return true;
-          });
+      CollectDeltaSlots(*dep.body, k, delta, /*pool=*/nullptr, 0,
+                        &discovered_,
+                        [&](std::vector<Candidate>* out, const Binding& m) {
+                          if (permanent) return false;  // the node is dead
+                          ++result_.candidates_discovered;
+                          if (TsSatisfied(dep, k, m)) return false;
+                          if (IsPermanentViolation(k, m, dep.var_count)) {
+                            permanent = true;
+                            return false;
+                          }
+                          out->push_back({m, false});
+                          return true;
+                        });
+      if (!permanent) AppendDiscovered(&ts_cands_[j]);
     }
     return !permanent;
+  }
+
+  // Moves the candidates the last discovery collected into `bucket`.
+  void AppendDiscovered(std::vector<Candidate>* bucket) {
+    std::vector<Candidate>& found = discovered_[0];
+    bucket->insert(bucket->end(), std::make_move_iterator(found.begin()),
+                   std::make_move_iterator(found.end()));
+  }
+
+  // True if some head disjunct of `dep` holds under `match`.
+  static bool TsSatisfied(const TsDep& dep, const Instance& k,
+                          const Binding& match) {
+    for (const plan::BodyPlan* head : dep.heads) {
+      if (HasMatchPlanned(*head, k, match)) return true;
+    }
+    return false;
   }
 
   // The ts check over cached candidates: every stored candidate was
@@ -505,14 +520,7 @@ class Searcher {
       for (size_t c = 0; c < bucket.size(); ++c) {
         if (bucket[c].satisfied) continue;
         ++result_.candidate_checks;
-        bool sat = false;
-        for (const std::vector<Atom>* head : dep.heads) {
-          if (HasMatch(*head, dep.var_count, k, bucket[c].binding)) {
-            sat = true;
-            break;
-          }
-        }
-        if (sat) {
+        if (TsSatisfied(dep, k, bucket[c].binding)) {
           MarkSatisfied(tgd_cands_.size() + j, c);
           continue;
         }
@@ -547,6 +555,7 @@ class Searcher {
             continue;
           }
           out->tgd = &tgd;
+          out->apply = &compiled_->tgds[t].apply;
           // Re-resolve: the stored match may hold nulls merged away since
           // discovery; head instantiation must use current roots.
           out->binding = bucket[c].binding;
@@ -596,11 +605,13 @@ class Searcher {
   std::vector<std::pair<size_t, size_t>> satisfied_trail_;
   GenericSolveResult result_;
   std::unique_ptr<ThreadPool> pool_;  // egd-fixpoint collection only
-  // Compiled plans: compiled_->tgds parallel to tgd_order_, compiled_->egds
-  // parallel to setting_.target_egds(); ts_body_plans_ parallel to
-  // ts_deps_.
+  // Compiled plans: compiled_->tgds holds tgd_order_'s plans, then the
+  // Σ_ts plans ts_deps_ points into; compiled_->egds is parallel to
+  // setting_.target_egds().
   std::shared_ptr<const plan::CompiledSetting> compiled_;
-  std::vector<plan::BodyPlan> ts_body_plans_;
+  // Discovery's collect slot, reused across nodes.
+  std::vector<std::vector<Candidate>> discovered_;
+  uint32_t probe_null_base_ = 0;  // first of the egd probe's null ids
 };
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "plan/bytecode.h"
 
-#include <algorithm>
-
 #include "base/string_util.h"
 #include "plan/ir.h"
 
@@ -9,46 +7,6 @@ namespace pdx {
 namespace plan {
 
 namespace {
-
-Instr SlotInstr(const SlotOp& op) {
-  Instr instr;
-  switch (op.kind) {
-    case SlotOp::kBind: instr.op = Instr::kBind; break;
-    case SlotOp::kCheckVar: instr.op = Instr::kCheckVar; break;
-    case SlotOp::kCheckConst: instr.op = Instr::kCheckConst; break;
-  }
-  instr.pos = static_cast<int16_t>(op.pos);
-  instr.var = op.var;
-  instr.key = op.key;
-  return instr;
-}
-
-// Emits the program for `steps`: per step a loop header followed by its
-// slot instrs, then a kEmit terminator. Returns the entry offset.
-uint32_t EmitSteps(const std::vector<JoinStep>& steps,
-                   std::vector<Instr>* code) {
-  const uint32_t entry = static_cast<uint32_t>(code->size());
-  for (const JoinStep& step : steps) {
-    Instr header;
-    switch (step.access.kind) {
-      case AccessPath::kScan: header.op = Instr::kScan; break;
-      case AccessPath::kProbeConst: header.op = Instr::kProbeConst; break;
-      case AccessPath::kProbeVar: header.op = Instr::kProbeVar; break;
-    }
-    header.nops = static_cast<uint16_t>(step.ops.size());
-    header.pos = static_cast<int16_t>(step.access.pos);
-    header.atom_index = step.atom_index;
-    header.relation = step.relation;
-    header.var = step.access.var;
-    header.key = step.access.key;
-    code->push_back(header);
-    for (const SlotOp& op : step.ops) code->push_back(SlotInstr(op));
-  }
-  Instr emit;
-  emit.op = Instr::kEmit;
-  code->push_back(emit);
-  return entry;
-}
 
 const char* OpName(Instr::Op op) {
   switch (op) {
@@ -72,12 +30,12 @@ std::string CodeVarName(const std::vector<std::string>& names, VariableId v) {
 
 // Disassembles the instruction range [begin, end) stopping after kEmit.
 // Returns the offset just past the last printed instruction.
-uint32_t DumpRange(const BodyCode& code, uint32_t begin, const Schema& schema,
+uint32_t DumpRange(const BodyPlan& plan, uint32_t begin, const Schema& schema,
                    const std::vector<std::string>& var_names,
                    std::string* out) {
   uint32_t ip = begin;
-  while (ip < code.code.size()) {
-    const Instr& instr = code.code[ip];
+  while (ip < plan.code.size()) {
+    const Instr& instr = plan.code[ip];
     *out += StrCat("      ", ip, ": ", OpName(instr.op));
     switch (instr.op) {
       case Instr::kScan:
@@ -114,78 +72,20 @@ uint32_t DumpRange(const BodyCode& code, uint32_t begin, const Schema& schema,
 
 }  // namespace
 
-// Derives the ExistsProbe descriptor from the already-lowered full
-// program: valid only for a single index-accessed join level, where an
-// existence check is a point lookup. kBind on an unbound variable at run
-// time makes its position unconstrained; the runtime fast path decides
-// bound-ness per call, so every non-probe slot is recorded here with its
-// variable (or constant) and the decode cost is paid once.
-void DeriveExistsProbe(BodyCode* out) {
-  const Instr* code = out->code.data();
-  const Instr& h = code[out->full_entry];
-  if (h.op != Instr::kProbeConst && h.op != Instr::kProbeVar) return;
-  const uint32_t ops_end = out->full_entry + 1 + h.nops;
-  if (code[ops_end].op != Instr::kEmit) return;  // > 1 join level
-  ExistsProbe& probe = out->exists;
-  probe.relation = h.relation;
-  probe.pos = h.pos;
-  if (h.op == Instr::kProbeConst) {
-    probe.var = -1;
-    probe.key = h.key;
-  } else {
-    probe.var = h.var;
-  }
-  probe.slots.reserve(h.nops);
-  for (uint32_t ip = out->full_entry + 1; ip < ops_end; ++ip) {
-    const Instr& instr = code[ip];
-    ExistsProbe::Slot slot;
-    slot.pos = instr.pos;
-    if (instr.op == Instr::kCheckConst) {
-      slot.var = -1;
-      slot.key = instr.key;
-    } else {
-      slot.var = instr.var;
-    }
-    probe.slots.push_back(slot);
-  }
-  probe.valid = true;
-}
-
-BodyCode LowerBody(const BodyPlan& plan) {
-  BodyCode out;
-  out.full_entry = EmitSteps(plan.full, &out.code);
-  out.max_depth = static_cast<int>(plan.full.size());
-  out.variants.reserve(plan.variants.size());
-  for (const DeltaVariant& variant : plan.variants) {
-    BodyCode::Variant v;
-    v.pivot_begin = static_cast<uint32_t>(out.code.size());
-    for (const SlotOp& op : variant.pivot_ops) {
-      out.code.push_back(SlotInstr(op));
-    }
-    v.pivot_end = static_cast<uint32_t>(out.code.size());
-    v.entry = EmitSteps(variant.rest, &out.code);
-    out.max_depth =
-        std::max(out.max_depth, static_cast<int>(variant.rest.size()));
-    out.variants.push_back(v);
-  }
-  DeriveExistsProbe(&out);
-  return out;
-}
-
-void AppendBodyCodeDump(const BodyCode& code, const Schema& schema,
-                        const std::vector<std::string>& var_names,
-                        std::string* out) {
-  *out += StrCat("  bytecode (", code.code.size(), " instrs, max_depth=",
-                 code.max_depth, "):\n");
-  *out += StrCat("    full @", code.full_entry, ":\n");
-  DumpRange(code, code.full_entry, schema, var_names, out);
-  for (size_t pivot = 0; pivot < code.variants.size(); ++pivot) {
-    const BodyCode::Variant& v = code.variants[pivot];
+void AppendCodeDump(const BodyPlan& plan, const Schema& schema,
+                    const std::vector<std::string>& var_names,
+                    std::string* out) {
+  *out += StrCat("  bytecode (", plan.code.size(), " instrs, max_depth=",
+                 plan.max_depth, "):\n");
+  *out += StrCat("    full @", plan.full_entry, ":\n");
+  DumpRange(plan, plan.full_entry, schema, var_names, out);
+  for (size_t pivot = 0; pivot < plan.pivots.size(); ++pivot) {
+    const BodyPlan::Pivot& v = plan.pivots[pivot];
     *out += StrCat("    delta pivot atom#", pivot, " slots @[",
-                   v.pivot_begin, ",", v.pivot_end, ") rest @", v.entry,
+                   v.slots_begin, ",", v.slots_end, ") rest @", v.entry,
                    ":\n");
-    for (uint32_t ip = v.pivot_begin; ip < v.pivot_end; ++ip) {
-      const Instr& instr = code.code[ip];
+    for (uint32_t ip = v.slots_begin; ip < v.slots_end; ++ip) {
+      const Instr& instr = plan.code[ip];
       *out += StrCat("      ", ip, ": ", OpName(instr.op), " [", instr.pos,
                      "]");
       if (instr.op != Instr::kCheckConst) {
@@ -193,7 +93,7 @@ void AppendBodyCodeDump(const BodyCode& code, const Schema& schema,
       }
       out->push_back('\n');
     }
-    DumpRange(code, v.entry, schema, var_names, out);
+    DumpRange(plan, v.entry, schema, var_names, out);
   }
 }
 

@@ -1,24 +1,24 @@
 #ifndef PDX_PLAN_BYTECODE_H_
 #define PDX_PLAN_BYTECODE_H_
 
-// Linear bytecode lowered from a compiled BodyPlan (plan/ir.h): the final
-// stage of the dependency compiler. The tree-shaped JoinStep/SlotOp plan
-// is flattened into one contiguous instruction array that the register-
-// style match VM in hom/match_vm.h executes without recursion, virtual
-// dispatch, or per-call allocation.
+// The instruction set of the match VM (hom/match_vm.h): the one code the
+// dependency compiler (plan/compiler.h) emits for every compiled
+// conjunction, straight into BodyPlan::code (plan/ir.h). The VM executes
+// it without recursion, virtual dispatch, or per-call allocation.
 //
 // Layout: each join level is a loop-header instruction (kScan /
 // kProbeConst / kProbeVar) carrying the candidate source, followed by
 // `nops` slot instructions (kBind / kCheckVar / kCheckConst, the
 // unification program), then either the next level's header or a kEmit
-// terminator. Delta variants are alternate entry points into the same
-// array: a pivot slot-instruction range [pivot_begin, pivot_end) run
-// against the pivot tuple, then a `rest` program at `entry`.
+// terminator. Delta pivots are alternate entry points into the same
+// array: a pivot slot-instruction range [slots_begin, slots_end) run
+// against the pivot tuple, then a rest-of-join program at `entry`.
 //
-// Lowering is mechanical — opcode semantics are exactly the JoinStep /
-// SlotOp semantics, including the runtime bind-or-check tolerance and
-// probe-var scan degradation — so the VM enumerates the same match sets as
-// the interpreter it is cross-validated against.
+// The opcodes keep the runtime bind-or-check tolerance (kBind compares
+// when the caller already bound the variable) and probe-var scan
+// degradation (an unbound probe variable scans and binds at run time), so
+// the VM enumerates the same match sets as the interpreter it is
+// cross-validated against, whatever partial binding a caller passes.
 
 #include <cstdint>
 #include <string>
@@ -56,14 +56,17 @@ struct Instr {
 };
 
 // Precomputed existence-probe descriptor for single-level programs with
-// index access: the satisfaction fast path (VmHasMatch in hom/match_vm)
-// collapses "does a match exist?" into one hash lookup, and this
-// descriptor lets it skip re-decoding the instruction stream on every
+// index access: the satisfaction fast path (HasMatchPlanned in
+// hom/match_vm) collapses "does a match exist?" into one hash lookup, and
+// this descriptor lets it skip re-decoding the instruction stream on every
 // call. `var == -1` on the probe (or a slot) means the constant `key` is
 // used instead of a binding value. Invalid (`valid == false`) whenever
-// the program has more than one join level or scan access — the generic
+// the program has more than one join level, scan access, or more than
+// kMaxPositions tuple positions (the fast path assembles the probed tuple
+// in a fixed stack buffer with one mask bit per position) — the generic
 // VM loop handles those.
 struct ExistsProbe {
+  static constexpr int kMaxPositions = 16;
   struct Slot {
     int16_t pos = -1;
     VariableId var = -1;  // -1: compare against `key`
@@ -77,28 +80,12 @@ struct ExistsProbe {
   std::vector<Slot> slots;  // non-probe positions, in program order
 };
 
-// One BodyPlan's bytecode: the full program plus per-pivot delta variants,
-// all in one array (entry-point offsets select the program).
-struct BodyCode {
-  struct Variant {
-    uint32_t pivot_begin = 0;  // pivot slot instrs: [pivot_begin, pivot_end)
-    uint32_t pivot_end = 0;
-    uint32_t entry = 0;        // rest-of-join program (header or kEmit)
-  };
-  std::vector<Instr> code;
-  uint32_t full_entry = 0;
-  std::vector<Variant> variants;  // parallel to BodyPlan::variants
-  int max_depth = 0;              // deepest loop nesting across programs
-  ExistsProbe exists;             // full-program point-lookup descriptor
-};
-
-// Lowers `plan` (its full order and every delta variant) into bytecode.
-BodyCode LowerBody(const BodyPlan& plan);
-
-// Appends a human-readable disassembly to `out` (pdxcli --dump-plans).
-void AppendBodyCodeDump(const BodyCode& code, const Schema& schema,
-                        const std::vector<std::string>& var_names,
-                        std::string* out);
+// Appends a human-readable disassembly of `plan`'s code to `out`: the full
+// program, then per pivot its slot range and rest program (pdxcli
+// --dump-plans).
+void AppendCodeDump(const BodyPlan& plan, const Schema& schema,
+                    const std::vector<std::string>& var_names,
+                    std::string* out);
 
 }  // namespace plan
 }  // namespace pdx

@@ -39,77 +39,73 @@ int BoundTermCount(const Atom& atom, const std::vector<bool>& bound) {
   return n;
 }
 
-// Pass 2: the access path for `atom` given the entry bound set. Probing a
-// bound-variable position is preferred over a constant position: join-key
-// buckets narrow as the binding deepens, while a constant's bucket is a
-// fixed filter the slot ops re-check anyway. Lowest such position wins,
-// deterministically.
-AccessPath SelectAccess(const Atom& atom, const std::vector<bool>& bound) {
-  AccessPath access;
+// Pass 2: the loop header for `atom` given the entry bound set. Probing
+// a bound-variable position is preferred over a constant position:
+// join-key buckets narrow as the binding deepens, while a constant's
+// bucket is a fixed filter the slot instrs re-check anyway. Lowest such
+// position wins, deterministically.
+Instr SelectAccess(const Atom& atom, int atom_index,
+                   const std::vector<bool>& bound) {
+  Instr header;
+  header.op = Instr::kScan;
+  header.atom_index = atom_index;
+  header.relation = atom.relation;
   for (int pos = 0; pos < static_cast<int>(atom.terms.size()); ++pos) {
     const Term& t = atom.terms[pos];
     if (t.is_variable() && bound[t.var()]) {
-      access.kind = AccessPath::kProbeVar;
-      access.pos = pos;
-      access.var = t.var();
-      return access;
+      header.op = Instr::kProbeVar;
+      header.pos = static_cast<int16_t>(pos);
+      header.var = t.var();
+      return header;
     }
   }
   for (int pos = 0; pos < static_cast<int>(atom.terms.size()); ++pos) {
     const Term& t = atom.terms[pos];
     if (t.is_constant()) {
-      access.kind = AccessPath::kProbeConst;
-      access.pos = pos;
-      access.key = t.constant();
-      return access;
+      header.op = Instr::kProbeConst;
+      header.pos = static_cast<int16_t>(pos);
+      header.key = t.constant();
+      return header;
     }
   }
-  access.kind = AccessPath::kScan;
-  return access;
+  return header;
 }
 
-// The unification program for `atom`: one SlotOp per position except the
-// probed one (the index bucket already guarantees it), in position order.
-// Updates `bound` with the variables the ops bind.
-std::vector<SlotOp> BuildOps(const Atom& atom, int skip_pos,
-                             std::vector<bool>* bound) {
-  std::vector<SlotOp> ops;
-  ops.reserve(atom.terms.size());
+// The unification program for `atom`: one slot instr per position except
+// the probed one (the index bucket already guarantees it), in position
+// order, appended to `code`. Updates `bound` with the variables the
+// instrs bind and returns how many were appended.
+uint16_t BuildOps(const Atom& atom, int skip_pos, std::vector<bool>* bound,
+                  std::vector<Instr>* code) {
+  uint16_t nops = 0;
   for (int pos = 0; pos < static_cast<int>(atom.terms.size()); ++pos) {
     if (pos == skip_pos) continue;
     const Term& t = atom.terms[pos];
-    SlotOp op;
-    op.pos = pos;
+    Instr instr;
+    instr.pos = static_cast<int16_t>(pos);
     if (t.is_constant()) {
-      op.kind = SlotOp::kCheckConst;
-      op.key = t.constant();
+      instr.op = Instr::kCheckConst;
+      instr.key = t.constant();
     } else if ((*bound)[t.var()]) {
-      op.kind = SlotOp::kCheckVar;
-      op.var = t.var();
+      instr.op = Instr::kCheckVar;
+      instr.var = t.var();
     } else {
-      op.kind = SlotOp::kBind;
-      op.var = t.var();
+      instr.op = Instr::kBind;
+      instr.var = t.var();
       (*bound)[t.var()] = true;
     }
-    ops.push_back(op);
+    code->push_back(instr);
+    ++nops;
   }
-  return ops;
-}
-
-// Marks the variables of `atom` bound (used for the pivot atom, whose ops
-// keep every position — there is no probe to skip).
-std::vector<SlotOp> BuildPivotOps(const Atom& atom,
-                                  std::vector<bool>* bound) {
-  return BuildOps(atom, /*skip_pos=*/-1, bound);
+  return nops;
 }
 
 // Pass 1: greedy join order over `pending` (original atom indexes) from
-// the entry bound set, emitting one JoinStep per atom.
-std::vector<JoinStep> OrderSteps(const std::vector<Atom>& atoms,
-                                 std::vector<int> pending,
-                                 std::vector<bool> bound) {
-  std::vector<JoinStep> steps;
-  steps.reserve(pending.size());
+// the entry bound set, emitting per atom its loop header and slot instrs,
+// then a kEmit terminator. Returns the program's entry offset.
+uint32_t OrderSteps(const std::vector<Atom>& atoms, std::vector<int> pending,
+                    std::vector<bool> bound, std::vector<Instr>* code) {
+  const uint32_t entry = static_cast<uint32_t>(code->size());
   while (!pending.empty()) {
     size_t best = 0;
     int best_score = -1;
@@ -123,14 +119,54 @@ std::vector<JoinStep> OrderSteps(const std::vector<Atom>& atoms,
     int atom_index = pending[best];
     pending.erase(pending.begin() + best);
     const Atom& atom = atoms[atom_index];
-    JoinStep step;
-    step.relation = atom.relation;
-    step.atom_index = atom_index;
-    step.access = SelectAccess(atom, bound);
-    step.ops = BuildOps(atom, step.access.pos, &bound);
-    steps.push_back(std::move(step));
+    const size_t header = code->size();
+    code->push_back(SelectAccess(atom, atom_index, bound));
+    const uint16_t nops = BuildOps(atom, (*code)[header].pos, &bound, code);
+    (*code)[header].nops = nops;
   }
-  return steps;
+  Instr emit;
+  emit.op = Instr::kEmit;
+  code->push_back(emit);
+  return entry;
+}
+
+// Derives the ExistsProbe descriptor from the full program: valid only
+// for a single index-accessed join level of at most
+// ExistsProbe::kMaxPositions positions, where an existence check is a
+// point lookup. kBind on an unbound variable at run time makes its
+// position unconstrained; the runtime fast path decides bound-ness per
+// call, so every non-probe slot is recorded here with its variable (or
+// constant) and the decode cost is paid once.
+void DeriveExistsProbe(BodyPlan* plan) {
+  const Instr* code = plan->code.data();
+  const Instr& h = code[plan->full_entry];
+  if (h.op != Instr::kProbeConst && h.op != Instr::kProbeVar) return;
+  if (h.nops + 1 > ExistsProbe::kMaxPositions) return;
+  const uint32_t ops_end = plan->full_entry + 1 + h.nops;
+  if (code[ops_end].op != Instr::kEmit) return;  // > 1 join level
+  ExistsProbe& probe = plan->exists;
+  probe.relation = h.relation;
+  probe.pos = h.pos;
+  if (h.op == Instr::kProbeConst) {
+    probe.var = -1;
+    probe.key = h.key;
+  } else {
+    probe.var = h.var;
+  }
+  probe.slots.reserve(h.nops);
+  for (uint32_t ip = plan->full_entry + 1; ip < ops_end; ++ip) {
+    const Instr& instr = code[ip];
+    ExistsProbe::Slot slot;
+    slot.pos = instr.pos;
+    if (instr.op == Instr::kCheckConst) {
+      slot.var = -1;
+      slot.key = instr.key;
+    } else {
+      slot.var = instr.var;
+    }
+    probe.slots.push_back(slot);
+  }
+  probe.valid = true;
 }
 
 ApplyTemplate BuildApplyTemplate(const Tgd& tgd) {
@@ -168,53 +204,6 @@ ApplyTemplate BuildApplyTemplate(const Tgd& tgd) {
   return out;
 }
 
-const char* AccessKindName(AccessPath::Kind kind) {
-  switch (kind) {
-    case AccessPath::kScan: return "scan";
-    case AccessPath::kProbeConst: return "probe-const";
-    case AccessPath::kProbeVar: return "probe-var";
-  }
-  return "?";
-}
-
-std::string VarName(const std::vector<std::string>& names, VariableId v) {
-  if (static_cast<size_t>(v) < names.size() && !names[v].empty()) {
-    return names[v];
-  }
-  return StrCat("v", v);
-}
-
-void DumpSteps(const std::vector<JoinStep>& steps, const Schema& schema,
-               const std::vector<std::string>& var_names, std::string* out) {
-  for (const JoinStep& step : steps) {
-    *out += StrCat("    step atom#", step.atom_index, " ",
-                   schema.relation_name(step.relation), " ",
-                   AccessKindName(step.access.kind));
-    if (step.access.kind == AccessPath::kProbeVar) {
-      *out += StrCat("[", step.access.pos, "]=",
-                     VarName(var_names, step.access.var));
-    } else if (step.access.kind == AccessPath::kProbeConst) {
-      *out += StrCat("[", step.access.pos, "]=const");
-    }
-    int binds = 0;
-    for (const SlotOp& op : step.ops) {
-      if (op.kind == SlotOp::kBind) ++binds;
-    }
-    *out += StrCat(" binds=", binds, "\n");
-  }
-}
-
-void DumpBody(const BodyPlan& plan, const Schema& schema,
-              const std::vector<std::string>& var_names, std::string* out) {
-  *out += "  full:\n";
-  DumpSteps(plan.full, schema, var_names, out);
-  for (const DeltaVariant& variant : plan.variants) {
-    *out += StrCat("  delta pivot atom#", variant.pivot, " ",
-                   schema.relation_name(variant.pivot_relation), ":\n");
-    DumpSteps(variant.rest, schema, var_names, out);
-  }
-}
-
 }  // namespace
 
 uint64_t SettingFingerprint(const std::vector<Tgd>& tgds,
@@ -243,28 +232,30 @@ BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
                      const std::vector<bool>& initially_bound) {
   BodyPlan plan;
   plan.var_count = var_count;
-  plan.atom_count = static_cast<int>(atoms.size());
-  plan.initially_bound = initially_bound;
-  plan.initially_bound.resize(var_count, false);
+  std::vector<bool> entry_bound = initially_bound;
+  entry_bound.resize(var_count, false);
   std::vector<int> all(atoms.size());
   for (size_t i = 0; i < atoms.size(); ++i) all[i] = static_cast<int>(i);
-  plan.full = OrderSteps(atoms, all, plan.initially_bound);
-  // Pass 3: one pivot-rotation variant per atom, the pivot unified first.
-  plan.variants.reserve(atoms.size());
+  plan.full_entry = OrderSteps(atoms, all, entry_bound, &plan.code);
+  plan.max_depth = static_cast<int>(atoms.size());
+  // Pass 3: one pivot entry per atom, the pivot unified first.
+  plan.pivots.reserve(atoms.size());
   for (size_t pivot = 0; pivot < atoms.size(); ++pivot) {
-    DeltaVariant variant;
-    variant.pivot = static_cast<int>(pivot);
-    variant.pivot_relation = atoms[pivot].relation;
-    std::vector<bool> bound = plan.initially_bound;
-    variant.pivot_ops = BuildPivotOps(atoms[pivot], &bound);
+    BodyPlan::Pivot p;
+    p.relation = atoms[pivot].relation;
+    std::vector<bool> bound = entry_bound;
+    p.slots_begin = static_cast<uint32_t>(plan.code.size());
+    BuildOps(atoms[pivot], /*skip_pos=*/-1, &bound, &plan.code);
+    p.slots_end = static_cast<uint32_t>(plan.code.size());
     std::vector<int> pending;
     for (size_t i = 0; i < atoms.size(); ++i) {
       if (i != pivot) pending.push_back(static_cast<int>(i));
     }
-    variant.rest = OrderSteps(atoms, std::move(pending), std::move(bound));
-    plan.variants.push_back(std::move(variant));
+    p.entry = OrderSteps(atoms, std::move(pending), std::move(bound),
+                         &plan.code);
+    plan.pivots.push_back(p);
   }
-  plan.code = LowerBody(plan);
+  DeriveExistsProbe(&plan);
   return plan;
 }
 
@@ -306,17 +297,14 @@ std::string DumpPlans(const CompiledSetting& compiled,
     out += StrCat("  head_width=", plan.apply.head_width,
                   " fresh_per_trigger=", plan.apply.fresh_per_trigger, "\n");
     out += " body:\n";
-    DumpBody(plan.body, schema, tgds[d].var_names, &out);
-    AppendBodyCodeDump(plan.body.code, schema, tgds[d].var_names, &out);
+    AppendCodeDump(plan.body, schema, tgds[d].var_names, &out);
     out += " head (universals bound):\n";
-    DumpSteps(plan.head.full, schema, tgds[d].var_names, &out);
+    AppendCodeDump(plan.head, schema, tgds[d].var_names, &out);
   }
   for (size_t d = 0; d < compiled.egds.size() && d < egds.size(); ++d) {
     out += StrCat("egd #", d, ": ", egds[d].ToString(schema, symbols), "\n");
     out += " body:\n";
-    DumpBody(compiled.egds[d].body, schema, egds[d].var_names, &out);
-    AppendBodyCodeDump(compiled.egds[d].body.code, schema,
-                       egds[d].var_names, &out);
+    AppendCodeDump(compiled.egds[d].body, schema, egds[d].var_names, &out);
   }
   out += StrCat("fingerprint: ", compiled.fingerprint, "\n");
   return out;

@@ -1,19 +1,21 @@
 #ifndef PDX_PLAN_IR_H_
 #define PDX_PLAN_IR_H_
 
-// The typed plan IR of the dependency compiler: a setting Σ is lowered
-// once, at load time, into per-dependency join plans that the matcher
-// executes instead of re-deriving atom order, index choice and variable
-// bindings from the raw Tgd/Egd AST on every call (see plan/compiler.h
-// for the pass pipeline and DESIGN.md "Dependency compiler").
+// The plan IR of the dependency compiler: a setting Σ is compiled once,
+// at load time, into per-dependency plans — match bytecode for every
+// body and head (plan/bytecode.h) plus the fused head apply template —
+// that the match VM executes instead of re-deriving atom order, index
+// choice and variable bindings from the raw Tgd/Egd AST on every call
+// (see plan/compiler.h for the pass pipeline and DESIGN.md "Dependency
+// compiler").
 //
 // A plan is a pure function of the dependency's structure — atom
 // relations, term shapes, variable counts — never of instance contents,
 // which is what makes compiled plans cacheable across chase rounds,
 // solver node re-chases and whole pdxcli invocations (plan/plan_cache.h).
 // Execution against a concrete Instance (including resolve-on-read under
-// egd merges and the semi-naive delta restrictions) lives in the matcher:
-// hom/matcher.h, EnumerateMatches*Planned / HasMatchPlanned.
+// egd merges and the semi-naive delta restrictions) lives in the VM:
+// hom/match_vm.h, EnumerateMatches*Planned / HasMatchPlanned.
 //
 // The compiled path enumerates exactly the match *set* the interpreter
 // enumerates — per delta partition, per pivot — but may visit it in a
@@ -34,73 +36,31 @@
 namespace pdx {
 namespace plan {
 
-// How one join step obtains its candidate tuples.
-struct AccessPath {
-  enum Kind : uint8_t {
-    kScan,        // full relation scan (nothing usefully bound)
-    kProbeConst,  // index probe at `pos` with the constant `key`
-    kProbeVar,    // index probe at `pos` with the bound value of `var`
-  };
-  Kind kind = kScan;
-  int pos = -1;          // probed tuple position (probe kinds)
-  VariableId var = -1;   // kProbeVar: variable supplying the probe key
-  Value key;             // kProbeConst: the probe key
-};
-
-// One per-position operation run against a candidate tuple's (resolved)
-// value. The probed position of the access path is skipped — the index
-// bucket already guarantees it matches.
-struct SlotOp {
-  enum Kind : uint8_t {
-    kBind,        // first occurrence of `var`: bind it (or compare, if the
-                  // caller's partial binding already bound it)
-    kCheckVar,    // later occurrence: compare against the bound value
-    kCheckConst,  // constant term: compare against `key`
-  };
-  Kind kind = kBind;
-  int pos = 0;
-  VariableId var = -1;
-  Value key;
-};
-
-// One atom of the join, in execution order: access path + unification
-// program. `atom_index` is the atom's index in the dependency's own body
-// (or head) list — the semi-naive "old facts only" restriction is keyed by
-// that original index, not by execution position.
-struct JoinStep {
-  RelationId relation = -1;
-  int atom_index = -1;
-  AccessPath access;
-  std::vector<SlotOp> ops;
-};
-
-// Pivot-rotation variant of a body plan: the execution program for the
-// case where atom `pivot` ranges over the delta (additive range or
-// merge-dirtied extras) and the remaining atoms join around it. Atoms with
-// atom_index < pivot are confined to pre-delta facts by the executor when
-// the partition is additive, mirroring EnumerateMatchesDeltaPartition.
-struct DeltaVariant {
-  int pivot = -1;
-  RelationId pivot_relation = -1;
-  std::vector<SlotOp> pivot_ops;  // unify the pivot tuple first
-  std::vector<JoinStep> rest;     // then join the remaining atoms
-};
-
-// A compiled conjunction: the static full-order program (used for
-// HasMatch-style probes and witness search) plus one delta variant per
-// atom (used by the semi-naive pivot rotation).
+// A compiled conjunction: its bytecode (plan/bytecode.h), holding the
+// full-order program (HasMatch-style probes, witness search) and one
+// pivot entry per atom (the semi-naive pivot rotation), all in one array.
+// Access paths are chosen under the variables the compiler was told are
+// bound on entry; the VM tolerates callers binding fewer or more (kBind
+// checks at run time).
 struct BodyPlan {
+  // The program for the case where atom `i` (pivots[i]) ranges over the
+  // delta (additive range or merge-dirtied extras): its slot instrs
+  // [slots_begin, slots_end) unify the pivot tuple, then the rest of the
+  // join runs from `entry`. Headers whose atom_index is below an additive
+  // pivot's are confined to pre-delta facts by the VM, mirroring
+  // EnumerateMatchesDeltaPartition.
+  struct Pivot {
+    RelationId relation = -1;
+    uint32_t slots_begin = 0;
+    uint32_t slots_end = 0;
+    uint32_t entry = 0;
+  };
   int var_count = 0;
-  int atom_count = 0;
-  // Variables assumed bound on entry (the caller's partial binding); the
-  // executor tolerates callers binding fewer or more — kBind ops check at
-  // runtime — but access paths are chosen under this assumption.
-  std::vector<bool> initially_bound;
-  std::vector<JoinStep> full;
-  std::vector<DeltaVariant> variants;  // variants[i].pivot == i
-  // Linear lowering of `full` + `variants` (plan/bytecode.h), executed by
-  // the match VM. CompileBody always fills it.
-  BodyCode code;
+  std::vector<Instr> code;
+  uint32_t full_entry = 0;
+  std::vector<Pivot> pivots;  // pivots[i]: body atom i
+  int max_depth = 0;          // deepest loop nesting across programs
+  ExistsProbe exists;         // full-program point-lookup descriptor
 };
 
 // One flat head slot of the apply template: where the value of one head

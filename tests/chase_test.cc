@@ -1,7 +1,9 @@
 #include "chase/chase.h"
 
+#include <string>
 #include <utility>
 
+#include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "chase/journal.h"
 #include "gtest/gtest.h"
@@ -267,6 +269,58 @@ TEST_F(ChaseTest, EgdFixpointMergesKeyClass) {
   EXPECT_EQ(par_instance.CanonicalFingerprint(),
             seq_instance.CanonicalFingerprint());
   for (Value v : nulls) EXPECT_EQ(par_instance.ResolveValue(v), root);
+}
+
+// Copy tgds wider than the existence fast path's 16-position probe
+// buffer: the head check of S(x0..xn-1) -> T(x0..xn-1) is one
+// index-probed level of n positions, which must fall back to the generic
+// VM loop instead of writing past the buffer. The existential variant
+// leaves the last head position free. Each run is checked against the
+// kRestrictedNaive oracle; one trigger is satisfied up front so the head
+// check decides something.
+TEST(WideTgdChaseTest, CopyTgdsWiderThanTheExistsProbeMatchTheOracle) {
+  for (int arity : {16, 17, 40}) {
+    for (bool existential : {false, true}) {
+      SCOPED_TRACE(StrCat("arity ", arity, existential ? " existential" : ""));
+      Schema schema;
+      ASSERT_TRUE(schema.AddRelation("S", arity).ok());
+      ASSERT_TRUE(schema.AddRelation("T", arity).ok());
+      SymbolTable symbols;
+      std::string body_vars, head_vars;
+      for (int i = 0; i < arity; ++i) {
+        const char* sep = i == 0 ? "" : ",";
+        body_vars += StrCat(sep, "x", i);
+        head_vars += existential && i == arity - 1 ? StrCat(sep, "z")
+                                                   : StrCat(sep, "x", i);
+      }
+      const std::string text =
+          StrCat("S(", body_vars, ") -> ", existential ? "exists z: " : "",
+                 "T(", head_vars, ").");
+      auto deps = ParseDependencies(text, schema, &symbols);
+      ASSERT_TRUE(deps.ok()) << deps.status().ToString();
+      Instance start(&schema);
+      for (int row = 0; row < 3; ++row) {
+        Tuple tuple;
+        for (int i = 0; i < arity; ++i) {
+          tuple.push_back(symbols.InternConstant(StrCat("c", row, "_", i)));
+        }
+        start.AddFact(0, tuple);
+        if (row == 0) start.AddFact(1, tuple);
+      }
+      ChaseResult got = Chase(start, deps->tgds, &symbols);
+      ChaseOptions naive;
+      naive.strategy = ChaseStrategy::kRestrictedNaive;
+      ChaseResult want = Chase(start, deps->tgds, &symbols, naive);
+      ASSERT_EQ(got.outcome, ChaseOutcome::kSuccess);
+      ASSERT_EQ(want.outcome, ChaseOutcome::kSuccess);
+      EXPECT_EQ(got.steps, 2);
+      EXPECT_EQ(got.steps, want.steps);
+      EXPECT_EQ(got.nulls_created, want.nulls_created);
+      EXPECT_EQ(got.instance.tuples(1).size(), 3u);
+      EXPECT_EQ(got.instance.CanonicalFingerprint(),
+                want.instance.CanonicalFingerprint());
+    }
+  }
 }
 
 }  // namespace

@@ -314,6 +314,25 @@ TEST_F(GenericSolverTest, EgdProbePrunesForcedBranches) {
     EXPECT_GT(result.nodes_pruned, 0);
     EXPECT_LE(result.nodes_clash + result.nodes_memo, result.nodes_explored);
   }
+
+  // The probe's nulls are reserved once per solve and reused by every
+  // branching node. When the target egd forces every existential to a
+  // target constant, the search explores no fresh-null branch, so the
+  // symbol table grows by that one-null reservation alone, however many
+  // nodes branch (one per D fact here).
+  SymbolTable forced_symbols;
+  PdeSetting forced = Unwrap(PdeSetting::Create(
+      {{"D", 2}}, {{"P", 3}}, "D(x,y) -> exists z: P(x,y,z).", "",
+      "P(x,y,z) & P(x,y2,z2) -> z = z2.", &forced_symbols));
+  Instance source =
+      ParseOrDie(forced, "D(a,b1). D(a,b2). D(a,b3).", &forced_symbols);
+  Instance target = ParseOrDie(forced, "P(a,b0,c).", &forced_symbols);
+  const uint32_t before = forced_symbols.null_count();
+  GenericSolveResult result = Unwrap(
+      GenericExistsSolution(forced, source, target, &forced_symbols));
+  EXPECT_EQ(result.outcome, SolveOutcome::kSolutionFound);
+  EXPECT_GE(result.nodes_explored, 4);
+  EXPECT_EQ(forced_symbols.null_count() - before, 1u);
 }
 
 }  // namespace

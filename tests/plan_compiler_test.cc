@@ -1,6 +1,7 @@
-// Dependency compiler tests: IR goldens for the pass pipeline (atom
+// Dependency compiler tests: bytecode goldens for the pass pipeline (atom
 // reordering, access-path selection, delta specialization, apply
-// templates), PlanCache behavior and its metrics, executor-vs-interpreter
+// templates, the full --dump-plans text), PlanCache behavior and its
+// metrics, executor-vs-interpreter
 // match-set equality (including resolve-on-read under merges and the
 // semi-naive delta restriction), and the cache criteria — solver node
 // re-chases, streaming batches and repeated solution-aware chases of one
@@ -16,6 +17,7 @@
 #include "chase/chase.h"
 #include "chase/solution_aware_chase.h"
 #include "chase/stream.h"
+#include "hom/match_vm.h"
 #include "hom/matcher.h"
 #include "logic/parser.h"
 #include "obs/metrics.h"
@@ -48,7 +50,17 @@ class PlanCompilerTest : public ::testing::Test {
   SymbolTable symbols_;
 };
 
-// --- IR goldens ----------------------------------------------------------
+// --- Bytecode goldens ----------------------------------------------------
+
+// The instructions of the program starting at `entry`, through its kEmit.
+std::vector<plan::Instr> Program(const plan::BodyPlan& body, uint32_t entry) {
+  std::vector<plan::Instr> out;
+  for (uint32_t ip = entry; ip < body.code.size(); ++ip) {
+    out.push_back(body.code[ip]);
+    if (body.code[ip].op == plan::Instr::kEmit) break;
+  }
+  return out;
+}
 
 TEST_F(PlanCompilerTest, JoinOrderScansFirstAtomThenProbesSharedVariable) {
   // E(x,z) & E(z,y): nothing bound initially, so the greedy order keeps
@@ -58,23 +70,31 @@ TEST_F(PlanCompilerTest, JoinOrderScansFirstAtomThenProbesSharedVariable) {
   ASSERT_EQ(tgds.size(), 1u);
   const Tgd& tgd = tgds[0];
   plan::BodyPlan body = plan::CompileBody(tgd.body, tgd.var_count, {});
-
-  ASSERT_EQ(body.full.size(), 2u);
-  EXPECT_EQ(body.atom_count, 2);
   EXPECT_EQ(body.var_count, tgd.var_count);
-  EXPECT_EQ(body.full[0].atom_index, 0);
-  EXPECT_EQ(body.full[0].access.kind, plan::AccessPath::kScan);
-  EXPECT_EQ(body.full[1].atom_index, 1);
-  EXPECT_EQ(body.full[1].access.kind, plan::AccessPath::kProbeVar);
-  EXPECT_EQ(body.full[1].access.pos, 0);
+  EXPECT_EQ(body.pivots.size(), 2u);
+  EXPECT_EQ(body.max_depth, 2);
+
+  const std::vector<plan::Instr> full = Program(body, body.full_entry);
+  ASSERT_EQ(full.size(), 6u);
+  EXPECT_EQ(full[0].op, plan::Instr::kScan);
+  EXPECT_EQ(full[0].atom_index, 0);
+  EXPECT_EQ(full[0].nops, 2);
+  EXPECT_EQ(full[1].op, plan::Instr::kBind);
+  EXPECT_EQ(full[1].pos, 0);
+  EXPECT_EQ(full[2].op, plan::Instr::kBind);
+  EXPECT_EQ(full[2].pos, 1);
+  EXPECT_EQ(full[3].op, plan::Instr::kProbeVar);
+  EXPECT_EQ(full[3].atom_index, 1);
+  EXPECT_EQ(full[3].pos, 0);
   // The probe variable is the one atom 0 and atom 1 share: z, the second
   // term of atom 0.
   ASSERT_TRUE(tgd.body[0].terms[1].is_variable());
-  EXPECT_EQ(body.full[1].access.var, tgd.body[0].terms[1].var());
-  // The probed position is skipped in the step's unification program.
-  ASSERT_EQ(body.full[1].ops.size(), 1u);
-  EXPECT_EQ(body.full[1].ops[0].pos, 1);
-  EXPECT_EQ(body.full[1].ops[0].kind, plan::SlotOp::kBind);
+  EXPECT_EQ(full[3].var, tgd.body[0].terms[1].var());
+  // The probed position is skipped in the level's unification program.
+  EXPECT_EQ(full[3].nops, 1);
+  EXPECT_EQ(full[4].op, plan::Instr::kBind);
+  EXPECT_EQ(full[4].pos, 1);
+  EXPECT_EQ(full[5].op, plan::Instr::kEmit);
 }
 
 TEST_F(PlanCompilerTest, ConstantTermsSelectProbeConstAndCheckConst) {
@@ -87,38 +107,58 @@ TEST_F(PlanCompilerTest, ConstantTermsSelectProbeConstAndCheckConst) {
   // Both atoms have one bound (constant) term; the tie goes to atom 0,
   // which probes its constant; atom 1 then has x bound — a bound-variable
   // probe is preferred over its constant.
-  ASSERT_EQ(body.full.size(), 2u);
-  EXPECT_EQ(body.full[0].atom_index, 0);
-  EXPECT_EQ(body.full[0].access.kind, plan::AccessPath::kProbeConst);
-  EXPECT_EQ(body.full[0].access.pos, 0);
-  EXPECT_EQ(body.full[0].access.key, symbols_.InternConstant("a"));
-  EXPECT_EQ(body.full[1].atom_index, 1);
-  EXPECT_EQ(body.full[1].access.kind, plan::AccessPath::kProbeVar);
-  EXPECT_EQ(body.full[1].access.pos, 0);
-  // Atom 1's remaining op checks the constant 'b' at position 1.
-  ASSERT_EQ(body.full[1].ops.size(), 1u);
-  EXPECT_EQ(body.full[1].ops[0].kind, plan::SlotOp::kCheckConst);
-  EXPECT_EQ(body.full[1].ops[0].key, symbols_.InternConstant("b"));
+  const std::vector<plan::Instr> full = Program(body, body.full_entry);
+  ASSERT_EQ(full.size(), 5u);
+  EXPECT_EQ(full[0].op, plan::Instr::kProbeConst);
+  EXPECT_EQ(full[0].atom_index, 0);
+  EXPECT_EQ(full[0].pos, 0);
+  EXPECT_EQ(full[0].key, symbols_.InternConstant("a"));
+  EXPECT_EQ(full[0].nops, 1);
+  EXPECT_EQ(full[1].op, plan::Instr::kBind);
+  EXPECT_EQ(full[2].op, plan::Instr::kProbeVar);
+  EXPECT_EQ(full[2].atom_index, 1);
+  EXPECT_EQ(full[2].pos, 0);
+  // Atom 1's remaining instr checks the constant 'b' at position 1.
+  ASSERT_EQ(full[2].nops, 1);
+  EXPECT_EQ(full[3].op, plan::Instr::kCheckConst);
+  EXPECT_EQ(full[3].pos, 1);
+  EXPECT_EQ(full[3].key, symbols_.InternConstant("b"));
+  EXPECT_EQ(full[4].op, plan::Instr::kEmit);
 }
 
-TEST_F(PlanCompilerTest, DeltaSpecializationEmitsOneVariantPerAtom) {
+TEST_F(PlanCompilerTest, DeltaSpecializationEmitsOnePivotPerAtom) {
   std::vector<Tgd> tgds =
       ParseTgds("E(x,z) & E(z,y) & H(y,w) -> F(x,w).");
   const Tgd& tgd = tgds[0];
   plan::BodyPlan body = plan::CompileBody(tgd.body, tgd.var_count, {});
 
-  ASSERT_EQ(body.variants.size(), tgd.body.size());
-  for (size_t i = 0; i < body.variants.size(); ++i) {
-    const plan::DeltaVariant& variant = body.variants[i];
-    EXPECT_EQ(variant.pivot, static_cast<int>(i));
-    EXPECT_EQ(variant.pivot_relation, tgd.body[i].relation);
-    // The pivot is unified up front; the rest joins the other atoms.
-    EXPECT_EQ(variant.rest.size(), tgd.body.size() - 1);
-    std::set<int> rest_atoms;
-    for (const plan::JoinStep& step : variant.rest) {
-      rest_atoms.insert(step.atom_index);
+  ASSERT_EQ(body.pivots.size(), tgd.body.size());
+  for (size_t i = 0; i < body.pivots.size(); ++i) {
+    const plan::BodyPlan::Pivot& pivot = body.pivots[i];
+    EXPECT_EQ(pivot.relation, tgd.body[i].relation);
+    // The pivot is unified up front, one slot instr per position...
+    ASSERT_EQ(pivot.slots_end - pivot.slots_begin, 2u);
+    for (uint32_t ip = pivot.slots_begin; ip < pivot.slots_end; ++ip) {
+      EXPECT_EQ(body.code[ip].op, plan::Instr::kBind);
+      EXPECT_EQ(body.code[ip].pos, static_cast<int>(ip - pivot.slots_begin));
     }
-    EXPECT_EQ(rest_atoms.size(), variant.rest.size());
+    // ...then the rest program joins every other atom once.
+    EXPECT_EQ(pivot.entry, pivot.slots_end);
+    std::set<int> rest_atoms;
+    int levels = 0;
+    for (const plan::Instr& instr : Program(body, pivot.entry)) {
+      if (instr.op == plan::Instr::kScan ||
+          instr.op == plan::Instr::kProbeConst ||
+          instr.op == plan::Instr::kProbeVar) {
+        rest_atoms.insert(instr.atom_index);
+        ++levels;
+        // Every remaining atom shares a variable with the pivot or an
+        // earlier level: none of them scans.
+        EXPECT_EQ(instr.op, plan::Instr::kProbeVar);
+      }
+    }
+    EXPECT_EQ(levels, static_cast<int>(tgd.body.size()) - 1);
+    EXPECT_EQ(rest_atoms.size(), tgd.body.size() - 1);
     EXPECT_EQ(rest_atoms.count(static_cast<int>(i)), 0u);
   }
 }
@@ -160,24 +200,100 @@ TEST_F(PlanCompilerTest, ApplyTemplateCapturesHeadShapeAndExistentials) {
 TEST_F(PlanCompilerTest, HeadPlanProbesWithUniversalVariablesBound) {
   // The head plan backs the restricted engine's satisfaction check: it is
   // compiled with the universal variables pre-bound, so the head atom
-  // probes one of them instead of scanning.
+  // probes one of them instead of scanning and checks the other.
   std::vector<Tgd> tgds = ParseTgds("E(x,y) -> H(x,y).");
   plan::TgdPlan plan = plan::CompileTgd(tgds[0]);
-  ASSERT_EQ(plan.head.full.size(), 1u);
-  EXPECT_EQ(plan.head.full[0].access.kind, plan::AccessPath::kProbeVar);
+  const std::vector<plan::Instr> head =
+      Program(plan.head, plan.head.full_entry);
+  ASSERT_EQ(head.size(), 3u);
+  EXPECT_EQ(head[0].op, plan::Instr::kProbeVar);
+  EXPECT_EQ(head[0].pos, 0);
+  EXPECT_EQ(head[0].var, tgds[0].head[0].terms[0].var());
+  EXPECT_EQ(head[1].op, plan::Instr::kCheckVar);
+  EXPECT_EQ(head[1].pos, 1);
+  EXPECT_EQ(head[2].op, plan::Instr::kEmit);
+  // One index-probed level: existence is a point lookup.
+  EXPECT_TRUE(plan.head.exists.valid);
 }
 
-TEST_F(PlanCompilerTest, DumpPlansRendersOrderAccessPathsAndVariants) {
-  std::vector<Tgd> tgds = ParseTgds("E(x,z) & E(z,y) -> H(x,y).");
-  auto compiled = plan::CompileSetting(tgds, {});
-  std::string dump =
-      plan::DumpPlans(*compiled, tgds, {}, schema_, symbols_);
-  EXPECT_NE(dump.find("E(x,z) & E(z,y) -> H(x,y)"), std::string::npos)
-      << dump;
-  EXPECT_NE(dump.find("scan"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("probe-var[0]=z"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("delta pivot atom#1"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("fingerprint"), std::string::npos) << dump;
+TEST_F(PlanCompilerTest, DumpPlansDisassemblesEveryProgram) {
+  // The full --dump-plans text for one tgd and one egd: any change to an
+  // emitted instruction, entry point or the header lines fails here.
+  DependencySet deps = Unwrap(ParseDependencies(
+      "E(x,z) & E(z,y) -> exists w: H(x,w) & F(w,'a'). "
+      "H(x,y) & H(x,z) -> y = z.",
+      schema_, &symbols_));
+  auto compiled = plan::CompileSetting(deps.tgds, deps.egds);
+  const std::string dump =
+      plan::DumpPlans(*compiled, deps.tgds, deps.egds, schema_, symbols_);
+  const std::string want =
+      "tgd #0: E(x,z) & E(z,y) -> exists w: H(x,w) & F(w,'a')\n"
+      "  head_width=4 fresh_per_trigger=1\n"
+      " body:\n"
+      "  bytecode (16 instrs, max_depth=2):\n"
+      "    full @0:\n"
+      "      0: scan E atom#0 nops=2\n"
+      "      1: bind [0] x\n"
+      "      2: bind [1] z\n"
+      "      3: probe-var E[0]=z atom#1 nops=1\n"
+      "      4: bind [1] y\n"
+      "      5: emit\n"
+      "    delta pivot atom#0 slots @[6,8) rest @8:\n"
+      "      6: bind [0] x\n"
+      "      7: bind [1] z\n"
+      "      8: probe-var E[0]=z atom#1 nops=1\n"
+      "      9: bind [1] y\n"
+      "      10: emit\n"
+      "    delta pivot atom#1 slots @[11,13) rest @13:\n"
+      "      11: bind [0] z\n"
+      "      12: bind [1] y\n"
+      "      13: probe-var E[1]=z atom#0 nops=1\n"
+      "      14: bind [0] x\n"
+      "      15: emit\n"
+      " head (universals bound):\n"
+      "  bytecode (15 instrs, max_depth=2):\n"
+      "    full @0:\n"
+      "      0: probe-var H[0]=x atom#0 nops=1\n"
+      "      1: bind [1] w\n"
+      "      2: probe-var F[0]=w atom#1 nops=1\n"
+      "      3: check-const [1]=const\n"
+      "      4: emit\n"
+      "    delta pivot atom#0 slots @[5,7) rest @7:\n"
+      "      5: check-var [0] x\n"
+      "      6: bind [1] w\n"
+      "      7: probe-var F[0]=w atom#1 nops=1\n"
+      "      8: check-const [1]=const\n"
+      "      9: emit\n"
+      "    delta pivot atom#1 slots @[10,12) rest @12:\n"
+      "      10: bind [0] w\n"
+      "      11: check-const [1]\n"
+      "      12: probe-var H[0]=x atom#0 nops=1\n"
+      "      13: check-var [1] w\n"
+      "      14: emit\n"
+      "egd #0: H(x,y) & H(x,z) -> y = z\n"
+      " body:\n"
+      "  bytecode (16 instrs, max_depth=2):\n"
+      "    full @0:\n"
+      "      0: scan H atom#0 nops=2\n"
+      "      1: bind [0] x\n"
+      "      2: bind [1] y\n"
+      "      3: probe-var H[0]=x atom#1 nops=1\n"
+      "      4: bind [1] z\n"
+      "      5: emit\n"
+      "    delta pivot atom#0 slots @[6,8) rest @8:\n"
+      "      6: bind [0] x\n"
+      "      7: bind [1] y\n"
+      "      8: probe-var H[0]=x atom#1 nops=1\n"
+      "      9: bind [1] z\n"
+      "      10: emit\n"
+      "    delta pivot atom#1 slots @[11,13) rest @13:\n"
+      "      11: bind [0] x\n"
+      "      12: bind [1] z\n"
+      "      13: probe-var H[0]=x atom#0 nops=1\n"
+      "      14: bind [1] y\n"
+      "      15: emit\n"
+      "fingerprint: 37315326840190734\n";
+  EXPECT_EQ(dump, want);
 }
 
 TEST_F(PlanCompilerTest, FingerprintIsStructuralNotTextual) {
@@ -323,23 +439,28 @@ TEST_F(PlanCompilerTest, DeltaExecutorMatchesInterpreterPerPartition) {
                           interpreted.insert(row);
                           return true;
                         });
+  // The whole delta enumeration is the walk over one partition per pivot.
+  std::vector<DeltaPartition> parts;
+  PartitionDeltaMatches(plan, delta, 1, &parts);
   std::set<Row> planned;
-  EnumerateMatchesDeltaPlanned(plan, instance, delta, empty,
-                               [&](const Binding& b) {
-                                 Row row;
-                                 for (const Value& v : b.values) {
-                                   row.push_back(v.packed());
-                                 }
-                                 planned.insert(row);
-                                 return true;
-                               });
+  for (const DeltaPartition& part : parts) {
+    EnumerateMatchesDeltaPartitionPlanned(plan, instance, delta, part, empty,
+                                          [&](const Binding& b) {
+                                            Row row;
+                                            for (const Value& v : b.values) {
+                                              row.push_back(v.packed());
+                                            }
+                                            planned.insert(row);
+                                            return true;
+                                          });
+  }
   EXPECT_EQ(interpreted, planned);
   EXPECT_FALSE(planned.empty());
 
   // And per partition: each partition's match set agrees with the
   // interpreter enumerating the same partition.
-  for (const DeltaPartition& part :
-       PartitionDeltaMatches(query->body, delta, 4)) {
+  PartitionDeltaMatches(plan, delta, 4, &parts);
+  for (const DeltaPartition& part : parts) {
     std::set<Row> part_interpreted, part_planned;
     EnumerateMatchesDeltaPartition(query->body, query->var_count, instance,
                                    delta, part, empty,

@@ -10,7 +10,8 @@
 # once, over the one compiled-plan engine path (the match VM) and the
 # kRestrictedNaive oracle the differential tests compare it against. The
 # TSan suite runs once: it sanitizes the chase's one pooled tgd collect,
-# the pooled egd slot collect and Figure 3's pooled block checks.
+# the pooled egd slot collect, the solution-aware chase's pooled collect
+# and Figure 3's pooled block checks.
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
 # --quick`: a fingerprint cross-check against the kRestrictedNaive oracle
@@ -251,10 +252,12 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
     --target thread_pool_test chase_parallel_test ctract_solver_test \
-    fuzz_test generic_solver_test obs_test serve_test stream_test
+    fuzz_test generic_solver_test obs_test serve_test \
+    solution_aware_chase_test stream_test
   # One pass: the chase's pooled tgd collect (workers probe heads and build
   # head rows), the pooled egd slot collect (also run per search node by
-  # generic_solver_test) and the pooled Figure 3 block checks
+  # generic_solver_test), the solution-aware chase's pooled collect
+  # (solution_aware_chase_test) and the pooled Figure 3 block checks
   # (ctract_solver_test) run concurrently; every apply is sequential.
   ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
