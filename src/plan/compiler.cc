@@ -204,6 +204,20 @@ ApplyTemplate BuildApplyTemplate(const Tgd& tgd) {
   return out;
 }
 
+// Passes 1 and 2 only: the full-order program and its ExistsProbe, with
+// no delta pivots. `entry_bound` is sized var_count.
+BodyPlan CompileFull(const std::vector<Atom>& atoms, int var_count,
+                     const std::vector<bool>& entry_bound) {
+  BodyPlan plan;
+  plan.var_count = var_count;
+  std::vector<int> all(atoms.size());
+  for (size_t i = 0; i < atoms.size(); ++i) all[i] = static_cast<int>(i);
+  plan.full_entry = OrderSteps(atoms, all, entry_bound, &plan.code);
+  plan.max_depth = static_cast<int>(atoms.size());
+  DeriveExistsProbe(&plan);
+  return plan;
+}
+
 }  // namespace
 
 uint64_t SettingFingerprint(const std::vector<Tgd>& tgds,
@@ -230,14 +244,9 @@ uint64_t SettingFingerprint(const std::vector<Tgd>& tgds,
 
 BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
                      const std::vector<bool>& initially_bound) {
-  BodyPlan plan;
-  plan.var_count = var_count;
   std::vector<bool> entry_bound = initially_bound;
   entry_bound.resize(var_count, false);
-  std::vector<int> all(atoms.size());
-  for (size_t i = 0; i < atoms.size(); ++i) all[i] = static_cast<int>(i);
-  plan.full_entry = OrderSteps(atoms, all, entry_bound, &plan.code);
-  plan.max_depth = static_cast<int>(atoms.size());
+  BodyPlan plan = CompileFull(atoms, var_count, entry_bound);
   // Pass 3: one pivot entry per atom, the pivot unified first.
   plan.pivots.reserve(atoms.size());
   for (size_t pivot = 0; pivot < atoms.size(); ++pivot) {
@@ -255,7 +264,6 @@ BodyPlan CompileBody(const std::vector<Atom>& atoms, int var_count,
                          &plan.code);
     plan.pivots.push_back(p);
   }
-  DeriveExistsProbe(&plan);
   return plan;
 }
 
@@ -263,7 +271,9 @@ TgdPlan CompileTgd(const Tgd& tgd) {
   TgdPlan plan;
   plan.apply = BuildApplyTemplate(tgd);
   plan.body = CompileBody(tgd.body, tgd.var_count, {});
-  plan.head = CompileBody(tgd.head, tgd.var_count, plan.apply.body_bound);
+  // Heads only ever run from full_entry (HasMatch and the witness
+  // search), so they get no delta pivots.
+  plan.head = CompileFull(tgd.head, tgd.var_count, plan.apply.body_bound);
   return plan;
 }
 

@@ -20,7 +20,8 @@
 //      instrs, then the rest of the join in pass-1 order), so
 //      EnumerateMatchesDeltaPartition's pivot semantics (atoms before an
 //      additive pivot confined to pre-delta facts) execute through the
-//      plan without re-deriving anything per partition.
+//      plan without re-deriving anything per partition. Tgd heads skip
+//      this pass: they only run from the full entry.
 //
 // The full program's existence-probe descriptor (ExistsProbe) is derived
 // last. Plans are pure functions of dependency structure (never of
@@ -62,8 +63,9 @@ std::shared_ptr<const CompiledSetting> CompileSetting(
 
 // Human-readable plan dump (pdxcli --dump-plans and golden tests): one
 // block per dependency with the disassembly of its body (and, for tgds,
-// head) code — atom order, access paths and delta pivots — rendered with
-// schema relation names and the dependencies' own variable names.
+// head) code — atom order, access paths and the body's delta pivots —
+// rendered with schema relation names and the dependencies' own variable
+// names.
 std::string DumpPlans(const CompiledSetting& compiled,
                       const std::vector<Tgd>& tgds,
                       const std::vector<Egd>& egds, const Schema& schema,

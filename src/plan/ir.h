@@ -102,7 +102,7 @@ struct TgdPlan {
   // The head as a match plan, compiled with the universal variables
   // pre-bound: the restricted engine's violated-trigger filter and
   // re-check (HasMatch on the head) and the solution-aware witness search
-  // both run it.
+  // both run it from full_entry. It has no delta pivots.
   BodyPlan head;
   ApplyTemplate apply;
 };

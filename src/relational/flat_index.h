@@ -4,7 +4,7 @@
 // The flat storage primitives behind Instance's RelationStore: an
 // open-addressing positional index (FlatIndex) and an open-addressing
 // tuple dedup set (FlatTupleSet). Both use power-of-two capacities with
-// linear probing and are plain-copyable, so RelationStore's copy-on-write
+// linear probing and copy memberwise, so RelationStore's copy-on-write
 // clone stays a memberwise copy.
 //
 // FlatIndex maps a packed value to the list of tuple indexes holding that
@@ -16,9 +16,20 @@
 // preserves probe chains without deletion markers (erases are rare — only
 // RemoveFact and Substitute — while inserts dominate).
 //
+// Indexes are built lazily. Each FlatIndex carries an `indexed_upto`
+// watermark: it holds exactly the owning store's tuples [0, indexed_upto).
+// The store appends tuples without touching any index; the first reader
+// of a lagging position adds the missing tuples in tuple order (see
+// RelationStore::Index in instance.h), so a position nobody probes costs
+// nothing. The watermark is an atomic inline in the index (no side
+// array) and is copied with it, so a clone resumes where its source
+// stopped.
+//
 // Value::packed() never produces ~0ull (bit 63 is the null flag; bits
 // 32..62 are always zero), so ~0ull is a safe empty-slot sentinel.
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -50,6 +61,33 @@ class TupleIndexSpan {
 
 class FlatIndex {
  public:
+  FlatIndex() = default;
+  // Copies carry the watermark. The caller excludes a concurrent catch-up
+  // of `other` (RelationStore's clone holds the store's index lock).
+  FlatIndex(const FlatIndex& other)
+      : slots_(other.slots_),
+        overflow_(other.overflow_),
+        used_(other.used_),
+        indexed_upto_(other.indexed_upto_.load(std::memory_order_relaxed)) {}
+  FlatIndex& operator=(const FlatIndex& other) {
+    slots_ = other.slots_;
+    overflow_ = other.overflow_;
+    used_ = other.used_;
+    indexed_upto_.store(other.indexed_upto_.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+    return *this;
+  }
+
+  // The number of leading tuples of the owning store this index holds.
+  // The acquire load pairs with set_indexed_upto's release store, so a
+  // reader that sees the watermark also sees the entries below it.
+  size_t indexed_upto() const {
+    return indexed_upto_.load(std::memory_order_acquire);
+  }
+  void set_indexed_upto(size_t n) {
+    indexed_upto_.store(n, std::memory_order_release);
+  }
+
   // The bucket for `key`, empty if absent. Never allocates.
   TupleIndexSpan Find(uint64_t key) const {
     if (slots_.empty()) return {};
@@ -106,10 +144,12 @@ class FlatIndex {
     }
   }
 
+  // Drops every entry; the watermark returns to 0.
   void Clear() {
     slots_.clear();
     overflow_.clear();
     used_ = 0;
+    set_indexed_upto(0);
   }
 
  private:
@@ -230,6 +270,7 @@ class FlatIndex {
   std::vector<Slot> slots_;      // power-of-two size
   std::vector<int32_t> overflow_;
   size_t used_ = 0;              // occupied slots (count 0 included)
+  std::atomic<size_t> indexed_upto_{0};
 };
 
 // Open-addressing dedup set over the owning store's tuple arena. Entries

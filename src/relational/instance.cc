@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "base/string_util.h"
+#include "obs/metrics.h"
 
 namespace pdx {
 
@@ -26,6 +27,42 @@ Instance::Instance(const Schema* schema) : schema_(schema) {
     store->index.resize(store->arity);
     stores_.push_back(std::move(store));
   }
+}
+
+Instance::RelationStore::RelationStore(const RelationStore& other) {
+  // A reader on another thread may be catching up `other`'s indexes.
+  std::lock_guard<std::mutex> lock(other.index_mu);
+  // The source is caught up first, at every position: it is shared, so
+  // the work is done once instead of once per clone. A search clones one
+  // state into many branches, and each branch's egd merges read every
+  // position; without this the generic solver's NP search built 2.6x the
+  // index entries that indexing on insert did. Stores that are never
+  // cloned stay lazy.
+  for (int pos = 0; pos < other.arity; ++pos) other.CatchUpLocked(pos);
+  arity = other.arity;
+  count = other.count;
+  data = other.data;
+  dedup = other.dedup;
+  index = other.index;
+  rewrites = other.rewrites;
+}
+
+void Instance::RelationStore::CatchUp(int position) const {
+  std::lock_guard<std::mutex> lock(index_mu);
+  CatchUpLocked(position);
+}
+
+void Instance::RelationStore::CatchUpLocked(int position) const {
+  FlatIndex& by_value = index[position];
+  const size_t from = by_value.indexed_upto();
+  if (from >= count) return;  // another reader caught it up first
+  for (size_t i = from; i < count; ++i) {
+    by_value.Add(TupleData(i)[position].packed(), static_cast<int32_t>(i));
+  }
+  by_value.set_indexed_upto(count);
+  static obs::Counter built = obs::MetricsRegistry::Global().GetCounter(
+      "pdx_index_entries_built_total");
+  built.Inc(static_cast<int64_t>(count - from));
 }
 
 Instance::RelationStore& Instance::Mutable(RelationId relation) {
@@ -114,8 +151,11 @@ bool Instance::RemoveFact(RelationId relation, const Tuple& tuple) {
     const Tuple raw(store.TupleData(idx), store.TupleData(idx) + arity);
     const uint64_t raw_hash = HashValueSeq(raw.data(), raw.size());
     const int32_t last = static_cast<int32_t>(store.count) - 1;
-    // Drop the removed tuple's index and dedup entries.
+    // Drop the removed tuple's index and dedup entries. Every index is
+    // caught up first, so the swap leaves each bucket exactly as an
+    // index maintained on every append would hold it.
     for (int pos = 0; pos < arity; ++pos) {
+      store.Index(pos);
       store.index[pos].Erase(raw[pos].packed(), idx);
     }
     store.dedup.Erase(raw_hash, idx);
@@ -132,6 +172,9 @@ bool Instance::RemoveFact(RelationId relation, const Tuple& tuple) {
                 store.data.begin() + static_cast<size_t>(idx) * arity);
     }
     --store.count;
+    for (FlatIndex& by_value : store.index) {
+      by_value.set_indexed_upto(store.count);
+    }
     store.data.resize(store.count * static_cast<size_t>(arity));
     store.InvalidateClassCache();
     // Indexes shifted: delta consumers must re-scan this relation.
@@ -169,7 +212,7 @@ TupleIndexSpan Instance::TuplesWithValueAt(RelationId relation, int position,
   PDX_CHECK_LT(relation, static_cast<RelationId>(stores_.size()));
   PDX_CHECK_GE(position, 0);
   PDX_CHECK_LT(position, static_cast<int>(stores_[relation]->index.size()));
-  return stores_[relation]->index[position].Find(value.packed());
+  return stores_[relation]->Index(position).Find(value.packed());
 }
 
 size_t Instance::CountTuplesWithResolvedValueAt(RelationId relation,
@@ -208,13 +251,14 @@ TupleIndexSpan Instance::ResolvedClassBucket(
       root.packed() ^ (static_cast<uint64_t>(position) << 33);
   const uint64_t identity = resolver_.identity();
   const uint64_t version = resolver_.version();
+  const FlatIndex& by_value = store.Index(position);
   ClassBucketCache& cache = store.class_cache;
   std::lock_guard<std::mutex> lock(cache.mu);
   ClassBucketCache::Entry& entry = cache.map[key];
   if (entry.identity != identity || entry.version != version) {
     entry.bucket.clear();
     for (const Value& m : members) {
-      TupleIndexSpan bucket = store.index[position].Find(m.packed());
+      TupleIndexSpan bucket = by_value.Find(m.packed());
       entry.bucket.insert(entry.bucket.end(), bucket.begin(), bucket.end());
     }
     entry.identity = identity;
@@ -238,7 +282,8 @@ Instance::MergeResult Instance::MergeValues(Value a, Value b) {
   for (RelationId r = 0; r < n; ++r) {
     const RelationStore& store = *stores_[r];
     size_t first = out.dirty.size();
-    for (const FlatIndex& by_value : store.index) {
+    for (int pos = 0; pos < store.arity; ++pos) {
+      const FlatIndex& by_value = store.Index(pos);
       for (const Value& m : u.reassigned) {
         for (int32_t idx : by_value.Find(m.packed())) {
           out.dirty.emplace_back(r, idx);
@@ -383,8 +428,9 @@ void Instance::Substitute(Value from, Value to) {
     // Skip relations not containing `from` (checked via the inverted
     // index) so their stores — and any watermarks into them — survive.
     bool contains = false;
-    for (const FlatIndex& by_value : stores_[r]->index) {
-      if (!by_value.Find(from.packed()).empty()) {
+    const RelationStore& current = *stores_[r];
+    for (int pos = 0; pos < current.arity; ++pos) {
+      if (!current.Index(pos).Find(from.packed()).empty()) {
         contains = true;
         break;
       }

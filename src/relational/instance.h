@@ -36,8 +36,11 @@ struct InstanceWatermark {
   static InstanceWatermark Origin(const Instance& instance);
 };
 
-// A finite database instance over a Schema, with a positional inverted
-// index to accelerate homomorphism search and chase trigger enumeration.
+// A finite database instance over a Schema, with positional inverted
+// indexes to accelerate homomorphism search and chase trigger
+// enumeration. A position's index is built on its first probe and caught
+// up lazily after that: inserts touch only the tuple arena and the dedup
+// set, so positions no plan probes cost no memory (see RelationStore).
 //
 // An Instance may contain labeled nulls (e.g. mid-chase or in canonical
 // instances); "ground" instances are simply instances whose values are all
@@ -45,7 +48,7 @@ struct InstanceWatermark {
 // the Instance.
 //
 // Copying an Instance is O(#relations), not O(#facts): each relation's
-// tuple store (tuples + dedup map + inverted index) is a copy-on-write
+// tuple store (tuples + dedup set + lazy indexes) is a copy-on-write
 // shared block, cloned lazily the first time either copy mutates that
 // relation. Search-based solvers rely on this to branch states in O(1).
 //
@@ -123,8 +126,10 @@ class Instance {
   }
 
   // Indexes (into tuples(relation)) of tuples holding raw `value` at
-  // `position`; empty if none. The span is invalidated by any store
-  // mutation. Class-blind: see TuplesWithResolvedValueAt.
+  // `position`; empty if none. The first call for a position builds its
+  // index, later calls catch it up with the tuples appended since (safe
+  // from several threads on a shared store). The span is invalidated by
+  // any store mutation. Class-blind: see TuplesWithResolvedValueAt.
   TupleIndexSpan TuplesWithValueAt(RelationId relation, int position,
                                    Value value) const;
 
@@ -168,10 +173,11 @@ class Instance {
   };
 
   // Merges the equivalence classes of `a` and `b` in O(α)-ish time
-  // (union + dirty-tuple lookup via the inverted index): the egd chase
-  // step. Constants win unions; two distinct constants report a conflict
-  // and change nothing. Stores are untouched — tuple indexes, watermarks
-  // and index buckets all stay valid.
+  // (union + dirty-tuple lookup via the inverted indexes, which it
+  // catches up at every position): the egd chase step. Constants win
+  // unions; two distinct constants report a conflict and change nothing.
+  // Stores are untouched — tuple indexes, watermarks and index buckets
+  // all stay valid.
   MergeResult MergeValues(Value a, Value b);
 
   // --- Whole-instance views (resolved) --------------------------------
@@ -289,16 +295,28 @@ class Instance {
   };
 
   // One relation's storage: a contiguous tuple arena (tuple i occupies
-  // data[i*arity, (i+1)*arity)) + flat dedup set + per-position flat
-  // inverted index. Shared copy-on-write between Instance copies.
+  // data[i*arity, (i+1)*arity)) + flat dedup set + lazily built
+  // per-position flat inverted indexes. Shared copy-on-write between
+  // Instance copies.
+  //
+  // Appends never touch an index. Every index read goes through Index(),
+  // which first catches a lagging position up to `count` under index_mu;
+  // afterwards a probe is one acquire load and compare. Readers may catch
+  // up a shared store concurrently, so the copy-on-write clone holds the
+  // source's index_mu while it copies, and catches the source up at every
+  // position first so that sibling clones share that work.
   struct RelationStore {
     int arity = 0;
     size_t count = 0;           // number of stored tuples
     std::vector<Value> data;    // the arena
     FlatTupleSet dedup;
-    std::vector<FlatIndex> index;  // one per position
+    mutable std::vector<FlatIndex> index;  // one per position; see Index()
+    mutable std::mutex index_mu;  // serializes catch-ups and clones
     uint64_t rewrites = 0;
     mutable ClassBucketCache class_cache;
+
+    RelationStore() = default;
+    RelationStore(const RelationStore& other);
 
     const Value* TupleData(size_t i) const {
       return data.data() + i * static_cast<size_t>(arity);
@@ -314,6 +332,15 @@ class Instance {
     int32_t DedupFind(const Tuple& tuple, uint64_t hash) const {
       return DedupFind(tuple.data(), tuple.size(), hash);
     }
+    // The index of `position`, holding every stored tuple.
+    const FlatIndex& Index(int position) const {
+      const FlatIndex& by_value = index[position];
+      if (by_value.indexed_upto() < count) CatchUp(position);
+      return by_value;
+    }
+    // Adds tuples [indexed_upto, count) to the index of `position`.
+    void CatchUp(int position) const;
+    void CatchUpLocked(int position) const;  // caller holds index_mu
     // Called on every mutation. Mutations hold the store exclusively, so
     // the unlocked empty check is safe; the lock orders the clear against
     // reader rebuilds that may still be publishing under the mutex.
@@ -323,15 +350,12 @@ class Instance {
       class_cache.map.clear();
     }
     // The shared insert tail: appends an absent, already-resolved tuple
-    // to the arena, dedup set and per-position indexes.
+    // to the arena and dedup set. The indexes catch up on their next read.
     void Append(const Value* values, size_t n, uint64_t hash) {
       const int32_t idx = static_cast<int32_t>(count);
       data.insert(data.end(), values, values + n);
       ++count;
       dedup.Insert(hash, idx);
-      for (int pos = 0; pos < arity; ++pos) {
-        index[pos].Add(values[pos].packed(), idx);
-      }
       InvalidateClassCache();
     }
     void Append(const Tuple& tuple, uint64_t hash) {

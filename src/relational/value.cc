@@ -5,7 +5,7 @@
 namespace pdx {
 
 Value SymbolTable::InternConstant(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return Value::Constant(it->second);
   uint32_t id = static_cast<uint32_t>(names_.size());
   names_.emplace_back(name);
@@ -14,7 +14,7 @@ Value SymbolTable::InternConstant(std::string_view name) {
 }
 
 Value SymbolTable::LookupConstant(std::string_view name, bool* found) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it == ids_.end()) {
     if (found != nullptr) *found = false;
     return Value::Constant(0);

@@ -132,7 +132,16 @@ class SymbolTable {
   size_t constant_count() const { return names_.size(); }
 
  private:
-  std::unordered_map<std::string, uint32_t> ids_;
+  // Transparent hash: with std::equal_to<>, ids_ is probed with a
+  // std::string_view directly, so a lookup hit allocates nothing.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>> ids_;
   std::vector<std::string> names_;
   std::atomic<uint32_t> next_null_id_{0};
 };

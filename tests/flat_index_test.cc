@@ -1,16 +1,22 @@
 // Property tests of the flat storage primitives (relational/flat_index.h)
 // and of the RelationStore invariants built on them: random
 // insert/erase/repoint schedules against a std::unordered_map reference,
-// the swap-with-last deletion protocol at the Instance level, and COW
-// clone sharing (a snapshot's buckets must be bit-stable while the live
-// instance mutates its cloned stores).
+// the swap-with-last deletion protocol at the Instance level, COW clone
+// sharing (a snapshot's buckets must be bit-stable while the live
+// instance mutates its cloned stores), and the lazy per-position index
+// catch-up against an always-probed twin and a brute-force arena scan.
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "base/string_util.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "relational/flat_index.h"
 #include "relational/instance.h"
 #include "workload/random.h"
@@ -214,6 +220,290 @@ TEST_F(FlatIndexInstanceTest, ResolvedClassBucketsTrackMergesAndMutation) {
   // must appear in the bucket.
   instance.AddFact(0, {root2, Const(4)});
   EXPECT_EQ(instance.TuplesWithResolvedValueAt(0, 0, root2).size(), 4u);
+}
+
+// Lazy indexes: a position's index is built by its first reader, not by
+// AddFact. The differential harness runs random interleavings of
+// AddFact, RemoveFact, MergeValues, Substitute and instance copies on two
+// instances fed the same operations: `lazy` is probed only at random
+// times at random positions, while `twin` has every position of every
+// relation probed after every operation, so its indexes never lag (the
+// shape an index maintained on every append would have). Every probe of
+// `lazy` must return the twin's bucket entry for entry, in order, and
+// the brute-force scan of the arena: the same set of tuple indexes, and
+// the same order (tuple order) while no RemoveFact swap has touched the
+// relation since its last rebuild.
+struct LazyIndexTest : ::testing::Test {
+  Schema schema;
+  SymbolTable symbols;
+  std::vector<Value> pool;  // constants and nulls the ops draw from
+
+  LazyIndexTest() {
+    PDX_CHECK(schema.AddRelation("R", 2).ok());
+    PDX_CHECK(schema.AddRelation("S", 3).ok());
+    for (int i = 0; i < 6; ++i) {
+      pool.push_back(symbols.InternConstant(StrCat("c", i)));
+    }
+    for (int i = 0; i < 6; ++i) pool.push_back(symbols.FreshNull());
+  }
+
+  // Forces every index of `instance` to catch up.
+  void ProbeAll(const Instance& instance) {
+    for (RelationId r = 0; r < schema.relation_count(); ++r) {
+      for (int pos = 0; pos < schema.arity(r); ++pos) {
+        instance.TuplesWithValueAt(r, pos, pool[0]);
+      }
+    }
+  }
+
+  // The raw bucket of (r, pos, v) by a scan of the arena, in tuple order.
+  static std::vector<int32_t> Scan(const Instance& instance, RelationId r,
+                                   int pos, Value v, bool resolved) {
+    std::vector<int32_t> out;
+    const TupleList tuples = instance.tuples(r);
+    const Value want = resolved ? instance.ResolveValue(v) : v;
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      Value got = tuples[i][pos];
+      if (resolved) got = instance.ResolveValue(got);
+      if (got == want) out.push_back(static_cast<int32_t>(i));
+    }
+    return out;
+  }
+};
+
+struct LazyState {
+  Instance lazy;
+  Instance twin;
+  std::vector<bool> swapped;  // per relation: RemoveFact since rebuild
+};
+
+TEST_F(LazyIndexTest, RandomInterleavingsMatchTwinAndArenaScan) {
+  for (uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Rng rng(seed);
+    std::vector<LazyState> states;
+    states.push_back({Instance(&schema), Instance(&schema),
+                      std::vector<bool>(schema.relation_count(), false)});
+    size_t cur = 0;
+    auto pick_value = [&] {
+      return pool[rng.UniformInt(static_cast<uint32_t>(pool.size()))];
+    };
+    auto random_tuple = [&](RelationId r) {
+      Tuple t;
+      for (int pos = 0; pos < schema.arity(r); ++pos) {
+        t.push_back(pick_value());
+      }
+      return t;
+    };
+    for (int op = 0; op < 1500; ++op) {
+      LazyState& st = states[cur];
+      const RelationId r =
+          static_cast<RelationId>(rng.UniformInt(schema.relation_count()));
+      const uint32_t kind = rng.UniformInt(100);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op
+                                      << " kind " << kind);
+      if (kind < 45) {
+        const Tuple t = random_tuple(r);
+        ASSERT_EQ(st.lazy.AddFact(r, Tuple(t)), st.twin.AddFact(r, Tuple(t)));
+      } else if (kind < 60) {
+        // Remove a stored tuple (raw values) or, rarely, a random one.
+        Tuple t = random_tuple(r);
+        const TupleList tuples = st.lazy.tuples(r);
+        if (!tuples.empty() && rng.UniformInt(4) != 0) {
+          const TupleView row = tuples[rng.UniformInt(
+              static_cast<uint32_t>(tuples.size()))];
+          t.assign(row.begin(), row.end());
+        }
+        const bool removed = st.lazy.RemoveFact(r, t);
+        ASSERT_EQ(removed, st.twin.RemoveFact(r, t));
+        if (removed) st.swapped[r] = true;
+      } else if (kind < 67) {
+        // Merge a null into another value (constant conflicts are no-ops).
+        const Value a = pool[6 + rng.UniformInt(6)];
+        const Value b = pick_value();
+        const Instance::MergeResult ml = st.lazy.MergeValues(a, b);
+        const Instance::MergeResult mt = st.twin.MergeValues(a, b);
+        ASSERT_EQ(ml.merged, mt.merged);
+        ASSERT_EQ(ml.dirty, mt.dirty);
+      } else if (kind < 72) {
+        const Value from = pool[6 + rng.UniformInt(6)];
+        const Value to = pick_value();
+        std::vector<uint64_t> before;
+        for (RelationId q = 0; q < schema.relation_count(); ++q) {
+          before.push_back(st.lazy.rewrites(q));
+        }
+        st.lazy.Substitute(from, to);
+        st.twin.Substitute(from, to);
+        for (RelationId q = 0; q < schema.relation_count(); ++q) {
+          ASSERT_EQ(st.lazy.rewrites(q), st.twin.rewrites(q));
+          // A rebuilt relation is back in tuple order.
+          if (st.lazy.rewrites(q) != before[q]) st.swapped[q] = false;
+        }
+      } else if (kind < 78) {
+        // Copy; carry on with either side. The other stays live and is
+        // probed (and later mutated) when `cur` comes back to it.
+        states.push_back(states[cur]);
+        if (rng.UniformInt(2) == 0) cur = states.size() - 1;
+      } else if (kind < 82) {
+        cur = rng.UniformInt(static_cast<uint32_t>(states.size()));
+      } else {
+        // Probe a random position, raw or class-aware.
+        const int pos = static_cast<int>(
+            rng.UniformInt(static_cast<uint32_t>(schema.arity(r))));
+        Value v = pick_value();
+        const TupleList tuples = st.lazy.tuples(r);
+        if (!tuples.empty() && rng.UniformInt(2) == 0) {
+          v = tuples[rng.UniformInt(static_cast<uint32_t>(tuples.size()))]
+                    [pos];
+        }
+        const bool resolved = rng.UniformInt(3) == 0;
+        const TupleIndexSpan got =
+            resolved ? st.lazy.TuplesWithResolvedValueAt(r, pos, v)
+                     : st.lazy.TuplesWithValueAt(r, pos, v);
+        const TupleIndexSpan want =
+            resolved ? st.twin.TuplesWithResolvedValueAt(r, pos, v)
+                     : st.twin.TuplesWithValueAt(r, pos, v);
+        const std::vector<int32_t> got_v(got.begin(), got.end());
+        ASSERT_EQ(got_v, std::vector<int32_t>(want.begin(), want.end()));
+        const std::vector<int32_t> scan = Scan(st.lazy, r, pos, v, resolved);
+        if (st.swapped[r] || resolved) {
+          // Swaps reorder raw buckets; a class bucket concatenates its
+          // members' buckets.
+          ASSERT_EQ(Sorted(got_v), scan);
+        } else {
+          ASSERT_EQ(got_v, scan);
+        }
+        if (resolved) {
+          ASSERT_EQ(st.lazy.CountTuplesWithResolvedValueAt(r, pos, v),
+                    scan.size());
+        }
+      }
+      ProbeAll(states[cur].twin);
+    }
+  }
+}
+
+TEST_F(LazyIndexTest, PositionFirstProbedAfterRemoveFactSwap) {
+  // Position 1 is never probed before a RemoveFact swaps the last tuple
+  // into a hole; its first probe must see the bucket an index kept up to
+  // date on every append would hold (the twin's), not a fresh tuple-order
+  // rebuild.
+  Instance lazy(&schema);
+  Instance twin(&schema);
+  const Value a = pool[0];
+  const Value b = pool[1];
+  const Value c = pool[2];
+  for (const Tuple& t :
+       {Tuple{a, b}, Tuple{b, b}, Tuple{c, b}, Tuple{a, c}}) {
+    lazy.AddFact(0, Tuple(t));
+    twin.AddFact(0, Tuple(t));
+    ProbeAll(twin);
+  }
+  ASSERT_EQ(lazy.TuplesWithValueAt(0, 0, a).size(), 2u);  // position 0 only
+  ASSERT_TRUE(lazy.RemoveFact(0, {a, b}));  // tuple 0; {a,c} moves to 0
+  ASSERT_TRUE(twin.RemoveFact(0, {a, b}));
+  ProbeAll(twin);
+  for (const Value v : {a, b, c}) {
+    for (int pos = 0; pos < 2; ++pos) {
+      const TupleIndexSpan got = lazy.TuplesWithValueAt(0, pos, v);
+      const TupleIndexSpan want = twin.TuplesWithValueAt(0, pos, v);
+      EXPECT_EQ(std::vector<int32_t>(got.begin(), got.end()),
+                std::vector<int32_t>(want.begin(), want.end()))
+          << "pos " << pos;
+      EXPECT_EQ(Sorted(got), Scan(lazy, 0, pos, v, /*resolved=*/false));
+    }
+  }
+  // The erase swapped the bucket's last entry into the victim's place:
+  // position 1's bucket for b is [2, 1], not tuple order.
+  const TupleIndexSpan b_at_1 = lazy.TuplesWithValueAt(0, 1, b);
+  EXPECT_EQ(std::vector<int32_t>(b_at_1.begin(), b_at_1.end()),
+            (std::vector<int32_t>{2, 1}));
+}
+
+TEST_F(LazyIndexTest, AppendsBuildNoIndexUntilProbed) {
+  // Only probed (or cloned) positions are indexed:
+  // pdx_index_entries_built_total (bumped by every catch-up) moves by one
+  // entry per tuple per position caught up, and by nothing for appends
+  // alone.
+  obs::Counter built = obs::MetricsRegistry::Global().GetCounter(
+      "pdx_index_entries_built_total");
+  Instance instance(&schema);
+  const int64_t start = built.Value();
+  for (uint32_t i = 0; i < 100; ++i) {
+    instance.AddFact(1, {pool[i % 6], pool[(i / 6) % 6], pool[i % 5]});
+  }
+  EXPECT_EQ(built.Value(), start);
+  EXPECT_EQ(instance.TuplesWithValueAt(1, 0, pool[0]).size(), 17u);
+  EXPECT_EQ(built.Value(), start + 100);
+  // A second probe of a caught-up position builds nothing.
+  instance.TuplesWithValueAt(1, 0, pool[1]);
+  EXPECT_EQ(built.Value(), start + 100);
+  // Appending to a copy clones the shared store, which first catches the
+  // source up at every position (once, for all later clones): positions
+  // 1 and 2 add 100 entries each. The clone's next probe adds only the
+  // appended tuple.
+  Instance copy = instance;
+  ASSERT_TRUE(copy.AddFact(1, {pool[0], pool[6], pool[6]}));
+  EXPECT_EQ(built.Value(), start + 300);
+  EXPECT_EQ(copy.TuplesWithValueAt(1, 0, pool[0]).size(), 18u);
+  EXPECT_EQ(built.Value(), start + 301);
+  EXPECT_EQ(instance.TuplesWithValueAt(1, 2, pool[0]).size(), 20u);
+  EXPECT_EQ(built.Value(), start + 301);
+}
+
+TEST_F(LazyIndexTest, ConcurrentFirstProbesRaceACloneAndAppend) {
+  // Readers on several threads race to catch up the same never-probed
+  // position of a shared store while another thread copies the instance
+  // and appends to the copy (pdxd's writer clones a generation its
+  // readers are probing). The clone holds the store's index lock while it
+  // copies, so every side sees complete buckets. Run under TSan via the
+  // `parallel` label.
+  constexpr int kReaders = 3;
+  for (int round = 0; round < 12; ++round) {
+    Instance shared(&schema);
+    for (uint32_t i = 0; i < 600; ++i) {
+      shared.AddFact(1, {pool[i % 12], pool[(i / 12) % 12], pool[i % 7]});
+    }
+    const int pos = round % 3;
+    std::vector<std::vector<int32_t>> want;
+    for (const Value v : pool) {
+      want.push_back(Scan(shared, 1, pos, v, /*resolved=*/false));
+    }
+    // Absent: the tuples above hold only pool[0..6] at position 2.
+    const Tuple extra{pool[0], pool[1], pool[7 + round % 5]};
+    ASSERT_FALSE(shared.Contains(1, extra));
+    std::atomic<int> ready{0};
+    std::atomic<int> mismatches{0};
+    auto wait_all = [&] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders + 1) std::this_thread::yield();
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kReaders; ++t) {
+      threads.emplace_back([&, t] {
+        wait_all();
+        for (size_t k = 0; k < pool.size(); ++k) {
+          const size_t i = (k + static_cast<size_t>(t)) % pool.size();
+          const TupleIndexSpan got = shared.TuplesWithValueAt(1, pos, pool[i]);
+          if (std::vector<int32_t>(got.begin(), got.end()) != want[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    size_t copy_bucket = 0;
+    threads.emplace_back([&] {
+      wait_all();
+      Instance copy = shared;
+      copy.AddFact(1, extra);
+      copy_bucket = copy.TuplesWithValueAt(1, pos, extra[pos]).size();
+    });
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+    const size_t extra_index = std::find(pool.begin(), pool.end(),
+                                         extra[pos]) - pool.begin();
+    EXPECT_EQ(copy_bucket, want[extra_index].size() + 1) << "round " << round;
+    EXPECT_FALSE(shared.Contains(1, extra));
+  }
 }
 
 }  // namespace

@@ -214,6 +214,9 @@ TEST_F(PlanCompilerTest, HeadPlanProbesWithUniversalVariablesBound) {
   EXPECT_EQ(head[2].op, plan::Instr::kEmit);
   // One index-probed level: existence is a point lookup.
   EXPECT_TRUE(plan.head.exists.valid);
+  // Heads only run from full_entry: no delta pivot programs.
+  EXPECT_TRUE(plan.head.pivots.empty());
+  EXPECT_EQ(plan.head.code.size(), 3u);
 }
 
 TEST_F(PlanCompilerTest, DumpPlansDisassemblesEveryProgram) {
@@ -251,25 +254,13 @@ TEST_F(PlanCompilerTest, DumpPlansDisassemblesEveryProgram) {
       "      14: bind [0] x\n"
       "      15: emit\n"
       " head (universals bound):\n"
-      "  bytecode (15 instrs, max_depth=2):\n"
+      "  bytecode (5 instrs, max_depth=2):\n"
       "    full @0:\n"
       "      0: probe-var H[0]=x atom#0 nops=1\n"
       "      1: bind [1] w\n"
       "      2: probe-var F[0]=w atom#1 nops=1\n"
       "      3: check-const [1]=const\n"
       "      4: emit\n"
-      "    delta pivot atom#0 slots @[5,7) rest @7:\n"
-      "      5: check-var [0] x\n"
-      "      6: bind [1] w\n"
-      "      7: probe-var F[0]=w atom#1 nops=1\n"
-      "      8: check-const [1]=const\n"
-      "      9: emit\n"
-      "    delta pivot atom#1 slots @[10,12) rest @12:\n"
-      "      10: bind [0] w\n"
-      "      11: check-const [1]\n"
-      "      12: probe-var H[0]=x atom#0 nops=1\n"
-      "      13: check-var [1] w\n"
-      "      14: emit\n"
       "egd #0: H(x,y) & H(x,z) -> y = z\n"
       " body:\n"
       "  bytecode (16 instrs, max_depth=2):\n"

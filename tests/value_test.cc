@@ -1,6 +1,7 @@
 #include "relational/value.h"
 
 #include <cstdint>
+#include <string_view>
 #include <unordered_set>
 
 #include "gtest/gtest.h"
@@ -58,6 +59,31 @@ TEST(SymbolTableTest, LookupDoesNotIntern) {
   Value looked_up = symbols.LookupConstant("ghost", &found);
   EXPECT_TRUE(found);
   EXPECT_EQ(v, looked_up);
+}
+
+TEST(SymbolTableTest, LooksUpNonTerminatedSlices) {
+  // Lookups take a string_view: a slice in the middle of a larger buffer
+  // (not NUL-terminated at its end) must hit the interned id, and
+  // re-interning it must not add a constant.
+  SymbolTable symbols;
+  Value alpha = symbols.InternConstant("alpha");
+  Value beta = symbols.InternConstant("beta");
+  const std::string_view buffer = "R(alpha,beta).";
+  const std::string_view first = buffer.substr(2, 5);
+  const std::string_view second = buffer.substr(8, 4);
+  ASSERT_EQ(first, "alpha");
+  ASSERT_EQ(second, "beta");
+  bool found = false;
+  EXPECT_EQ(symbols.LookupConstant(first, &found), alpha);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(symbols.LookupConstant(second, &found), beta);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(symbols.InternConstant(first), alpha);
+  EXPECT_EQ(symbols.InternConstant(second), beta);
+  EXPECT_EQ(symbols.constant_count(), 2u);
+  // A prefix of an interned spelling is a different constant.
+  symbols.LookupConstant(buffer.substr(2, 4), &found);
+  EXPECT_FALSE(found);
 }
 
 TEST(SymbolTableTest, FreshNullsAreDistinct) {

@@ -253,12 +253,14 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   cmake --build build-tsan -j "$jobs" \
     --target thread_pool_test chase_parallel_test ctract_solver_test \
     fuzz_test generic_solver_test obs_test serve_test \
-    solution_aware_chase_test stream_test
+    solution_aware_chase_test stream_test flat_index_test
   # One pass: the chase's pooled tgd collect (workers probe heads and build
   # head rows), the pooled egd slot collect (also run per search node by
   # generic_solver_test), the solution-aware chase's pooled collect
   # (solution_aware_chase_test) and the pooled Figure 3 block checks
   # (ctract_solver_test) run concurrently; every apply is sequential.
+  # flat_index_test races first probes of a shared store's lazy index
+  # against a clone of that store.
   ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
 fi
