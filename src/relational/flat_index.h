@@ -277,6 +277,7 @@ class FlatIndex {
 // are (tuple hash, tuple index); equality is delegated to the caller (who
 // can compare against the arena), so the set never stores tuple data.
 // Erase uses backward-shift deletion, keeping probe chains tombstone-free.
+// The load factor stays at most 3/4.
 class FlatTupleSet {
  public:
   // The index of the entry with `hash` for which `eq(idx)` holds, or -1.
@@ -354,6 +355,16 @@ class FlatTupleSet {
       }
       i = (i + 1) & mask;
     }
+  }
+
+  // Makes room for `extra` more inserts without a rehash, so a bulk load
+  // of known size rehashes at most once.
+  void Reserve(size_t extra) {
+    const size_t need = size_ + extra;
+    if (need * 4 <= entries_.size() * 3) return;
+    size_t capacity = entries_.empty() ? 16 : entries_.size() * 2;
+    while (need * 4 > capacity * 3) capacity *= 2;
+    Rehash(capacity);
   }
 
   void Clear() {

@@ -114,6 +114,57 @@ bool Instance::AddFact(RelationId relation, const Value* values, size_t n) {
   return true;
 }
 
+Instance::BulkLoader::BulkLoader(Instance* instance)
+    : instance_(instance),
+      stores_(instance->stores_.size(), nullptr),
+      loaded_from_(instance->stores_.size(), 0) {
+  PDX_CHECK(!instance->has_merges()) << "bulk load into a merged instance";
+}
+
+Value* Instance::BulkLoader::Append(RelationId relation) {
+  PDX_DCHECK(relation >= 0 &&
+             relation < static_cast<RelationId>(stores_.size()));
+  RelationStore* store = stores_[relation];
+  if (store == nullptr) {
+    store = stores_[relation] = &instance_->Mutable(relation);
+    loaded_from_[relation] = store->count;
+  }
+  const size_t end = store->data.size();
+  store->data.resize(end + static_cast<size_t>(store->arity));
+  ++store->count;
+  return store->data.data() + end;
+}
+
+void Instance::BulkLoader::Finish() {
+  for (size_t r = 0; r < stores_.size(); ++r) {
+    RelationStore* store = stores_[r];
+    if (store == nullptr) continue;
+    stores_[r] = nullptr;
+    const size_t arity = static_cast<size_t>(store->arity);
+    const size_t from = loaded_from_[r];
+    const size_t end = store->count;
+    // Compact the loaded tuples [from, end) in place: a tuple the dedup
+    // set already holds is a repeat of an earlier one and is dropped, so
+    // the kept tuples are the first occurrences, in load order.
+    store->count = from;
+    store->dedup.Reserve(end - from);
+    Value* data = store->data.data();
+    for (size_t i = from; i < end; ++i) {
+      const Value* tuple = data + i * arity;
+      const uint64_t hash = HashValueSeq(tuple, arity);
+      if (store->DedupFind(tuple, arity, hash) >= 0) continue;
+      if (store->count != i) {
+        std::copy(tuple, tuple + arity, data + store->count * arity);
+      }
+      store->dedup.Insert(hash, static_cast<int32_t>(store->count));
+      ++store->count;
+    }
+    store->data.resize(store->count * arity);
+    store->InvalidateClassCache();
+    instance_->fact_count_ += store->count - from;
+  }
+}
+
 int Instance::FindResolvedTupleIndex(RelationId relation,
                                      const Tuple& resolved) const {
   const RelationStore& store = *stores_[relation];

@@ -113,6 +113,17 @@ class Instance {
   // no per-fact vector allocation.
   bool AddFact(RelationId relation, const Value* values, size_t n);
 
+  // Loads facts in bulk: Append hands out a relation's next arena slots
+  // with no dedup probe, and Finish deduplicates every touched relation
+  // once, through a dedup set sized from the known count, keeping first
+  // occurrences. The result (tuple order, fact_count, dedup set) is what
+  // one AddFact per appended fact would have built. Values are stored
+  // raw, so the instance must have no merges. Between the first Append
+  // and Finish the instance must not be read or otherwise written; an
+  // instance whose load is abandoned before Finish must be discarded.
+  // (Defined after Instance.)
+  class BulkLoader;
+
   // All raw tuples of one relation, in insertion order, as a borrowed
   // view over the relation's contiguous arena. Under merges a tuple's
   // values may be stale: resolve-on-read via ResolveValue / ResolveTuple
@@ -382,6 +393,24 @@ class Instance {
   size_t fact_count_ = 0;
   std::vector<std::shared_ptr<RelationStore>> stores_;
   ValueResolver resolver_;
+};
+
+class Instance::BulkLoader {
+ public:
+  explicit BulkLoader(Instance* instance);
+
+  // arity(relation) value slots at the end of `relation`'s arena for
+  // the caller to fill. Valid until the next Append.
+  Value* Append(RelationId relation);
+
+  void Finish();
+
+ private:
+  Instance* instance_;
+  // Per relation: its store, or null while untouched, and its tuple
+  // count before the load.
+  std::vector<RelationStore*> stores_;
+  std::vector<size_t> loaded_from_;
 };
 
 // The facts of an instance that are *pending* relative to a watermark, as

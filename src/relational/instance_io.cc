@@ -1,6 +1,8 @@
 #include "relational/instance_io.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <unordered_map>
 
@@ -10,33 +12,54 @@ namespace pdx {
 
 namespace {
 
-// Minimal hand-rolled scanner for the fact syntax. Kept separate from the
-// dependency-language parser (logic/parser.*) because instances allow a
-// wider constant lexicon (numbers, quoted strings) and null labels.
-class FactScanner {
- public:
-  explicit FactScanner(std::string_view text) : text_(text) {}
+// Character classes of the fact syntax, as bit flags in one 256-entry
+// table. They match the C locale's isspace, isalnum and isdigit.
+enum : uint8_t {
+  kSpace = 1,    // ' ', \t, \n, \v, \f, \r
+  kWord = 2,     // letters, digits and '_': the body of a bare token
+  kDigit = 4,    // a '.' between two digits stays inside a bare token
+  kQuote = 8,    // ' and ": a quoted token runs to the same quote
+  kComment = 16  // '#': a comment runs to the end of its line
+};
 
-  void SkipSpaceAndComments() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '#') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else {
-        return;
-      }
-    }
+constexpr std::array<uint8_t, 256> MakeCharClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    classes[c] = kSpace;
   }
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kWord;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kWord;
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kWord | kDigit;
+  classes['_'] = kWord;
+  classes['\''] = kQuote;
+  classes['"'] = kQuote;
+  classes['#'] = kComment;
+  return classes;
+}
 
+constexpr std::array<uint8_t, 256> kCharClasses = MakeCharClasses();
+
+uint8_t ClassOf(char c) { return kCharClasses[static_cast<unsigned char>(c)]; }
+
+// The lexer of the fact syntax. It is kept apart from the dependency
+// language's parser (logic/parser.*) because instances allow a wider
+// constant lexicon (numbers, quoted strings) and null labels. Tokens are
+// views into the input, so lexing allocates nothing; an error is
+// described only when the caller asks for it.
+class FactLexer {
+ public:
+  explicit FactLexer(std::string_view text) : text_(text) {}
+
+  // True once only whitespace and comments remain.
   bool AtEnd() {
-    SkipSpaceAndComments();
+    Skip();
     return pos_ >= text_.size();
   }
 
+  // Consumes `c` if it is the next character after whitespace and
+  // comments.
   bool Consume(char c) {
-    SkipSpaceAndComments();
+    Skip();
     if (pos_ < text_.size() && text_[pos_] == c) {
       ++pos_;
       return true;
@@ -44,54 +67,91 @@ class FactScanner {
     return false;
   }
 
-  // An identifier, number, quoted string, or `_`-label.
-  StatusOr<std::string> ReadToken() {
-    SkipSpaceAndComments();
-    if (pos_ >= text_.size()) {
-      return InvalidArgumentError("unexpected end of instance text");
+  // Reads the next token: a bare identifier, number or `_`-label (letters,
+  // digits and '_', plus a '.' between two digits), or a quoted string,
+  // handed out without its quotes. Returns false on a lexical error;
+  // Error() then describes it.
+  bool Read(std::string_view* token) {
+    Skip();
+    const size_t size = text_.size();
+    if (pos_ >= size) {
+      failure_ = Failure::kEnd;
+      return false;
     }
-    char c = text_[pos_];
-    if (c == '\'' || c == '"') {
-      char quote = c;
-      size_t start = ++pos_;
-      while (pos_ < text_.size() && text_[pos_] != quote) ++pos_;
-      if (pos_ >= text_.size()) {
-        return InvalidArgumentError("unterminated quoted value");
+    const char* data = text_.data();
+    const char c = data[pos_];
+    const uint8_t cls = ClassOf(c);
+    if (cls & kQuote) {
+      const size_t start = pos_ + 1;
+      const void* close = std::memchr(data + start, c, size - start);
+      if (close == nullptr) {
+        pos_ = size;
+        failure_ = Failure::kUnterminated;
+        return false;
       }
-      std::string token(text_.substr(start, pos_ - start));
-      ++pos_;
-      return token;
+      const size_t end = static_cast<const char*>(close) - data;
+      *token = text_.substr(start, end - start);
+      pos_ = end + 1;
+      return true;
     }
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) {
-      return InvalidArgumentError(
-          StrCat("unexpected character '", std::string(1, c), "' at offset ",
-                 pos_));
+    if (!(cls & kWord)) {
+      failure_ = Failure::kUnexpected;
+      return false;
     }
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_' || text_[pos_] == '.')) {
-      // '.' inside a token only for decimal-looking constants: stop at
-      // '.' unless surrounded by digits.
-      if (text_[pos_] == '.') {
-        bool digit_before =
-            pos_ > start &&
-            std::isdigit(static_cast<unsigned char>(text_[pos_ - 1]));
-        bool digit_after =
-            pos_ + 1 < text_.size() &&
-            std::isdigit(static_cast<unsigned char>(text_[pos_ + 1]));
-        if (!(digit_before && digit_after)) break;
+    size_t end = pos_ + 1;
+    for (;;) {
+      while (end < size && (ClassOf(data[end]) & kWord)) ++end;
+      if (end + 1 < size && data[end] == '.' &&
+          (ClassOf(data[end - 1]) & kDigit) &&
+          (ClassOf(data[end + 1]) & kDigit)) {
+        end += 2;
+        continue;
       }
-      ++pos_;
+      break;
     }
-    return std::string(text_.substr(start, pos_ - start));
+    *token = text_.substr(pos_, end - pos_);
+    pos_ = end;
+    return true;
   }
 
-  size_t offset() const { return pos_; }
+  // The error of the last failed Read.
+  Status Error() const {
+    switch (failure_) {
+      case Failure::kEnd:
+        return InvalidArgumentError("unexpected end of instance text");
+      case Failure::kUnterminated:
+        return InvalidArgumentError("unterminated quoted value");
+      case Failure::kUnexpected:
+        break;
+    }
+    return InvalidArgumentError(StrCat("unexpected character '",
+                                       std::string(1, text_[pos_]),
+                                       "' at offset ", pos_));
+  }
 
  private:
+  enum class Failure { kEnd, kUnterminated, kUnexpected };
+
+  void Skip() {
+    const char* data = text_.data();
+    const size_t size = text_.size();
+    while (pos_ < size) {
+      const uint8_t cls = ClassOf(data[pos_]);
+      if (cls & kSpace) {
+        ++pos_;
+      } else if (cls & kComment) {
+        const void* newline = std::memchr(data + pos_, '\n', size - pos_);
+        pos_ = newline == nullptr ? size
+                                  : static_cast<const char*>(newline) - data;
+      } else {
+        return;
+      }
+    }
+  }
+
   std::string_view text_;
   size_t pos_ = 0;
+  Failure failure_ = Failure::kEnd;
 };
 
 }  // namespace
@@ -100,41 +160,53 @@ StatusOr<Instance> ParseInstance(std::string_view text, const Schema& schema,
                                  SymbolTable* symbols) {
   PDX_CHECK(symbols != nullptr);
   Instance instance(&schema);
-  FactScanner scanner(text);
-  std::unordered_map<std::string, Value> null_labels;
-  while (!scanner.AtEnd()) {
-    PDX_ASSIGN_OR_RETURN(std::string name, scanner.ReadToken());
+  Instance::BulkLoader loader(&instance);
+  FactLexer lexer(text);
+  // Keys are views into `text`, which outlives the parse.
+  std::unordered_map<std::string_view, Value> null_labels;
+  while (!lexer.AtEnd()) {
+    std::string_view name;
+    if (!lexer.Read(&name)) return lexer.Error();
     PDX_ASSIGN_OR_RETURN(RelationId relation, schema.FindRelation(name));
-    if (!scanner.Consume('(')) {
+    if (!lexer.Consume('(')) {
       return InvalidArgumentError(
           StrCat("expected '(' after relation ", name));
     }
-    Tuple tuple;
-    if (!scanner.Consume(')')) {
+    // The values go straight into the relation's arena. Those past its
+    // arity are interned like the rest, so a rejected text leaves the
+    // symbol table as a value-by-value parse would, and counted for the
+    // error below, but not stored.
+    const int arity = schema.arity(relation);
+    Value* slots = loader.Append(relation);
+    int count = 0;
+    if (!lexer.Consume(')')) {
       while (true) {
-        PDX_ASSIGN_OR_RETURN(std::string token, scanner.ReadToken());
+        std::string_view token;
+        if (!lexer.Read(&token)) return lexer.Error();
+        Value value;
         if (!token.empty() && token[0] == '_') {
-          auto [it, inserted] = null_labels.emplace(token, Value());
+          auto [it, inserted] = null_labels.try_emplace(token);
           if (inserted) it->second = symbols->FreshNull();
-          tuple.push_back(it->second);
+          value = it->second;
         } else {
-          tuple.push_back(symbols->InternConstant(token));
+          value = symbols->InternConstant(token);
         }
-        if (scanner.Consume(')')) break;
-        if (!scanner.Consume(',')) {
+        if (count < arity) slots[count] = value;
+        ++count;
+        if (lexer.Consume(')')) break;
+        if (!lexer.Consume(',')) {
           return InvalidArgumentError(
               StrCat("expected ',' or ')' in fact for ", name));
         }
       }
     }
-    if (static_cast<int>(tuple.size()) != schema.arity(relation)) {
-      return InvalidArgumentError(
-          StrCat("fact for ", name, " has ", tuple.size(),
-                 " values, expected ", schema.arity(relation)));
+    if (count != arity) {
+      return InvalidArgumentError(StrCat("fact for ", name, " has ", count,
+                                         " values, expected ", arity));
     }
-    instance.AddFact(relation, std::move(tuple));
-    scanner.Consume('.');  // Trailing periods are optional separators.
+    lexer.Consume('.');  // Trailing periods are optional separators.
   }
+  loader.Finish();
   return instance;
 }
 

@@ -12,18 +12,17 @@ StatusOr<RelationId> Schema::AddRelation(std::string_view name, int arity) {
   if (name.empty()) {
     return InvalidArgumentError("relation name must be non-empty");
   }
-  std::string key(name);
-  if (by_name_.count(key) > 0) {
+  if (by_name_.find(name) != by_name_.end()) {
     return AlreadyExistsError(StrCat("relation ", name, " already declared"));
   }
   RelationId id = static_cast<RelationId>(relations_.size());
-  relations_.push_back(RelationSchema{std::move(key), arity});
+  relations_.push_back(RelationSchema{std::string(name), arity});
   by_name_.emplace(relations_.back().name, id);
   return id;
 }
 
 StatusOr<RelationId> Schema::FindRelation(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   if (it == by_name_.end()) {
     return NotFoundError(StrCat("unknown relation ", name));
   }

@@ -1,6 +1,7 @@
 #ifndef PDX_RELATIONAL_SCHEMA_H_
 #define PDX_RELATIONAL_SCHEMA_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -57,8 +58,19 @@ class Schema {
   std::string ToString() const;
 
  private:
+  // Transparent hash: with std::equal_to<>, by_name_ is probed with a
+  // std::string_view directly, so FindRelation allocates nothing (the fact
+  // parser calls it once per fact).
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<RelationSchema> relations_;
-  std::unordered_map<std::string, RelationId> by_name_;
+  std::unordered_map<std::string, RelationId, NameHash, std::equal_to<>>
+      by_name_;
 };
 
 }  // namespace pdx

@@ -6,7 +6,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/logging.h"
@@ -67,6 +66,16 @@ struct ValueHash {
 //
 // One SymbolTable represents one "universe" of values; all instances,
 // dependencies and queries that interact must share a SymbolTable.
+//
+// Constants live in one flat table: every spelling is appended to a single
+// character arena, each constant stores its arena offset and its 64-bit
+// hash (ids are dense, in first-seen order), and an open-addressing slot
+// array maps hashes to ids. A lookup hashes the string_view once, probes
+// the slots (each holding the id and 32 more bits of the hash) and
+// compares spellings only on a tag match, so neither a hit nor a miss
+// allocates; a growth rehashes from the stored hashes without touching a
+// spelling. Interning is not thread-safe (pdxd serializes it under the
+// tenant's symbols_mu_); FreshNull and ReserveNullRange are.
 class SymbolTable {
  public:
   SymbolTable() = default;
@@ -75,13 +84,17 @@ class SymbolTable {
   SymbolTable(const SymbolTable&) = delete;
   SymbolTable& operator=(const SymbolTable&) = delete;
   SymbolTable(SymbolTable&& other) noexcept
-      : ids_(std::move(other.ids_)),
-        names_(std::move(other.names_)),
+      : slots_(std::move(other.slots_)),
+        offsets_(std::move(other.offsets_)),
+        hashes_(std::move(other.hashes_)),
+        arena_(std::move(other.arena_)),
         next_null_id_(
             other.next_null_id_.load(std::memory_order_relaxed)) {}
   SymbolTable& operator=(SymbolTable&& other) noexcept {
-    ids_ = std::move(other.ids_);
-    names_ = std::move(other.names_);
+    slots_ = std::move(other.slots_);
+    offsets_ = std::move(other.offsets_);
+    hashes_ = std::move(other.hashes_);
+    arena_ = std::move(other.arena_);
     next_null_id_.store(other.next_null_id_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
     return *this;
@@ -129,20 +142,38 @@ class SymbolTable {
   // Renders a value: the constant's spelling, or "_N<k>" for nulls.
   std::string ValueToString(Value v) const;
 
-  size_t constant_count() const { return names_.size(); }
+  size_t constant_count() const { return offsets_.size(); }
 
  private:
-  // Transparent hash: with std::equal_to<>, ids_ is probed with a
-  // std::string_view directly, so a lookup hit allocates nothing.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
+  // One open-addressing slot: the constant's id + 1 (0 marks an empty
+  // slot) and the high half of its hash (the low half picks the slot).
+  struct Slot {
+    uint32_t id_plus_one = 0;
+    uint32_t tag = 0;
   };
 
-  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>> ids_;
-  std::vector<std::string> names_;
+  static uint64_t HashSpelling(std::string_view s);
+
+  // The spelling of constant `id`: arena_[offsets_[id], next offset).
+  std::string_view Spelling(uint32_t id) const {
+    const size_t begin = offsets_[id];
+    const size_t end =
+        id + 1 < offsets_.size() ? offsets_[id + 1] : arena_.size();
+    return std::string_view(arena_).substr(begin, end - begin);
+  }
+
+  // The slot holding `name` (hash `hash`), or the empty slot that ends
+  // its probe chain. `slots_` must be non-empty.
+  size_t FindSlot(std::string_view name, uint64_t hash) const;
+
+  // Doubles the slot array (16 slots at first), re-placing every id from
+  // hashes_.
+  void Grow();
+
+  std::vector<Slot> slots_;         // power-of-two size, at most half full
+  std::vector<size_t> offsets_;     // per id: start of its spelling
+  std::vector<uint64_t> hashes_;    // per id: HashSpelling of it
+  std::string arena_;               // every spelling, back to back
   std::atomic<uint32_t> next_null_id_{0};
 };
 

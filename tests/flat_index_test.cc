@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -17,8 +18,11 @@
 #include "base/string_util.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "chase/chase.h"
+#include "logic/parser.h"
 #include "relational/flat_index.h"
 #include "relational/instance.h"
+#include "relational/instance_io.h"
 #include "workload/random.h"
 
 namespace pdx {
@@ -504,6 +508,173 @@ TEST_F(LazyIndexTest, ConcurrentFirstProbesRaceACloneAndAppend) {
     EXPECT_EQ(copy_bucket, want[extra_index].size() + 1) << "round " << round;
     EXPECT_FALSE(shared.Contains(1, extra));
   }
+}
+
+
+// Bulk load: ParseInstance appends every fact to the arenas and
+// deduplicates each relation once at the end. The result must be the
+// instance one AddFact per fact (in text order) builds: the same tuples
+// in the same order, the same fact count, a dedup set that rejects every
+// stored fact again, and, once probed, the same index buckets.
+void ExpectSameAsTwin(const Instance& loaded, const Instance& twin,
+                      const std::vector<Value>& probes) {
+  const Schema& schema = loaded.schema();
+  ASSERT_EQ(loaded.fact_count(), twin.fact_count());
+  for (RelationId r = 0; r < schema.relation_count(); ++r) {
+    const TupleList got = loaded.tuples(r);
+    const TupleList want = twin.tuples(r);
+    ASSERT_EQ(got.size(), want.size()) << "relation " << r;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i] == want[i]) << "relation " << r << " tuple " << i;
+    }
+    for (int pos = 0; pos < schema.arity(r); ++pos) {
+      for (const Value v : probes) {
+        const TupleIndexSpan g = loaded.TuplesWithValueAt(r, pos, v);
+        const TupleIndexSpan w = twin.TuplesWithValueAt(r, pos, v);
+        ASSERT_EQ(std::vector<int32_t>(g.begin(), g.end()),
+                  std::vector<int32_t>(w.begin(), w.end()))
+            << "relation " << r << " position " << pos;
+      }
+    }
+  }
+}
+
+TEST_F(LazyIndexTest, BulkParseEqualsPerFactAddFact) {
+  for (uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    // Facts over both relations, interleaved, from a small pool of
+    // constants c0..c5 and labels _n0.._n5: duplicates are common.
+    std::string text;
+    std::vector<std::pair<RelationId, std::vector<int>>> facts;
+    for (int f = 0; f < 400; ++f) {
+      const RelationId r = static_cast<RelationId>(rng.UniformInt(2));
+      std::vector<int> picks;
+      std::string args;
+      for (int pos = 0; pos < schema.arity(r); ++pos) {
+        const int pick = static_cast<int>(rng.UniformInt(12));
+        picks.push_back(pick);
+        if (pos > 0) args += ",";
+        args += pick < 6 ? StrCat("c", pick) : StrCat("_n", pick - 6);
+      }
+      text += StrCat(schema.relation_name(r), "(", args, ").\n");
+      facts.emplace_back(r, std::move(picks));
+    }
+    const uint32_t first_null = symbols.null_count();
+    StatusOr<Instance> loaded = ParseInstance(text, schema, &symbols);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+    // The twin: the same facts through AddFact. The parse minted one null
+    // per label, in order of first occurrence in the text.
+    Instance twin(&schema);
+    std::vector<Value> label_null(6);
+    std::vector<bool> seen(6, false);
+    uint32_t next_null = first_null;
+    std::vector<Value> probes(pool.begin(), pool.begin() + 6);
+    for (const auto& [r, picks] : facts) {
+      Tuple t;
+      for (int pick : picks) {
+        if (pick < 6) {
+          t.push_back(pool[pick]);
+          continue;
+        }
+        if (!seen[pick - 6]) {
+          seen[pick - 6] = true;
+          label_null[pick - 6] = Value::Null(next_null++);
+          probes.push_back(label_null[pick - 6]);
+        }
+        t.push_back(label_null[pick - 6]);
+      }
+      twin.AddFact(r, std::move(t));
+    }
+    ASSERT_EQ(symbols.null_count(), next_null);
+    ASSERT_LT(twin.fact_count(), facts.size());  // some were duplicates
+    ExpectSameAsTwin(*loaded, twin, probes);
+    // The dedup set holds every stored fact: re-adding one is a no-op.
+    for (RelationId r = 0; r < schema.relation_count(); ++r) {
+      const TupleList stored = twin.tuples(r);
+      for (size_t i = 0; i < stored.size(); ++i) {
+        ASSERT_FALSE(loaded->AddFact(r, stored[i].ToTuple()));
+        ASSERT_TRUE(loaded->Contains(r, stored[i].ToTuple()));
+      }
+    }
+    ASSERT_EQ(loaded->fact_count(), twin.fact_count());
+  }
+}
+
+TEST_F(LazyIndexTest, BulkLoadOntoProbedSharedStore) {
+  // A bulk load into an instance that already holds tuples, whose indexes
+  // were caught up, and whose stores are shared with a copy: repeats of
+  // old tuples are dropped, the copy keeps its stores, and the indexes
+  // resume from where they stopped.
+  Rng rng(31);
+  auto random_tuple = [&](RelationId r) {
+    Tuple t;
+    for (int pos = 0; pos < schema.arity(r); ++pos) {
+      t.push_back(pool[rng.UniformInt(static_cast<uint32_t>(pool.size()))]);
+    }
+    return t;
+  };
+  Instance loaded(&schema);
+  Instance twin(&schema);
+  for (int i = 0; i < 60; ++i) {
+    const RelationId r = static_cast<RelationId>(rng.UniformInt(2));
+    const Tuple t = random_tuple(r);
+    loaded.AddFact(r, t);
+    twin.AddFact(r, t);
+  }
+  ProbeAll(loaded);
+  const Instance before = loaded;
+  const std::string before_text = before.ToString(symbols);
+  const size_t before_count = before.fact_count();
+  Instance::BulkLoader loader(&loaded);
+  for (int i = 0; i < 300; ++i) {
+    const RelationId r = static_cast<RelationId>(rng.UniformInt(2));
+    const Tuple t = random_tuple(r);
+    std::copy(t.begin(), t.end(), loader.Append(r));
+    twin.AddFact(r, t);
+  }
+  loader.Finish();
+  ExpectSameAsTwin(loaded, twin, pool);
+  EXPECT_EQ(before.ToString(symbols), before_text);
+  EXPECT_EQ(before.fact_count(), before_count);
+  EXPECT_GT(loaded.fact_count(), before_count);
+}
+
+TEST(BulkChaseGrowthTest, ChaseAddingOneFactPerRoundGrowsGeometrically) {
+  // P(x) & E(x,y) -> P(y) over a 300-edge path from P(v0), chased one
+  // step per call on the moved-in instance: every call is a chase round
+  // that collects one trigger and adds one P fact. Grown to the exact
+  // size each round, P's arena would move on every call.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("E", 2).ok());
+  ASSERT_TRUE(schema.AddRelation("P", 1).ok());
+  SymbolTable symbols;
+  std::string text = "P(v0).\n";
+  for (int i = 0; i < 300; ++i) text += StrCat("E(v", i, ",v", i + 1, ").\n");
+  StatusOr<Instance> start = ParseInstance(text, schema, &symbols);
+  ASSERT_TRUE(start.ok()) << start.status().ToString();
+  StatusOr<DependencySet> deps =
+      ParseDependencies("P(x) & E(x,y) -> P(y).", schema, &symbols);
+  ASSERT_TRUE(deps.ok()) << deps.status().ToString();
+  ChaseOptions options;
+  options.num_threads = 1;
+  options.max_steps = 1;
+  Instance instance = std::move(start).value();
+  const Value* arena = instance.tuples(1).data();
+  int moves = 0;
+  for (int call = 0; call < 300; ++call) {
+    ChaseResult result =
+        Chase(std::move(instance), deps->tgds, {}, &symbols, options);
+    ASSERT_EQ(result.steps, 1);
+    instance = std::move(result.instance);
+    ASSERT_EQ(instance.tuples(1).size(), static_cast<size_t>(call) + 2);
+    if (instance.tuples(1).data() != arena) {
+      arena = instance.tuples(1).data();
+      ++moves;
+    }
+  }
+  EXPECT_LE(moves, 12);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "relational/schema.h"
 
+#include <string_view>
+
 #include "gtest/gtest.h"
 
 namespace pdx {
@@ -39,6 +41,25 @@ TEST(SchemaTest, FindUnknownIsNotFound) {
   Schema schema;
   EXPECT_EQ(schema.FindRelation("ghost").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(SchemaTest, FindsNonTerminatedSlices) {
+  // FindRelation takes a string_view: a slice in the middle of a larger
+  // buffer (the fact parser's relation token) must find its relation, and
+  // a prefix or extension of a name must not.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("Gene", 2).ok());
+  ASSERT_TRUE(schema.AddRelation("Gen", 1).ok());
+  const std::string_view buffer = "Gene(a,b). Gen(c).";
+  EXPECT_EQ(schema.FindRelation(buffer.substr(0, 4)).value(), 0);
+  EXPECT_EQ(schema.FindRelation(buffer.substr(11, 3)).value(), 1);
+  EXPECT_EQ(schema.FindRelation(buffer.substr(0, 2)).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(schema.FindRelation(buffer.substr(0, 5)).status().message(),
+            "unknown relation Gene(");
+  // A duplicate declared through a slice is still a duplicate.
+  EXPECT_EQ(schema.AddRelation(buffer.substr(11, 3), 1).status().code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST(SchemaTest, DisjointUnionPreservesLeftIds) {

@@ -1,10 +1,15 @@
 #include "relational/value.h"
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "workload/random.h"
 
 namespace pdx {
 namespace {
@@ -101,6 +106,93 @@ TEST(SymbolTableTest, ValueToString) {
   Value n = symbols.FreshNull();
   EXPECT_EQ(symbols.ValueToString(a), "swissprot");
   EXPECT_EQ(symbols.ValueToString(n), "_N0");
+}
+
+// A random spelling: short ones over a tiny alphabet (many collide), long
+// ones (several hash words plus a tail), the empty string, and
+// shared-prefix families ("p7", "p7x", "p7xx", ...) whose members are
+// each other's prefixes.
+std::string RandomSpelling(Rng& rng) {
+  const uint32_t kind = rng.UniformInt(10);
+  std::string s;
+  if (kind < 4) {
+    for (uint32_t n = 1 + rng.UniformInt(3); n > 0; --n) {
+      s.push_back(static_cast<char>('a' + rng.UniformInt(4)));
+    }
+  } else if (kind < 6) {
+    for (uint32_t n = 9 + rng.UniformInt(60); n > 0; --n) {
+      s.push_back(static_cast<char>('a' + rng.UniformInt(26)));
+    }
+  } else if (kind < 7) {
+    // Left empty.
+  } else {
+    s = "p" + std::to_string(rng.UniformInt(4000));
+    s.append(rng.UniformInt(12), 'x');
+  }
+  return s;
+}
+
+// 10^5 random interns and lookups against an unordered_map model, across
+// many growths of the slot array (over 4,000 constants: at least nine
+// doublings from 16 slots), then again after a move-construct and after a
+// move-assign.
+TEST(SymbolTableTest, RandomOpsMatchUnorderedMapModel) {
+  Rng rng(7);
+  std::unordered_map<std::string, uint32_t> ids;
+  std::vector<std::string> names;
+  SymbolTable symbols;
+  auto check_all = [&](const SymbolTable& table) {
+    ASSERT_EQ(table.constant_count(), names.size());
+    for (uint32_t id = 0; id < names.size(); ++id) {
+      ASSERT_EQ(table.ValueToString(Value::Constant(id)), names[id]);
+    }
+  };
+  auto run = [&](SymbolTable& table, int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const std::string name = RandomSpelling(rng);
+      SCOPED_TRACE(testing::Message() << "op " << op << " name '" << name
+                                      << "'");
+      auto it = ids.find(name);
+      if (rng.UniformInt(3) == 0) {
+        bool found = false;
+        const Value v = table.LookupConstant(name, &found);
+        ASSERT_EQ(found, it != ids.end());
+        if (found) {
+          ASSERT_EQ(v, Value::Constant(it->second));
+        }
+        // A lookup never interns.
+        ASSERT_EQ(table.constant_count(), names.size());
+        continue;
+      }
+      const Value v = table.InternConstant(name);
+      ASSERT_TRUE(v.is_constant());
+      if (it == ids.end()) {
+        // Dense ids in first-seen order.
+        ASSERT_EQ(v.id(), names.size());
+        ids.emplace(name, v.id());
+        names.push_back(name);
+      } else {
+        ASSERT_EQ(v.id(), it->second);
+      }
+      ASSERT_EQ(table.constant_count(), names.size());
+      ASSERT_EQ(table.ValueToString(v), name);
+    }
+  };
+  run(symbols, 60000);
+  check_all(symbols);
+  ASSERT_GT(names.size(), 4000u);
+
+  SymbolTable moved(std::move(symbols));
+  check_all(moved);
+  run(moved, 20000);
+  check_all(moved);
+
+  SymbolTable assigned;
+  assigned.InternConstant("overwritten");
+  assigned = std::move(moved);
+  check_all(assigned);
+  run(assigned, 20000);
+  check_all(assigned);
 }
 
 // Null ids are 32-bit: once a table has handed out 2^32 - 1 of them, the

@@ -21,8 +21,9 @@
 # fingerprint-cross-checked with a conservative speedup floor) and a
 # pdxcli smoke stage: check/chase/solve on
 # the shipped Example 1 setting with --metrics-out/--trace-out, failing on
-# malformed exporter output, on a chase whose facts differ between 1 and
-# 8 threads, or on a flag pdxcli should reject but accepts, plus a
+# malformed exporter output, on a chase or ctract solve whose output
+# differs between 1 and 8 threads, or on a flag pdxcli should reject but
+# accepts, plus a
 # -DPDX_OBS_NOOP=ON build gate proving
 # the library and CLI still compile with the observability layer stubbed
 # out (the stubs are all-inline, so nothing short of building exercises
@@ -87,15 +88,22 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
     fi
   done
 
-  # The chase prints the same facts, null ids included, at every thread
-  # count.
+  # The chase and the Figure 3 solver (ctract) print the same output, null
+  # ids included, at every thread count.
   for threads in 1 8; do
     ./build/tools/pdxcli chase --setting data/genomics.pdx \
       --source data/genomics_source.facts --threads "$threads" \
       >"$smoke_dir/chase_t$threads.txt"
+    ./build/tools/pdxcli solve --solver ctract --setting data/genomics.pdx \
+      --source data/genomics_source.facts \
+      --target data/genomics_target.facts --threads "$threads" \
+      >"$smoke_dir/solve_t$threads.txt"
   done
   cmp -s "$smoke_dir/chase_t1.txt" "$smoke_dir/chase_t8.txt" ||
     { echo "smoke: chase output differs between 1 and 8 threads" >&2
+      exit 1; }
+  cmp -s "$smoke_dir/solve_t1.txt" "$smoke_dir/solve_t8.txt" ||
+    { echo "smoke: solve output differs between 1 and 8 threads" >&2
       exit 1; }
 
   # pdxcli rejects what it does not read: a flag its command does not
