@@ -159,11 +159,13 @@ struct TgdRows {
 //     match whose head does not already hold (HasMatchPlanned) and build
 //     its head rows.
 //   - Apply, on the calling thread in slot order, which is the sequential
-//     enumeration order. Each head is re-checked against the live
-//     instance, since an earlier trigger of the batch may have satisfied
-//     it. Only then does the trigger mint its nulls (FreshNull, in
-//     existential order), journal its extended row and insert its head
-//     rows.
+//     enumeration order. An earlier trigger of the batch may have
+//     satisfied a later one; the tgd's ApplyMode (plan/ir.h) says how
+//     that is ruled out. kLive re-checks the head against the live
+//     instance, kInsert fires a trigger only if its inserts add a fact,
+//     and kNone needs no check. A firing trigger mints its nulls
+//     (FreshNull, in existential order), inserts its head rows and
+//     journals its extended row.
 // Null ids thus follow the apply order alone, so results are bit-identical
 // at every thread count and no null id is drawn for a skipped trigger.
 // Returns false when the step budget was exhausted (`result` is
@@ -187,13 +189,9 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
         [&](TgdRows* buffer, const Binding& m) {
           ++buffer->matches;
           if (HasMatchPlanned(plan.head, instance, m)) return false;
-          const size_t row = buffer->rows.size();
           buffer->rows.insert(buffer->rows.end(), m.values.begin(),
                               m.values.end());
-          for (const plan::HeadSlot& slot : apply.slots) {
-            buffer->heads.push_back(
-                slot.is_const ? slot.key : buffer->rows[row + slot.var]);
-          }
+          AppendHeadRow(apply, m.values.data(), &buffer->heads);
           ++buffer->count;
           return true;
         });
@@ -212,25 +210,28 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
     Binding scratch = Binding::Empty(tgd.var_count);
     scratch.bound = apply.body_bound;
     const size_t var_count = static_cast<size_t>(tgd.var_count);
+    const plan::ApplyMode mode = ApplyModeOn(apply, instance);
     int64_t applied = 0;
+    int64_t rechecked = 0;
     for (size_t s = 0; s < used; ++s) {
       TgdRows& buffer = (*slots)[s];
       Value* row = buffer.rows.data();
       Value* head = buffer.heads.data();
       for (size_t t = 0; t < buffer.count;
            ++t, row += var_count, head += apply.head_width) {
-        std::copy(row, row + var_count, scratch.values.begin());
-        if (HasMatchPlanned(plan.head, instance, scratch)) continue;
+        if (mode == plan::ApplyMode::kLive) {
+          ++rechecked;
+          std::copy(row, row + var_count, scratch.values.begin());
+          if (HeadHoldsLive(plan, instance, scratch, head)) continue;
+        }
         for (VariableId v : apply.existentials) row[v] = symbols->FreshNull();
         for (const auto& [pos, v] : apply.head_null_slots) head[pos] = row[v];
+        if (!AddHeadRow(apply, head, &instance) &&
+            mode == plan::ApplyMode::kInsert) {
+          continue;  // the head already held
+        }
         if (journal != nullptr) {
           journal->RecordTgd(d, row, var_count, tgd.existential);
-        }
-        const Value* cursor = head;
-        for (const plan::HeadAtom& atom : apply.head_atoms) {
-          instance.AddFact(atom.relation, cursor,
-                           static_cast<size_t>(atom.arity));
-          cursor += atom.arity;
         }
         result->nulls_created += apply.fresh_per_trigger;
         ++applied;
@@ -241,7 +242,8 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
       }
     }
     tgd_span.AttrInt("collected", static_cast<int64_t>(collected))
-        .AttrInt("applied", applied);
+        .AttrInt("applied", applied)
+        .AttrInt("rechecked", rechecked);
   }
   return true;
 }

@@ -82,21 +82,62 @@ size_t CollectDeltaSlots(const plan::BodyPlan& body, const Instance& instance,
   return parts.size();
 }
 
-// Adds the head facts of one trigger: `row` holds a value for every
-// variable the head mentions (indexed by variable id), existentials
-// included; constants come from the template.
-inline void AddHeadFacts(const plan::ApplyTemplate& apply, const Value* row,
+// Appends the flat head row of one trigger (ApplyTemplate::slots order)
+// to `head`: `row` holds a value for every variable the head mentions
+// (indexed by variable id); constants come from the template. Existential
+// slots copy whatever `row` holds there.
+inline void AppendHeadRow(const plan::ApplyTemplate& apply, const Value* row,
+                          std::vector<Value>* head) {
+  for (const plan::HeadSlot& slot : apply.slots) {
+    head->push_back(slot.is_const ? slot.key : row[slot.var]);
+  }
+}
+
+// Inserts the facts of one flat head row. Returns true iff any was new.
+inline bool AddHeadRow(const plan::ApplyTemplate& apply, const Value* head,
+                       Instance* instance) {
+  bool added = false;
+  for (const plan::HeadAtom& atom : apply.head_atoms) {
+    added |= instance->AddFact(atom.relation, head,
+                               static_cast<size_t>(atom.arity));
+    head += atom.arity;
+  }
+  return added;
+}
+
+// Adds the head facts of one trigger whose `row` holds every head
+// variable, existentials included. Returns true iff any fact was new.
+inline bool AddHeadFacts(const plan::ApplyTemplate& apply, const Value* row,
                          Instance* instance) {
   std::vector<Value> head;
   head.reserve(apply.head_width);
-  for (const plan::HeadSlot& slot : apply.slots) {
-    head.push_back(slot.is_const ? slot.key : row[slot.var]);
+  AppendHeadRow(apply, row, &head);
+  return AddHeadRow(apply, head.data(), instance);
+}
+
+// The apply mode a tgd phase uses on `instance`: the compiled one, or
+// kLive once the instance has merges (plan/ir.h, ApplyMode).
+inline plan::ApplyMode ApplyModeOn(const plan::ApplyTemplate& apply,
+                                   const Instance& instance) {
+  return instance.has_merges() ? plan::ApplyMode::kLive : apply.mode;
+}
+
+// The live re-check of one collected trigger: true iff its head holds in
+// `instance`. `body` binds exactly the body variables and `head` is the
+// trigger's flat head row (the refuting atom's slots at least). Without
+// merges, a refuting atom that is absent decides it with one dedup-set
+// probe; otherwise the compiled head program runs.
+inline bool HeadHoldsLive(const plan::TgdPlan& plan, const Instance& instance,
+                          const Binding& body, const Value* head) {
+  const plan::ApplyTemplate& apply = plan.apply;
+  if (apply.refute_atom >= 0 && !instance.has_merges()) {
+    const plan::HeadAtom& atom = apply.head_atoms[apply.refute_atom];
+    if (!instance.ContainsExact(atom.relation, head + apply.refute_offset,
+                                static_cast<size_t>(atom.arity))) {
+      return false;
+    }
   }
-  const Value* cursor = head.data();
-  for (const plan::HeadAtom& atom : apply.head_atoms) {
-    instance->AddFact(atom.relation, cursor, static_cast<size_t>(atom.arity));
-    cursor += atom.arity;
-  }
+  return HasMatchPlanned(plan.head, instance, body);
 }
 
 }  // namespace pdx

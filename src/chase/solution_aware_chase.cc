@@ -91,6 +91,7 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
   std::vector<std::vector<int>> extras;
   // Collect slots shared across rounds and tgds: cleared, not freed.
   std::vector<std::vector<SolutionAwareTrigger>> slots;
+  std::vector<Value> head;  // one trigger's flat head row, reused
   int64_t round = 0;
   while (true) {
     obs::Span round_span(obs::Tracer::Global(), "chase.round");
@@ -135,15 +136,28 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
           });
       size_t collected = 0;
       for (size_t s = 0; s < used; ++s) collected += slots[s].size();
-      tgd_span.AttrInt("collected", static_cast<int64_t>(collected));
+      // The collect checked the pre-batch instance, as the chase's does,
+      // so the tgd's apply mode rules out the same in-batch repeats
+      // (chase.cc, RunTgdPhase). The witness binding supplies every head
+      // slot, existentials included.
+      const plan::ApplyMode mode = ApplyModeOn(plan.apply, instance);
+      int64_t applied = 0;
+      int64_t rechecked = 0;
       for (size_t s = 0; s < used; ++s) {
         for (const SolutionAwareTrigger& trigger : slots[s]) {
-          // Re-check on the body match: an earlier application this round
-          // may have satisfied it.
-          if (HasMatchPlanned(plan.head, instance, trigger.body)) continue;
-          // The witness binding supplies every head slot, existentials
-          // included.
-          AddHeadFacts(plan.apply, trigger.extended.values.data(), &instance);
+          head.clear();
+          AppendHeadRow(plan.apply, trigger.extended.values.data(), &head);
+          if (mode == plan::ApplyMode::kLive) {
+            ++rechecked;
+            if (HeadHoldsLive(plan, instance, trigger.body, head.data())) {
+              continue;
+            }
+          }
+          if (!AddHeadRow(plan.apply, head.data(), &instance) &&
+              mode == plan::ApplyMode::kInsert) {
+            continue;  // the head already held
+          }
+          ++applied;
           ++result.steps;
           if (result.steps >= options.max_steps) {
             result.outcome = ChaseOutcome::kBudgetExhausted;
@@ -151,6 +165,9 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
           }
         }
       }
+      tgd_span.AttrInt("collected", static_cast<int64_t>(collected))
+          .AttrInt("applied", applied)
+          .AttrInt("rechecked", rechecked);
     }
     mark = std::move(frontier);
     extras.clear();

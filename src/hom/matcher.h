@@ -78,8 +78,8 @@ bool EnumerateMatches(const std::vector<Atom>& atoms, int var_count,
 // binding an atom to a dirtied pre-existing tuple are also enumerated —
 // these pivots leave the other atoms unrestricted, so a match touching
 // both an extra and an additive fact may be reported more than once;
-// callers must be idempotent (chase triggers are: they re-check before
-// firing).
+// callers must be idempotent (chase triggers are: on an instance with
+// merges the apply re-checks every head before firing).
 //
 // Callback and return semantics are identical to EnumerateMatches.
 bool EnumerateMatchesDelta(const std::vector<Atom>& atoms, int var_count,

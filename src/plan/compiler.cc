@@ -169,6 +169,50 @@ void DeriveExistsProbe(BodyPlan* plan) {
   probe.valid = true;
 }
 
+// Sets the template's ApplyMode (plan/ir.h) from the tgd's shape alone,
+// and for kLive its refuting atom.
+void DeriveApplyMode(const Tgd& tgd, ApplyTemplate* out) {
+  if (out->existentials.empty()) {
+    out->mode = ApplyMode::kInsert;
+    return;
+  }
+  bool blind = true;
+  std::vector<bool> seen_relation;
+  size_t offset = 0;
+  for (size_t a = 0; a < tgd.head.size(); ++a) {
+    const Atom& atom = tgd.head[a];
+    const size_t r = static_cast<size_t>(atom.relation);
+    if (r >= seen_relation.size()) seen_relation.resize(r + 1, false);
+    if (seen_relation[r]) blind = false;
+    seen_relation[r] = true;
+    std::vector<bool> named(tgd.var_count, false);
+    bool has_existential = false;
+    for (const Term& t : atom.terms) {
+      if (t.is_constant()) continue;
+      if (tgd.existential[t.var()]) {
+        has_existential = true;
+      } else {
+        named[t.var()] = true;
+      }
+    }
+    for (VariableId v = 0; v < tgd.var_count; ++v) {
+      if (out->body_bound[v] && !named[v]) blind = false;
+    }
+    if (!has_existential && out->refute_atom < 0) {
+      out->refute_atom = static_cast<int>(a);
+      out->refute_offset = offset;
+    }
+    offset += atom.terms.size();
+  }
+  if (blind) {
+    out->mode = ApplyMode::kNone;
+    out->refute_atom = -1;
+    out->refute_offset = 0;
+  } else {
+    out->mode = ApplyMode::kLive;
+  }
+}
+
 ApplyTemplate BuildApplyTemplate(const Tgd& tgd) {
   ApplyTemplate out;
   out.body_bound.assign(tgd.var_count, false);
@@ -201,6 +245,7 @@ ApplyTemplate BuildApplyTemplate(const Tgd& tgd) {
     }
   }
   out.head_width = pos;
+  DeriveApplyMode(tgd, &out);
   return out;
 }
 
@@ -216,6 +261,15 @@ BodyPlan CompileFull(const std::vector<Atom>& atoms, int var_count,
   plan.max_depth = static_cast<int>(atoms.size());
   DeriveExistsProbe(&plan);
   return plan;
+}
+
+const char* ApplyModeName(ApplyMode mode) {
+  switch (mode) {
+    case ApplyMode::kInsert: return "insert";
+    case ApplyMode::kNone: return "none";
+    case ApplyMode::kLive: return "live";
+  }
+  return "unknown";
 }
 
 }  // namespace
@@ -306,6 +360,14 @@ std::string DumpPlans(const CompiledSetting& compiled,
     out += StrCat("tgd #", d, ": ", tgds[d].ToString(schema, symbols), "\n");
     out += StrCat("  head_width=", plan.apply.head_width,
                   " fresh_per_trigger=", plan.apply.fresh_per_trigger, "\n");
+    out += StrCat("  apply=", ApplyModeName(plan.apply.mode));
+    if (plan.apply.refute_atom >= 0) {
+      const int a = plan.apply.refute_atom;
+      out += StrCat(" refute=",
+                    schema.relation_name(plan.apply.head_atoms[a].relation),
+                    " atom#", a);
+    }
+    out += "\n";
     out += " body:\n";
     AppendCodeDump(plan.body, schema, tgds[d].var_names, &out);
     out += " head (universals bound):\n";

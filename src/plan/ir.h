@@ -78,6 +78,29 @@ struct HeadAtom {
   int arity = 0;
 };
 
+// How the chase's apply decides whether a collected trigger still fires
+// (DESIGN.md "One tgd phase"). The collect already kept only triggers
+// whose head fails on the pre-batch instance; the mode says what an
+// earlier trigger of the same batch can change about that. It holds only
+// while the instance has no merges: with merges a repeated match may ride
+// in the delta, and every trigger takes kLive.
+enum class ApplyMode : uint8_t {
+  // Full tgd: no separate re-check. A trigger fires (counts as a step and
+  // is journalled) iff one of its head inserts adds a fact, which without
+  // merges is exactly "the head did not hold".
+  kInsert,
+  // Batch-blind existential tgd: each head relation occurs in one head
+  // atom, and every head atom names every body variable at a
+  // non-existential position. A fact an earlier trigger added can only be
+  // the image of the same atom, and agreeing with it on those positions
+  // forces the same body match. So no trigger of a batch can satisfy
+  // another, and the collect's verdict stands: no re-check.
+  kNone,
+  // Every other tgd: HasMatchPlanned on the live instance, after one
+  // ContainsExact of the refuting atom (ApplyTemplate::refute_atom).
+  kLive,
+};
+
 // The fused apply template of one tgd: everything the chase's tgd phase
 // needs to instantiate the head from a complete body match. Parser
 // validation guarantees existential variables never occur in the body, so
@@ -95,6 +118,12 @@ struct ApplyTemplate {
   std::vector<bool> body_bound;  // size var_count
   std::vector<HeadSlot> slots;   // flat, atoms concatenated in head order
   std::vector<HeadAtom> head_atoms;
+  ApplyMode mode = ApplyMode::kLive;
+  // kLive only: the first head atom with no existential position, or -1,
+  // and its first slot in the flat head row. A body match fixes its whole
+  // image, so one exact lookup that misses refutes the head.
+  int refute_atom = -1;
+  size_t refute_offset = 0;
 };
 
 struct TgdPlan {

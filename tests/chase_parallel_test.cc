@@ -26,6 +26,7 @@
 #include "logic/parser.h"
 #include "obs/trace.h"
 #include "pde/data_exchange.h"
+#include "relational/instance_io.h"
 #include "tests/test_util.h"
 #include "workload/random.h"
 
@@ -202,6 +203,38 @@ TEST_F(ParallelChaseTest, ApplyRecheckSkipsDrawNoNullIds) {
     for (int threads : kThreadCounts) {
       SCOPED_TRACE(CellTag(seed, threads));
       ExpectBitIdentical(Run(start, tgds, {}, threads), ref);
+    }
+  }
+}
+
+// Batches that satisfy their own later triggers (one per apply mode, plus
+// the merge guard): every thread count takes exactly the pinned steps and
+// nulls and builds the same instance, null ids included.
+TEST_F(ParallelChaseTest, SelfSatisfyingBatchesAreThreadInvariant) {
+  for (const testing_util::SelfSatisfyingBatch& c :
+       testing_util::SelfSatisfyingBatches()) {
+    Schema case_schema;
+    for (const auto& [name, arity] : c.relations) {
+      PDX_CHECK(case_schema.AddRelation(name, arity).ok());
+    }
+    SymbolTable case_symbols;
+    DependencySet deps =
+        Unwrap(ParseDependencies(c.deps, case_schema, &case_symbols), "deps");
+    Instance start =
+        Unwrap(ParseInstance(c.facts, case_schema, &case_symbols), "facts");
+    ChaseOptions options;
+    options.num_threads = 1;
+    RunOutput ref =
+        ChaseAndRecord(start, deps.tgds, deps.egds, &case_symbols, options);
+    ASSERT_EQ(ref.result.outcome, ChaseOutcome::kSuccess) << c.name;
+    EXPECT_EQ(ref.result.steps, c.steps) << c.name;
+    EXPECT_EQ(ref.result.nulls_created, c.nulls) << c.name;
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE(c.name + " threads " + std::to_string(threads));
+      options.num_threads = threads;
+      ExpectBitIdentical(ChaseAndRecord(start, deps.tgds, deps.egds,
+                                        &case_symbols, options),
+                         ref);
     }
   }
 }

@@ -1,14 +1,19 @@
 #include "chase/chase.h"
 
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "chase/journal.h"
 #include "gtest/gtest.h"
 #include "logic/parser.h"
+#include "obs/trace.h"
 #include "plan/compiler.h"
+#include "relational/instance_io.h"
+#include "tests/test_util.h"
 
 namespace pdx {
 namespace {
@@ -321,6 +326,95 @@ TEST(WideTgdChaseTest, CopyTgdsWiderThanTheExistsProbeMatchTheOracle) {
                 want.instance.CanonicalFingerprint());
     }
   }
+}
+
+// Batches that satisfy their own later triggers, one per apply mode and
+// the merge guard: the delta chase must take exactly the oracle's steps
+// and nulls, pinned by the case, and reach an isomorphic instance.
+TEST(ApplyModeChaseTest, SelfSatisfyingBatchesMatchTheOracle) {
+  for (const testing_util::SelfSatisfyingBatch& c :
+       testing_util::SelfSatisfyingBatches()) {
+    SCOPED_TRACE(c.name);
+    Schema schema;
+    for (const auto& [name, arity] : c.relations) {
+      ASSERT_TRUE(schema.AddRelation(name, arity).ok());
+    }
+    SymbolTable symbols;
+    DependencySet deps = testing_util::Unwrap(
+        ParseDependencies(c.deps, schema, &symbols), "deps");
+    Instance start =
+        testing_util::Unwrap(ParseInstance(c.facts, schema, &symbols));
+    ChaseResult got = Chase(start, deps.tgds, deps.egds, &symbols);
+    ChaseOptions naive;
+    naive.strategy = ChaseStrategy::kRestrictedNaive;
+    ChaseResult want = Chase(start, deps.tgds, deps.egds, &symbols, naive);
+    ASSERT_EQ(got.outcome, ChaseOutcome::kSuccess);
+    ASSERT_EQ(want.outcome, ChaseOutcome::kSuccess);
+    EXPECT_EQ(got.steps, c.steps);
+    EXPECT_EQ(got.nulls_created, c.nulls);
+    EXPECT_EQ(want.steps, c.steps);
+    EXPECT_EQ(want.nulls_created, c.nulls);
+    EXPECT_EQ(testing_util::CanonicalizedFingerprint(got.instance),
+              testing_util::CanonicalizedFingerprint(
+                  want.instance.CompactResolved()));
+  }
+}
+
+// The chase.tgd span's `rechecked` counts the triggers whose head the
+// apply re-checked on the live instance: every collected trigger of a
+// live tgd, none of an insert or none tgd.
+TEST(ApplyModeChaseTest, TgdSpanCountsLiveRechecks) {
+  Schema schema;
+  for (const auto& [name, arity] :
+       std::vector<std::pair<const char*, int>>{{"SPProtein", 3},
+                                                {"SPAnnotation", 2},
+                                                {"Protein", 2},
+                                                {"Organism", 2},
+                                                {"Annotation", 3}}) {
+    ASSERT_TRUE(schema.AddRelation(name, arity).ok());
+  }
+  SymbolTable symbols;
+  DependencySet deps = testing_util::Unwrap(ParseDependencies(
+      "SPProtein(a,n,o) -> Protein(a,n) & Organism(a,o)."
+      "SPAnnotation(a,g) -> exists e: Annotation(a,g,e)."
+      "Annotation(a,g,e) -> exists n,o: SPProtein(a,n,o) & SPAnnotation(a,g).",
+      schema, &symbols));
+  Instance start = testing_util::Unwrap(ParseInstance(
+      "SPProtein(p,n,o). SPProtein(q,n,o). SPAnnotation(p,g). "
+      "SPAnnotation(q,g). Annotation(p,h,e1). Annotation(p,h,e2).",
+      schema, &symbols));
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Enable();
+  ChaseResult result = Chase(start, deps.tgds, &symbols);
+  std::vector<obs::SpanRecord> spans = tracer.Drain();
+  tracer.Disable();
+  ASSERT_EQ(result.outcome, ChaseOutcome::kSuccess);
+  // dep -> {collected, applied, rechecked}, summed over rounds.
+  std::map<int64_t, std::vector<int64_t>> per_dep;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != "chase.tgd") continue;
+    int64_t dep = -1, collected = 0, applied = 0, rechecked = -1;
+    for (const obs::SpanAttr& attr : span.attrs) {
+      if (attr.key == "dep") dep = attr.i;
+      if (attr.key == "collected") collected = attr.i;
+      if (attr.key == "applied") applied = attr.i;
+      if (attr.key == "rechecked") rechecked = attr.i;
+    }
+    ASSERT_GE(rechecked, 0) << "chase.tgd span without `rechecked`";
+    std::vector<int64_t>& sums = per_dep[dep];
+    sums.resize(3, 0);
+    sums[0] += collected;
+    sums[1] += applied;
+    sums[2] += rechecked;
+  }
+  // Insert: two source proteins and the one the live tgd invents, no
+  // re-check.
+  EXPECT_EQ(per_dep[0], (std::vector<int64_t>{3, 3, 0}));
+  // None: two annotations, no re-check.
+  EXPECT_EQ(per_dep[1], (std::vector<int64_t>{2, 2, 0}));
+  // Live: the two source annotations already hold; of the two (p,h,·)
+  // triggers both are re-checked and the second finds the first's facts.
+  EXPECT_EQ(per_dep[2], (std::vector<int64_t>{2, 1, 2}));
 }
 
 }  // namespace

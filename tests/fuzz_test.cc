@@ -2,15 +2,20 @@
 // never crashes, and valid inputs must survive mutation-and-reparse loops;
 // fuzzed chases must keep the value layer's invariants.
 
+#include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "base/string_util.h"
 #include "chase/chase.h"
 #include "chase/stream.h"
 #include "hom/instance_hom.h"
 #include "logic/parser.h"
 #include "pde/setting_file.h"
+#include "plan/compiler.h"
 #include "relational/instance_io.h"
 #include "tests/test_util.h"
 #include "workload/churn.h"
@@ -208,6 +213,168 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
       }
     }
   }
+}
+
+// A random tgd from a relation of `body_layer` to relations of
+// `head_layer` (name and arity each). Bodies have one or two atoms and
+// may hold constants. Heads have one or two atoms whose relations may
+// repeat. Each head position holds a body variable, an existential
+// (e0 or e1, so existentials repeat) or a constant, and half the atoms
+// first lay out every body variable they fit, so the insert, none and
+// live apply modes all occur.
+using Layer = std::vector<std::pair<std::string, int>>;
+
+std::string RandomTgd(Rng* rng, const Layer& body_layer,
+                      const Layer& head_layer) {
+  auto pick = [&](const Layer& layer) {
+    return layer[rng->UniformInt(static_cast<uint32_t>(layer.size()))];
+  };
+  auto constant = [&] { return StrCat("'k", rng->UniformInt(2), "'"); };
+  int vars = 0;
+  std::vector<std::string> body;
+  const int body_atoms = 1 + static_cast<int>(rng->UniformInt(2));
+  for (int a = 0; a < body_atoms; ++a) {
+    const auto& [name, arity] = pick(body_layer);
+    std::vector<std::string> terms;
+    for (int i = 0; i < arity; ++i) {
+      if (rng->UniformInt(8) == 0) {
+        terms.push_back(constant());
+      } else if (vars > 0 && rng->Bernoulli(0.4)) {
+        terms.push_back(StrCat("x", rng->UniformInt(vars)));
+      } else {
+        terms.push_back(StrCat("x", vars++));
+      }
+    }
+    body.push_back(StrCat(name, "(", StrJoin(terms, ","), ")"));
+  }
+  std::vector<std::string> head;
+  const int head_atoms = 1 + static_cast<int>(rng->UniformInt(2));
+  for (int a = 0; a < head_atoms; ++a) {
+    const auto& [name, arity] = pick(head_layer);
+    std::vector<std::string> terms;
+    if (rng->Bernoulli(0.5)) {
+      for (int v = 0; v < vars && v < arity; ++v) {
+        terms.push_back(StrCat("x", v));
+      }
+    }
+    while (static_cast<int>(terms.size()) < arity) {
+      const uint32_t kind = rng->UniformInt(6);
+      if (kind == 0) {
+        terms.push_back(constant());
+      } else if (kind <= 2 || vars == 0) {
+        terms.push_back(StrCat("e", rng->UniformInt(2)));
+      } else {
+        terms.push_back(StrCat("x", rng->UniformInt(vars)));
+      }
+    }
+    head.push_back(StrCat(name, "(", StrJoin(terms, ","), ")"));
+  }
+  return StrCat(StrJoin(body, " & "), " -> ", StrJoin(head, " & "), ".");
+}
+
+// Random tgd shapes through both engines. The relations form three
+// layers (E, H -> P, Q -> R, S), so every chase terminates whatever its
+// trigger order, and the optional key egds merge layer-one nulls that
+// layer-two bodies then re-read through merge-dirtied tuples. The delta
+// chase must agree with the kRestrictedNaive oracle up to homomorphic
+// equivalence and be bit-identical at every thread count. The generator
+// must reach every apply mode and every shape that forces the live path.
+TEST_P(FuzzTest, RandomTgdShapesMatchTheOracle) {
+  Rng rng(GetParam() + 7000);
+  const Layer layers[] = {
+      {{"E", 2}, {"H", 2}}, {{"P", 3}, {"Q", 2}}, {{"R", 2}, {"S", 3}}};
+  Schema schema;
+  for (const auto& layer : layers) {
+    for (const auto& [name, arity] : layer) {
+      ASSERT_TRUE(schema.AddRelation(name, arity).ok());
+    }
+  }
+  SymbolTable symbols;
+  std::set<plan::ApplyMode> modes;
+  int repeated_relation = 0, omitted_variable = 0, head_constant = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    std::string text;
+    const int tgds = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int t = 0; t < tgds; ++t) {
+      const int from = static_cast<int>(rng.UniformInt(2));
+      text += RandomTgd(&rng, layers[from], layers[from + 1]) + " ";
+    }
+    if (rng.Bernoulli(0.5)) text += "Q(x,y) & Q(x,z) -> y = z. ";
+    if (rng.Bernoulli(0.3)) text += "P(x,y,z) & P(x,y,w) -> z = w. ";
+    auto deps = ParseDependencies(text, schema, &symbols);
+    ASSERT_TRUE(deps.ok()) << deps.status().ToString() << "\n" << text;
+
+    for (const Tgd& tgd : deps->tgds) {
+      const plan::ApplyTemplate apply = plan::CompileTgd(tgd).apply;
+      modes.insert(apply.mode);
+      std::set<RelationId> relations;
+      for (const Atom& atom : tgd.head) {
+        if (!relations.insert(atom.relation).second) ++repeated_relation;
+        std::set<VariableId> named;
+        for (const Term& term : atom.terms) {
+          if (term.is_constant()) {
+            ++head_constant;
+          } else {
+            named.insert(term.var());
+          }
+        }
+        for (VariableId v = 0; v < tgd.var_count; ++v) {
+          if (!tgd.existential[v] && named.count(v) == 0) ++omitted_variable;
+        }
+      }
+    }
+
+    Instance start(&schema);
+    const int facts = 3 + static_cast<int>(rng.UniformInt(8));
+    for (int i = 0; i < facts; ++i) {
+      start.AddFact(static_cast<RelationId>(rng.UniformInt(2)),
+                    {symbols.InternConstant(StrCat("k", rng.UniformInt(3))),
+                     symbols.InternConstant(StrCat("k", rng.UniformInt(3)))});
+    }
+
+    ChaseOptions naive_options;
+    naive_options.strategy = ChaseStrategy::kRestrictedNaive;
+    naive_options.max_steps = 5000;
+    ChaseOptions delta_options;
+    delta_options.max_steps = 5000;
+    delta_options.num_threads = 1;
+    ChaseResult naive =
+        Chase(start, deps->tgds, deps->egds, &symbols, naive_options);
+    ChaseResult delta =
+        Chase(start, deps->tgds, deps->egds, &symbols, delta_options);
+    ASSERT_EQ(naive.outcome, delta.outcome)
+        << "engine disagreement, trial " << trial << "\n" << text << "\nI:\n"
+        << start.ToString(symbols);
+    ASSERT_NE(delta.outcome, ChaseOutcome::kBudgetExhausted) << text;
+
+    for (int threads : {2, 4, 8}) {
+      ChaseOptions parallel_options = delta_options;
+      parallel_options.num_threads = threads;
+      ChaseResult parallel =
+          Chase(start, deps->tgds, deps->egds, &symbols, parallel_options);
+      ASSERT_EQ(parallel.outcome, delta.outcome)
+          << "trial " << trial << " threads " << threads << "\n" << text;
+      EXPECT_EQ(parallel.steps, delta.steps) << "trial " << trial;
+      EXPECT_EQ(parallel.failure, delta.failure) << "trial " << trial;
+      EXPECT_EQ(parallel.nulls_created, delta.nulls_created)
+          << "trial " << trial;
+      EXPECT_EQ(parallel.instance.CanonicalFingerprint(),
+                delta.instance.CanonicalFingerprint())
+          << "trial " << trial << " threads " << threads << "\n" << text;
+    }
+
+    if (delta.outcome != ChaseOutcome::kSuccess) continue;
+    EXPECT_TRUE(SatisfiesAll(naive.instance, *deps)) << text;
+    EXPECT_TRUE(SatisfiesAll(delta.instance, *deps)) << text;
+    testing_util::AssertHomEquivalent(
+        naive.instance, delta.instance,
+        StrCat("trial ", trial, "\n", text, "\nI:\n",
+               start.ToString(symbols)));
+  }
+  EXPECT_EQ(modes.size(), 3u) << "every apply mode must occur";
+  EXPECT_GT(repeated_relation, 0);
+  EXPECT_GT(omitted_variable, 0);
+  EXPECT_GT(head_constant, 0);
 }
 
 // Streaming churn fuzz: a random ±Δ stream absorbed batch-by-batch by a

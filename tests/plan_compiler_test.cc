@@ -219,6 +219,104 @@ TEST_F(PlanCompilerTest, HeadPlanProbesWithUniversalVariablesBound) {
   EXPECT_EQ(plan.head.code.size(), 3u);
 }
 
+// The apply mode each tgd compiles to (plan/ir.h, ApplyMode), over the
+// genomics schema plus P/2 and Q/4.
+class ApplyModeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const auto& [name, arity] :
+         std::vector<std::pair<const char*, int>>{{"SPProtein", 3},
+                                                  {"SPAnnotation", 2},
+                                                  {"Protein", 2},
+                                                  {"Organism", 2},
+                                                  {"Annotation", 3},
+                                                  {"P", 2},
+                                                  {"Q", 4}}) {
+      ASSERT_TRUE(schema_.AddRelation(name, arity).ok());
+    }
+  }
+
+  plan::ApplyTemplate Apply(const char* text) {
+    auto deps = ParseDependencies(text, schema_, &symbols_);
+    EXPECT_TRUE(deps.ok()) << deps.status().ToString();
+    EXPECT_EQ(deps->tgds.size(), 1u) << text;
+    return plan::CompileTgd(deps->tgds[0]).apply;
+  }
+
+  Schema schema_;
+  SymbolTable symbols_;
+};
+
+TEST_F(ApplyModeTest, GenomicsTgds) {
+  plan::ApplyTemplate st_full =
+      Apply("SPProtein(a,n,o) -> Protein(a,n) & Organism(a,o).");
+  EXPECT_EQ(st_full.mode, plan::ApplyMode::kInsert);
+  EXPECT_EQ(st_full.refute_atom, -1);
+
+  plan::ApplyTemplate st_exist =
+      Apply("SPAnnotation(a,g) -> exists e: Annotation(a,g,e).");
+  EXPECT_EQ(st_exist.mode, plan::ApplyMode::kNone);
+  EXPECT_EQ(st_exist.refute_atom, -1);
+
+  plan::ApplyTemplate ts_protein =
+      Apply("Protein(a,n) -> exists o: SPProtein(a,n,o).");
+  EXPECT_EQ(ts_protein.mode, plan::ApplyMode::kNone);
+
+  // e occurs in the body only, so two annotations of one (a, g) share a
+  // head image: live, with the existential-free SPAnnotation(a,g) as the
+  // refuting atom, at flat slots 3..4 after SPProtein's three.
+  plan::ApplyTemplate ts_annotation = Apply(
+      "Annotation(a,g,e) -> exists n,o: SPProtein(a,n,o) & SPAnnotation(a,g).");
+  EXPECT_EQ(ts_annotation.mode, plan::ApplyMode::kLive);
+  ASSERT_EQ(ts_annotation.refute_atom, 1);
+  EXPECT_EQ(ts_annotation.head_atoms[1].relation,
+            schema_.FindRelation("SPAnnotation").value());
+  EXPECT_EQ(ts_annotation.refute_offset, 3u);
+}
+
+TEST_F(ApplyModeTest, ShapesThatStayLive) {
+  // A body variable missing from a head atom.
+  plan::ApplyTemplate missing = Apply("SPProtein(a,n,o) -> exists z: P(a,z).");
+  EXPECT_EQ(missing.mode, plan::ApplyMode::kLive);
+  EXPECT_EQ(missing.refute_atom, -1);
+  // A head relation that repeats, though each atom names every body
+  // variable.
+  plan::ApplyTemplate repeated =
+      Apply("P(a,n) -> exists z: Annotation(a,n,z) & Annotation(n,a,z).");
+  EXPECT_EQ(repeated.mode, plan::ApplyMode::kLive);
+  EXPECT_EQ(repeated.refute_atom, -1);
+  // A head constant in the atom that omits a body variable; the other atom
+  // is existential-free and refutes.
+  plan::ApplyTemplate constant =
+      Apply("P(a,n) -> exists z: Annotation(a,'c',z) & Organism(a,n).");
+  EXPECT_EQ(constant.mode, plan::ApplyMode::kLive);
+  EXPECT_EQ(constant.refute_atom, 1);
+  EXPECT_EQ(constant.refute_offset, 3u);
+}
+
+TEST_F(ApplyModeTest, ShapesThatNeedNoRecheck) {
+  // A repeated existential, within one atom and across atoms.
+  EXPECT_EQ(Apply("Organism(a,n) -> exists e: Q(a,n,e,e).").mode,
+            plan::ApplyMode::kNone);
+  EXPECT_EQ(Apply("P(a,n) -> exists e: Annotation(a,n,e) & SPProtein(n,a,e).")
+                .mode,
+            plan::ApplyMode::kNone);
+  // Head constants, one in an existential-free atom (no refuting atom is
+  // kept: none mode never probes).
+  plan::ApplyTemplate constant =
+      Apply("P(a,n) -> exists e: Q(a,n,e,'c') & Annotation(n,a,'c').");
+  EXPECT_EQ(constant.mode, plan::ApplyMode::kNone);
+  EXPECT_EQ(constant.refute_atom, -1);
+  // A body with no variables: a batch holds at most one trigger.
+  EXPECT_EQ(Apply("P('a','b') -> exists z: Protein(z,z).").mode,
+            plan::ApplyMode::kNone);
+  // Full tgds insert, whatever their head shape.
+  EXPECT_EQ(Apply("P(a,n) -> Protein(a,a) & Protein(n,n).").mode,
+            plan::ApplyMode::kInsert);
+  EXPECT_EQ(Apply("P('a','b') -> Protein('a','c').").mode,
+            plan::ApplyMode::kInsert);
+}
+
 TEST_F(PlanCompilerTest, DumpPlansDisassemblesEveryProgram) {
   // The full --dump-plans text for one tgd and one egd: any change to an
   // emitted instruction, entry point or the header lines fails here.
@@ -232,6 +330,7 @@ TEST_F(PlanCompilerTest, DumpPlansDisassemblesEveryProgram) {
   const std::string want =
       "tgd #0: E(x,z) & E(z,y) -> exists w: H(x,w) & F(w,'a')\n"
       "  head_width=4 fresh_per_trigger=1\n"
+      "  apply=live\n"
       " body:\n"
       "  bytecode (16 instrs, max_depth=2):\n"
       "    full @0:\n"

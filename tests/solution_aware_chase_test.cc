@@ -3,6 +3,7 @@
 #include "gtest/gtest.h"
 #include "logic/dependency_graph.h"
 #include "logic/parser.h"
+#include "obs/trace.h"
 #include "pde/setting.h"
 #include "pde/solution.h"
 #include "relational/instance_io.h"
@@ -192,6 +193,59 @@ TEST_F(SolutionAwareChaseTest, PooledRunsAreBitIdenticalToSequential) {
               ref.instance.CanonicalFingerprint())
         << "threads " << threads;
     EXPECT_TRUE(got.instance.FactsEqual(ref.instance)) << "threads " << threads;
+  }
+}
+
+// The apply reads the tgd's compiled apply mode, as the chase's does. In
+// each batch an earlier trigger satisfies a later one, so the steps are
+// exact: an insert-mode trigger whose inserts add nothing is no step, a
+// live trigger is re-checked (the chase.tgd span's `rechecked`), and a
+// none-mode batch cannot satisfy itself, so every trigger steps.
+TEST(SolutionAwareApplyModeTest, StepsFollowTheApplyMode) {
+  struct Case {
+    const char* tgd;
+    int64_t steps;
+    int64_t rechecked;
+  };
+  const Case cases[] = {
+      {"E(x,y) -> H(x,x).", 1, 0},               // insert
+      {"E(x,y) -> exists z: H(x,z).", 1, 2},     // live
+      {"E(x,y) -> exists z: T(x,y,z).", 2, 0},  // none
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.tgd);
+    Schema schema;
+    ASSERT_TRUE(schema.AddRelation("E", 2).ok());
+    ASSERT_TRUE(schema.AddRelation("H", 2).ok());
+    ASSERT_TRUE(schema.AddRelation("T", 3).ok());
+    SymbolTable symbols;
+    auto deps = ParseDependencies(c.tgd, schema, &symbols);
+    ASSERT_TRUE(deps.ok()) << deps.status().ToString();
+    auto start = ParseInstance("E(a,b). E(a,c).", schema, &symbols);
+    ASSERT_TRUE(start.ok());
+    auto solution = ParseInstance(
+        "E(a,b). E(a,c). H(a,a). H(a,c). T(a,b,w). T(a,c,w).", schema,
+        &symbols);
+    ASSERT_TRUE(solution.ok());
+    obs::Tracer& tracer = obs::Tracer::Global();
+    tracer.Enable();
+    ChaseResult result = SolutionAwareChase(*start, deps->tgds, {}, *solution);
+    std::vector<obs::SpanRecord> spans = tracer.Drain();
+    tracer.Disable();
+    ASSERT_EQ(result.outcome, ChaseOutcome::kSuccess);
+    EXPECT_EQ(result.steps, c.steps);
+    EXPECT_TRUE(result.instance.IsSubsetOf(*solution));
+    EXPECT_TRUE(SatisfiesTgd(result.instance, deps->tgds[0]));
+    int64_t applied = 0, rechecked = 0;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.name != "chase.tgd") continue;
+      for (const obs::SpanAttr& attr : span.attrs) {
+        if (attr.key == "applied") applied += attr.i;
+        if (attr.key == "rechecked") rechecked += attr.i;
+      }
+    }
+    EXPECT_EQ(applied, c.steps);
+    EXPECT_EQ(rechecked, c.rechecked);
   }
 }
 

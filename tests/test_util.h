@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -78,6 +79,70 @@ inline void AssertHomEquivalent(const Instance& a, const Instance& b,
       << "no homomorphism a -> b" << (context.empty() ? "" : ": ") << context;
   EXPECT_TRUE(FindInstanceHomomorphism(b, a).has_value())
       << "no homomorphism b -> a" << (context.empty() ? "" : ": ") << context;
+}
+
+// A chase whose tgd batches satisfy themselves: an earlier trigger of one
+// tgd's batch makes a later trigger's head hold, so the apply must drop
+// the later one (plan/ir.h, ApplyMode). `steps` and `nulls` are pinned,
+// and each equals the kRestrictedNaive oracle's.
+struct SelfSatisfyingBatch {
+  std::string name;
+  std::vector<std::pair<std::string, int>> relations;
+  std::string deps;
+  std::string facts;
+  int64_t steps = 0;
+  int64_t nulls = 0;
+};
+
+inline std::vector<SelfSatisfyingBatch> SelfSatisfyingBatches() {
+  return {
+      // A full tgd (insert mode): E(a,c) re-adds H(a,a), E(b,c) re-adds
+      // F(c,c), and E(b,b)'s whole head was added by earlier triggers.
+      {"full_overlap",
+       {{"E", 2}, {"H", 2}, {"F", 2}},
+       "E(x,y) -> H(x,x) & F(y,y).",
+       "E(a,b). E(a,c). E(b,c). E(b,b).",
+       3,
+       0},
+      // The head omits a body variable (live): both rows share `a`, so the
+      // first trigger's P(p1, _N) satisfies the second.
+      {"shared_frontier",
+       {{"SPProtein", 3}, {"P", 2}},
+       "SPProtein(a,n,o) -> exists z: P(a,z).",
+       "SPProtein(p1,n1,o1). SPProtein(p1,n2,o2). SPProtein(p2,n1,o1).",
+       2,
+       2},
+      // A repeated head relation (live): E(a,b)'s two T facts are E(b,a)'s
+      // head too.
+      {"repeated_relation",
+       {{"E", 2}, {"T", 3}},
+       "E(x,y) -> exists z: T(x,y,z) & T(y,x,z).",
+       "E(a,b). E(b,a). E(c,c).",
+       2,
+       2},
+      // Live, refuted first: SPAnnotation(p,g) is absent before the batch
+      // and added by its first trigger, so the second runs the full head
+      // match and finds it held; SPAnnotation(p,h) is refuted by the probe.
+      {"refuting_atom",
+       {{"SPProtein", 3}, {"SPAnnotation", 2}, {"Annotation", 3}},
+       "Annotation(a,g,e) -> exists n,o: SPProtein(a,n,o) & SPAnnotation(a,g).",
+       "Annotation(p,g,e1). Annotation(p,g,e2). Annotation(p,h,e3).",
+       2,
+       4},
+      // Merges force the live path: the last tgd compiles to `none`, but
+      // once the egd merges each H null into its P value, the round
+      // enumerates H(x,z) & P(x,z) twice (from the dirtied H tuple and
+      // from the new P tuple), and only the first copy may fire.
+      {"merge_guard",
+       {{"E", 2}, {"H", 2}, {"P", 2}, {"R", 3}},
+       "E(x,y) -> exists z: H(x,z)."
+       "H(x,z) & E(x,y) -> P(x,y)."
+       "H(x,z) & P(x,y) -> z = y."
+       "H(x,z) & P(x,z) -> exists v: R(x,z,v).",
+       "E(a,b). E(c,d). E(e,f).",
+       12,
+       6},
+  };
 }
 
 }  // namespace testing_util
