@@ -1,29 +1,28 @@
-// Chase engine A/B bench: runs the same workloads through the naive
-// full-rescan restricted chase (Substitute-based egd steps) and the
-// delta-driven one (union-find egd merges in the value layer), and writes
-// the results as machine-readable JSON (BENCH_chase.json) so the speedup
-// is trackable across commits.
+// Chase bench: runs the delta-driven restricted chase (union-find egd
+// merges in the value layer) over a set of workloads and writes the
+// results as machine-readable JSON (BENCH_chase.json) so they are
+// trackable across commits.
 //
-// Per workload and strategy it reports wall time (best of `kRepeats`),
-// chase steps, resolved result facts, and derived facts per second; per
-// workload it reports the naive/delta speedup. The naive engine is the
-// oracle: every workload cross-checks the delta engine's resolved
-// fingerprint against it, so a run doubles as a coarse correctness gate. The egd_heavy workloads are the A/B for the
-// union-find value layer: every invented null is merged by a key egd, so
-// the naive engine pays a relation rebuild per merge while the delta
-// engine pays one union plus re-examination of the dirty tuples.
+// Per workload it reports wall time (best of `kRepeats`), chase steps,
+// resolved result facts, and derived facts per second. Every workload is
+// also chased once more, outside the timed repeats, with a firing journal
+// attached, and the restricted-chase trace checker
+// (tests/chase_trace_check.h) replays that journal: a run doubles as a
+// correctness gate. The egd_heavy workloads stress the union-find value
+// layer: every invented null is merged by a key egd, so the chase pays one
+// union plus re-examination of the dirty tuples per merge.
 //
-// A second axis (thread_scaling) runs the delta strategy at 1/2/4/8
-// threads, each point reported against the 1-thread sequential run and
-// checked to produce the same raw fingerprint and step count.
+// A second axis (thread_scaling) runs the chase at 1/2/4/8 threads, each
+// point reported against the 1-thread sequential run and checked to
+// produce the same raw fingerprint and step count.
 //
 // Usage: bench_chase [output.json]   (default BENCH_chase.json in cwd)
-//        bench_chase --quick         (perf smoke gate: pipeline_n512
-//                                     delta vs the naive oracle, and
-//                                     egd_heavy_n2048 at 1 thread vs a
-//                                     pooled run; exits nonzero if either
-//                                     falls below its conservative floor
-//                                     or the runs disagree)
+//        bench_chase --quick         (perf smoke gate: pipeline_n512 and
+//                                     egd_heavy_n2048, each trace-checked;
+//                                     the latter at 1 thread vs a pooled
+//                                     run; exits nonzero if either falls
+//                                     below its conservative floor or the
+//                                     runs disagree)
 
 #include <chrono>
 #include <cstdio>
@@ -33,9 +32,11 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "chase/journal.h"
 #include "logic/parser.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
+#include "tests/chase_trace_check.h"
 #include "workload/random.h"
 
 namespace pdx {
@@ -43,10 +44,10 @@ namespace {
 
 constexpr int kRepeats = 5;
 
-struct StrategyStats {
+struct RunStats {
   double wall_ms = 0;
   int64_t steps = 0;
-  int64_t merges = 0;  // successful egd unions; -1 when metrics are off
+  int64_t egd_merges = 0;  // successful unions; -1 when metrics are off
   int64_t result_facts = 0;
   double facts_per_sec = 0;
   uint64_t fingerprint = 0;
@@ -55,12 +56,10 @@ struct StrategyStats {
 struct WorkloadResult {
   std::string name;
   int64_t input_facts = 0;
-  StrategyStats naive;
-  StrategyStats delta;
+  RunStats stats;
 };
 
-// One num_threads point of the thread-scaling dimension (delta strategy
-// only; the naive engine has no parallel path).
+// One num_threads point of the thread-scaling dimension.
 struct ThreadPoint {
   int threads = 0;
   double wall_ms = 0;
@@ -107,8 +106,7 @@ struct BenchContext {
     // triggers), and the two key egds then merge them in cascades — an
     // H-merge on x dirties the F-facts of x's neighbors and vice versa —
     // until each connected component keeps one null. Nearly every chase
-    // step is a merge, which the naive engine pays as a Substitute
-    // rebuild of H and F.
+    // step is a merge.
     auto deps3 = ParseDependencies(
         "E(x,y) -> exists z: H(x,z) & F(y,z).", schema, &symbols);
     PDX_CHECK(deps3.ok());
@@ -135,15 +133,13 @@ struct BenchContext {
   }
 };
 
-StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
-                     const std::vector<Tgd>& tgds,
-                     const std::vector<Egd>& egds, ChaseStrategy strategy,
-                     int num_threads = 1) {
+RunStats RunOne(SymbolTable* symbols, const Instance& start,
+                const std::vector<Tgd>& tgds, const std::vector<Egd>& egds,
+                int num_threads = 1) {
   ChaseOptions options;
-  options.strategy = strategy;
   options.num_threads = num_threads;
   options.max_steps = 10'000'000;
-  StrategyStats stats;
+  RunStats stats;
   // The metrics registry is the authoritative step count: the JSON below
   // reports the registry delta of pdx_chase_steps_total around each run,
   // pinned equal to the engine's own count, so BENCH_chase.json and a
@@ -166,15 +162,15 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
     stats.steps = chase_steps.Value() - steps_before;
     PDX_CHECK(stats.steps == result.steps)
         << "registry steps diverged from ChaseResult::steps";
-    stats.merges = egd_merges.Value() - merges_before;
+    stats.egd_merges = egd_merges.Value() - merges_before;
 #else
     (void)steps_before;
     (void)merges_before;
     stats.steps = result.steps;
-    stats.merges = -1;  // no registry, and steps also count tgd steps
+    stats.egd_merges = -1;  // no registry, and steps also count tgd steps
 #endif
-    // Resolved counts/fingerprints so the Substitute-based and union-find
-    // engines are compared on the same (materialized-equivalent) view.
+    // Resolved counts/fingerprints: the view a materialized result would
+    // have, whatever merges the raw stores still carry.
     stats.result_facts =
         static_cast<int64_t>(result.instance.ResolvedFactCount());
     if (rep == 0) stats.fingerprint = result.instance.CanonicalFingerprint();
@@ -188,6 +184,24 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
   return stats;
 }
 
+// Chases `start` once with a firing journal attached, untimed, and aborts
+// unless the restricted-chase trace checker accepts the run. Called before
+// a workload's timed repeats, so it also warms the plan cache.
+void CheckTrace(SymbolTable* symbols, const std::string& name,
+                const Instance& start, const std::vector<Tgd>& tgds,
+                const std::vector<Egd>& egds) {
+  ChaseJournal journal;
+  ChaseOptions options;
+  options.num_threads = 1;
+  options.max_steps = 10'000'000;
+  options.journal = &journal;
+  ChaseResult result = Chase(start, tgds, egds, symbols, options);
+  Status trace = testing_util::CheckChaseTrace(
+      start, tgds, egds, options.max_steps, result, journal);
+  PDX_CHECK(trace.ok()) << "trace check failed on workload " << name << ": "
+                        << trace.ToString();
+}
+
 WorkloadResult RunWorkload(BenchContext& ctx, const std::string& name,
                            const Instance& start,
                            const std::vector<Tgd>& tgds,
@@ -195,28 +209,19 @@ WorkloadResult RunWorkload(BenchContext& ctx, const std::string& name,
   WorkloadResult result;
   result.name = name;
   result.input_facts = static_cast<int64_t>(start.fact_count());
-  result.naive =
-      RunOne(&ctx.symbols, start, tgds, egds, ChaseStrategy::kRestrictedNaive);
-  result.delta =
-      RunOne(&ctx.symbols, start, tgds, egds, ChaseStrategy::kRestricted);
-  PDX_CHECK(result.naive.fingerprint == result.delta.fingerprint)
-      << "strategy disagreement on workload " << name;
-  std::fprintf(stderr,
-               "%-24s naive %9.2f ms (%6lld steps)   delta %9.2f ms "
-               "(%6lld steps)   speedup %5.2fx\n",
-               name.c_str(), result.naive.wall_ms,
-               static_cast<long long>(result.naive.steps),
-               result.delta.wall_ms,
-               static_cast<long long>(result.delta.steps),
-               result.naive.wall_ms / result.delta.wall_ms);
+  CheckTrace(&ctx.symbols, name, start, tgds, egds);
+  result.stats = RunOne(&ctx.symbols, start, tgds, egds);
+  std::fprintf(stderr, "%-24s %9.2f ms (%6lld steps), trace checked\n",
+               name.c_str(), result.stats.wall_ms,
+               static_cast<long long>(result.stats.steps));
   return result;
 }
 
-// The thread-scaling dimension: the same workload, delta strategy, at
-// 1/2/4/8 worker threads. Every point's speedup is against the 1-thread
-// sequential run, and every point is cross-checked against it for an
-// identical raw fingerprint and step count — the pool must change wall
-// time only. The egd fixpoint runs the same batched passes at every
+// The thread-scaling dimension: the same workload at 1/2/4/8 worker
+// threads, trace-checked once. Every point's speedup is against the
+// 1-thread sequential run, and every point is cross-checked against it
+// for an identical raw fingerprint and step count — the pool must change
+// wall time only. The egd fixpoint runs the same batched passes at every
 // thread count; the pool only fans out their collect half.
 ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
                                      const std::string& name,
@@ -226,10 +231,10 @@ ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
   ThreadScalingResult result;
   result.name = name;
   result.input_facts = static_cast<int64_t>(start.fact_count());
-  StrategyStats base;
+  CheckTrace(symbols, name, start, tgds, egds);
+  RunStats base;
   for (int threads : {1, 2, 4, 8}) {
-    StrategyStats stats = RunOne(symbols, start, tgds, egds,
-                                 ChaseStrategy::kRestricted, threads);
+    RunStats stats = RunOne(symbols, start, tgds, egds, threads);
     if (threads == 1) {
       base = stats;
     } else {
@@ -250,16 +255,6 @@ ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
   return result;
 }
 
-void WriteStrategy(JsonWriter& w, const char* key,
-                   const StrategyStats& stats) {
-  w.Key(key).BeginObject();
-  w.Key("wall_ms").Double(stats.wall_ms, 3);
-  w.Key("chase_steps").Int(stats.steps);
-  w.Key("result_facts").Int(stats.result_facts);
-  w.Key("facts_per_sec").Double(stats.facts_per_sec, 1);
-  w.EndObject();
-}
-
 std::string ToJson(const std::vector<WorkloadResult>& results,
                    const std::vector<ThreadScalingResult>& scaling) {
   JsonWriter w;
@@ -275,9 +270,10 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
     w.BeginObject();
     w.Key("name").String(r.name);
     w.Key("input_facts").Int(r.input_facts);
-    WriteStrategy(w, "naive", r.naive);
-    WriteStrategy(w, "delta", r.delta);
-    w.Key("speedup").Double(r.naive.wall_ms / r.delta.wall_ms, 2);
+    w.Key("wall_ms").Double(r.stats.wall_ms, 3);
+    w.Key("chase_steps").Int(r.stats.steps);
+    w.Key("result_facts").Int(r.stats.result_facts);
+    w.Key("facts_per_sec").Double(r.stats.facts_per_sec, 1);
     w.EndObject();
   }
   w.EndArray();
@@ -304,7 +300,7 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
 }
 
 // Conservative facts/sec floor for the --quick perf smoke gate on
-// pipeline_n512 under the delta engine (compiled plans on the match VM).
+// pipeline_n512 (compiled plans on the match VM).
 // The reference single-core box measures ~3.0M facts/sec here, dipping to
 // ~1.0M under heavy scheduler contention; the floor sits far below both
 // so noise or a debug-ish build never trips it, while a real hot-path
@@ -321,38 +317,38 @@ constexpr double kQuickMergesPerSecFloor = 50'000.0;
 
 int Main(int argc, char** argv) {
   BenchContext ctx;
-  // Perf smoke gate (tools/check.sh): pipeline_n512 through the delta
-  // engine, fingerprint-cross-checked against the kRestrictedNaive oracle
-  // by RunWorkload, then gated on an absolute throughput floor.
+  // Perf smoke gate (tools/check.sh): pipeline_n512, trace-checked by
+  // RunWorkload, then gated on an absolute throughput floor.
   if (argc > 1 && std::strcmp(argv[1], "--quick") == 0) {
     Instance start = ctx.RandomEdges(512, 2, 17);
     WorkloadResult r =
         RunWorkload(ctx, "pipeline_n512", start, ctx.pipeline_tgds, {});
-    if (r.delta.facts_per_sec < kQuickFactsPerSecFloor) {
+    if (r.stats.facts_per_sec < kQuickFactsPerSecFloor) {
       std::fprintf(stderr,
                    "FAIL: match VM throughput %.0f facts/sec below the "
                    "smoke floor %.0f on pipeline_n512\n",
-                   r.delta.facts_per_sec, kQuickFactsPerSecFloor);
+                   r.stats.facts_per_sec, kQuickFactsPerSecFloor);
       return 1;
     }
     std::fprintf(stderr,
-                 "quick gate OK: %.0f facts/sec (floor %.0f), agrees with "
-                 "the naive oracle\n",
-                 r.delta.facts_per_sec, kQuickFactsPerSecFloor);
-    // Egd gate: the 1-thread fixpoint, step- and fingerprint-checked
-    // against a pooled run (same merge order at every thread count).
+                 "quick gate OK: %.0f facts/sec (floor %.0f), trace "
+                 "checked\n",
+                 r.stats.facts_per_sec, kQuickFactsPerSecFloor);
+    // Egd gate: the 1-thread fixpoint, trace-checked, then step- and
+    // fingerprint-checked against a pooled run (same merge order at every
+    // thread count).
     Instance egd_start = ctx.RandomEdges(2048, 2, 29);
-    StrategyStats seq =
-        RunOne(&ctx.symbols, egd_start, ctx.egd_heavy_tgds,
-               ctx.egd_heavy_egds, ChaseStrategy::kRestricted, 1);
-    StrategyStats pooled =
-        RunOne(&ctx.symbols, egd_start, ctx.egd_heavy_tgds,
-               ctx.egd_heavy_egds, ChaseStrategy::kRestricted, 4);
+    CheckTrace(&ctx.symbols, "egd_heavy_n2048", egd_start,
+               ctx.egd_heavy_tgds, ctx.egd_heavy_egds);
+    RunStats seq = RunOne(&ctx.symbols, egd_start, ctx.egd_heavy_tgds,
+                          ctx.egd_heavy_egds, 1);
+    RunStats pooled = RunOne(&ctx.symbols, egd_start, ctx.egd_heavy_tgds,
+                             ctx.egd_heavy_egds, 4);
     PDX_CHECK(pooled.steps == seq.steps)
         << "thread count changed the step count on egd_heavy_n2048";
     PDX_CHECK(pooled.fingerprint == seq.fingerprint)
         << "thread count changed the result on egd_heavy_n2048";
-    if (seq.merges < 0) {
+    if (seq.egd_merges < 0) {
       std::fprintf(stderr,
                    "quick gate OK: egd merges/sec floor skipped (metrics "
                    "compiled out; %.2f ms at 1 thread)\n",
@@ -360,7 +356,7 @@ int Main(int argc, char** argv) {
       return 0;
     }
     const double merges_per_sec =
-        seq.wall_ms > 0 ? static_cast<double>(seq.merges) /
+        seq.wall_ms > 0 ? static_cast<double>(seq.egd_merges) /
                               (seq.wall_ms / 1000.0)
                         : 0;
     if (merges_per_sec < kQuickMergesPerSecFloor) {
@@ -374,7 +370,7 @@ int Main(int argc, char** argv) {
                  "quick gate OK: %.0f egd merges/sec at 1 thread (floor "
                  "%.0f, %lld merges, %.2f ms; 4 threads %.2f ms)\n",
                  merges_per_sec, kQuickMergesPerSecFloor,
-                 static_cast<long long>(seq.merges), seq.wall_ms,
+                 static_cast<long long>(seq.egd_merges), seq.wall_ms,
                  pooled.wall_ms);
     return 0;
   }
@@ -392,7 +388,7 @@ int Main(int argc, char** argv) {
     results.push_back(RunWorkload(ctx, "existential_egd_n" + std::to_string(n),
                                   start, ctx.existential_tgds, ctx.key_egds));
   }
-  // Egd-heavy A/B for the union-find value layer: dense graph, one null
+  // Egd-heavy runs of the union-find value layer: dense graph, one null
   // per edge and per H-fact, two key egds merging nearly all of them.
   for (int n : {64, 128, 256}) {
     Instance start = ctx.RandomEdges(n, 4, 29);

@@ -112,7 +112,6 @@ struct StreamBenchContext {
 
 ChaseOptions StreamOptions() {
   ChaseOptions options;
-  options.strategy = ChaseStrategy::kRestricted;
   options.num_threads = 1;
   options.max_steps = 10'000'000;
   return options;

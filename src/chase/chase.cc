@@ -52,37 +52,6 @@ struct ChaseMetrics {
   }
 };
 
-// Finds one violated trigger for `tgd` in `instance`: a body homomorphism
-// with no head extension. Returns true and fills `binding` if found.
-bool FindViolatedTgdTrigger(const Instance& instance, const Tgd& tgd,
-                            Binding* out) {
-  return EnumerateMatches(
-      tgd.body, tgd.var_count, instance, Binding::Empty(tgd.var_count),
-      [&](const Binding& body_match) {
-        if (HasMatch(tgd.head, tgd.var_count, instance, body_match)) {
-          return true;  // satisfied trigger; keep searching
-        }
-        *out = body_match;
-        return false;  // violated trigger found; stop
-      });
-}
-
-// Finds one violated egd trigger: a body homomorphism with
-// h(left) != h(right). Returns true and fills `out` if found.
-bool FindViolatedEgdTrigger(const Instance& instance, const Egd& egd,
-                            Binding* out) {
-  return EnumerateMatches(
-      egd.body, egd.var_count, instance, Binding::Empty(egd.var_count),
-      [&](const Binding& body_match) {
-        if (body_match.values[egd.left_var] ==
-            body_match.values[egd.right_var]) {
-          return true;  // satisfied; keep searching
-        }
-        *out = body_match;
-        return false;
-      });
-}
-
 // The egd fixpoint's violated-trigger rows: one flat buffer per collect
 // slot, one var_count-strided row per violated body match. They live per
 // thread so steady-state collects allocate nothing (the generic solver
@@ -100,36 +69,6 @@ struct EgdRows {
     }
   }
 };
-
-// The naive oracle's tgd chase step for the trigger `binding`, straight
-// off the AST: extends the binding with fresh nulls for existential
-// variables and inserts the head image. Returns the number of fresh nulls
-// created.
-int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
-                 SymbolTable* symbols) {
-  Binding extended = binding;
-  int fresh = 0;
-  for (VariableId v = 0; v < tgd.var_count; ++v) {
-    if (tgd.existential[v] && !extended.bound[v]) {
-      extended.Bind(v, symbols->FreshNull());
-      ++fresh;
-    }
-  }
-  for (const Atom& atom : tgd.head) {
-    Tuple tuple;
-    tuple.reserve(atom.terms.size());
-    for (const Term& t : atom.terms) {
-      if (t.is_constant()) {
-        tuple.push_back(t.constant());
-      } else {
-        PDX_DCHECK(extended.bound[t.var()]);
-        tuple.push_back(extended.values[t.var()]);
-      }
-    }
-    instance->AddFact(atom.relation, std::move(tuple));
-  }
-  return fresh;
-}
 
 // One collect slot of the tgd phase, in flat buffers rather than
 // per-trigger objects: `rows` holds each kept match's binding values
@@ -248,96 +187,6 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
   return true;
 }
 
-// Applies one egd substitution for the violated trigger (a, b), or fails
-// on a constant/constant clash. Used by the Substitute-based naive
-// baseline; the delta engines use RunEgdsToFixpointDelta instead.
-bool ApplyEgdStep(Value a, Value b, Instance* instance, SymbolTable* symbols,
-                  const ChaseOptions& options, ChaseResult* result) {
-  if (a.is_constant() && b.is_constant()) {
-    result->outcome = ChaseOutcome::kFailed;
-    result->failure = StrCat("egd equates distinct constants ",
-                             symbols->ValueToString(a), " and ",
-                             symbols->ValueToString(b));
-    ++result->steps;
-    return false;
-  }
-  if (a.is_null()) {
-    instance->Substitute(a, b);
-    result->merges[a.packed()] = b;
-  } else {
-    instance->Substitute(b, a);
-    result->merges[b.packed()] = a;
-  }
-  ++result->steps;
-  if (result->steps >= options.max_steps) {
-    result->outcome = ChaseOutcome::kBudgetExhausted;
-    return false;
-  }
-  return true;
-}
-
-// Applies target egds to fixpoint by full rescans (naive baseline).
-// Returns false on a constant/constant clash or budget exhaustion (filling
-// `result`); `merged` reports whether any substitution happened.
-bool RunEgdsToFixpoint(const std::vector<Egd>& egds, Instance* instance,
-                       SymbolTable* symbols, const ChaseOptions& options,
-                       ChaseResult* result, bool* merged) {
-  for (const Egd& egd : egds) {
-    Binding trigger = Binding::Empty(egd.var_count);
-    while (FindViolatedEgdTrigger(*instance, egd, &trigger)) {
-      if (!ApplyEgdStep(trigger.values[egd.left_var],
-                        trigger.values[egd.right_var], instance, symbols,
-                        options, result)) {
-        return false;
-      }
-      *merged = true;
-    }
-  }
-  return true;
-}
-
-// The classic scan-from-scratch restricted chase with Substitute-based egd
-// steps, interpreted straight off the AST: the test and bench oracle the
-// compiled delta engine is cross-checked against.
-ChaseResult ChaseRestrictedNaive(Instance start,
-                                 const std::vector<Tgd>& tgds,
-                                 const std::vector<Egd>& egds,
-                                 SymbolTable* symbols,
-                                 const ChaseOptions& options) {
-  ChaseResult result(std::move(start));
-  Instance& instance = result.instance;
-  while (true) {
-    if (result.steps >= options.max_steps) {
-      result.outcome = ChaseOutcome::kBudgetExhausted;
-      return result;
-    }
-    bool applied = false;
-    bool merged = false;
-    if (!RunEgdsToFixpoint(egds, &instance, symbols, options, &result,
-                           &merged)) {
-      return result;
-    }
-    applied |= merged;
-    for (const Tgd& tgd : tgds) {
-      Binding trigger = Binding::Empty(tgd.var_count);
-      while (FindViolatedTgdTrigger(instance, tgd, &trigger)) {
-        result.nulls_created += ApplyTgdStep(tgd, trigger, &instance,
-                                             symbols);
-        ++result.steps;
-        applied = true;
-        if (result.steps >= options.max_steps) {
-          result.outcome = ChaseOutcome::kBudgetExhausted;
-          return result;
-        }
-      }
-    }
-    if (!applied) {
-      result.outcome = ChaseOutcome::kSuccess;
-      return result;
-    }
-  }
-}
-
 // Copies an egd fixpoint outcome into a ChaseResult. Returns false if the
 // chase must stop (clash or budget).
 bool AbsorbEgdOutcome(const EgdFixpointOutcome& egd_out, ChaseResult* result) {
@@ -379,7 +228,7 @@ ChaseResult ChaseRestrictedDelta(Instance start,
   ChaseResult result(std::move(start));
   Instance& instance = result.instance;
   // Everything is "new" before the first round, so round one degenerates
-  // to the full scan the naive chase would do — exactly once. An
+  // to a full scan — exactly once. An
   // incremental caller (ChaseOptions::resume_from) instead seeds the
   // round with its own watermark: only facts added past it are pending,
   // which is sound because the pre-watermark state was already a
@@ -561,43 +410,25 @@ int ResolveThreadCount(const ChaseOptions& options) {
 
 namespace {
 
-const char* StrategyName(ChaseStrategy strategy) {
-  switch (strategy) {
-    case ChaseStrategy::kRestrictedNaive: return "restricted_naive";
-    case ChaseStrategy::kRestricted: return "restricted";
-  }
-  return "unknown";
-}
-
-ChaseResult ChaseDispatch(Instance start, const std::vector<Tgd>& tgds,
-                          const std::vector<Egd>& egds, SymbolTable* symbols,
-                          const ChaseOptions& options) {
-  if (options.strategy == ChaseStrategy::kRestrictedNaive) {
-    return ChaseRestrictedNaive(std::move(start), tgds, egds, symbols,
-                                options);
-  }
-  // One cache probe per run; re-chases of the same setting hit and reuse
-  // the plans compiled on first sight.
-  std::shared_ptr<const plan::CompiledSetting> compiled =
-      plan::PlanCache::Global().GetOrCompile(tgds, egds);
-  const int threads = ResolveThreadCount(options);
-  std::unique_ptr<ThreadPool> pool =
-      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-  return ChaseRestrictedDelta(std::move(start), tgds, egds, symbols, options,
-                              pool.get(), *compiled);
-}
-
 ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
                      const std::vector<Egd>& egds, SymbolTable* symbols,
                      const ChaseOptions& options) {
   PDX_CHECK(symbols != nullptr);
   obs::Span run_span(obs::Tracer::Global(), "chase");
-  run_span.AttrStr("strategy", StrategyName(options.strategy))
-      .AttrInt("threads", ResolveThreadCount(options))
+  const int threads = ResolveThreadCount(options);
+  run_span.AttrStr("strategy", "restricted")
+      .AttrInt("threads", threads)
       .AttrInt("tgds", static_cast<int64_t>(tgds.size()))
       .AttrInt("egds", static_cast<int64_t>(egds.size()));
-  ChaseResult result =
-      ChaseDispatch(std::move(start), tgds, egds, symbols, options);
+  // One cache probe per run; re-chases of the same setting hit and reuse
+  // the plans compiled on first sight.
+  std::shared_ptr<const plan::CompiledSetting> compiled =
+      plan::PlanCache::Global().GetOrCompile(tgds, egds);
+  std::unique_ptr<ThreadPool> pool =
+      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  ChaseResult result = ChaseRestrictedDelta(std::move(start), tgds, egds,
+                                            symbols, options, pool.get(),
+                                            *compiled);
   run_span.AttrInt("steps", result.steps)
       .AttrBool("failed", result.outcome == ChaseOutcome::kFailed);
   ChaseMetrics& metrics = ChaseMetrics::Get();
@@ -628,13 +459,21 @@ ChaseResult Chase(const Instance& start, const std::vector<Tgd>& tgds,
 }
 
 bool SatisfiesTgd(const Instance& instance, const Tgd& tgd) {
-  Binding trigger = Binding::Empty(tgd.var_count);
-  return !FindViolatedTgdTrigger(instance, tgd, &trigger);
+  return !EnumerateMatches(
+      tgd.body, tgd.var_count, instance, Binding::Empty(tgd.var_count),
+      [&](const Binding& body_match) {
+        // Keep searching while the trigger is satisfied.
+        return HasMatch(tgd.head, tgd.var_count, instance, body_match);
+      });
 }
 
 bool SatisfiesEgd(const Instance& instance, const Egd& egd) {
-  Binding trigger = Binding::Empty(egd.var_count);
-  return !FindViolatedEgdTrigger(instance, egd, &trigger);
+  return !EnumerateMatches(
+      egd.body, egd.var_count, instance, Binding::Empty(egd.var_count),
+      [&](const Binding& body_match) {
+        return body_match.values[egd.left_var] ==
+               body_match.values[egd.right_var];
+      });
 }
 
 bool SatisfiesDisjunctiveTgd(const Instance& instance,

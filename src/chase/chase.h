@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "logic/dependency.h"
@@ -19,27 +18,20 @@ enum class ChaseOutcome {
   kBudgetExhausted,   // step budget hit (e.g. non-terminating chase)
 };
 
-// Which chase variant to run.
+// Which chase variant to run: the one restricted (standard) chase of [9],
+// delta-driven. A tgd fires for a body homomorphism only if no head
+// extension already exists, and the fixpoint is computed over a worklist
+// of dirty (relation, watermark) pairs — each round only evaluates
+// triggers whose body touches a fact added since the previous round or
+// dirtied by an egd merge. Egd steps are union-find merges in the
+// instance's value layer (Instance::MergeValues): O(α) unions that mark
+// only the dirty equivalence classes, never rewriting tuples or
+// invalidating watermarks. The tests check every run against the
+// definition of a restricted chase sequence by replaying its firing
+// journal (tests/chase_trace_check.h). A one-value type kept because
+// callers name it (bench/pdxbench sets kRestricted explicitly).
 enum class ChaseStrategy {
-  // The restricted (standard) chase of [9], delta-driven: a tgd fires for
-  // a body homomorphism only if no head extension already exists, and the
-  // fixpoint is computed over a worklist of dirty (relation, watermark)
-  // pairs — each round only evaluates triggers whose body touches a fact
-  // added since the previous round or dirtied by an egd merge. Egd steps
-  // are union-find merges in the instance's value layer
-  // (Instance::MergeValues): O(α) unions that mark only the dirty
-  // equivalence classes, never rewriting tuples or invalidating
-  // watermarks. Changes performance only, never the chase result
-  // (cross-validated in chase_strategies_test and cross_validation_test,
-  // orders of magnitude faster at scale per bench_chase), so it is the
-  // default.
   kRestricted,
-  // The restricted chase re-scanning the whole instance to find each
-  // trigger and applying egds via Substitute's eager relation rebuild,
-  // interpreted straight off the dependency AST. The test and bench
-  // oracle: the differential tests and bench_chase --quick check the
-  // compiled delta engine against it.
-  kRestrictedNaive,
 };
 
 class ChaseJournal;
@@ -53,10 +45,10 @@ struct ChaseOptions {
 
   ChaseStrategy strategy = ChaseStrategy::kRestricted;
 
-  // Worker threads for delta trigger enumeration (kRestricted only):
-  // 0 = hardware concurrency, 1 = fully sequential. Any value > 1 fans the
-  // collect half of every tgd batch and egd pass across partitioned
-  // parallel enumeration; workers also build the kept triggers' head rows.
+  // Worker threads for delta trigger enumeration: 0 = hardware
+  // concurrency, 1 = fully sequential. Any value > 1 fans the collect half
+  // of every tgd batch and egd pass across partitioned parallel
+  // enumeration; workers also build the kept triggers' head rows.
   // The apply half (which triggers fire, their fresh nulls and the
   // inserts) stays sequential, in the same order, so results are
   // bit-identical at every setting — same outcome, steps, failure,
@@ -64,35 +56,33 @@ struct ChaseOptions {
   // execution model").
   int num_threads = 0;
 
-  // Incremental resume (kRestricted only): when non-null, the first
-  // round's delta covers only the facts added to the start instance after
-  // this watermark, instead of the whole instance. Correct exactly when
-  // the pre-watermark state already satisfies every dependency being
-  // chased (it was itself chased to fixpoint and only AddFact happened
-  // since — the pdxd generation store's single-writer discipline). The
-  // naive oracle ignores it and does the full first scan, which is always
-  // correct, just not amortized. The pointee must outlive the call.
+  // Incremental resume: when non-null, the first round's delta covers
+  // only the facts added to the start instance after this watermark,
+  // instead of the whole instance. Correct exactly when the pre-watermark
+  // state already satisfies every dependency being chased (it was itself
+  // chased to fixpoint and only AddFact happened since — the pdxd
+  // generation store's single-writer discipline). The pointee must outlive
+  // the call.
   const InstanceWatermark* resume_from = nullptr;
 
-  // Auto-compaction of merge-heavy raw stores (kRestricted only): when the
-  // fraction of raw tuples that are duplicates under resolution exceeds
-  // this ratio — and the raw store holds at least compact_min_facts tuples
-  // — the chase swaps in CompactResolved(keep_resolver=true) and restarts
-  // its watermark (the extra rescan round fires nothing: satisfied
-  // triggers stay satisfied). Reclaims memory on long egd-heavy runs
+  // Auto-compaction of merge-heavy raw stores: when the fraction of raw
+  // tuples that are duplicates under resolution exceeds this ratio — and
+  // the raw store holds at least compact_min_facts tuples — the chase
+  // swaps in CompactResolved(keep_resolver=true) and restarts its
+  // watermark (the extra rescan round fires nothing: satisfied triggers
+  // stay satisfied). Reclaims memory on long egd-heavy runs
   // without changing any result. Set the ratio outside (0, 1) to disable.
   double compact_duplicate_ratio = 0.5;
   size_t compact_min_facts = 4096;
 
-  // Firing journal for deletion propagation (kRestricted only; see
-  // chase/journal.h and chase/stream.h). When non-null, every applied tgd
-  // trigger and every successful egd merge is recorded — with its full
-  // extended binding — from the sequential apply phases, so a later ±Δ
-  // batch (StreamingChase::ResumeWithDeltas) can count surviving
-  // justifications per derived fact and propagate retractions. The naive
-  // oracle ignores it: it has no delta discipline to resume. Null keeps
-  // the hot path entirely free of journaling. The pointee must outlive the
-  // call.
+  // Firing journal for deletion propagation (see chase/journal.h and
+  // chase/stream.h) and for the tests' trace checker
+  // (tests/chase_trace_check.h). When non-null, every applied tgd trigger
+  // and every successful egd merge is recorded — with its full extended
+  // binding — from the sequential apply phases, so a later ±Δ batch
+  // (StreamingChase::ResumeWithDeltas) can count surviving justifications
+  // per derived fact and propagate retractions. Null keeps the hot path
+  // entirely free of journaling. The pointee must outlive the call.
   ChaseJournal* journal = nullptr;
 };
 
@@ -103,27 +93,8 @@ struct ChaseResult {
   int64_t nulls_created = 0;
   int64_t compactions = 0; // CompactResolved swaps (see ChaseOptions)
   std::string failure;     // human-readable description when kFailed
-  // Egd merge log of the Substitute-based engine (kRestrictedNaive): each
-  // substituted null, keyed by Value::packed(), maps to the value it was
-  // replaced by (which may itself have been merged later; Resolve()
-  // follows the chain). The union-find delta engine leaves this empty —
-  // its merges live in instance.resolver(), which Resolve() also consults.
-  std::unordered_map<uint64_t, Value> merges;
 
   explicit ChaseResult(Instance i) : instance(std::move(i)) {}
-
-  // The final value a given input value denotes in `instance`: resolves
-  // through the instance's value layer, then follows the Substitute merge
-  // chain. Identity for values never merged.
-  Value Resolve(Value v) const {
-    v = instance.ResolveValue(v);
-    auto it = merges.find(v.packed());
-    while (it != merges.end()) {
-      v = it->second;
-      it = merges.find(v.packed());
-    }
-    return v;
-  }
 };
 
 // The worker count options.num_threads asks for: 0 means hardware
@@ -136,10 +107,10 @@ int ResolveThreadCount(const ChaseOptions& options);
 // witness existential variables; an egd trigger merges a null into the
 // other value or fails on a constant/constant clash.
 //
-// The delta engine (kRestricted) executes trigger enumeration, head
-// probes, applies and the egd fixpoint through the setting's compiled
-// plans (plan/ir.h), fetched from the process-wide PlanCache: repeated
-// chases of one setting compile it exactly once.
+// The engine executes trigger enumeration, head probes, applies and the
+// egd fixpoint through the setting's compiled plans (plan/ir.h), fetched
+// from the process-wide PlanCache: repeated chases of one setting compile
+// it exactly once.
 //
 // The chase is fair: it loops over dependencies round-robin until a full
 // pass finds no applicable trigger.

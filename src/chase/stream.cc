@@ -61,11 +61,6 @@ StreamingChase::StreamingChase(const Schema* schema, std::vector<Tgd> tgds,
 StreamingChase::~StreamingChase() = default;
 
 Status StreamingChase::Initialize(const Instance& base) {
-  if (options_.strategy != ChaseStrategy::kRestricted) {
-    return InvalidArgumentError(
-        "StreamingChase requires the restricted chase (resume_from and the "
-        "firing journal are kRestricted contracts)");
-  }
   initialized_ = false;
   index_valid_ = false;
   base_ = base;

@@ -74,13 +74,12 @@ struct StreamStats {
 // fingerprints — leaving the state exactly as before the call, which is
 // what lets the serving layer replay a failed coalesced batch per ticket.
 //
-// Restricted strategy only (resume_from's contract); any thread count.
-// Not thread-safe: one writer, like the admission queue that drives it in
-// src/serve/.
+// Runs at any thread count. Not thread-safe: one writer, like the
+// admission queue that drives it in src/serve/.
 class StreamingChase {
  public:
-  // `schema` and `symbols` must outlive the object. `options.strategy`
-  // must be kRestricted; `options.journal` is managed internally.
+  // `schema` and `symbols` must outlive the object. `options.journal` is
+  // managed internally.
   StreamingChase(const Schema* schema, std::vector<Tgd> tgds,
                  std::vector<Egd> egds, SymbolTable* symbols,
                  ChaseOptions options = ChaseOptions());

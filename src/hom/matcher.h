@@ -3,10 +3,10 @@
 
 // The interpreter: conjunctive matching straight off an atom list, for
 // the one-shot callers that have no compiled plan (conjunctive queries,
-// datalog, implication, Satisfies*) and as the kRestrictedNaive oracle
-// and reference semantics the compiled path (hom/match_vm.h) is tested
-// against. Also the match vocabulary both share: Binding and
-// DeltaPartition.
+// datalog, implication, Satisfies*) and as the independent evaluator of
+// the chase trace checker (tests/chase_trace_check.h) and reference
+// semantics the compiled path (hom/match_vm.h) is tested against. Also
+// the match vocabulary both share: Binding and DeltaPartition.
 
 #include <functional>
 #include <vector>

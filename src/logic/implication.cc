@@ -91,9 +91,9 @@ StatusOr<Instance> ChaseFrozenBody(const DependencySet& sigma,
   }
   *chase_failed = result.outcome == ChaseOutcome::kFailed;
   if (!*chase_failed) {
-    // Egd steps may have merged frozen nulls; follow the chase's merge
-    // log so each frozen variable denotes its final value.
-    for (Value& v : *frozen) v = result.Resolve(v);
+    // Egd steps may have merged frozen nulls; resolve each frozen variable
+    // through the chased instance's value layer to its final value.
+    for (Value& v : *frozen) v = result.instance.ResolveValue(v);
   }
   return std::move(result.instance);
 }

@@ -45,8 +45,8 @@ struct CtractSolveResult {
 // `source` must be a ground source-side instance; `target` a target-side
 // instance (it may contain nulls; the paper's J is null-free but nothing
 // here requires that).
-// `chase_options` selects the strategy for both chase phases (delta-driven
-// by default; cross-validation passes kRestrictedNaive to A/B the engines).
+// `chase_options` sets the thread count and step budget of both chase
+// phases.
 StatusOr<CtractSolveResult> CtractExistsSolution(
     const PdeSetting& setting, const Instance& source, const Instance& target,
     SymbolTable* symbols, const ChaseOptions& chase_options = ChaseOptions());

@@ -34,8 +34,7 @@ struct DataExchangeResult {
 // setting.IsDataExchange(); Σ_t's tgds should be weakly acyclic for the
 // polynomial guarantee (a chase budget guards the general case).
 // has_solution == false means the chase failed on a target egd.
-// `chase_options` selects the chase strategy (delta-driven by default;
-// cross-validation passes kRestrictedNaive to A/B the two engines).
+// `chase_options` sets the chase's thread count and step budget.
 StatusOr<DataExchangeResult> SolveDataExchange(
     const PdeSetting& setting, const Instance& source, const Instance& target,
     SymbolTable* symbols, const ChaseOptions& chase_options = ChaseOptions());

@@ -14,7 +14,7 @@
 // next rehash). Erase swaps the victim with the bucket's last entry and
 // never tombstones the slot: a slot keeps its key with count == 0, which
 // preserves probe chains without deletion markers (erases are rare — only
-// RemoveFact and Substitute — while inserts dominate).
+// RemoveFact — while inserts dominate).
 //
 // Indexes are built lazily. Each FlatIndex carries an `indexed_upto`
 // watermark: it holds exactly the owning store's tuples [0, indexed_upto).
@@ -142,14 +142,6 @@ class FlatIndex {
         return;
       }
     }
-  }
-
-  // Drops every entry; the watermark returns to 0.
-  void Clear() {
-    slots_.clear();
-    overflow_.clear();
-    used_ = 0;
-    set_indexed_upto(0);
   }
 
  private:
@@ -365,11 +357,6 @@ class FlatTupleSet {
     size_t capacity = entries_.empty() ? 16 : entries_.size() * 2;
     while (need * 4 > capacity * 3) capacity *= 2;
     Rehash(capacity);
-  }
-
-  void Clear() {
-    entries_.clear();
-    size_ = 0;
   }
 
   size_t size() const { return size_; }

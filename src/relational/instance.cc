@@ -473,46 +473,6 @@ void Instance::UnionWith(const Instance& other) {
   other.ForEachFact([this](const Fact& f) { AddFact(f); });
 }
 
-void Instance::Substitute(Value from, Value to) {
-  if (from == to) return;
-  for (RelationId r = 0; r < static_cast<RelationId>(stores_.size()); ++r) {
-    // Skip relations not containing `from` (checked via the inverted
-    // index) so their stores — and any watermarks into them — survive.
-    bool contains = false;
-    const RelationStore& current = *stores_[r];
-    for (int pos = 0; pos < current.arity; ++pos) {
-      if (!current.Index(pos).Find(from.packed()).empty()) {
-        contains = true;
-        break;
-      }
-    }
-    if (!contains) continue;
-    // Rebuild this relation: egd steps are rare relative to tgd steps and
-    // a full per-relation rebuild keeps the index exact.
-    RelationStore& store = Mutable(r);
-    std::vector<Tuple> old;
-    old.reserve(store.count);
-    for (size_t i = 0; i < store.count; ++i) {
-      const Value* t = store.TupleData(i);
-      old.emplace_back(t, t + store.arity);
-    }
-    fact_count_ -= store.count;
-    uint64_t rewrites = store.rewrites;
-    store.data.clear();
-    store.count = 0;
-    store.dedup.Clear();
-    for (FlatIndex& by_value : store.index) by_value.Clear();
-    store.InvalidateClassCache();
-    store.rewrites = rewrites + 1;
-    for (Tuple& t : old) {
-      for (Value& v : t) {
-        if (v == from) v = to;
-      }
-      AddFact(r, std::move(t));
-    }
-  }
-}
-
 Instance Instance::CompactResolved(bool keep_resolver) const {
   Instance compact(schema_);
   // The facts ForEachFact hands out are already resolved, so installing

@@ -24,8 +24,8 @@ class Instance;
 
 // A monotone position in an Instance's mutation history: per-relation tuple
 // counts plus per-relation rewrite counters (a relation's counter advances
-// whenever Substitute or RemoveFact rewrites its tuples in place, which
-// shuffles tuple indexes). Taken via Instance::TakeWatermark(); consumed by
+// whenever RemoveFact rewrites its tuples in place, which shuffles tuple
+// indexes). Taken via Instance::TakeWatermark(); consumed by
 // DeltaView. Union-find merges (MergeValues) do NOT advance counters: they
 // leave tuple indexes stable and report the dirty tuples explicitly.
 struct InstanceWatermark {
@@ -59,11 +59,10 @@ struct InstanceWatermark {
 // fingerprints, ToString, the matcher via the resolved index accessors)
 // presents the *resolved* view, in which each value stands for its class
 // root and raw tuples that collapse onto the same resolved tuple count
-// once. This makes an egd merge a near-O(1) union instead of Substitute's
-// full relation rebuild, and it never invalidates tuple indexes. The
-// resolver snapshots copy-on-write exactly like the relation stores, so
-// branches never alias resolver state. Substitute remains available as
-// the eager alternative (used by ChaseStrategy::kRestrictedNaive).
+// once. This makes an egd merge a near-O(1) union instead of a rewrite of
+// every tuple holding the merged value, and it never invalidates tuple
+// indexes. The resolver snapshots copy-on-write exactly like the relation
+// stores, so branches never alias resolver state.
 class Instance {
  public:
   explicit Instance(const Schema* schema);
@@ -206,9 +205,9 @@ class Instance {
   // point are visible to a DeltaView built against it.
   InstanceWatermark TakeWatermark() const;
 
-  // How many times Substitute/RemoveFact has rewritten `relation` in
-  // place. A tuple index recorded before a rewrite does not address the
-  // same fact after. MergeValues never advances this.
+  // How many times RemoveFact has rewritten `relation` in place. A tuple
+  // index recorded before a rewrite does not address the same fact after.
+  // MergeValues never advances this.
   uint64_t rewrites(RelationId relation) const {
     PDX_CHECK_GE(relation, 0);
     PDX_CHECK_LT(relation, static_cast<RelationId>(stores_.size()));
@@ -240,21 +239,14 @@ class Instance {
   // this.
   void UnionWith(const Instance& other);
 
-  // Replaces every occurrence of `from` by `to` in the raw stores,
-  // deduplicating the result (eager materialization; rebuilds only the
-  // relations containing `from` and advances their rewrite counters).
-  // Kept for the naive baseline chase and for callers that need raw
-  // stores canonical; the delta engines use MergeValues instead.
-  void Substitute(Value from, Value to);
-
   // A plain instance holding this instance's resolved facts: the
   // materialization of the resolve-on-read view, with raw duplicates
   // collapsed. Its fingerprint, facts and ToString agree with this
   // instance's. By default the result carries a trivial resolver (all
   // merge history dropped); with `keep_resolver` it shares this
   // instance's resolver state, so values merged before the compaction
-  // still resolve through it (ResolveValue / ChaseResult::Resolve keep
-  // working) — used by the chase's mid-run store compaction.
+  // still resolve through it (ResolveValue keeps working) — used by the
+  // chase's mid-run store compaction.
   Instance CompactResolved(bool keep_resolver = false) const;
 
   // A copy holding only the relations `keep` selects; every other
@@ -422,8 +414,8 @@ class Instance::BulkLoader {
 //     content a MergeValues call changed — the dirty equivalence classes.
 // The view captures the instance's extent at construction: facts added
 // later fall outside it and belong to the next delta. Index ranges are
-// stable under AddFact and MergeValues but invalidated by Substitute /
-// RemoveFact on the same relation.
+// stable under AddFact and MergeValues but invalidated by RemoveFact on
+// the same relation.
 class DeltaView {
  public:
   DeltaView(const Instance& instance, const InstanceWatermark& mark);

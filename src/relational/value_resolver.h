@@ -19,7 +19,7 @@ namespace pdx {
 // The resolver is the *value layer* of an Instance: tuples keep the raw
 // values they were inserted with, and readers resolve each value to its
 // class root on the fly ("resolve-on-read"). This makes an egd merge a
-// near-O(1) union instead of Substitute's full relation rebuild.
+// near-O(1) union instead of a rewrite of every tuple holding the value.
 //
 // Representation: a parent table (merged null -> current root) plus
 // per-root member lists. Union relinks every member of the losing class

@@ -96,7 +96,6 @@ void Tenant::Shutdown() {
 
 ChaseOptions Tenant::BatchChaseOptions() const {
   ChaseOptions opts;
-  opts.strategy = ChaseStrategy::kRestricted;  // resume_from needs it
   opts.num_threads = options_.chase_threads;
   opts.max_steps = options_.max_chase_steps;
   return opts;

@@ -12,7 +12,6 @@
 #include "base/string_util.h"
 #include "chase/chase.h"
 #include "chase/stream.h"
-#include "hom/instance_hom.h"
 #include "logic/parser.h"
 #include "pde/setting_file.h"
 #include "plan/compiler.h"
@@ -113,10 +112,14 @@ TEST_P(FuzzTest, MutatedValidDependencySurvives) {
 }
 
 // Chase fuzz: random instances (constants and shared nulls) through
-// egd-bearing rule sets. Whatever the merge order, the union-find engine
-// must agree with the Substitute baseline, and its resolved view must
-// expose every surviving null as its own class root — a null resolving to
-// a non-root would mean a stale parent link survived the chase.
+// egd-bearing rule sets. Whatever the merge order, the trace checker must
+// accept the run, and its resolved view must expose every surviving null
+// as its own class root — a null resolving to a non-root would mean a
+// stale parent link survived the chase. The last rule set is a three-round
+// chain: the egd merges an H null a round after H was written, so the
+// final tgd (apply mode none) meets its H(x,z) & P(x,z,z,z) matches both
+// through the merge-dirtied H tuple and through the new P tuple — the
+// repeated match the apply's merge guard must fire only once.
 TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
   Rng rng(GetParam() + 5000);
   const char* kRuleSets[] = {
@@ -124,10 +127,13 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
       "E(x,y) -> exists z: H(x,z) & H(y,z). H(x,y) & H(x,z) -> y = z.",
       "E(x,z) & E(z,y) -> H(x,y). H(x,y) -> exists w: E(x,w). "
       "H(x,y) & H(x,z) -> y = z. E(x,y) & E(x,z) -> y = z.",
+      "E(x,y) -> exists z: H(x,z). H(x,z) & E(x,y) -> P(x,y,y,y). "
+      "H(x,z) & P(x,y,y,y) -> z = y. "
+      "H(x,z) & P(x,z,z,z) -> exists v: P(v,x,z,v).",
   };
   for (int trial = 0; trial < 20; ++trial) {
     auto deps =
-        ParseDependencies(kRuleSets[rng.UniformInt(3)], schema_, &symbols_);
+        ParseDependencies(kRuleSets[rng.UniformInt(4)], schema_, &symbols_);
     ASSERT_TRUE(deps.ok()) << deps.status().ToString();
 
     Instance start(&schema_);
@@ -149,20 +155,11 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
       start.AddFact(relation, tuple);
     }
 
-    ChaseOptions naive_options;
-    naive_options.strategy = ChaseStrategy::kRestrictedNaive;
-    naive_options.max_steps = 5000;
     ChaseOptions delta_options;
-    delta_options.strategy = ChaseStrategy::kRestricted;
     delta_options.max_steps = 5000;
-    ChaseResult naive =
-        Chase(start, deps->tgds, deps->egds, &symbols_, naive_options);
-    ChaseResult delta =
-        Chase(start, deps->tgds, deps->egds, &symbols_, delta_options);
-
-    ASSERT_EQ(naive.outcome, delta.outcome)
-        << "engine disagreement, trial " << trial << "\nI:\n"
-        << start.ToString(symbols_);
+    ChaseResult delta = testing_util::CheckedChase(
+        start, deps->tgds, deps->egds, &symbols_, delta_options,
+        StrCat("trial ", trial, "\nI:\n", start.ToString(symbols_)));
 
     // The same delta chase at a thread count drawn per trial must be
     // bit-identical to the sequential run: same outcome, steps, failure,
@@ -185,19 +182,6 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
         << "\nI:\n" << start.ToString(symbols_);
 
     if (delta.outcome != ChaseOutcome::kSuccess) continue;
-
-    // Restricted-chase results are unique up to homomorphic equivalence,
-    // not isomorphism: trigger order may differ between the engines on
-    // null-seeded inputs. Both results must satisfy the dependencies and
-    // map into each other.
-    EXPECT_TRUE(SatisfiesAll(naive.instance, *deps)) << "trial " << trial;
-    EXPECT_TRUE(SatisfiesAll(delta.instance, *deps)) << "trial " << trial;
-    EXPECT_TRUE(FindInstanceHomomorphism(naive.instance, delta.instance)
-                    .has_value())
-        << "trial " << trial << "\nI:\n" << start.ToString(symbols_);
-    EXPECT_TRUE(FindInstanceHomomorphism(delta.instance, naive.instance)
-                    .has_value())
-        << "trial " << trial << "\nI:\n" << start.ToString(symbols_);
 
     std::unordered_set<uint64_t> roots;
     for (Value v : delta.instance.Nulls()) {
@@ -275,11 +259,11 @@ std::string RandomTgd(Rng* rng, const Layer& body_layer,
 // Random tgd shapes through both engines. The relations form three
 // layers (E, H -> P, Q -> R, S), so every chase terminates whatever its
 // trigger order, and the optional key egds merge layer-one nulls that
-// layer-two bodies then re-read through merge-dirtied tuples. The delta
-// chase must agree with the kRestrictedNaive oracle up to homomorphic
-// equivalence and be bit-identical at every thread count. The generator
-// must reach every apply mode and every shape that forces the live path.
-TEST_P(FuzzTest, RandomTgdShapesMatchTheOracle) {
+// layer-two bodies then re-read through merge-dirtied tuples. The trace
+// checker must accept every run, and the chase must be bit-identical at
+// every thread count. The generator must reach every apply mode and every
+// shape that forces the live path.
+TEST_P(FuzzTest, RandomTgdShapesPassTheTraceCheck) {
   Rng rng(GetParam() + 7000);
   const Layer layers[] = {
       {{"E", 2}, {"H", 2}}, {{"P", 3}, {"Q", 2}}, {{"R", 2}, {"S", 3}}};
@@ -332,19 +316,13 @@ TEST_P(FuzzTest, RandomTgdShapesMatchTheOracle) {
                      symbols.InternConstant(StrCat("k", rng.UniformInt(3)))});
     }
 
-    ChaseOptions naive_options;
-    naive_options.strategy = ChaseStrategy::kRestrictedNaive;
-    naive_options.max_steps = 5000;
     ChaseOptions delta_options;
     delta_options.max_steps = 5000;
     delta_options.num_threads = 1;
-    ChaseResult naive =
-        Chase(start, deps->tgds, deps->egds, &symbols, naive_options);
-    ChaseResult delta =
-        Chase(start, deps->tgds, deps->egds, &symbols, delta_options);
-    ASSERT_EQ(naive.outcome, delta.outcome)
-        << "engine disagreement, trial " << trial << "\n" << text << "\nI:\n"
-        << start.ToString(symbols);
+    ChaseResult delta = testing_util::CheckedChase(
+        start, deps->tgds, deps->egds, &symbols, delta_options,
+        StrCat("trial ", trial, "\n", text, "\nI:\n",
+               start.ToString(symbols)));
     ASSERT_NE(delta.outcome, ChaseOutcome::kBudgetExhausted) << text;
 
     for (int threads : {2, 4, 8}) {
@@ -362,14 +340,6 @@ TEST_P(FuzzTest, RandomTgdShapesMatchTheOracle) {
                 delta.instance.CanonicalFingerprint())
           << "trial " << trial << " threads " << threads << "\n" << text;
     }
-
-    if (delta.outcome != ChaseOutcome::kSuccess) continue;
-    EXPECT_TRUE(SatisfiesAll(naive.instance, *deps)) << text;
-    EXPECT_TRUE(SatisfiesAll(delta.instance, *deps)) << text;
-    testing_util::AssertHomEquivalent(
-        naive.instance, delta.instance,
-        StrCat("trial ", trial, "\n", text, "\nI:\n",
-               start.ToString(symbols)));
   }
   EXPECT_EQ(modes.size(), 3u) << "every apply mode must occur";
   EXPECT_GT(repeated_relation, 0);

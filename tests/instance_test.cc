@@ -81,19 +81,6 @@ TEST_F(InstanceTest, UnionWith) {
   EXPECT_TRUE(left.Contains(u_, {c_}));
 }
 
-TEST_F(InstanceTest, SubstituteMergesAndRebuildsIndex) {
-  Instance instance(&schema_);
-  Value n = symbols_.FreshNull();
-  instance.AddFact(e_, {a_, n});
-  instance.AddFact(e_, {a_, b_});
-  instance.Substitute(n, b_);
-  // The two facts collapse into one.
-  EXPECT_EQ(instance.fact_count(), 1u);
-  EXPECT_TRUE(instance.Contains(e_, {a_, b_}));
-  EXPECT_EQ(instance.TuplesWithValueAt(e_, 1, b_).size(), 1u);
-  EXPECT_TRUE(instance.TuplesWithValueAt(e_, 1, n).empty());
-}
-
 TEST_F(InstanceTest, CanonicalFingerprintIgnoresNullIdentity) {
   Instance x(&schema_);
   Instance y(&schema_);

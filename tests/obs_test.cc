@@ -344,7 +344,6 @@ struct ObsInvarianceTest : ::testing::Test {
                              const std::vector<Tgd>& tgds,
                              const std::vector<Egd>& egds, int threads) {
     ChaseOptions options;
-    options.strategy = ChaseStrategy::kRestricted;
     options.num_threads = threads;
     std::map<std::string, MetricSnapshot> before = SnapMap();
     ChaseResult result = Chase(start, tgds, egds, &symbols, options);

@@ -1,5 +1,5 @@
 // Copy-on-write semantics of Instance and InstanceSnapshot: a branch may
-// be mutated arbitrarily (AddFact, RemoveFact, Substitute) without any
+// be mutated arbitrarily (AddFact, RemoveFact, MergeValues) without any
 // effect on its parent or sibling branches, and DeltaSince exposes exactly
 // what a branch changed.
 
@@ -90,37 +90,10 @@ TEST_F(SnapshotTest, BranchRemoveFactDoesNotLeakIntoParent) {
   const TupleIndexSpan hits = branch.TuplesWithValueAt(0, 0, b_);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(branch.tuples(0)[hits[0]], (Tuple{b_, c_}));
-}
-
-TEST_F(SnapshotTest, BranchSubstituteDoesNotLeakIntoParent) {
-  Instance parent(&schema_);
-  Value null = symbols_.FreshNull();
-  parent.AddFact(0, {a_, null});
-  parent.AddFact(1, {null});
-  InstanceSnapshot snapshot(parent);
-  Instance branch = snapshot.Branch();
-  branch.Substitute(null, b_);
-
-  EXPECT_TRUE(branch.Contains(0, {a_, b_}));
-  EXPECT_TRUE(branch.Contains(1, {b_}));
-  EXPECT_TRUE(parent.Contains(0, {a_, null}));
-  EXPECT_TRUE(parent.Contains(1, {null}));
-  EXPECT_FALSE(parent.Contains(1, {b_}));
-  // Substitute counts as a rewrite of the touched relations — in the
-  // branch only.
+  // The removal counts as a rewrite of R — in the branch only — and S,
+  // which it never touched, keeps its store and rewrite counter.
   EXPECT_GT(branch.rewrites(0), parent.rewrites(0));
-  EXPECT_GT(branch.rewrites(1), parent.rewrites(1));
-}
-
-TEST_F(SnapshotTest, SubstituteSkipsUntouchedRelations) {
-  Instance parent = Base();
-  Value null = symbols_.FreshNull();
-  parent.AddFact(1, {null});
-  uint64_t r_rewrites = parent.rewrites(0);
-  parent.Substitute(null, b_);
-  // R never contained the null: its store and rewrite counter are intact.
-  EXPECT_EQ(parent.rewrites(0), r_rewrites);
-  EXPECT_GT(parent.rewrites(1), 0u);
+  EXPECT_EQ(branch.rewrites(1), parent.rewrites(1));
 }
 
 TEST_F(SnapshotTest, DeltaSinceSeesExactlyTheBranchAdditions) {
@@ -149,7 +122,7 @@ TEST_F(SnapshotTest, DeltaSinceTreatsRewrittenRelationAsAllNew) {
   parent.AddFact(0, {b_, c_});
   InstanceSnapshot snapshot(parent);
   Instance branch = snapshot.Branch();
-  branch.Substitute(null, c_);
+  EXPECT_TRUE(branch.RemoveFact(0, {a_, null}));
 
   DeltaView delta = snapshot.DeltaSince(branch);
   EXPECT_TRUE(delta.dirty(0));
@@ -280,7 +253,7 @@ TEST_F(SnapshotTest, MergeDoesNotDirtyWatermarksOrRewrites) {
   EXPECT_TRUE(merge.merged);
   EXPECT_EQ(merge.winner, b_);  // constants win unions
 
-  // Unlike Substitute, a merge leaves tuple indexes and watermarks valid:
+  // Unlike RemoveFact, a merge leaves tuple indexes and watermarks valid:
   // no rewrite, no additive delta.
   EXPECT_EQ(instance.rewrites(0), rewrites);
   DeltaView plain(instance, mark);

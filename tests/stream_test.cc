@@ -102,14 +102,6 @@ TEST_F(StreamTest, InitializeChasesToFixpoint) {
   EXPECT_GT(stream.journal().live_count(), 0u);
 }
 
-TEST_F(StreamTest, RejectsNonRestrictedStrategy) {
-  ChaseOptions options;
-  options.strategy = ChaseStrategy::kRestrictedNaive;
-  StreamingChase stream(&schema_, {}, {}, &symbols_, options);
-  Instance base(&schema_);
-  EXPECT_EQ(stream.Initialize(base).code(), StatusCode::kInvalidArgument);
-}
-
 // The tentpole invariant. At {1, 2, 8} threads: run a churn stream
 // through ResumeWithDeltas and after every batch compare against a
 // from-scratch chase of the net instance — canonicalized fingerprints

@@ -10,11 +10,13 @@
 #include "gtest/gtest.h"
 #include "base/status.h"
 #include "chase/chase.h"
+#include "chase/journal.h"
 #include "hom/instance_hom.h"
 #include "pde/setting.h"
 #include "relational/instance.h"
 #include "relational/instance_io.h"
 #include "relational/value.h"
+#include "tests/chase_trace_check.h"
 #include "workload/random.h"
 
 namespace pdx {
@@ -61,8 +63,8 @@ inline PdeSetting MakePathSetting(SymbolTable* symbols) {
 // hom/instance_hom.h): invariant under any bijective renaming of nulls.
 // Raw CanonicalFingerprint() tie-breaks its fact sort on original null
 // ids, so it can differ between isomorphic instances whose nulls sit in
-// symmetric positions — use this to compare engines that may number their
-// nulls differently (the naive oracle against the delta engines).
+// symmetric positions — use this to compare runs that may number their
+// nulls differently (a streamed instance against a from-scratch chase).
 inline uint64_t CanonicalizedFingerprint(const Instance& instance) {
   return CanonicalizeNulls(instance).CanonicalFingerprint();
 }
@@ -81,10 +83,29 @@ inline void AssertHomEquivalent(const Instance& a, const Instance& b,
       << "no homomorphism b -> a" << (context.empty() ? "" : ": ") << context;
 }
 
+// Chases `start` with a firing journal attached and expects the
+// restricted-chase trace checker (tests/chase_trace_check.h) to accept
+// the run; `context` labels a rejection.
+inline ChaseResult CheckedChase(const Instance& start,
+                                const std::vector<Tgd>& tgds,
+                                const std::vector<Egd>& egds,
+                                SymbolTable* symbols,
+                                ChaseOptions options = ChaseOptions(),
+                                const std::string& context = "") {
+  ChaseJournal journal;
+  options.journal = &journal;
+  ChaseResult result = Chase(start, tgds, egds, symbols, options);
+  Status trace =
+      CheckChaseTrace(start, tgds, egds, options.max_steps, result, journal);
+  EXPECT_TRUE(trace.ok()) << trace.ToString()
+                          << (context.empty() ? "" : "\n") << context;
+  return result;
+}
+
 // A chase whose tgd batches satisfy themselves: an earlier trigger of one
 // tgd's batch makes a later trigger's head hold, so the apply must drop
 // the later one (plan/ir.h, ApplyMode). `steps` and `nulls` are pinned,
-// and each equals the kRestrictedNaive oracle's.
+// and the trace checker accepts each run.
 struct SelfSatisfyingBatch {
   std::string name;
   std::vector<std::pair<std::string, int>> relations;

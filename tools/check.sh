@@ -7,16 +7,16 @@
 # `parallel`-labeled tests under ThreadSanitizer (TSan and ASan cannot
 # share a build tree, so the TSan pass builds only the concurrency
 # tests in its own tree and runs just that label). The ASan suite runs
-# once, over the one compiled-plan engine path (the match VM) and the
-# kRestrictedNaive oracle the differential tests compare it against. The
-# TSan suite runs once: it sanitizes the chase's one pooled tgd collect,
+# once, over the one chase engine (compiled plans on the match VM) and the
+# restricted-chase trace checker the tests replay its journals through.
+# The TSan suite runs once: it sanitizes the chase's one pooled tgd collect,
 # the pooled egd slot collect, the solution-aware chase's pooled collect
 # and Figure 3's pooled block checks.
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
-# --quick`: a fingerprint cross-check against the kRestrictedNaive oracle
-# plus conservative throughput floors on pipeline_n512 and
-# egd_heavy_n2048; `bench_stream
+# --quick`: a restricted-chase trace check of pipeline_n512 and
+# egd_heavy_n2048 plus conservative throughput floors on both;
+# `bench_stream
 # --quick`: incremental ±Δ re-solve vs full re-chase at 10% churn,
 # fingerprint-cross-checked with a conservative speedup floor) and a
 # pdxcli smoke stage: check/chase/solve on
@@ -121,12 +121,11 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
 
   echo "== perf smoke gate (bench_chase --quick) =="
   cmake --build build -j "$jobs" --target bench_chase
-  # Cross-checks the delta chase (compiled plans on the match VM) against
-  # the kRestrictedNaive oracle on pipeline_n512 (same canonical
-  # fingerprint) and fails if VM throughput drops below a conservative
-  # facts/sec floor; then runs egd_heavy_n2048 at 1 thread against a
-  # pooled run (same steps and fingerprint) and fails below a merges/sec
-  # floor, which the quadratic find-one-then-rescan egd loop could not
+  # Replays a journaled chase of pipeline_n512 through the restricted-
+  # chase trace checker and fails if VM throughput drops below a
+  # conservative facts/sec floor; then trace-checks egd_heavy_n2048, runs
+  # it at 1 thread against a pooled run (same steps and fingerprint) and
+  # fails below a merges/sec floor, which the quadratic find-one-then-rescan egd loop could not
   # reach — a regression tripwire, not a benchmark (full numbers live in
   # BENCH_chase.json).
   ./build/bench/bench_chase --quick
