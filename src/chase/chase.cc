@@ -173,6 +173,7 @@ bool RunTgdPhase(const std::vector<Tgd>& tgds,
           journal->RecordTgd(d, row, var_count, tgd.existential);
         }
         result->nulls_created += apply.fresh_per_trigger;
+        ++result->tgd_fired[d];
         ++applied;
         if (++result->steps >= max_steps) {
           result->outcome = ChaseOutcome::kBudgetExhausted;
@@ -226,6 +227,7 @@ ChaseResult ChaseRestrictedDelta(Instance start,
                                  ThreadPool* pool,
                                  const plan::CompiledSetting& compiled) {
   ChaseResult result(std::move(start));
+  result.tgd_fired.assign(tgds.size(), 0);
   Instance& instance = result.instance;
   // Everything is "new" before the first round, so round one degenerates
   // to a full scan — exactly once. An

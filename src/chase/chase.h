@@ -93,6 +93,10 @@ struct ChaseResult {
   int64_t nulls_created = 0;
   int64_t compactions = 0; // CompactResolved swaps (see ChaseOptions)
   std::string failure;     // human-readable description when kFailed
+  // Triggers applied per tgd, indexed parallel to the chased tgds; they
+  // sum to the tgd steps. Figure 3 derives I_can's exact block counts
+  // from them (pde/ctract_solver.cc).
+  std::vector<int64_t> tgd_fired;
 
   explicit ChaseResult(Instance i) : instance(std::move(i)) {}
 };

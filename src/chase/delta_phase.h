@@ -6,6 +6,7 @@
 // solver's candidate discovery: the delta touch test, the collect fan-out
 // over a body's delta matches, and head instantiation from a value row.
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -31,12 +32,18 @@ inline bool TouchesDelta(const plan::BodyPlan& body, const DeltaView& delta) {
 // delta partitions fan across its workers, one slot each, so `collect`
 // must be a pure read apart from its own slot. Returns the slots used;
 // read in slot order they hold the sequential enumeration order. Slots
-// are cleared, not shrunk.
+// are cleared, not shrunk. Once `*stop` (if given) reads true, every
+// partition ends its enumeration at the next match and partitions not yet
+// started are skipped, so slots then hold a prefix of their matches.
 template <typename Buffer, typename Collect>
 size_t CollectDeltaSlots(const plan::BodyPlan& body, const Instance& instance,
                          const DeltaView& delta, ThreadPool* pool,
                          uint64_t parent_span, std::vector<Buffer>* slots,
-                         const Collect& collect) {
+                         const Collect& collect,
+                         const std::atomic<bool>* stop = nullptr) {
+  const auto stopped = [stop] {
+    return stop != nullptr && stop->load(std::memory_order_relaxed);
+  };
   const Binding empty = Binding::Empty(body.var_count);
   if (pool == nullptr) {
     // Reused across calls: the sequential path runs once per dependency per
@@ -48,10 +55,11 @@ size_t CollectDeltaSlots(const plan::BodyPlan& body, const Instance& instance,
     buffer.clear();
     PartitionDeltaMatches(body, delta, 1, &parts);
     for (const DeltaPartition& part : parts) {
+      if (stopped()) break;
       EnumerateMatchesDeltaPartitionPlanned(body, instance, delta, part, empty,
                                             [&](const Binding& m) {
                                               collect(&buffer, m);
-                                              return true;
+                                              return !stopped();
                                             });
     }
     return 1;
@@ -71,11 +79,12 @@ size_t CollectDeltaSlots(const plan::BodyPlan& body, const Instance& instance,
     part_span.AttrInt("partition", static_cast<int64_t>(p));
     Buffer& buffer = (*slots)[p];
     buffer.clear();
+    if (stopped()) return;
     int64_t kept = 0;
     EnumerateMatchesDeltaPartitionPlanned(body, instance, delta, parts[p],
                                           empty, [&](const Binding& m) {
                                             if (collect(&buffer, m)) ++kept;
-                                            return true;
+                                            return !stopped();
                                           });
     part_span.AttrInt("collected", kept);
   });

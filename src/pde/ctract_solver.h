@@ -27,12 +27,20 @@ struct CtractSolveResult {
   int64_t block_count = 0;     // blocks of I_can
   int64_t max_block_nulls = 0; // nulls in the largest block of I_can
   int64_t chase_steps = 0;
+  // Step 3 ran by trigger: no Σ_ts frontier bound a J_can null, so every
+  // block was decided by one head probe into I rather than decomposed.
+  bool by_trigger = false;
 };
 
 // Decides SOL(P) via the paper's polynomial-time algorithm:
 //   1. chase (I, J) with Σ_st, yielding (I, J_can);
 //   2. chase (J_can, ∅) with Σ_ts, yielding (J_can, I_can);
 //   3. answer true iff every block of I_can maps homomorphically into I.
+//      When no Σ_ts trigger's frontier binds a null, each block is the
+//      fresh nulls of one trigger, and step 3 probes each trigger's head
+//      in I instead of decomposing I_can (DESIGN.md "Pooled Figure 3
+//      block checks"); the verdict, block statistics and witness are the
+//      same either way.
 //
 // Preconditions (kFailedPrecondition otherwise):
 //   * Σ_t = ∅ and no disjunctive ts-tgds;

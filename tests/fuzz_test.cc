@@ -258,7 +258,8 @@ std::string RandomTgd(Rng* rng, const Layer& body_layer,
 
 // Random tgd shapes through both engines. The relations form three
 // layers (E, H -> P, Q -> R, S), so every chase terminates whatever its
-// trigger order, and the optional key egds merge layer-one nulls that
+// trigger order, and the optional key egds merge the nulls of layer-two
+// facts (minted by the chase or seeded in the start instance) that
 // layer-two bodies then re-read through merge-dirtied tuples. The trace
 // checker must accept every run, and the chase must be bit-identical at
 // every thread count. The generator must reach every apply mode and every
@@ -283,8 +284,10 @@ TEST_P(FuzzTest, RandomTgdShapesPassTheTraceCheck) {
       const int from = static_cast<int>(rng.UniformInt(2));
       text += RandomTgd(&rng, layers[from], layers[from + 1]) + " ";
     }
-    if (rng.Bernoulli(0.5)) text += "Q(x,y) & Q(x,z) -> y = z. ";
-    if (rng.Bernoulli(0.3)) text += "P(x,y,z) & P(x,y,w) -> z = w. ";
+    const bool q_key = rng.Bernoulli(0.5);
+    const bool p_key = rng.Bernoulli(0.3);
+    if (q_key) text += "Q(x,y) & Q(x,z) -> y = z. ";
+    if (p_key) text += "P(x,y,z) & P(x,y,w) -> z = w. ";
     auto deps = ParseDependencies(text, schema, &symbols);
     ASSERT_TRUE(deps.ok()) << deps.status().ToString() << "\n" << text;
 
@@ -314,6 +317,31 @@ TEST_P(FuzzTest, RandomTgdShapesPassTheTraceCheck) {
       start.AddFact(static_cast<RelationId>(rng.UniformInt(2)),
                     {symbols.InternConstant(StrCat("k", rng.UniformInt(3))),
                      symbols.InternConstant(StrCat("k", rng.UniformInt(3)))});
+    }
+    // Layer-two facts with nulls: for every tgd whose first body atom is
+    // over a relation with a key egd, two copies of that atom's image,
+    // equal but for two fresh nulls at the last (non-key) position. The
+    // egd merges the nulls, after which both copies resolve to one tuple
+    // and yield the same body match: the repeat the apply's merge guard
+    // (ApplyModeOn) must fire only once.
+    for (const Tgd& tgd : deps->tgds) {
+      const Atom& atom = tgd.body.front();
+      const bool keyed = (atom.relation == 2 && p_key) ||
+                         (atom.relation == 3 && q_key);
+      if (!keyed) continue;
+      std::vector<Value> image(tgd.var_count);
+      for (Value& v : image) {
+        v = symbols.InternConstant(StrCat("k", rng.UniformInt(3)));
+      }
+      Tuple tuple;
+      for (const Term& term : atom.terms) {
+        tuple.push_back(term.is_constant() ? term.constant()
+                                           : image[term.var()]);
+      }
+      for (int copy = 0; copy < 2; ++copy) {
+        tuple.back() = symbols.FreshNull();
+        start.AddFact(atom.relation, tuple);
+      }
     }
 
     ChaseOptions delta_options;

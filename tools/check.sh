@@ -11,7 +11,8 @@
 # restricted-chase trace checker the tests replay its journals through.
 # The TSan suite runs once: it sanitizes the chase's one pooled tgd collect,
 # the pooled egd slot collect, the solution-aware chase's pooled collect
-# and Figure 3's pooled block checks.
+# and both paths of Figure 3's pooled step 3 (head probes by trigger, and
+# the block checks a Σ_ts frontier null falls back to).
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
 # --quick`: a restricted-chase trace check of pipeline_n512 and
@@ -89,7 +90,9 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
   done
 
   # The chase and the Figure 3 solver (ctract) print the same output, null
-  # ids included, at every thread count.
+  # ids included, at every thread count. The genomics target decides
+  # Figure 3 by trigger; genomics_target_nulls puts a null at a Σ_ts
+  # frontier, so it takes the block decomposition.
   for threads in 1 8; do
     ./build/tools/pdxcli chase --setting data/genomics.pdx \
       --source data/genomics_source.facts --threads "$threads" \
@@ -98,12 +101,20 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
       --source data/genomics_source.facts \
       --target data/genomics_target.facts --threads "$threads" \
       >"$smoke_dir/solve_t$threads.txt"
+    ./build/tools/pdxcli solve --solver ctract --setting data/genomics.pdx \
+      --source data/genomics_source.facts \
+      --target data/genomics_target_nulls.facts --threads "$threads" \
+      >"$smoke_dir/solve_nulls_t$threads.txt"
   done
   cmp -s "$smoke_dir/chase_t1.txt" "$smoke_dir/chase_t8.txt" ||
     { echo "smoke: chase output differs between 1 and 8 threads" >&2
       exit 1; }
   cmp -s "$smoke_dir/solve_t1.txt" "$smoke_dir/solve_t8.txt" ||
     { echo "smoke: solve output differs between 1 and 8 threads" >&2
+      exit 1; }
+  cmp -s "$smoke_dir/solve_nulls_t1.txt" "$smoke_dir/solve_nulls_t8.txt" ||
+    { echo "smoke: solve output on a target with frontier nulls differs" \
+        "between 1 and 8 threads" >&2
       exit 1; }
 
   # pdxcli rejects what it does not read: a flag its command does not
@@ -264,8 +275,10 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   # One pass: the chase's pooled tgd collect (workers probe heads and build
   # head rows), the pooled egd slot collect (also run per search node by
   # generic_solver_test), the solution-aware chase's pooled collect
-  # (solution_aware_chase_test) and the pooled Figure 3 block checks
-  # (ctract_solver_test) run concurrently; every apply is sequential.
+  # (solution_aware_chase_test) and both paths of Figure 3's pooled step 3
+  # (ctract_solver_test: head probes by trigger, and the block checks a
+  # frontier null falls back to) run concurrently; every apply is
+  # sequential.
   # flat_index_test races first probes of a shared store's lazy index
   # against a clone of that store.
   ctest --test-dir build-tsan -L parallel \
