@@ -8,7 +8,6 @@
 #include "base/thread_pool.h"
 #include "chase/delta_phase.h"
 #include "chase/journal.h"
-#include "hom/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/ir.h"
@@ -204,14 +203,22 @@ bool AbsorbEgdOutcome(const EgdFixpointOutcome& egd_out, ChaseResult* result) {
   return true;
 }
 
+// Auto-compaction of merge-heavy raw stores: once at least
+// kCompactDuplicateRatio of the raw tuples are duplicates under resolution
+// and the store holds at least kCompactMinFacts of them, the chase swaps
+// in CompactResolved(keep_resolver=true) and restarts its watermark.
+// Reclaims memory on long egd-heavy runs without changing any result.
+constexpr double kCompactDuplicateRatio = 0.5;
+constexpr size_t kCompactMinFacts = 4096;
+
 // The delta-driven restricted chase: the fixpoint loop works off a
 // watermark into the instance; each round evaluates only triggers whose
-// body touches a fact beyond the watermark (semi-naive evaluation via
-// EnumerateMatchesDelta) or a tuple dirtied by an egd merge, then advances
-// the watermark to the round's frontier. Egd steps are union-find merges
-// in the instance's value layer: O(α) unions that never rewrite tuples,
-// so watermarks stay valid and only the dirty equivalence classes are
-// re-examined.
+// body touches a fact beyond the watermark (semi-naive evaluation over the
+// compiled bodies' delta partitions, PartitionDeltaMatches) or a tuple
+// dirtied by an egd merge, then advances the watermark to the round's
+// frontier. Egd steps are union-find merges in the instance's value
+// layer: O(α) unions that never rewrite tuples, so watermarks stay valid
+// and only the dirty equivalence classes are re-examined.
 //
 // Each round's tgd phase is RunTgdPhase: with a pool, each tgd's collect
 // fans across the delta partitions; the apply stays sequential in
@@ -288,16 +295,14 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     // still resolves) and restart the watermark. The extra rescan round
     // fires nothing — satisfied triggers stay satisfied — so outcome,
     // steps and fingerprint are unchanged.
-    if (options.compact_duplicate_ratio > 0 &&
-        options.compact_duplicate_ratio < 1 && instance.has_merges() &&
-        instance.fact_count() >= options.compact_min_facts &&
+    if (instance.has_merges() && instance.fact_count() >= kCompactMinFacts &&
         static_cast<double>(dirty_accum) >=
-            options.compact_duplicate_ratio *
+            kCompactDuplicateRatio *
                 static_cast<double>(instance.fact_count())) {
       size_t duplicates =
           instance.fact_count() - instance.ResolvedFactCount();
       if (static_cast<double>(duplicates) >=
-          options.compact_duplicate_ratio *
+          kCompactDuplicateRatio *
               static_cast<double>(instance.fact_count())) {
         obs::Span compact_span(obs::Tracer::Global(), "chase.compact");
         compact_span.AttrInt("duplicates",
@@ -460,18 +465,26 @@ ChaseResult Chase(const Instance& start, const std::vector<Tgd>& tgds,
   return Chase(start, tgds, {}, symbols, options);
 }
 
+// The Satisfies* checks run on the compiled plans of the setting's own
+// dependencies (PlanCache): each body match must extend to a match of a
+// head plan, which is compiled with the body variables bound.
 bool SatisfiesTgd(const Instance& instance, const Tgd& tgd) {
-  return !EnumerateMatches(
-      tgd.body, tgd.var_count, instance, Binding::Empty(tgd.var_count),
+  const std::shared_ptr<const plan::CompiledSetting> compiled =
+      plan::PlanCache::Global().GetOrCompile({tgd}, {});
+  const plan::TgdPlan& plan = compiled->tgds[0];
+  return !EnumerateMatchesPlanned(
+      plan.body, instance, Binding::Empty(tgd.var_count),
       [&](const Binding& body_match) {
         // Keep searching while the trigger is satisfied.
-        return HasMatch(tgd.head, tgd.var_count, instance, body_match);
+        return HasMatchPlanned(plan.head, instance, body_match);
       });
 }
 
 bool SatisfiesEgd(const Instance& instance, const Egd& egd) {
-  return !EnumerateMatches(
-      egd.body, egd.var_count, instance, Binding::Empty(egd.var_count),
+  const std::shared_ptr<const plan::CompiledSetting> compiled =
+      plan::PlanCache::Global().GetOrCompile({}, {egd});
+  return !EnumerateMatchesPlanned(
+      compiled->egds[0].body, instance, Binding::Empty(egd.var_count),
       [&](const Binding& body_match) {
         return body_match.values[egd.left_var] ==
                body_match.values[egd.right_var];
@@ -480,11 +493,14 @@ bool SatisfiesEgd(const Instance& instance, const Egd& egd) {
 
 bool SatisfiesDisjunctiveTgd(const Instance& instance,
                              const DisjunctiveTgd& tgd) {
-  return !EnumerateMatches(
-      tgd.body, tgd.var_count, instance, Binding::Empty(tgd.var_count),
+  // One plan per disjunct, all with the tgd's body.
+  const std::shared_ptr<const plan::CompiledSetting> compiled =
+      plan::PlanCache::Global().GetOrCompile(SplitDisjuncts(tgd), {});
+  return !EnumerateMatchesPlanned(
+      compiled->tgds[0].body, instance, Binding::Empty(tgd.var_count),
       [&](const Binding& body_match) {
-        for (const std::vector<Atom>& disjunct : tgd.head_disjuncts) {
-          if (HasMatch(disjunct, tgd.var_count, instance, body_match)) {
+        for (const plan::TgdPlan& disjunct : compiled->tgds) {
+          if (HasMatchPlanned(disjunct.head, instance, body_match)) {
             return true;  // this trigger satisfied; keep searching
           }
         }

@@ -65,16 +65,6 @@ struct ChaseOptions {
   // the call.
   const InstanceWatermark* resume_from = nullptr;
 
-  // Auto-compaction of merge-heavy raw stores: when the fraction of raw
-  // tuples that are duplicates under resolution exceeds this ratio — and
-  // the raw store holds at least compact_min_facts tuples — the chase
-  // swaps in CompactResolved(keep_resolver=true) and restarts its
-  // watermark (the extra rescan round fires nothing: satisfied triggers
-  // stay satisfied). Reclaims memory on long egd-heavy runs
-  // without changing any result. Set the ratio outside (0, 1) to disable.
-  double compact_duplicate_ratio = 0.5;
-  size_t compact_min_facts = 4096;
-
   // Firing journal for deletion propagation (see chase/journal.h and
   // chase/stream.h) and for the tests' trace checker
   // (tests/chase_trace_check.h). When non-null, every applied tgd trigger
@@ -91,7 +81,11 @@ struct ChaseResult {
   Instance instance;       // the chased instance (final state even on failure)
   int64_t steps = 0;       // number of chase steps applied
   int64_t nulls_created = 0;
-  int64_t compactions = 0; // CompactResolved swaps (see ChaseOptions)
+  // CompactResolved swaps: once at least half of a raw store of at least
+  // 4096 tuples are duplicates under resolution, the chase compacts it
+  // (chase.cc, kCompactDuplicateRatio / kCompactMinFacts) without
+  // changing any result.
+  int64_t compactions = 0;
   std::string failure;     // human-readable description when kFailed
   // Triggers applied per tgd, indexed parallel to the chased tgds; they
   // sum to the tgd steps. Figure 3 derives I_can's exact block counts
@@ -190,7 +184,11 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
     ThreadPool* pool = nullptr, ChaseJournal* journal = nullptr);
 
 // True if `instance` satisfies the tgd / egd under standard first-order
-// semantics (nulls behave as ordinary values).
+// semantics (nulls behave as ordinary values). The checks run on the
+// match VM over the dependencies' compiled plans, fetched from the
+// process-wide PlanCache (a disjunctive tgd as its SplitDisjuncts, one
+// head plan per disjunct), so they are meant for a setting's own, finite
+// dependency sets, not for per-request text.
 bool SatisfiesTgd(const Instance& instance, const Tgd& tgd);
 bool SatisfiesEgd(const Instance& instance, const Egd& egd);
 bool SatisfiesDisjunctiveTgd(const Instance& instance,

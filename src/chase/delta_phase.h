@@ -56,11 +56,11 @@ size_t CollectDeltaSlots(const plan::BodyPlan& body, const Instance& instance,
     PartitionDeltaMatches(body, delta, 1, &parts);
     for (const DeltaPartition& part : parts) {
       if (stopped()) break;
-      EnumerateMatchesDeltaPartitionPlanned(body, instance, delta, part, empty,
-                                            [&](const Binding& m) {
-                                              collect(&buffer, m);
-                                              return !stopped();
-                                            });
+      EnumerateDeltaPartitionPlanned(body, instance, delta, part, empty,
+                                     [&](const Binding& m) {
+                                       collect(&buffer, m);
+                                       return !stopped();
+                                     });
     }
     return 1;
   }
@@ -81,11 +81,11 @@ size_t CollectDeltaSlots(const plan::BodyPlan& body, const Instance& instance,
     buffer.clear();
     if (stopped()) return;
     int64_t kept = 0;
-    EnumerateMatchesDeltaPartitionPlanned(body, instance, delta, parts[p],
-                                          empty, [&](const Binding& m) {
-                                            if (collect(&buffer, m)) ++kept;
-                                            return !stopped();
-                                          });
+    EnumerateDeltaPartitionPlanned(body, instance, delta, parts[p], empty,
+                                   [&](const Binding& m) {
+                                     if (collect(&buffer, m)) ++kept;
+                                     return !stopped();
+                                   });
     part_span.AttrInt("collected", kept);
   });
   return parts.size();

@@ -71,7 +71,7 @@ class VmLease {
 
 // Binding assignment that reuses the destination's capacity, resolving
 // bound values when the instance has merges (bindings always hold
-// resolved values, as in the interpreter's ResolvePartial).
+// resolved values).
 void AssignResolvedPartial(const Instance& instance, const Binding& partial,
                            Binding* out) {
   *out = partial;
@@ -114,8 +114,8 @@ bool RunSlots(VmContext* ctx, const plan::Instr* code, uint32_t begin,
 // The inner loop: executes the loop-nest starting at `entry` against the
 // current ctx->binding. Returns true iff the callback stopped the
 // enumeration. `additive_pivot` >= 0 confines headers with
-// atom_index < additive_pivot to tuples below delta->begin(relation),
-// exactly like the interpreter's per-atom max_index bound.
+// atom_index < additive_pivot to tuples below delta->begin(relation)
+// (the pivot confinement of DeltaPartition).
 template <bool kResolved, typename Fn>
 bool RunLoops(VmContext* ctx, const plan::BodyPlan& plan, uint32_t entry,
               const Instance& instance, const ValueResolver* resolver,
@@ -433,7 +433,7 @@ void PartitionDeltaMatches(const plan::BodyPlan& plan, const DeltaView& delta,
   }
 }
 
-bool EnumerateMatchesDeltaPartitionPlanned(
+bool EnumerateDeltaPartitionPlanned(
     const plan::BodyPlan& plan, const Instance& instance,
     const DeltaView& delta, const DeltaPartition& partition,
     const Binding& partial, const std::function<bool(const Binding&)>& fn) {

@@ -4,7 +4,8 @@
 #include <set>
 
 #include "base/string_util.h"
-#include "hom/matcher.h"
+#include "hom/match_vm.h"
+#include "plan/compiler.h"
 
 namespace pdx {
 
@@ -73,19 +74,22 @@ Status ValidateUnionQuery(const UnionQuery& query, const Schema& schema) {
 
 namespace {
 
+// Queries compile per call (plan::CompileBody), never through the
+// process-wide PlanCache: query text comes from clients, and a cache keyed
+// on it would grow without bound.
 void CollectAnswers(const ConjunctiveQuery& query, const Instance& instance,
                     std::set<Tuple>* answers) {
-  EnumerateMatches(query.body, query.var_count, instance,
-                   Binding::Empty(query.var_count),
-                   [&](const Binding& binding) {
-                     Tuple answer;
-                     answer.reserve(query.head_vars.size());
-                     for (VariableId v : query.head_vars) {
-                       answer.push_back(binding.values[v]);
-                     }
-                     answers->insert(std::move(answer));
-                     return true;  // keep enumerating
-                   });
+  EnumerateMatchesPlanned(plan::CompileBody(query.body, query.var_count, {}),
+                          instance, Binding::Empty(query.var_count),
+                          [&](const Binding& binding) {
+                            Tuple answer;
+                            answer.reserve(query.head_vars.size());
+                            for (VariableId v : query.head_vars) {
+                              answer.push_back(binding.values[v]);
+                            }
+                            answers->insert(std::move(answer));
+                            return true;  // keep enumerating
+                          });
 }
 
 std::vector<Tuple> ToVector(const std::set<Tuple>& answers) {
@@ -137,7 +141,10 @@ std::vector<Tuple> EvaluateUnionQueryNullFree(const UnionQuery& query,
 
 bool EvaluateBoolean(const UnionQuery& query, const Instance& instance) {
   for (const ConjunctiveQuery& q : query.disjuncts) {
-    if (HasMatch(q.body, q.var_count, instance)) return true;
+    if (HasMatchPlanned(plan::CompileBody(q.body, q.var_count, {}), instance,
+                        Binding::Empty(q.var_count))) {
+      return true;
+    }
   }
   return false;
 }

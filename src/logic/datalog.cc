@@ -1,7 +1,10 @@
 #include "logic/datalog.h"
 
+#include <limits>
+#include <utility>
+
 #include "base/string_util.h"
-#include "hom/matcher.h"
+#include "chase/chase.h"
 #include "logic/parser.h"
 
 namespace pdx {
@@ -19,6 +22,16 @@ std::vector<bool> DatalogProgram::IntensionalRelations(
     intensional[rule.head.relation] = true;
   }
   return intensional;
+}
+
+std::vector<Tgd> DatalogProgram::AsTgds() const {
+  std::vector<Tgd> tgds;
+  tgds.reserve(rules.size());
+  for (const DatalogRule& rule : rules) {
+    tgds.push_back({rule.body, {rule.head}, rule.var_count,
+                    std::vector<bool>(rule.var_count, false), rule.var_names});
+  }
+  return tgds;
 }
 
 std::string DatalogProgram::ToString(const Schema& schema,
@@ -92,93 +105,24 @@ StatusOr<DatalogProgram> ParseDatalogProgram(std::string_view text,
   return program;
 }
 
-namespace {
-
-// Attempts to bind `atom` against `tuple` on top of `binding`.
-bool BindAtomToTuple(const Atom& atom, TupleView tuple, Binding* binding) {
-  for (int i = 0; i < static_cast<int>(atom.terms.size()); ++i) {
-    const Term& t = atom.terms[i];
-    if (t.is_constant()) {
-      if (t.constant() != tuple[i]) return false;
-    } else if (binding->bound[t.var()]) {
-      if (binding->values[t.var()] != tuple[i]) return false;
-    } else {
-      binding->Bind(t.var(), tuple[i]);
-    }
-  }
-  return true;
-}
-
-void DeriveHead(const DatalogRule& rule, const Binding& binding,
-                Instance* instance, int64_t* derived) {
-  Tuple tuple;
-  tuple.reserve(rule.head.terms.size());
-  for (const Term& t : rule.head.terms) {
-    tuple.push_back(t.is_constant() ? t.constant() : binding.values[t.var()]);
-  }
-  if (instance->AddFact(rule.head.relation, std::move(tuple))) {
-    ++*derived;
-  }
-}
-
-}  // namespace
-
 Instance EvaluateDatalog(const DatalogProgram& program, const Instance& input,
                          DatalogStats* stats) {
-  Instance result = input;
-  int relation_count = result.schema().relation_count();
-  std::vector<size_t> watermark(relation_count, 0);
-  int64_t iterations = 0;
-  int64_t derived = 0;
-  while (true) {
-    ++iterations;
-    std::vector<size_t> frontier(relation_count);
-    for (RelationId r = 0; r < relation_count; ++r) {
-      frontier[r] = result.tuples(r).size();
-    }
-    int64_t derived_before = derived;
-    for (const DatalogRule& rule : program.rules) {
-      for (size_t pivot = 0; pivot < rule.body.size(); ++pivot) {
-        const Atom& atom = rule.body[pivot];
-        for (size_t idx = watermark[atom.relation];
-             idx < frontier[atom.relation]; ++idx) {
-          Binding partial = Binding::Empty(rule.var_count);
-          if (!BindAtomToTuple(atom, result.tuples(atom.relation)[idx],
-                               &partial)) {
-            continue;
-          }
-          // Collect matches first (the instance must not change under the
-          // matcher), then derive.
-          std::vector<Binding> matches;
-          EnumerateMatches(rule.body, rule.var_count, result, partial,
-                           [&](const Binding& match) {
-                             matches.push_back(match);
-                             return true;
-                           });
-          for (const Binding& match : matches) {
-            DeriveHead(rule, match, &result, &derived);
-          }
-        }
-      }
-    }
-    watermark = frontier;
-    bool new_frontier = false;
-    for (RelationId r = 0; r < relation_count; ++r) {
-      if (result.tuples(r).size() > frontier[r]) new_frontier = true;
-    }
-    if (derived == derived_before && !new_frontier) break;
-  }
-  if (stats != nullptr) {
-    stats->iterations = iterations;
-    stats->derived_facts = derived;
-  }
-  return result;
+  ChaseOptions options;
+  options.num_threads = 1;
+  // Full tgds derive only facts over the input's active domain, so the
+  // chase terminates on its own; no budget may cut it short.
+  options.max_steps = std::numeric_limits<int64_t>::max();
+  SymbolTable no_nulls;  // full tgds mint none, but Chase wants a table
+  ChaseResult result = Chase(input, program.AsTgds(), &no_nulls, options);
+  PDX_CHECK(result.outcome == ChaseOutcome::kSuccess);
+  if (stats != nullptr) stats->derived_facts = result.steps;
+  return std::move(result.instance);
 }
 
 bool IsClosedUnder(const DatalogProgram& program, const Instance& instance) {
-  DatalogStats stats;
-  Instance fixpoint = EvaluateDatalog(program, instance, &stats);
-  return stats.derived_facts == 0;
+  DependencySet rules;
+  rules.tgds = program.AsTgds();
+  return SatisfiesAll(instance, rules);
 }
 
 }  // namespace pdx

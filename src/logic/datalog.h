@@ -6,6 +6,7 @@
 
 #include "base/status.h"
 #include "logic/atom.h"
+#include "logic/dependency.h"
 #include "relational/instance.h"
 #include "relational/schema.h"
 #include "relational/value.h"
@@ -34,6 +35,9 @@ struct DatalogProgram {
   // Relations that appear in some rule head (the "intensional" ones).
   std::vector<bool> IntensionalRelations(const Schema& schema) const;
 
+  // The rules as full tgds "body -> head", in rule order.
+  std::vector<Tgd> AsTgds() const;
+
   std::string ToString(const Schema& schema, const SymbolTable& symbols) const;
 };
 
@@ -46,19 +50,21 @@ StatusOr<DatalogProgram> ParseDatalogProgram(std::string_view text,
 
 // Statistics of one evaluation.
 struct DatalogStats {
-  int64_t iterations = 0;     // semi-naive rounds until fixpoint
   int64_t derived_facts = 0;  // facts added beyond the input
 };
 
-// Computes the least fixpoint of `program` over `input` by semi-naive
-// bottom-up evaluation: per round, only rule instantiations using at least
-// one fact derived in the previous round fire. Returns the (input ∪
-// derived) instance.
+// Computes the least fixpoint of `program` over `input` as the chase of
+// `input` with the rules as full tgds (AsTgds): the delta-driven
+// restricted chase (chase/chase.h) is semi-naive bottom-up evaluation,
+// run sequentially on the rules' compiled plans. A full tgd mints no null
+// and every step adds one fact, so the chase terminates and each step is
+// one derived fact. Returns the (input ∪ derived) instance.
 Instance EvaluateDatalog(const DatalogProgram& program, const Instance& input,
                          DatalogStats* stats = nullptr);
 
 // True if `instance` is already a fixpoint of `program` — the consistency
-// condition for definitional peer mappings in a PDMS ([14]).
+// condition for definitional peer mappings in a PDMS ([14]): it satisfies
+// every rule as a tgd (SatisfiesAll), with no fixpoint computed.
 bool IsClosedUnder(const DatalogProgram& program, const Instance& instance);
 
 }  // namespace pdx

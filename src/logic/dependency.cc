@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "base/logging.h"
 #include "base/string_util.h"
 
 namespace pdx {
@@ -85,6 +86,17 @@ std::string DisjunctiveTgd::ToString(const Schema& schema,
   return StrCat(ConjunctionToString(body, schema, symbols, var_names), " -> ",
                 ExistsPrefix(existential, var_names),
                 StrJoin(options, " | "));
+}
+
+std::vector<Tgd> SplitDisjuncts(const DisjunctiveTgd& tgd) {
+  PDX_CHECK(!tgd.head_disjuncts.empty());
+  std::vector<Tgd> split;
+  split.reserve(tgd.head_disjuncts.size());
+  for (const std::vector<Atom>& disjunct : tgd.head_disjuncts) {
+    split.push_back(
+        {tgd.body, disjunct, tgd.var_count, tgd.existential, tgd.var_names});
+  }
+  return split;
 }
 
 Status ValidateTgd(const Tgd& tgd, const Schema& schema) {

@@ -65,6 +65,13 @@ struct DisjunctiveTgd {
   std::string ToString(const Schema& schema, const SymbolTable& symbols) const;
 };
 
+// One tgd per head disjunct of `tgd`, in disjunct order, each with `tgd`'s
+// body, variables and existential mask: a body match of `tgd` is
+// satisfied iff it extends to a head match of one of them. The compiled
+// Satisfies* check and the generic solver's Σ_ts checks run disjunctive
+// tgds in this form. `tgd` must have at least one disjunct.
+std::vector<Tgd> SplitDisjuncts(const DisjunctiveTgd& tgd);
+
 // A parsed set of dependencies of all kinds.
 struct DependencySet {
   std::vector<Tgd> tgds;

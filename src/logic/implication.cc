@@ -3,8 +3,9 @@
 #include <unordered_map>
 
 #include "chase/chase.h"
-#include "hom/matcher.h"
+#include "hom/match_vm.h"
 #include "logic/dependency_graph.h"
+#include "plan/compiler.h"
 
 namespace pdx {
 
@@ -65,7 +66,10 @@ StatusOr<bool> IsContainedIn(const ConjunctiveQuery& q1,
       pinned.Bind(v2, target);
     }
   }
-  return HasMatch(q2.body, q2.var_count, canonical, pinned);
+  // Compiled per call, like query evaluation: the queries are request text.
+  return HasMatchPlanned(
+      plan::CompileBody(q2.body, q2.var_count, pinned.bound), canonical,
+      pinned);
 }
 
 namespace {
@@ -117,7 +121,9 @@ StatusOr<bool> ImpliesTgd(const DependencySet& sigma, const Tgd& candidate,
   for (VariableId v = 0; v < candidate.var_count; ++v) {
     if (in_body[v]) binding.Bind(v, frozen[v]);
   }
-  return HasMatch(candidate.head, candidate.var_count, chased, binding);
+  return HasMatchPlanned(
+      plan::CompileBody(candidate.head, candidate.var_count, binding.bound),
+      chased, binding);
 }
 
 StatusOr<bool> ImpliesEgd(const DependencySet& sigma, const Egd& candidate,

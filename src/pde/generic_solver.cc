@@ -93,12 +93,9 @@ class Searcher {
       ts_heads.push_back(1);
     }
     for (const DisjunctiveTgd& tgd : setting_.ts_disjunctive_tgds()) {
-      PDX_CHECK(!tgd.head_disjuncts.empty());
-      for (const std::vector<Atom>& disjunct : tgd.head_disjuncts) {
-        all_tgds.push_back(
-            {tgd.body, disjunct, tgd.var_count, tgd.existential, {}});
-      }
-      ts_heads.push_back(tgd.head_disjuncts.size());
+      std::vector<Tgd> split = SplitDisjuncts(tgd);
+      ts_heads.push_back(split.size());
+      std::move(split.begin(), split.end(), std::back_inserter(all_tgds));
     }
     compiled_ = plan::PlanCache::Global().GetOrCompile(all_tgds,
                                                        setting_.target_egds());

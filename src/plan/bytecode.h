@@ -17,8 +17,9 @@
 // The opcodes keep the runtime bind-or-check tolerance (kBind compares
 // when the caller already bound the variable) and probe-var scan
 // degradation (an unbound probe variable scans and binds at run time), so
-// the VM enumerates the same match sets as the interpreter it is
-// cross-validated against, whatever partial binding a caller passes.
+// the VM enumerates the same match sets as the test-only reference
+// interpreter it is cross-validated against, whatever partial binding a
+// caller passes.
 
 #include <cstdint>
 #include <string>

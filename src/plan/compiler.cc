@@ -325,7 +325,7 @@ TgdPlan CompileTgd(const Tgd& tgd) {
   TgdPlan plan;
   plan.apply = BuildApplyTemplate(tgd);
   plan.body = CompileBody(tgd.body, tgd.var_count, {});
-  // Heads only ever run from full_entry (HasMatch and the witness
+  // Heads only ever run from full_entry (HasMatchPlanned and the witness
   // search), so they get no delta pivots.
   plan.head = CompileFull(tgd.head, tgd.var_count, plan.apply.body_bound);
   return plan;

@@ -18,8 +18,8 @@
 //      position, else scans.
 //   3. Delta specialization — one pivot entry per body atom (its slot
 //      instrs, then the rest of the join in pass-1 order), so
-//      EnumerateMatchesDeltaPartition's pivot semantics (atoms before an
-//      additive pivot confined to pre-delta facts) execute through the
+//      DeltaPartition's pivot semantics (atoms before an additive
+//      pivot confined to pre-delta facts) execute through the
 //      plan without re-deriving anything per partition. Tgd heads skip
 //      this pass: they only run from the full entry.
 //

@@ -17,10 +17,9 @@
 // egd merges and the semi-naive delta restrictions) lives in the VM:
 // hom/match_vm.h, EnumerateMatches*Planned / HasMatchPlanned.
 //
-// The compiled path enumerates exactly the match *set* the interpreter
-// enumerates — per delta partition, per pivot — but may visit it in a
-// different order (static join order vs. the interpreter's per-node
-// fewest-candidates choice). Every consumer is order-tolerant: pending
+// The compiled path enumerates exactly the match *set* of the definition
+// — per delta partition, per pivot — in the plan's static join order.
+// Every consumer is order-tolerant: pending
 // trigger sets are collected fully before applying, and all result
 // contracts are stated on resolved views and canonical fingerprints.
 
@@ -47,8 +46,8 @@ struct BodyPlan {
   // delta (additive range or merge-dirtied extras): its slot instrs
   // [slots_begin, slots_end) unify the pivot tuple, then the rest of the
   // join runs from `entry`. Headers whose atom_index is below an additive
-  // pivot's are confined to pre-delta facts by the VM, mirroring
-  // EnumerateMatchesDeltaPartition.
+  // pivot's are confined to pre-delta facts by the VM (hom/match_vm.h,
+  // DeltaPartition).
   struct Pivot {
     RelationId relation = -1;
     uint32_t slots_begin = 0;
@@ -130,8 +129,8 @@ struct TgdPlan {
   BodyPlan body;
   // The head as a match plan, compiled with the universal variables
   // pre-bound: the restricted engine's violated-trigger filter and
-  // re-check (HasMatch on the head) and the solution-aware witness search
-  // both run it from full_entry. It has no delta pivots.
+  // re-check (HasMatchPlanned on the head), the Satisfies* checks and the
+  // solution-aware witness search all run it from full_entry. It has no delta pivots.
   BodyPlan head;
   ApplyTemplate apply;
 };

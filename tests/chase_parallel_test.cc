@@ -399,34 +399,30 @@ TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
   EXPECT_GT(without, 0);
 }
 
-// Auto-compaction must fire on merge-heavy runs when the thresholds are
-// lowered, without changing any observable result, and merged values must
-// still resolve through the compacted instance.
+// Auto-compaction fires at its fixed thresholds (at least half of a raw
+// store of at least 4096 tuples are duplicates under resolution) without
+// changing any observable result. RandomEdges(175, 8, 91) is the smallest
+// egd-heavy input found to reach them (1367 edges; seed 91, 5 to 16 edges
+// per node): the chase compacts once, after the first merge cascade. The
+// compacting runs must be bit-identical at every thread count, and the
+// trace checker, whose replay never compacts, must find the result's
+// resolved facts, null ids included, so merged values still resolve
+// through the compacted instance.
 TEST_F(ParallelChaseTest, CompactionPreservesResults) {
-  Instance start = RandomEdges(32, 3, 91);
-  ChaseOptions plain;
-  plain.num_threads = 1;
-  plain.compact_duplicate_ratio = 0;  // outside (0,1): disabled
-  RunOutput no_compact =
-      ChaseAndRecord(start, egd_heavy_tgds, egd_heavy_egds, &symbols, plain);
-  EXPECT_EQ(no_compact.result.compactions, 0);
+  Instance start = RandomEdges(175, 8, 91);
+  ChaseOptions sequential;
+  sequential.num_threads = 1;
+  ChaseResult checked = testing_util::CheckedChase(
+      start, egd_heavy_tgds, egd_heavy_egds, &symbols, sequential);
+  EXPECT_GT(checked.compactions, 0);
 
+  RunOutput ref = Run(start, egd_heavy_tgds, egd_heavy_egds, 1);
+  ASSERT_GT(ref.result.compactions, 0);
   for (int threads : kThreadCounts) {
-    ChaseOptions options;
-    options.num_threads = threads;
-    options.compact_duplicate_ratio = 0.2;
-    options.compact_min_facts = 32;
-    RunOutput got = ChaseAndRecord(start, egd_heavy_tgds, egd_heavy_egds,
-                                   &symbols, options);
     SCOPED_TRACE("threads " + std::to_string(threads));
-    EXPECT_GT(got.result.compactions, 0);
-    ExpectBitIdentical(got, no_compact);
-    // Compaction drops resolved duplicates from the raw stores, and the
-    // resolved view is untouched.
-    EXPECT_LE(got.result.instance.fact_count(),
-              no_compact.result.instance.fact_count());
-    ASSERT_EQ(got.result.instance.ResolvedFactCount(),
-              no_compact.result.instance.ResolvedFactCount());
+    RunOutput got = Run(start, egd_heavy_tgds, egd_heavy_egds, threads);
+    EXPECT_EQ(got.result.compactions, ref.result.compactions);
+    ExpectBitIdentical(got, ref);
   }
 }
 

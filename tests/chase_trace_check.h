@@ -7,9 +7,12 @@
 // equivalence, so such a comparison cannot see a firing whose head
 // already held), it replays the engine's own firing journal and checks
 // the definition of a restricted chase sequence step by step, deciding
-// every "does the head hold" question with the interpreter
-// (hom/matcher.h), never with the compiled plans or the match VM the
-// engine runs. Header-only; linked by the tests and the benches.
+// every question — does the head hold, does an egd match clash, does
+// every dependency hold at the end — with the test-only reference
+// interpreter (tests/reference_matcher.h), never with the compiled plans
+// or the match VM the engine and the production Satisfies* checks run.
+// Header-only; used by the tests and bench_chase, which link
+// pdx_reference.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,7 +23,7 @@
 #include "base/string_util.h"
 #include "chase/chase.h"
 #include "chase/journal.h"
-#include "hom/matcher.h"
+#include "tests/reference_matcher.h"
 #include "relational/instance.h"
 
 namespace pdx {
@@ -55,7 +58,7 @@ inline bool BodyPresent(const std::vector<Atom>& body, const Value* row,
 inline bool SomeEgdClashes(const std::vector<Egd>& egds,
                            const Instance& instance) {
   for (const Egd& egd : egds) {
-    const bool clash = EnumerateMatches(
+    const bool clash = reference::EnumerateMatches(
         egd.body, egd.var_count, instance, Binding::Empty(egd.var_count),
         [&](const Binding& m) {
           const Value a = m.values[egd.left_var];
@@ -137,7 +140,7 @@ inline Status CheckChaseTrace(const Instance& start,
     for (VariableId v = 0; v < tgd.var_count; ++v) {
       if (!tgd.existential[v]) universal.Bind(v, row[v]);
     }
-    if (HasMatch(tgd.head, tgd.var_count, replay, universal)) {
+    if (reference::HasMatch(tgd.head, tgd.var_count, replay, universal)) {
       return InternalError(at + "head already holds");
     }
     for (VariableId v = 0; v < tgd.var_count; ++v) {
@@ -176,7 +179,7 @@ inline Status CheckChaseTrace(const Instance& start,
       DependencySet deps;
       deps.tgds = tgds;
       deps.egds = egds;
-      if (!SatisfiesAll(replay, deps)) {
+      if (!reference::SatisfiesAll(replay, deps)) {
         return InternalError("kSuccess but a dependency is violated");
       }
       break;

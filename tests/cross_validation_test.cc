@@ -12,13 +12,13 @@
 #include "base/string_util.h"
 #include "gtest/gtest.h"
 #include "chase/stream.h"
-#include "hom/matcher.h"
 #include "logic/atom.h"
 #include "logic/parser.h"
 #include "pde/ctract_solver.h"
 #include "pde/data_exchange.h"
 #include "pde/generic_solver.h"
 #include "pde/solution.h"
+#include "tests/reference_matcher.h"
 #include "tests/test_util.h"
 #include "workload/churn.h"
 #include "workload/setting_gen.h"
@@ -299,6 +299,17 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EgdHeavyChasesPassTheTraceCheck) {
       start, deps->tgds, deps->egds, &symbols, delta_options,
       StrCat("seed ", seed, "\nI:\n", start.ToString(symbols)));
 
+  // The compiled Satisfies* checks agree with the reference on the chased
+  // instance and on it minus one fact, a disjunctive dependency included.
+  DependencySet checked = *deps;
+  checked.disjunctive_tgds =
+      Unwrap(ParseDependencies(
+                 "E(x,y) -> exists z: (H(x,z) & F(y,z)) | (H(y,x)).",
+                 schema, &symbols))
+          .disjunctive_tgds;
+  testing_util::ExpectSatisfiesAllAgrees(delta.instance, start, checked,
+                                         StrCat("seed ", seed));
+
   // The delta chase at a thread count drawn per seed must be
   // bit-identical to the sequential one: same outcome, steps, failure,
   // nulls and raw fingerprint.
@@ -471,7 +482,8 @@ bool WholeInstanceMaps(const Instance& i_can, const Instance& source) {
     }
     atoms.push_back(std::move(atom));
   });
-  return HasMatch(atoms, static_cast<int>(var_of_null.size()), source);
+  return reference::HasMatch(atoms, static_cast<int>(var_of_null.size()),
+                             source);
 }
 
 // Solves at 1 and 4 threads, checks that the runs agree bit for bit, and

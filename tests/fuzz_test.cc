@@ -131,7 +131,16 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
       "H(x,z) & P(x,y,y,y) -> z = y. "
       "H(x,z) & P(x,z,z,z) -> exists v: P(v,x,z,v).",
   };
-  for (int trial = 0; trial < 20; ++trial) {
+  // Disjunctive Σ_ts-style dependencies the chase never runs: only the
+  // satisfaction checks below read them. Picked by trial, not by `rng`, so
+  // the trials draw the same inputs as without the checks.
+  const char* kDisjunctive[] = {
+      "H(x,y) -> (E(x,y)) | (E(y,x)).",
+      "E(x,y) -> exists z: (H(x,z) & H(y,z)) | (P(x,y,y,y)).",
+  };
+  int violated = 0;
+  const int trials = 20;
+  for (int trial = 0; trial < trials; ++trial) {
     auto deps =
         ParseDependencies(kRuleSets[rng.UniformInt(4)], schema_, &symbols_);
     ASSERT_TRUE(deps.ok()) << deps.status().ToString();
@@ -160,6 +169,16 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
     ChaseResult delta = testing_util::CheckedChase(
         start, deps->tgds, deps->egds, &symbols_, delta_options,
         StrCat("trial ", trial, "\nI:\n", start.ToString(symbols_)));
+
+    // The compiled Satisfies* checks agree with the reference, a
+    // disjunctive dependency included.
+    DependencySet checked = *deps;
+    checked.disjunctive_tgds =
+        testing_util::Unwrap(
+            ParseDependencies(kDisjunctive[trial % 2], schema_, &symbols_))
+            .disjunctive_tgds;
+    violated += testing_util::ExpectSatisfiesAllAgrees(
+        delta.instance, start, checked, StrCat("trial ", trial));
 
     // The same delta chase at a thread count drawn per trial must be
     // bit-identical to the sequential run: same outcome, steps, failure,
@@ -197,6 +216,8 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
       }
     }
   }
+  EXPECT_GT(violated, 0);
+  EXPECT_LT(violated, 2 * trials) << "both verdicts must occur";
 }
 
 // A random tgd from a relation of `body_layer` to relations of
@@ -275,9 +296,17 @@ TEST_P(FuzzTest, RandomTgdShapesPassTheTraceCheck) {
     }
   }
   SymbolTable symbols;
+  const std::vector<DisjunctiveTgd> disjunctive =
+      testing_util::Unwrap(
+          ParseDependencies("Q(x,y) -> (R(x,y)) | (R(y,x)). "
+                            "P(x,y,z) -> exists w: (S(x,y,w)) | (R(z,x)).",
+                            schema, &symbols))
+          .disjunctive_tgds;
   std::set<plan::ApplyMode> modes;
   int repeated_relation = 0, omitted_variable = 0, head_constant = 0;
-  for (int trial = 0; trial < 24; ++trial) {
+  int violated = 0;
+  const int trials = 24;
+  for (int trial = 0; trial < trials; ++trial) {
     std::string text;
     const int tgds = 1 + static_cast<int>(rng.UniformInt(3));
     for (int t = 0; t < tgds; ++t) {
@@ -352,6 +381,10 @@ TEST_P(FuzzTest, RandomTgdShapesPassTheTraceCheck) {
         StrCat("trial ", trial, "\n", text, "\nI:\n",
                start.ToString(symbols)));
     ASSERT_NE(delta.outcome, ChaseOutcome::kBudgetExhausted) << text;
+    DependencySet checked = *deps;
+    checked.disjunctive_tgds = disjunctive;
+    violated += testing_util::ExpectSatisfiesAllAgrees(
+        delta.instance, start, checked, StrCat("trial ", trial, "\n", text));
 
     for (int threads : {2, 4, 8}) {
       ChaseOptions parallel_options = delta_options;
@@ -370,6 +403,8 @@ TEST_P(FuzzTest, RandomTgdShapesPassTheTraceCheck) {
     }
   }
   EXPECT_EQ(modes.size(), 3u) << "every apply mode must occur";
+  EXPECT_GT(violated, 0);
+  EXPECT_LT(violated, 2 * trials) << "both verdicts must occur";
   EXPECT_GT(repeated_relation, 0);
   EXPECT_GT(omitted_variable, 0);
   EXPECT_GT(head_constant, 0);

@@ -1,4 +1,4 @@
-#include "hom/matcher.h"
+#include "tests/reference_matcher.h"
 
 #include <set>
 
@@ -7,6 +7,9 @@
 
 namespace pdx {
 namespace {
+
+using reference::EnumerateMatches;
+using reference::HasMatch;
 
 class MatcherTest : public ::testing::Test {
  protected:

@@ -1,11 +1,11 @@
 // Dependency compiler tests: bytecode goldens for the pass pipeline (atom
 // reordering, access-path selection, delta specialization, apply
 // templates, the full --dump-plans text), PlanCache behavior and its
-// metrics, executor-vs-interpreter
-// match-set equality (including resolve-on-read under merges and the
-// semi-naive delta restriction), and the cache criteria — solver node
-// re-chases, streaming batches and repeated solution-aware chases of one
-// setting compile it exactly once per process.
+// metrics, match-set equality of the VM with the reference interpreter
+// (including resolve-on-read under merges, the production query paths
+// and the semi-naive pivot sets by definition), and the cache criteria —
+// solver node re-chases, streaming batches and repeated solution-aware
+// chases of one setting compile it exactly once per process.
 
 #include "plan/compiler.h"
 
@@ -18,13 +18,14 @@
 #include "chase/solution_aware_chase.h"
 #include "chase/stream.h"
 #include "hom/match_vm.h"
-#include "hom/matcher.h"
+#include "logic/conjunctive_query.h"
 #include "logic/parser.h"
 #include "obs/metrics.h"
 #include "pde/generic_solver.h"
 #include "pde/setting.h"
 #include "plan/ir.h"
 #include "plan/plan_cache.h"
+#include "tests/reference_matcher.h"
 #include "tests/test_util.h"
 
 namespace pdx {
@@ -424,23 +425,27 @@ TEST_F(PlanCompilerTest, PlanCacheReturnsSharedPlansAndCountsHits) {
   EXPECT_EQ(hits.Value() - hits_before, 1);
 }
 
-// --- Executor vs interpreter --------------------------------------------
+// --- Executor vs reference interpreter ---------------------------------
 
 using Row = std::vector<uint64_t>;
 
-std::set<Row> CollectInterpreted(const std::vector<Atom>& atoms,
-                                 int var_count, const Instance& instance,
-                                 const Binding& partial) {
+Row ToRow(const Binding& b) {
+  Row row;
+  for (size_t v = 0; v < b.bound.size(); ++v) {
+    row.push_back(b.bound[v] ? b.values[v].packed() : 0);
+  }
+  return row;
+}
+
+std::set<Row> CollectReference(const std::vector<Atom>& atoms, int var_count,
+                               const Instance& instance,
+                               const Binding& partial) {
   std::set<Row> rows;
-  EnumerateMatches(atoms, var_count, instance, partial,
-                   [&](const Binding& b) {
-                     Row row;
-                     for (size_t v = 0; v < b.bound.size(); ++v) {
-                       row.push_back(b.bound[v] ? b.values[v].packed() : 0);
-                     }
-                     EXPECT_TRUE(rows.insert(row).second);
-                     return true;
-                   });
+  reference::EnumerateMatches(atoms, var_count, instance, partial,
+                              [&](const Binding& b) {
+                                EXPECT_TRUE(rows.insert(ToRow(b)).second);
+                                return true;
+                              });
   return rows;
 }
 
@@ -449,53 +454,127 @@ std::set<Row> CollectPlanned(const plan::BodyPlan& plan,
                              const Binding& partial) {
   std::set<Row> rows;
   EnumerateMatchesPlanned(plan, instance, partial, [&](const Binding& b) {
-    Row row;
-    for (size_t v = 0; v < b.bound.size(); ++v) {
-      row.push_back(b.bound[v] ? b.values[v].packed() : 0);
-    }
-    EXPECT_TRUE(rows.insert(row).second);
+    EXPECT_TRUE(rows.insert(ToRow(b)).second);
     return true;
   });
   return rows;
 }
 
+// The answers of `query` on the reference: its matches projected onto
+// the head variables.
+std::vector<Tuple> ReferenceAnswers(const ConjunctiveQuery& query,
+                                    const Instance& instance) {
+  std::set<Tuple> answers;
+  reference::EnumerateMatches(query.body, query.var_count, instance,
+                              Binding::Empty(query.var_count),
+                              [&](const Binding& b) {
+                                Tuple answer;
+                                for (VariableId v : query.head_vars) {
+                                  answer.push_back(b.values[v]);
+                                }
+                                answers.insert(std::move(answer));
+                                return true;
+                              });
+  return {answers.begin(), answers.end()};
+}
+
+// The match VM against the reference interpreter on an instance whose
+// egd merge joins E(a,n1) with H(n2,c), and E(n2,n1) with itself, only
+// under resolve-on-read (the raw tuples never change). Each row is a
+// query shape, with an optional partial binding; the plan is compiled
+// for the unbound case, so a partial binding runs the runtime-checked
+// kBind path. Without a partial binding, the production query paths
+// (EvaluateUnionQuery, EvaluateBoolean) must answer as the reference.
 TEST_F(PlanCompilerTest, ExecutorMatchesInterpreterOnMergedInstance) {
-  auto query = ParseQuery("q(x,y,w) :- E(x,y) & H(y,w).", schema_,
-                          &symbols_);
-  ASSERT_TRUE(query.ok());
   Value a = symbols_.InternConstant("a");
   Value b = symbols_.InternConstant("b");
   Value c = symbols_.InternConstant("c");
   Value n1 = symbols_.FreshNull();
   Value n2 = symbols_.FreshNull();
-
   Instance instance(&schema_);
   instance.AddFact(0, {a, n1});
   instance.AddFact(0, {a, b});
+  instance.AddFact(0, {n2, n1});
   instance.AddFact(1, {n2, c});
   instance.AddFact(1, {b, a});
-  // Merging n1 and n2 makes E(a,n1) join H(n2,c) only under
-  // resolve-on-read — the raw tuples never change.
   ASSERT_TRUE(instance.MergeValues(n1, n2).merged);
   ASSERT_TRUE(instance.has_merges());
+  const Value root = instance.ResolveValue(n1);
+  const Value non_root = root == n1 ? n2 : n1;
+  ASSERT_NE(instance.ResolveValue(non_root), non_root);
 
-  plan::BodyPlan plan =
-      plan::CompileBody(query->body, query->var_count, {});
-  std::set<Row> interpreted = CollectInterpreted(
-      query->body, query->var_count, instance,
-      Binding::Empty(query->var_count));
-  std::set<Row> planned =
-      CollectPlanned(plan, instance, Binding::Empty(query->var_count));
-  EXPECT_EQ(interpreted, planned);
-  EXPECT_EQ(interpreted.size(), 2u);  // (a,n,c) with n = root, and (a,b,a)
+  struct Shape {
+    const char* name;
+    const char* query;
+    std::vector<std::pair<VariableId, Value>> partial;
+    size_t matches;
+  };
+  const Shape shapes[] = {
+      {"join through a merged null", "q(x,y,w) :- E(x,y) & H(y,w).", {}, 3},
+      {"partial binding", "q(x,y,w) :- E(x,y) & H(y,w).", {{0, a}}, 2},
+      {"partial binding to a non-root merged null",
+       "q(x,y,w) :- E(x,y) & H(y,w).", {{1, non_root}}, 2},
+      {"constant in an atom", "q(y) :- E('a', y).", {}, 2},
+      {"constant and join", "q(w) :- E('a', y) & H(y, w).", {}, 2},
+      {"repeated variable", "q(x) :- E(x,x).", {}, 1},
+      {"repeated variable across atoms", "q(x) :- E(x,y) & H(x,y).", {}, 0},
+      {"no match", "q(x) :- H(x,x).", {}, 0},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    ConjunctiveQuery query =
+        Unwrap(ParseQuery(shape.query, schema_, &symbols_));
+    Binding partial = Binding::Empty(query.var_count);
+    for (const auto& [v, value] : shape.partial) partial.Bind(v, value);
+    const plan::BodyPlan plan =
+        plan::CompileBody(query.body, query.var_count, {});
+    const std::set<Row> want =
+        CollectReference(query.body, query.var_count, instance, partial);
+    EXPECT_EQ(CollectPlanned(plan, instance, partial), want);
+    EXPECT_EQ(want.size(), shape.matches);
+    EXPECT_EQ(HasMatchPlanned(plan, instance, partial), !want.empty());
+    if (!shape.partial.empty()) continue;
+    UnionQuery union_query;
+    union_query.disjuncts.push_back(query);
+    EXPECT_EQ(EvaluateUnionQuery(union_query, instance),
+              ReferenceAnswers(query, instance));
+    EXPECT_EQ(EvaluateBoolean(union_query, instance),
+              reference::HasMatch(query.body, query.var_count, instance));
+  }
 
-  // Partial bindings: x = a fixed, with the plan compiled for the
-  // unbound case — the runtime-checked kBind path must still filter.
-  Binding partial = Binding::Empty(query->var_count);
-  partial.Bind(0, a);
-  EXPECT_EQ(CollectInterpreted(query->body, query->var_count, instance,
-                               partial),
-            CollectPlanned(plan, instance, partial));
+  // The zero-atom conjunction: the parser admits no empty body, so it is
+  // built directly. Its one match is the empty binding.
+  const plan::BodyPlan empty = plan::CompileBody({}, 0, {});
+  EXPECT_EQ(CollectPlanned(empty, instance, Binding::Empty(0)),
+            CollectReference({}, 0, instance, Binding::Empty(0)));
+  EXPECT_TRUE(HasMatchPlanned(empty, instance, Binding::Empty(0)));
+}
+
+// The semi-naive pivot sets by definition: every full match of `atoms`
+// (reference interpreter) belongs to the first atom whose image is not a
+// fact of `old`, the instance as it stood at the watermark; a match wholly
+// inside `old` belongs to no pivot.
+std::vector<std::set<Row>> ReferencePivotSets(const std::vector<Atom>& atoms,
+                                              int var_count,
+                                              const Instance& instance,
+                                              const Instance& old) {
+  std::vector<std::set<Row>> sets(atoms.size());
+  reference::EnumerateMatches(
+      atoms, var_count, instance, Binding::Empty(var_count),
+      [&](const Binding& b) {
+        for (size_t i = 0; i < atoms.size(); ++i) {
+          Tuple image;
+          for (const Term& t : atoms[i].terms) {
+            image.push_back(t.is_constant() ? t.constant() : b.values[t.var()]);
+          }
+          if (!old.Contains(atoms[i].relation, image)) {
+            sets[i].insert(ToRow(b));
+            break;
+          }
+        }
+        return true;
+      });
+  return sets;
 }
 
 TEST_F(PlanCompilerTest, DeltaExecutorMatchesInterpreterPerPartition) {
@@ -510,69 +589,51 @@ TEST_F(PlanCompilerTest, DeltaExecutorMatchesInterpreterPerPartition) {
     instance.AddFact(0, {node(i), node((i + 1) % 6)});
   }
   InstanceWatermark mark = instance.TakeWatermark();
+  const Instance old = instance;
   for (int i = 0; i < 6; ++i) {
     instance.AddFact(0, {node(i), node((i + 2) % 6)});
   }
   DeltaView delta(instance, mark);
+  const std::vector<std::set<Row>> want =
+      ReferencePivotSets(query->body, query->var_count, instance, old);
+  ASSERT_EQ(want.size(), 2u);
+  EXPECT_FALSE(want[0].empty());
+  EXPECT_FALSE(want[1].empty());
 
   plan::BodyPlan plan =
       plan::CompileBody(query->body, query->var_count, {});
-  Binding empty = Binding::Empty(query->var_count);
-
-  std::set<Row> interpreted;
-  EnumerateMatchesDelta(query->body, query->var_count, instance, delta,
-                        empty, [&](const Binding& b) {
-                          Row row;
-                          for (const Value& v : b.values) {
-                            row.push_back(v.packed());
-                          }
-                          interpreted.insert(row);
-                          return true;
-                        });
-  // The whole delta enumeration is the walk over one partition per pivot.
-  std::vector<DeltaPartition> parts;
-  PartitionDeltaMatches(plan, delta, 1, &parts);
-  std::set<Row> planned;
-  for (const DeltaPartition& part : parts) {
-    EnumerateMatchesDeltaPartitionPlanned(plan, instance, delta, part, empty,
-                                          [&](const Binding& b) {
-                                            Row row;
-                                            for (const Value& v : b.values) {
-                                              row.push_back(v.packed());
-                                            }
-                                            planned.insert(row);
-                                            return true;
-                                          });
-  }
-  EXPECT_EQ(interpreted, planned);
-  EXPECT_FALSE(planned.empty());
-
-  // And per partition: each partition's match set agrees with the
-  // interpreter enumerating the same partition.
-  PartitionDeltaMatches(plan, delta, 4, &parts);
-  for (const DeltaPartition& part : parts) {
-    std::set<Row> part_interpreted, part_planned;
-    EnumerateMatchesDeltaPartition(query->body, query->var_count, instance,
-                                   delta, part, empty,
+  const Binding empty = Binding::Empty(query->var_count);
+  auto collect = [&](const DeltaPartition& part) {
+    std::set<Row> rows;
+    EnumerateDeltaPartitionPlanned(plan, instance, delta, part, empty,
                                    [&](const Binding& b) {
-                                     Row row;
-                                     for (const Value& v : b.values) {
-                                       row.push_back(v.packed());
-                                     }
-                                     part_interpreted.insert(row);
+                                     EXPECT_TRUE(rows.insert(ToRow(b)).second);
                                      return true;
                                    });
-    EnumerateMatchesDeltaPartitionPlanned(plan, instance, delta, part,
-                                          empty, [&](const Binding& b) {
-                                            Row row;
-                                            for (const Value& v : b.values) {
-                                              row.push_back(v.packed());
-                                            }
-                                            part_planned.insert(row);
-                                            return true;
-                                          });
-    EXPECT_EQ(part_interpreted, part_planned);
+    return rows;
+  };
+
+  // One partition per pivot: each enumerates exactly that pivot's set.
+  std::vector<DeltaPartition> parts;
+  PartitionDeltaMatches(plan, delta, 1, &parts);
+  ASSERT_EQ(parts.size(), 2u);
+  for (const DeltaPartition& part : parts) {
+    SCOPED_TRACE("pivot " + std::to_string(part.pivot));
+    ASSERT_FALSE(part.over_extras);
+    EXPECT_EQ(collect(part), want[part.pivot]);
   }
+
+  // Finer slices of each pivot are disjoint and union to its set.
+  PartitionDeltaMatches(plan, delta, 4, &parts);
+  ASSERT_GT(parts.size(), 2u);
+  std::vector<std::set<Row>> got(want.size());
+  for (const DeltaPartition& part : parts) {
+    for (const Row& row : collect(part)) {
+      EXPECT_TRUE(got[part.pivot].insert(row).second)
+          << "slices of pivot " << part.pivot << " overlap";
+    }
+  }
+  EXPECT_EQ(got, want);
 }
 
 // --- Solver cache criterion ---------------------------------------------

@@ -1,6 +1,7 @@
 #ifndef PDX_TESTS_TEST_UTIL_H_
 #define PDX_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -17,6 +18,7 @@
 #include "relational/instance_io.h"
 #include "relational/value.h"
 #include "tests/chase_trace_check.h"
+#include "tests/reference_matcher.h"
 #include "workload/random.h"
 
 namespace pdx {
@@ -100,6 +102,32 @@ inline ChaseResult CheckedChase(const Instance& start,
   EXPECT_TRUE(trace.ok()) << trace.ToString()
                           << (context.empty() ? "" : "\n") << context;
   return result;
+}
+
+// Expects the production SatisfiesAll (compiled plans on the match VM) to
+// agree with the reference interpreter's on `chased`, and on `chased`
+// minus one fact: the first resolved fact not in `start` (a derived fact,
+// so the trigger that derived it is violated unless another witness
+// remains), else its first fact. Returns how many of the two verdicts
+// were "violated", so a caller can require that both verdicts occur.
+inline int ExpectSatisfiesAllAgrees(const Instance& chased,
+                                    const Instance& start,
+                                    const DependencySet& deps,
+                                    const std::string& context = "") {
+  const bool whole = SatisfiesAll(chased, deps);
+  EXPECT_EQ(whole, reference::SatisfiesAll(chased, deps))
+      << "chased instance\n" << context;
+  const std::vector<Fact> facts = chased.AllFacts();
+  if (facts.empty()) return whole ? 0 : 1;
+  auto derived = std::find_if(facts.begin(), facts.end(),
+                              [&](const Fact& f) { return !start.Contains(f); });
+  Instance minus = chased;
+  EXPECT_TRUE(minus.RemoveFact(derived == facts.end() ? facts.front()
+                                                      : *derived));
+  const bool less = SatisfiesAll(minus, deps);
+  EXPECT_EQ(less, reference::SatisfiesAll(minus, deps))
+      << "chased instance minus one fact\n" << context;
+  return (whole ? 0 : 1) + (less ? 0 : 1);
 }
 
 // A chase whose tgd batches satisfy themselves: an earlier trigger of one

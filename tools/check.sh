@@ -7,8 +7,11 @@
 # `parallel`-labeled tests under ThreadSanitizer (TSan and ASan cannot
 # share a build tree, so the TSan pass builds only the concurrency
 # tests in its own tree and runs just that label). The ASan suite runs
-# once, over the one chase engine (compiled plans on the match VM) and the
-# restricted-chase trace checker the tests replay its journals through.
+# once, over the library's one executor (compiled plans on the match VM,
+# which the chase, the solvers, Satisfies*, queries, implication and
+# Datalog all run on) and over the test-only reference interpreter
+# (tests/reference_matcher.h) through which the restricted-chase trace
+# checker replays the chase's journals.
 # The TSan suite runs once: it sanitizes the chase's one pooled tgd collect,
 # the pooled egd slot collect, the solution-aware chase's pooled collect
 # and both paths of Figure 3's pooled step 3 (head probes by trigger, and
