@@ -51,20 +51,38 @@ struct ChaseMetrics {
   }
 };
 
-// The egd fixpoint's violated-trigger rows: one flat buffer per collect
-// slot, one var_count-strided row per violated body match. They live per
-// thread so steady-state collects allocate nothing (the generic solver
-// runs one fixpoint per search node); on scope exit every slot grown past
-// kKeepValues is freed, so no thread keeps a large fixpoint's peak.
-struct EgdRows {
+// The egd fixpoint's working storage, per thread, so that a steady-state
+// fixpoint allocates nothing (the generic solver runs one per search
+// node, and its egd probe another): the violated-trigger rows (one flat
+// buffer per collect slot, one var_count-strided row per violated body
+// match), the dirty tuples of the previous and the current pass, the
+// pass's DeltaView and the merge result. On scope exit every collect
+// slot grown past kKeepValues is freed, and the rest is freed once a
+// call dirtied more than kKeepValues tuples, so no thread keeps a large
+// fixpoint's peak.
+struct EgdScratch {
   static constexpr size_t kKeepValues = size_t{1} << 14;
-  std::vector<std::vector<Value>>& slots = *[] {
-    thread_local std::vector<std::vector<Value>> rows;
-    return &rows;
+  struct Buffers {
+    std::vector<std::vector<Value>> slots;
+    std::vector<std::vector<int>> frontier;  // dirtied by the last pass
+    std::vector<std::vector<int>> dirty;     // dirtied by this pass
+    DeltaView delta;
+    Instance::MergeResult merge;
+  };
+  Buffers& b = *[] {
+    thread_local Buffers buffers;
+    return &buffers;
   }();
-  ~EgdRows() {
-    for (std::vector<Value>& slot : slots) {
+  int64_t dirtied = 0;  // tuples this call's views were built over
+  ~EgdScratch() {
+    for (std::vector<Value>& slot : b.slots) {
       if (slot.capacity() > kKeepValues) std::vector<Value>().swap(slot);
+    }
+    if (dirtied > static_cast<int64_t>(kKeepValues)) {
+      b.frontier = {};
+      b.dirty = {};
+      b.delta = DeltaView();
+      b.merge = Instance::MergeResult();
     }
   }
 };
@@ -329,24 +347,35 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
   obs::Span fixpoint_span(obs::Tracer::Global(), "chase.egd_fixpoint");
   obs::Counter& merge_counter = ChaseMetrics::Get().egd_merges;
   int64_t passes = 0;
-  int n = instance->schema().relation_count();
+  const size_t n = static_cast<size_t>(instance->schema().relation_count());
   if (extras->empty()) extras->resize(n);
   // Pass 1 pivots on the additive delta beyond `mark` (plus any extras the
   // caller already accumulated). A merge changes the resolved content of
   // exactly the tuples holding the losing class, so any trigger it newly
   // violates must bind one of them: pass k+1 pivots only on the tuples
   // pass k dirtied, until no merge fires.
-  std::vector<std::vector<int>> frontier;
-  EgdRows rows;
+  EgdScratch scratch;
+  for (const std::vector<int>& list : *extras) {
+    scratch.dirtied += static_cast<int64_t>(list.size());
+  }
+  DeltaView& delta = scratch.b.delta;
+  std::vector<std::vector<int>>& frontier = scratch.b.frontier;
+  std::vector<std::vector<int>>& pass_dirty = scratch.b.dirty;
+  Instance::MergeResult& merge = scratch.b.merge;
   bool first_pass = true;
   while (true) {
     obs::Span pass_span(obs::Tracer::Global(), "chase.egd_pass");
     pass_span.AttrInt("pass", passes);
     ++passes;
-    DeltaView delta =
-        first_pass ? DeltaView(*instance, mark, *extras)
-                   : DeltaView(*instance, instance->TakeWatermark(), frontier);
-    std::vector<std::vector<int>> pass_dirty(n);
+    // Later passes have no additive delta: the view is the instance's
+    // current extent plus the tuples the previous pass dirtied.
+    if (first_pass) {
+      delta.Reset(*instance, &mark, extras);
+    } else {
+      delta.Reset(*instance, nullptr, &frontier);
+    }
+    pass_dirty.resize(n);
+    ClearLists(&pass_dirty);
     bool merged_any = false;
     for (size_t e = 0; e < egds.size(); ++e) {
       const Egd& egd = egds[e];
@@ -357,7 +386,8 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
       // it dirtied, so the next pass's frontier catches them.
       const size_t slots = CollectDeltaSlots(
           egd_plans[e].body, *instance, delta, pool, pass_span.id(),
-          &rows.slots, [&egd](std::vector<Value>* buffer, const Binding& m) {
+          &scratch.b.slots,
+          [&egd](std::vector<Value>* buffer, const Binding& m) {
             if (m.values[egd.left_var] == m.values[egd.right_var]) {
               return false;
             }
@@ -366,13 +396,13 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
           });
       const size_t width = static_cast<size_t>(egd.var_count);
       for (size_t slot = 0; slot < slots; ++slot) {
-        const std::vector<Value>& buffer = rows.slots[slot];
+        const std::vector<Value>& buffer = scratch.b.slots[slot];
         for (size_t r = 0; r < buffer.size(); r += width) {
           const Value* row = buffer.data() + r;
           Value a = instance->ResolveValue(row[egd.left_var]);
           Value b = instance->ResolveValue(row[egd.right_var]);
           if (a == b) continue;
-          Instance::MergeResult merge = instance->MergeValues(a, b);
+          instance->MergeValues(a, b, &merge);
           ++out.steps;
           if (merge.conflict) {
             out.failed = true;
@@ -393,6 +423,7 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
             pass_dirty[relation].push_back(idx);
           }
           out.dirtied += static_cast<int64_t>(merge.dirty.size());
+          scratch.dirtied += static_cast<int64_t>(merge.dirty.size());
           merged_any = true;
           if (out.steps >= max_steps) {
             out.budget_exhausted = true;
@@ -406,7 +437,7 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
       return out;
     }
     first_pass = false;
-    frontier = std::move(pass_dirty);
+    frontier.swap(pass_dirty);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "base/thread_pool.h"
@@ -44,23 +45,32 @@ size_t CollectDeltaSlots(const plan::BodyPlan& body, const Instance& instance,
   const auto stopped = [stop] {
     return stop != nullptr && stop->load(std::memory_order_relaxed);
   };
-  const Binding empty = Binding::Empty(body.var_count);
+  // The all-unbound partial binding, reused across calls. No `collect`
+  // re-enters this function on the same thread. Workers read the calling
+  // thread's copy through `empty` (a lambda naming the thread_local itself
+  // would read the worker's own).
+  thread_local Binding unbound;
+  unbound.values.assign(static_cast<size_t>(body.var_count), Value());
+  unbound.bound.assign(static_cast<size_t>(body.var_count), false);
+  const Binding& empty = unbound;
   if (pool == nullptr) {
     // Reused across calls: the sequential path runs once per dependency per
-    // egd pass, and a search runs one egd fixpoint per node. No `collect`
-    // re-enters this function on the same thread.
+    // egd pass, and a search runs one egd fixpoint per node.
     thread_local std::vector<DeltaPartition> parts;
     if (slots->empty()) slots->resize(1);
     Buffer& buffer = (*slots)[0];
     buffer.clear();
     PartitionDeltaMatches(body, delta, 1, &parts);
+    // Passed by reference, so the std::function holds one pointer and
+    // allocates nothing.
+    const auto emit = [&](const Binding& m) {
+      collect(&buffer, m);
+      return !stopped();
+    };
     for (const DeltaPartition& part : parts) {
       if (stopped()) break;
       EnumerateDeltaPartitionPlanned(body, instance, delta, part, empty,
-                                     [&](const Binding& m) {
-                                       collect(&buffer, m);
-                                       return !stopped();
-                                     });
+                                     std::cref(emit));
     }
     return 1;
   }
@@ -91,6 +101,12 @@ size_t CollectDeltaSlots(const plan::BodyPlan& body, const Instance& instance,
   return parts.size();
 }
 
+// Empties every per-relation list of `lists`, keeping their capacity:
+// the dirty-tuple lists the egd fixpoint and the generic solver reuse.
+inline void ClearLists(std::vector<std::vector<int>>* lists) {
+  for (std::vector<int>& list : *lists) list.clear();
+}
+
 // Appends the flat head row of one trigger (ApplyTemplate::slots order)
 // to `head`: `row` holds a value for every variable the head mentions
 // (indexed by variable id); constants come from the template. Existential
@@ -116,12 +132,23 @@ inline bool AddHeadRow(const plan::ApplyTemplate& apply, const Value* head,
 
 // Adds the head facts of one trigger whose `row` holds every head
 // variable, existentials included. Returns true iff any fact was new.
+// The head row is built on the stack unless the head is wider than
+// kStackWidth values.
 inline bool AddHeadFacts(const plan::ApplyTemplate& apply, const Value* row,
                          Instance* instance) {
-  std::vector<Value> head;
-  head.reserve(apply.head_width);
-  AppendHeadRow(apply, row, &head);
-  return AddHeadRow(apply, head.data(), instance);
+  constexpr size_t kStackWidth = 32;
+  Value stack[kStackWidth];
+  std::vector<Value> wide;
+  Value* head = stack;
+  if (apply.slots.size() > kStackWidth) {
+    wide.resize(apply.slots.size());
+    head = wide.data();
+  }
+  Value* slot_value = head;
+  for (const plan::HeadSlot& slot : apply.slots) {
+    *slot_value++ = slot.is_const ? slot.key : row[slot.var];
+  }
+  return AddHeadRow(apply, head, instance);
 }
 
 // The apply mode a tgd phase uses on `instance`: the compiled one, or

@@ -184,14 +184,39 @@ class Searcher {
     size_t trail_size = 0;
   };
 
-  Frame PushFrame() const {
-    Frame f;
-    f.tgd_sizes.reserve(tgd_cands_.size());
-    for (const auto& bucket : tgd_cands_) f.tgd_sizes.push_back(bucket.size());
-    f.ts_sizes.reserve(ts_cands_.size());
-    for (const auto& bucket : ts_cands_) f.ts_sizes.push_back(bucket.size());
-    f.trail_size = satisfied_trail_.size();
-    return f;
+  // The reusable buffers of one search depth: Explore at depth d works
+  // in ScratchAt(d). Siblings at one depth run one after another, and a
+  // node's buffers are left alone while its children (depth d + 1) run,
+  // so nothing a frame still reads is overwritten; each buffer keeps its
+  // capacity from node to node, so a node allocates only for what it
+  // must own (its copy-on-write clones and union-find state).
+  struct NodeScratch {
+    std::vector<std::vector<int>> extras;  // the egd fixpoint's dirty tuples
+    DeltaView delta;                        // the node's discovery delta
+    Frame frame;
+    PendingTrigger trigger;
+    std::vector<Value> domain;  // plus the nulls of the assignment so far
+    std::vector<VariableId> exist_vars;
+    std::vector<std::optional<Value>> forced;
+    // The egd probe's binding, nulls and dirty tuples.
+    Binding probe_binding;
+    std::vector<Value> probe_nulls;
+    std::vector<std::vector<int>> probe_extras;
+  };
+
+  NodeScratch& ScratchAt(int depth) {
+    while (scratch_.size() <= static_cast<size_t>(depth)) {
+      scratch_.push_back(std::make_unique<NodeScratch>());
+    }
+    return *scratch_[depth];
+  }
+
+  void PushFrame(Frame* f) const {
+    f->tgd_sizes.clear();
+    for (const auto& bucket : tgd_cands_) f->tgd_sizes.push_back(bucket.size());
+    f->ts_sizes.clear();
+    for (const auto& bucket : ts_cands_) f->ts_sizes.push_back(bucket.size());
+    f->trail_size = satisfied_trail_.size();
   }
 
   void PopFrame(const Frame& f) {
@@ -241,8 +266,9 @@ class Searcher {
     // Deterministic phase: egd fixpoint, delta-restricted. The merge
     // extras feed candidate discovery below — a merge-enabled trigger
     // binds a dirtied tuple, not necessarily an added fact.
-    std::vector<std::vector<int>> extras;
-    if (!ApplyEgdFixpoint(&k, since, &extras)) {  // clash: dead
+    NodeScratch& s = ScratchAt(depth);
+    ClearLists(&s.extras);
+    if (!ApplyEgdFixpoint(&k, since, &s.extras)) {  // clash: dead
       ++result_.nodes_clash;
       return false;
     }
@@ -253,25 +279,25 @@ class Searcher {
       return false;
     }
 
-    Frame frame = PushFrame();
-    bool stop = ExploreCore(std::move(k), depth, since, extras);
-    PopFrame(frame);
+    PushFrame(&s.frame);
+    bool stop = ExploreCore(std::move(k), depth, since, &s);
+    PopFrame(s.frame);
     return stop;
   }
 
   bool ExploreCore(Instance k, int depth, const InstanceWatermark& since,
-                   const std::vector<std::vector<int>>& extras) {
+                   NodeScratch* s) {
     // Incremental trigger maintenance: discover candidates the node's
     // delta (branch additions + merge-dirtied tuples) can have created,
     // then answer the ts check and the pending-trigger search from the
     // cached candidates alone. No full-instance rescans.
-    DeltaView delta(k, since, extras);
-    if (!DiscoverCandidates(k, delta)) return false;  // permanent ts hit
+    s->delta.Reset(k, &since, &s->extras);
+    if (!DiscoverCandidates(k, s->delta)) return false;  // permanent ts hit
 
     TsStatus ts = CheckTsCached(k);
     if (ts == TsStatus::kViolatedPermanent) return false;
 
-    PendingTrigger trigger;
+    PendingTrigger& trigger = s->trigger;
     if (!FindPendingTriggerCached(k, &trigger)) {
       // Fixpoint of Σ_st ∪ Σ_t.
       if (ts != TsStatus::kSatisfied) return false;
@@ -283,23 +309,21 @@ class Searcher {
     // earlier variables of this same assignment, or one fresh null.
     // Branches fork off a copy-on-write snapshot of the egd-normalized
     // state, so each child costs O(relations touched), not O(instance).
-    std::vector<Value> domain = k.ActiveDomain();
-    std::vector<VariableId> exist_vars;
+    k.ActiveDomain(&s->domain);
+    s->exist_vars.clear();
     for (VariableId v = 0; v < trigger.tgd->var_count; ++v) {
       if (trigger.tgd->existential[v] && !trigger.binding.bound[v]) {
-        exist_vars.push_back(v);
+        s->exist_vars.push_back(v);
       }
     }
-    InstanceSnapshot snapshot(k);
-    std::vector<std::optional<Value>> forced(exist_vars.size());
-    if (has_egds_ && !exist_vars.empty() &&
-        !ProbeAssignment(snapshot, *trigger.apply, trigger.binding,
-                         exist_vars, domain, &forced)) {
+    const InstanceSnapshot snapshot(std::move(k));
+    s->forced.assign(s->exist_vars.size(), std::nullopt);
+    if (has_egds_ && !s->exist_vars.empty() &&
+        !ProbeAssignment(snapshot, *trigger.apply, s)) {
       ++result_.nodes_pruned;  // every assignment clashes
       return false;
     }
-    return BranchOnAssignment(snapshot, depth, *trigger.apply,
-                              trigger.binding, exist_vars, forced, 0, domain);
+    return BranchOnAssignment(snapshot, depth, *trigger.apply, s, 0);
   }
 
   // The most-general probe of a branching node: one branch in which every
@@ -315,23 +339,25 @@ class Searcher {
   // The probe nulls are the ids reserved once per solve (Run): the probe
   // instance is discarded before any child runs and no forced value is a
   // probe null, so no search state ever holds them and every probe may
-  // reuse them.
+  // reuse them. Reads the trigger, the existentials and the domain from
+  // `s` and writes s->forced.
   bool ProbeAssignment(const InstanceSnapshot& snapshot,
-                       const plan::ApplyTemplate& apply, Binding binding,
-                       const std::vector<VariableId>& exist_vars,
-                       const std::vector<Value>& domain,
-                       std::vector<std::optional<Value>>* forced) {
-    std::vector<Value> probe_nulls;
-    probe_nulls.reserve(exist_vars.size());
-    for (VariableId v : exist_vars) {
+                       const plan::ApplyTemplate& apply, NodeScratch* s) {
+    const std::vector<Value>& domain = s->domain;
+    std::vector<std::optional<Value>>* forced = &s->forced;
+    std::vector<Value>& probe_nulls = s->probe_nulls;
+    Binding& binding = s->probe_binding;
+    binding = s->trigger.binding;
+    probe_nulls.clear();
+    for (VariableId v : s->exist_vars) {
       probe_nulls.push_back(Value::Null(
           probe_null_base_ + static_cast<uint32_t>(probe_nulls.size())));
       binding.Bind(v, probe_nulls.back());
     }
     Instance probe = snapshot.Branch();
     AddHeadFacts(apply, binding.values.data(), &probe);
-    std::vector<std::vector<int>> extras;
-    if (!ApplyEgdFixpoint(&probe, snapshot.watermark(), &extras)) {
+    ClearLists(&s->probe_extras);
+    if (!ApplyEgdFixpoint(&probe, snapshot.watermark(), &s->probe_extras)) {
       return false;
     }
     auto is_probe_null = [&](Value v) {
@@ -373,19 +399,22 @@ class Searcher {
   // variable of this assignment (those are appended to `domain` as we
   // recurse), and one fresh null. A variable the probe forced to a value
   // r skips its fresh null (the same state as r), and every other
-  // constant when r is a constant (a certain clash).
+  // constant when r is a constant (a certain clash). The assignment is
+  // written into s->trigger.binding in place: level i binds exist_vars[i]
+  // before each descent, so the leaf reads a complete assignment.
   bool BranchOnAssignment(const InstanceSnapshot& snapshot, int depth,
-                          const plan::ApplyTemplate& apply, Binding binding,
-                          const std::vector<VariableId>& exist_vars,
-                          const std::vector<std::optional<Value>>& forced,
-                          size_t i, std::vector<Value>& domain) {
+                          const plan::ApplyTemplate& apply, NodeScratch* s,
+                          size_t i) {
+    Binding& binding = s->trigger.binding;
+    const std::vector<VariableId>& exist_vars = s->exist_vars;
+    std::vector<Value>& domain = s->domain;
     if (i == exist_vars.size()) {
       Instance k2 = snapshot.Branch();
       AddHeadFacts(apply, binding.values.data(), &k2);
       return Explore(std::move(k2), depth + 1, snapshot.watermark());
     }
     VariableId v = exist_vars[i];
-    const std::optional<Value>& r = forced[i];
+    const std::optional<Value>& r = s->forced[i];
     // Existing values (including nulls invented for earlier variables of
     // this assignment, which BranchOnAssignment appended below).
     size_t domain_size = domain.size();
@@ -396,10 +425,7 @@ class Searcher {
         continue;
       }
       binding.Bind(v, domain[d]);
-      if (BranchOnAssignment(snapshot, depth, apply, binding, exist_vars,
-                             forced, i + 1, domain)) {
-        return true;
-      }
+      if (BranchOnAssignment(snapshot, depth, apply, s, i + 1)) return true;
     }
     if (r.has_value()) {
       ++result_.nodes_pruned;
@@ -409,8 +435,7 @@ class Searcher {
     Value fresh = symbols_->FreshNull();
     binding.Bind(v, fresh);
     domain.push_back(fresh);
-    bool stop = BranchOnAssignment(snapshot, depth, apply, binding,
-                                   exist_vars, forced, i + 1, domain);
+    bool stop = BranchOnAssignment(snapshot, depth, apply, s, i + 1);
     domain.pop_back();
     return stop;
   }
@@ -420,12 +445,14 @@ class Searcher {
   // parent state was already egd-clean) or tuples a merge dirtied. The
   // dirty extras are handed back to the caller: they are the merge half
   // of the node's delta, from which new trigger candidates are
-  // discovered. Returns false on constant/constant clash.
+  // discovered. Returns false on constant/constant clash. A clash only
+  // ends the branch, so no failure message is rendered (no symbols).
   bool ApplyEgdFixpoint(Instance* k, const InstanceWatermark& since,
                         std::vector<std::vector<int>>* extras) {
     EgdFixpointOutcome out = RunEgdsToFixpointDelta(
         setting_.target_egds(), compiled_->egds, k, since,
-        std::numeric_limits<int64_t>::max(), symbols_, extras, pool_.get());
+        std::numeric_limits<int64_t>::max(), /*symbols=*/nullptr, extras,
+        pool_.get());
     return !out.failed;
   }
 
@@ -608,6 +635,9 @@ class Searcher {
   std::shared_ptr<const plan::CompiledSetting> compiled_;
   // Discovery's collect slot, reused across nodes.
   std::vector<std::vector<Candidate>> discovered_;
+  // Per-depth node buffers (ScratchAt); boxed so that growing the list
+  // never moves the buffers of a node still on the path.
+  std::vector<std::unique_ptr<NodeScratch>> scratch_;
   uint32_t probe_null_base_ = 0;  // first of the egd probe's null ids
 };
 

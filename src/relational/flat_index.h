@@ -28,6 +28,7 @@
 // Value::packed() never produces ~0ull (bit 63 is the null flag; bits
 // 32..62 are always zero), so ~0ull is a safe empty-slot sentinel.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -360,6 +361,13 @@ class FlatTupleSet {
   }
 
   size_t size() const { return size_; }
+
+  // Empties the set, keeping its table (a reused scratch set).
+  void Clear() {
+    if (size_ == 0) return;
+    std::fill(entries_.begin(), entries_.end(), Entry{});
+    size_ = 0;
+  }
 
  private:
   struct Entry {

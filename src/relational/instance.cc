@@ -1,6 +1,7 @@
 #include "relational/instance.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "base/string_util.h"
@@ -42,6 +43,7 @@ Instance::RelationStore::RelationStore(const RelationStore& other) {
   arity = other.arity;
   count = other.count;
   data = other.data;
+  null_positions = other.null_positions;
   dedup = other.dedup;
   index = other.index;
   rewrites = other.rewrites;
@@ -157,6 +159,7 @@ void Instance::BulkLoader::Finish() {
         std::copy(tuple, tuple + arity, data + store->count * arity);
       }
       store->dedup.Insert(hash, static_cast<int32_t>(store->count));
+      store->NoteNulls(tuple, arity);
       ++store->count;
     }
     store->data.resize(store->count * arity);
@@ -320,32 +323,42 @@ TupleIndexSpan Instance::ResolvedClassBucket(
 
 Instance::MergeResult Instance::MergeValues(Value a, Value b) {
   MergeResult out;
+  MergeValues(a, b, &out);
+  return out;
+}
+
+void Instance::MergeValues(Value a, Value b, MergeResult* out) {
+  out->dirty.clear();
   ValueResolver::UnionResult u = resolver_.Union(a, b);
-  out.conflict = u.conflict;
-  out.winner = u.winner;
-  out.loser = u.loser;
-  if (!u.merged) return out;
-  out.merged = true;
+  out->merged = u.merged;
+  out->conflict = u.conflict;
+  out->winner = u.winner;
+  out->loser = u.loser;
+  if (!u.merged) return;
   // The tuples whose resolved content changed are exactly those holding a
   // member of the losing class at some position; the inverted index finds
-  // them without touching the stores.
+  // them without touching the stores. Only nulls lose a union, so a
+  // position that never held a null holds no member: it is skipped, and
+  // its index is never built for a merge.
   int n = static_cast<int>(stores_.size());
   for (RelationId r = 0; r < n; ++r) {
     const RelationStore& store = *stores_[r];
-    size_t first = out.dirty.size();
+    if (store.null_positions == 0) continue;
+    size_t first = out->dirty.size();
     for (int pos = 0; pos < store.arity; ++pos) {
+      if (!store.MayHoldNull(pos)) continue;
       const FlatIndex& by_value = store.Index(pos);
       for (const Value& m : u.reassigned) {
         for (int32_t idx : by_value.Find(m.packed())) {
-          out.dirty.emplace_back(r, idx);
+          out->dirty.emplace_back(r, idx);
         }
       }
     }
-    std::sort(out.dirty.begin() + first, out.dirty.end());
-    out.dirty.erase(std::unique(out.dirty.begin() + first, out.dirty.end()),
-                    out.dirty.end());
+    std::sort(out->dirty.begin() + first, out->dirty.end());
+    out->dirty.erase(
+        std::unique(out->dirty.begin() + first, out->dirty.end()),
+        out->dirty.end());
   }
-  return out;
 }
 
 InstanceWatermark Instance::TakeWatermark() const {
@@ -404,15 +417,61 @@ std::vector<Fact> Instance::AllFacts() const {
   return facts;
 }
 
+namespace {
+
+// The per-thread scratch of the whole-instance reads that run once per
+// search node (CanonicalFingerprint, ActiveDomain), so that steady-state
+// calls allocate nothing. Neither read re-enters the other. On scope exit
+// every buffer grown past kKeep entries is freed, so no thread keeps a
+// large instance's peak (as the egd fixpoint's EgdScratch does).
+struct ReadScratch {
+  static constexpr size_t kKeep = size_t{1} << 16;
+  struct Buffers {
+    std::vector<Value> rows;       // one relation's resolved rows
+    std::vector<uint32_t> order;   // row indexes, sorted canonically
+    NullSlots nulls;               // canonical null numbering
+    FlatTupleSet seen;             // ActiveDomain: indexes into its output
+  };
+  Buffers& b = *[] {
+    thread_local Buffers buffers;
+    return &buffers;
+  }();
+  ~ReadScratch() {
+    if (b.rows.capacity() > kKeep) std::vector<Value>().swap(b.rows);
+    if (b.order.capacity() > kKeep) std::vector<uint32_t>().swap(b.order);
+    if (b.nulls.size() > kKeep / 4) b.nulls = NullSlots();
+    if (b.seen.size() > kKeep / 4) b.seen = FlatTupleSet();
+  }
+};
+
+}  // namespace
+
 std::vector<Value> Instance::ActiveDomain() const {
-  std::unordered_set<uint64_t> seen;
   std::vector<Value> domain;
-  ForEachFact([&](const Fact& f) {
-    for (const Value& v : f.tuple) {
-      if (seen.insert(v.packed()).second) domain.push_back(v);
-    }
-  });
+  ActiveDomain(&domain);
   return domain;
+}
+
+void Instance::ActiveDomain(std::vector<Value>* out) const {
+  // First occurrence over the raw stores in order. A raw tuple that
+  // resolves onto an earlier one repeats only values already seen, so
+  // this is the order of the deduplicated resolved facts (ForEachFact).
+  ReadScratch scratch;
+  FlatTupleSet& seen = scratch.b.seen;
+  seen.Clear();
+  out->clear();
+  for (const std::shared_ptr<RelationStore>& store : stores_) {
+    const size_t values = store->count * static_cast<size_t>(store->arity);
+    for (size_t i = 0; i < values; ++i) {
+      const Value v = resolver_.Resolve(store->data[i]);
+      const uint64_t hash = HashValueSeq(&v, 1);
+      if (seen.Find(hash, [&](int32_t d) { return (*out)[d] == v; }) >= 0) {
+        continue;
+      }
+      seen.Insert(hash, static_cast<int32_t>(out->size()));
+      out->push_back(v);
+    }
+  }
 }
 
 std::vector<Value> Instance::Nulls() const {
@@ -508,38 +567,67 @@ uint64_t MixFingerprint(uint64_t h, uint64_t x) {
   return (h ^ x) * 0x100000001b3ull;
 }
 
+// The canonical row order: at the first position where the rows differ
+// in kind, the constant comes first; at the first where both hold
+// distinct constants, the smaller packed value comes first; rows that
+// agree on every kind and constant (they differ only in null ids) are
+// ordered by their whole packed values. Null ids decide only that last
+// tie, so instances that differ in null names alone can still order
+// symmetric rows differently — that only weakens the memo, never
+// correctness.
+bool CanonicalRowLess(const Value* a, const Value* b, size_t arity) {
+  for (size_t i = 0; i < arity; ++i) {
+    if (a[i].is_null() != b[i].is_null()) return b[i].is_null();
+    if (a[i].is_constant() && a[i] != b[i]) return a[i] < b[i];
+  }
+  return std::lexicographical_compare(a, a + arity, b, b + arity);
+}
+
 }  // namespace
 
 uint64_t Instance::CanonicalFingerprint() const {
-  std::vector<Fact> facts = AllFacts();
-  std::sort(facts.begin(), facts.end(), [](const Fact& a, const Fact& b) {
-    // Sort with nulls compared only by "nullness" first, then renamed ids
-    // are not yet known; use a two-phase approach: sort by (relation,
-    // value kinds, constant ids with nulls last). This yields a canonical
-    // order whenever null *positions* differ; ties among facts differing
-    // only in null identity are broken by null id, which can produce
-    // different-but-equivalent orders in rare symmetric cases. That only
-    // weakens memoization, never correctness.
-    if (a.relation != b.relation) return a.relation < b.relation;
-    for (size_t i = 0; i < a.tuple.size(); ++i) {
-      const Value& va = a.tuple[i];
-      const Value& vb = b.tuple[i];
-      if (va.is_null() != vb.is_null()) return vb.is_null();
-      if (va.is_constant() && va != vb) return va < vb;
-    }
-    return a.tuple < b.tuple;
-  });
-  std::unordered_map<uint64_t, uint32_t> null_rename;
+  // Relation by relation: sort the row indexes in canonical order (over
+  // the resolved rows, whose duplicates then sit side by side and count
+  // once), and hash each row in that order with every null replaced by
+  // its first-occurrence number.
+  ReadScratch scratch;
+  std::vector<Value>& rows = scratch.b.rows;
+  std::vector<uint32_t>& order = scratch.b.order;
+  NullSlots& nulls = scratch.b.nulls;
+  nulls.Clear();
+  const bool resolve = !resolver_.trivial();
   uint64_t h = 0xcbf29ce484222325ull;
-  for (const Fact& f : facts) {
-    h = MixFingerprint(h, static_cast<uint64_t>(f.relation) + 1);
-    for (const Value& v : f.tuple) {
-      if (v.is_constant()) {
-        h = MixFingerprint(h, v.packed() * 2 + 1);
-      } else {
-        auto [it, inserted] = null_rename.emplace(
-            v.packed(), static_cast<uint32_t>(null_rename.size()));
-        h = MixFingerprint(h, uint64_t{it->second} * 2);
+  for (RelationId r = 0; r < static_cast<RelationId>(stores_.size()); ++r) {
+    const RelationStore& store = *stores_[r];
+    if (store.count == 0) continue;
+    const size_t arity = static_cast<size_t>(store.arity);
+    const Value* base = store.data.data();
+    if (resolve) {
+      rows.resize(store.count * arity);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        rows[i] = resolver_.Resolve(store.data[i]);
+      }
+      base = rows.data();
+    }
+    order.resize(store.count);
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    auto row = [base, arity](uint32_t i) { return base + i * arity; };
+    std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+      return CanonicalRowLess(row(x), row(y), arity);
+    });
+    auto end = order.end();
+    if (resolve) {
+      end = std::unique(order.begin(), end, [&](uint32_t x, uint32_t y) {
+        return std::equal(row(x), row(x) + arity, row(y));
+      });
+    }
+    for (auto it = order.begin(); it != end; ++it) {
+      h = MixFingerprint(h, static_cast<uint64_t>(r) + 1);
+      const Value* t = row(*it);
+      for (size_t p = 0; p < arity; ++p) {
+        h = t[p].is_constant()
+                ? MixFingerprint(h, t[p].packed() * 2 + 1)
+                : MixFingerprint(h, uint64_t{nulls.Insert(t[p])} * 2);
       }
     }
   }
@@ -556,43 +644,53 @@ std::string Instance::ToString(const SymbolTable& symbols) const {
   return StrJoin(lines, "\n");
 }
 
-DeltaView::DeltaView(const Instance& instance, const InstanceWatermark& mark)
-    : instance_(&instance) {
-  int n = instance.schema().relation_count();
-  PDX_CHECK_EQ(static_cast<int>(mark.counts.size()), n);
+DeltaView::DeltaView(const Instance& instance, const InstanceWatermark& mark) {
+  Reset(instance, &mark, nullptr);
+}
+
+DeltaView::DeltaView(const Instance& instance, const InstanceWatermark& mark,
+                     const std::vector<std::vector<int>>& extras) {
+  Reset(instance, &mark, &extras);
+}
+
+void DeltaView::Reset(const Instance& instance, const InstanceWatermark* mark,
+                      const std::vector<std::vector<int>>* extras) {
+  instance_ = &instance;
+  const int n = instance.schema().relation_count();
+  if (mark != nullptr) PDX_CHECK_EQ(static_cast<int>(mark->counts.size()), n);
   begin_.resize(n);
   end_.resize(n);
   for (RelationId r = 0; r < n; ++r) {
     end_[r] = instance.tuples(r).size();
-    // A rewrite shuffled tuple indexes: the recorded count no longer
-    // addresses a stable prefix, so the whole relation is new again.
-    begin_[r] = instance.rewrites(r) == mark.rewrites[r]
-                    ? std::min(mark.counts[r], end_[r])
-                    : 0;
+    if (mark == nullptr) {
+      begin_[r] = end_[r];
+    } else {
+      // A rewrite shuffled tuple indexes: the recorded count no longer
+      // addresses a stable prefix, so the whole relation is new again.
+      begin_[r] = instance.rewrites(r) == mark->rewrites[r]
+                      ? std::min(mark->counts[r], end_[r])
+                      : 0;
+    }
   }
-}
-
-DeltaView::DeltaView(const Instance& instance, const InstanceWatermark& mark,
-                     const std::vector<std::vector<int>>& extras)
-    : DeltaView(instance, mark) {
-  if (extras.empty()) return;
-  int n = instance.schema().relation_count();
-  PDX_CHECK_EQ(static_cast<int>(extras.size()), n);
+  has_extras_ = extras != nullptr && !extras->empty();
+  if (!has_extras_) return;
+  PDX_CHECK_EQ(static_cast<int>(extras->size()), n);
   extras_.resize(n);
   for (RelationId r = 0; r < n; ++r) {
-    for (int idx : extras[r]) {
+    std::vector<int>& mine = extras_[r];
+    mine.clear();
+    for (int idx : (*extras)[r]) {
       // Tuples already inside [begin, end) are pivoted via the range.
-      if (static_cast<size_t>(idx) < begin_[r]) extras_[r].push_back(idx);
+      if (static_cast<size_t>(idx) < begin_[r]) mine.push_back(idx);
     }
-    std::sort(extras_[r].begin(), extras_[r].end());
-    extras_[r].erase(std::unique(extras_[r].begin(), extras_[r].end()),
-                     extras_[r].end());
+    std::sort(mine.begin(), mine.end());
+    mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
   }
 }
 
 const std::vector<int>& DeltaView::extras(RelationId relation) const {
   static const std::vector<int> kEmpty;
-  if (extras_.empty()) return kEmpty;
+  if (!has_extras_) return kEmpty;
   return extras_[relation];
 }
 

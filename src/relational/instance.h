@@ -1,6 +1,7 @@
 #ifndef PDX_RELATIONAL_INSTANCE_H_
 #define PDX_RELATIONAL_INSTANCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -183,12 +184,16 @@ class Instance {
   };
 
   // Merges the equivalence classes of `a` and `b` in O(α)-ish time
-  // (union + dirty-tuple lookup via the inverted indexes, which it
-  // catches up at every position): the egd chase step. Constants win
-  // unions; two distinct constants report a conflict and change nothing.
-  // Stores are untouched — tuple indexes, watermarks and index buckets
-  // all stay valid.
+  // (union + dirty-tuple lookup via the inverted indexes of the positions
+  // that ever held a null, which it catches up): the egd chase step.
+  // Constants win unions; two distinct constants report a conflict and
+  // change nothing. Stores are untouched — tuple indexes, watermarks and
+  // index buckets all stay valid.
   MergeResult MergeValues(Value a, Value b);
+  // The same merge into a caller-owned result: `out->dirty` is cleared
+  // and refilled in place, so a reused result allocates nothing once
+  // grown (the egd fixpoint merges through one per thread).
+  void MergeValues(Value a, Value b, MergeResult* out);
 
   // --- Whole-instance views (resolved) --------------------------------
 
@@ -220,8 +225,13 @@ class Instance {
   // All resolved facts as a vector (convenience for tests and printing).
   std::vector<Fact> AllFacts() const;
 
-  // The set of resolved values occurring in the instance (active domain).
+  // The set of resolved values occurring in the instance (active domain),
+  // in first-occurrence order over the raw stores (relation by relation,
+  // tuple by tuple, position by position). The generic solver tries
+  // witness values in this order.
   std::vector<Value> ActiveDomain() const;
+  // The same into `out` (replacing its contents, keeping its capacity).
+  void ActiveDomain(std::vector<Value>* out) const;
 
   // The nulls occurring in the resolved instance (class roots only).
   std::vector<Value> Nulls() const;
@@ -263,7 +273,9 @@ class Instance {
   // fingerprints are isomorphic-over-constants with overwhelming
   // probability; used for search-state memoization (collisions only cost
   // completeness of the memo, never soundness of answers, and are
-  // astronomically unlikely).
+  // astronomically unlikely). Computed over per-thread flat scratch (row
+  // indexes sorted in place, a reused null-renaming map): no Fact, Tuple
+  // or hash-set node is built, so a steady-state call allocates nothing.
   uint64_t CanonicalFingerprint() const;
 
   // Multi-line rendering "R(a,b)." per resolved fact, sorted, for
@@ -312,6 +324,10 @@ class Instance {
     int arity = 0;
     size_t count = 0;           // number of stored tuples
     std::vector<Value> data;    // the arena
+    // Bit min(p, 63) is set once a stored tuple held a null at position
+    // p. Never cleared (RemoveFact leaves it): a clear bit proves no raw
+    // tuple holds a null there, so no merge can dirty that position.
+    uint64_t null_positions = 0;
     FlatTupleSet dedup;
     mutable std::vector<FlatIndex> index;  // one per position; see Index()
     mutable std::mutex index_mu;  // serializes catch-ups and clones
@@ -344,6 +360,19 @@ class Instance {
     // Adds tuples [indexed_upto, count) to the index of `position`.
     void CatchUp(int position) const;
     void CatchUpLocked(int position) const;  // caller holds index_mu
+    static uint64_t PositionBit(int position) {
+      return uint64_t{1} << std::min(position, 63);
+    }
+    bool MayHoldNull(int position) const {
+      return (null_positions & PositionBit(position)) != 0;
+    }
+    void NoteNulls(const Value* values, size_t n) {
+      for (size_t i = 0; i < n; ++i) {
+        if (values[i].is_null()) {
+          null_positions |= PositionBit(static_cast<int>(i));
+        }
+      }
+    }
     // Called on every mutation. Mutations hold the store exclusively, so
     // the unlocked empty check is safe; the lock orders the clear against
     // reader rebuilds that may still be publishing under the mutex.
@@ -357,6 +386,7 @@ class Instance {
     void Append(const Value* values, size_t n, uint64_t hash) {
       const int32_t idx = static_cast<int32_t>(count);
       data.insert(data.end(), values, values + n);
+      NoteNulls(values, n);
       ++count;
       dedup.Insert(hash, idx);
       InvalidateClassCache();
@@ -418,6 +448,9 @@ class Instance::BulkLoader {
 // the same relation.
 class DeltaView {
  public:
+  // An empty view bound to no instance; Reset() before use.
+  DeltaView() = default;
+
   DeltaView(const Instance& instance, const InstanceWatermark& mark);
 
   // With merge-dirtied extras (per relation, from MergeResult::dirty).
@@ -430,6 +463,14 @@ class DeltaView {
   static DeltaView All(const Instance& instance) {
     return DeltaView(instance, InstanceWatermark::Origin(instance));
   }
+
+  // Rebuilds the view in place over this view's storage, as the
+  // constructors would: a view reset once per egd pass or search node
+  // allocates nothing once grown. A null `mark` stands for the
+  // instance's current extent (no additive delta: only the extras); a
+  // null `extras` supplies none.
+  void Reset(const Instance& instance, const InstanceWatermark* mark,
+             const std::vector<std::vector<int>>* extras);
 
   // The additive delta of `relation` is tuples(relation)[begin, end).
   size_t begin(RelationId relation) const { return begin_[relation]; }
@@ -450,10 +491,13 @@ class DeltaView {
   const Instance& instance() const { return *instance_; }
 
  private:
-  const Instance* instance_;
+  const Instance* instance_ = nullptr;
   std::vector<size_t> begin_;
   std::vector<size_t> end_;
-  std::vector<std::vector<int>> extras_;  // empty, or one entry per relation
+  // One entry per relation once extras were supplied (possibly by an
+  // earlier Reset; inner vectors keep their capacity across resets).
+  std::vector<std::vector<int>> extras_;
+  bool has_extras_ = false;
 };
 
 }  // namespace pdx

@@ -57,6 +57,14 @@ class NullMap {
 
   size_t size() const { return size_; }
 
+  // Empties the map, keeping its table: a map cleared and refilled per
+  // call (a reused scratch map) allocates nothing once it has grown.
+  void Clear() {
+    if (size_ == 0) return;
+    std::fill(entries_.begin(), entries_.end(), Entry());
+    size_ = 0;
+  }
+
  private:
   // Marks a free entry. SymbolTable never mints the last null id (its
   // counter stops at 2^32 - 1), so no key collides with it.
@@ -105,6 +113,8 @@ class NullSlots {
   // The slot of `v`, or kNone if it has none (constants never do).
   uint32_t Find(Value v) const { return slots_.Get(v, kNone); }
   size_t size() const { return slots_.size(); }
+  // Forgets every slot, keeping the table (see NullMap::Clear).
+  void Clear() { slots_.Clear(); }
 
  private:
   NullMap<uint32_t> slots_;

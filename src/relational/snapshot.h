@@ -1,6 +1,8 @@
 #ifndef PDX_RELATIONAL_SNAPSHOT_H_
 #define PDX_RELATIONAL_SNAPSHOT_H_
 
+#include <utility>
+
 #include "relational/instance.h"
 
 namespace pdx {
@@ -23,6 +25,10 @@ class InstanceSnapshot {
  public:
   explicit InstanceSnapshot(const Instance& instance)
       : frozen_(instance), mark_(instance.TakeWatermark()) {}
+  // Freezes `instance` itself, sparing the copy when the caller is done
+  // with it.
+  explicit InstanceSnapshot(Instance&& instance)
+      : frozen_(std::move(instance)), mark_(frozen_.TakeWatermark()) {}
 
   // The frozen state. Never mutated by branches.
   const Instance& get() const { return frozen_; }
