@@ -21,17 +21,6 @@ namespace {
 
 constexpr int kCliqueSize = 3;
 
-Graph TriangleFreeGraph(int n) {
-  Graph g;
-  g.node_count = n;
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      if ((u + v) % 2 == 1) g.edges.emplace_back(u, v);
-    }
-  }
-  return g;
-}
-
 void RunGeneric(benchmark::State& state, const PdeSetting& setting,
                 const Instance& source, SymbolTable* symbols,
                 bool expect_solution) {
@@ -62,7 +51,36 @@ void BM_EgdBoundary(benchmark::State& state) {
   RunGeneric(state, *setting, source, &symbols, /*expect_solution=*/false);
 }
 BENCHMARK(BM_EgdBoundary)
-    ->Arg(4)->Arg(5)->Arg(6)->Arg(7)
+    ->Arg(4)->Arg(5)->Arg(6)->Arg(7)->Arg(8)->Arg(9)->Arg(10)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
+
+// Column (a) with k growing: the complete (k-1)-partite graph with parts
+// of two nodes (K_n minus a perfect matching, n = 2(k-1)) has 2^(k-1)
+// cliques of size k - 1 and none of size k, so the answer is "no" and the
+// search meets ever more near-cliques. With k fixed (BM_EgdBoundary) the
+// search is polynomial in n, as CLIQUE is for fixed k. k = 5 runs for
+// minutes, so the series stops at 4.
+void BM_EgdBoundaryGrowingK(benchmark::State& state) {
+  int k = static_cast<int>(state.range(0));
+  SymbolTable symbols;
+  auto setting = MakeEgdBoundarySetting(&symbols);
+  PDX_CHECK(setting.ok());
+  Graph graph;
+  graph.node_count = 2 * (k - 1);
+  for (int u = 0; u < graph.node_count; ++u) {
+    for (int v = u + 1; v < graph.node_count; ++v) {
+      if (u / 2 != v / 2) graph.edges.emplace_back(u, v);
+    }
+  }
+  PDX_CHECK(!HasClique(graph, k));
+  Instance source =
+      MakeEgdBoundarySourceInstance(*setting, graph, k, &symbols);
+  state.counters["k"] = k;
+  RunGeneric(state, *setting, source, &symbols, /*expect_solution=*/false);
+}
+BENCHMARK(BM_EgdBoundaryGrowingK)
+    ->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

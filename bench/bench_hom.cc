@@ -87,16 +87,9 @@ BENCHMARK(BM_ChainPatternIntoRandomGraph)
 
 void BM_CliquePatternIntoTriangleFreeGraph(benchmark::State& state) {
   HomBenchContext& ctx = Context();
-  // Bipartite-by-parity graph: no triangles, so clique patterns of size
-  // >= 3 cannot embed and the search must exhaust.
-  Graph g;
-  g.node_count = 24;
-  for (int u = 0; u < g.node_count; ++u) {
-    for (int v = u + 1; v < g.node_count; ++v) {
-      if ((u + v) % 2 == 1) g.edges.emplace_back(u, v);
-    }
-  }
-  Instance target = ctx.GraphInstance(g);
+  // No triangles, so clique patterns of size >= 3 cannot embed and the
+  // search must exhaust.
+  Instance target = ctx.GraphInstance(TriangleFreeGraph(24));
   Instance pattern = CliquePattern(static_cast<int>(state.range(0)),
                                    &ctx.symbols, &ctx.schema);
   for (auto _ : state) {

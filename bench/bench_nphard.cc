@@ -20,20 +20,6 @@ namespace {
 
 constexpr int kCliqueSize = 3;
 
-// A deterministic graph on n nodes with no 3-clique: the complete
-// bipartite-ish graph given by connecting i-j when (i + j) is odd
-// (bipartite by parity, hence triangle-free) — dense but clique-free.
-Graph TriangleFreeGraph(int n) {
-  Graph g;
-  g.node_count = n;
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      if ((u + v) % 2 == 1) g.edges.emplace_back(u, v);
-    }
-  }
-  return g;
-}
-
 void BM_GenericSearchNoClique(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Graph graph = TriangleFreeGraph(n);

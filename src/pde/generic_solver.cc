@@ -28,6 +28,7 @@ namespace {
 struct SolverMetrics {
   obs::Counter runs, nodes, nodes_clash, nodes_memo, nodes_pruned;
   obs::Counter candidates_discovered, candidate_checks, witness_revalidated;
+  obs::Counter values_unbacked;
   static SolverMetrics& Get() {
     static SolverMetrics* m = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -43,6 +44,8 @@ struct SolverMetrics {
           reg.GetCounter("pdx_solver_candidate_checks_total");
       metrics->witness_revalidated =
           reg.GetCounter("pdx_solver_witness_revalidated_total");
+      metrics->values_unbacked =
+          reg.GetCounter("pdx_solver_values_unbacked_total");
       return metrics;
     }();
     return *m;
@@ -58,8 +61,7 @@ enum class TsStatus {
 
 // A violated st/t tgd trigger to branch on.
 struct PendingTrigger {
-  const Tgd* tgd = nullptr;
-  const plan::ApplyTemplate* apply = nullptr;
+  size_t index = 0;  // of the tgd in Searcher::tgd_order_
   Binding binding;
 };
 
@@ -127,13 +129,16 @@ class Searcher {
       }
       if (most > 0) probe_null_base_ = symbols_->ReserveNullRange(most);
     }
+    DeriveBacking(start);
     // At the root everything is "new", so the root's candidate discovery
     // is the one full scan; below the root, children only discover what
     // they added or merged.
     InstanceWatermark origin = InstanceWatermark::Origin(start);
     Explore(std::move(start), 0, origin);
     result_.nodes_explored = nodes_;
-    run_span.AttrInt("nodes", nodes_).AttrBool("found", found_);
+    run_span.AttrInt("nodes", nodes_)
+        .AttrInt("values_unbacked", result_.values_unbacked)
+        .AttrBool("found", found_);
     SolverMetrics& metrics = SolverMetrics::Get();
     metrics.runs.Inc();
     metrics.nodes.Inc(nodes_);
@@ -142,6 +147,7 @@ class Searcher {
     metrics.nodes_pruned.Inc(result_.nodes_pruned);
     metrics.candidates_discovered.Inc(result_.candidates_discovered);
     metrics.candidate_checks.Inc(result_.candidate_checks);
+    metrics.values_unbacked.Inc(result_.values_unbacked);
     if (budget_hit_ && !found_) {
       result_.outcome = SolveOutcome::kBudgetExhausted;
     } else if (budget_hit_ && options_.enumerate_all) {
@@ -197,6 +203,9 @@ class Searcher {
     PendingTrigger trigger;
     std::vector<Value> domain;  // plus the nulls of the assignment so far
     std::vector<VariableId> exist_vars;
+    // Parallel to exist_vars: the constants a source-backed existential
+    // may take (backing_), or null when no rule restricts it.
+    std::vector<const std::vector<Value>*> backed;
     std::vector<std::optional<Value>> forced;
     // The egd probe's binding, nulls and dirty tuples.
     Binding probe_binding;
@@ -306,24 +315,38 @@ class Searcher {
 
     // Branch over witness assignments for the trigger's existential
     // variables: current active domain values, nulls introduced for
-    // earlier variables of this same assignment, or one fresh null.
-    // Branches fork off a copy-on-write snapshot of the egd-normalized
-    // state, so each child costs O(relations touched), not O(instance).
+    // earlier variables of this same assignment, or one fresh null (a
+    // source-backed variable: its backing constants only). Branches fork
+    // off a copy-on-write snapshot of the egd-normalized state, so each
+    // child costs O(relations touched), not O(instance).
+    const Tgd& tgd = *tgd_order_[trigger.index];
+    const plan::ApplyTemplate& apply = compiled_->tgds[trigger.index].apply;
     k.ActiveDomain(&s->domain);
     s->exist_vars.clear();
-    for (VariableId v = 0; v < trigger.tgd->var_count; ++v) {
-      if (trigger.tgd->existential[v] && !trigger.binding.bound[v]) {
+    s->backed.clear();
+    for (VariableId v = 0; v < tgd.var_count; ++v) {
+      if (tgd.existential[v] && !trigger.binding.bound[v]) {
         s->exist_vars.push_back(v);
+        const std::optional<std::vector<Value>>& backed =
+            backing_[trigger.index][v];
+        s->backed.push_back(backed.has_value() ? &*backed : nullptr);
+        if (backed.has_value() && backed->empty()) {
+          // No value is backed: every choice of v (each domain value and
+          // the fresh null) is skipped, so the node has no child.
+          result_.values_unbacked +=
+              static_cast<int64_t>(s->domain.size()) + 1;
+          return false;
+        }
       }
     }
     const InstanceSnapshot snapshot(std::move(k));
     s->forced.assign(s->exist_vars.size(), std::nullopt);
     if (has_egds_ && !s->exist_vars.empty() &&
-        !ProbeAssignment(snapshot, *trigger.apply, s)) {
+        !ProbeAssignment(snapshot, apply, s)) {
       ++result_.nodes_pruned;  // every assignment clashes
       return false;
     }
-    return BranchOnAssignment(snapshot, depth, *trigger.apply, s, 0);
+    return BranchOnAssignment(snapshot, depth, apply, s, 0);
   }
 
   // The most-general probe of a branching node: one branch in which every
@@ -397,11 +420,13 @@ class Searcher {
   // Recursively enumerates assignments for exist_vars[i..): each variable
   // tries every current-domain value, every null invented for an earlier
   // variable of this assignment (those are appended to `domain` as we
-  // recurse), and one fresh null. A variable the probe forced to a value
-  // r skips its fresh null (the same state as r), and every other
-  // constant when r is a constant (a certain clash). The assignment is
-  // written into s->trigger.binding in place: level i binds exist_vars[i]
-  // before each descent, so the leaf reads a complete assignment.
+  // recurse), and one fresh null. A source-backed variable tries only the
+  // constants of its backing set: no other value, no null and no fresh
+  // null. A variable the probe forced to a value r skips its fresh null
+  // (the same state as r), and every other constant when r is a constant
+  // (a certain clash). The assignment is written into s->trigger.binding
+  // in place: level i binds exist_vars[i] before each descent, so the
+  // leaf reads a complete assignment.
   bool BranchOnAssignment(const InstanceSnapshot& snapshot, int depth,
                           const plan::ApplyTemplate& apply, NodeScratch* s,
                           size_t i) {
@@ -414,11 +439,17 @@ class Searcher {
       return Explore(std::move(k2), depth + 1, snapshot.watermark());
     }
     VariableId v = exist_vars[i];
+    const std::vector<Value>* backed = s->backed[i];
     const std::optional<Value>& r = s->forced[i];
     // Existing values (including nulls invented for earlier variables of
     // this assignment, which BranchOnAssignment appended below).
     size_t domain_size = domain.size();
     for (size_t d = 0; d < domain_size; ++d) {
+      if (backed != nullptr &&
+          !std::binary_search(backed->begin(), backed->end(), domain[d])) {
+        ++result_.values_unbacked;
+        continue;
+      }
       if (r.has_value() && r->is_constant() && domain[d].is_constant() &&
           domain[d] != *r) {
         ++result_.nodes_pruned;
@@ -426,6 +457,10 @@ class Searcher {
       }
       binding.Bind(v, domain[d]);
       if (BranchOnAssignment(snapshot, depth, apply, s, i + 1)) return true;
+    }
+    if (backed != nullptr) {
+      ++result_.values_unbacked;
+      return false;
     }
     if (r.has_value()) {
       ++result_.nodes_pruned;
@@ -578,8 +613,7 @@ class Searcher {
             MarkSatisfied(t, c);
             continue;
           }
-          out->tgd = &tgd;
-          out->apply = &compiled_->tgds[t].apply;
+          out->index = t;
           // Re-resolve: the stored match may hold nulls merged away since
           // discovery; head instantiation must use current roots.
           out->binding = bucket[c].binding;
@@ -593,6 +627,82 @@ class Searcher {
       }
     }
     return false;
+  }
+
+  // The source-backed witness rule, derived once per solve. A solution J'
+  // satisfies Σ_ts with I ground, so when a plain LAV Σ_ts tgd has body
+  // A(x_1..x_n), every A-fact of J' holds at position p a constant of
+  // π_q(S) of I for each position q of a head atom S that names x_p. An
+  // existential of a Σ_st/Σ_t tgd written at such a position of an A head
+  // atom may therefore only take those constants: backing_[t][v] holds
+  // them, sorted (the intersection over every rule that applies), for
+  // existential v of tgd_order_[t], and is empty-optional when no rule
+  // applies. Source relations never change during the search, so `start`
+  // holds the final I. Why the search stays complete: DESIGN.md,
+  // "Generic solver".
+  void DeriveBacking(const Instance& start) {
+    const Schema& schema = setting_.schema();
+    // For each target position (A, p) a LAV Σ_ts tgd reads: the sorted
+    // constants a value there must be one of.
+    std::vector<std::vector<std::optional<std::vector<Value>>>> positions(
+        schema.relation_count());
+    for (const Tgd& ts : setting_.ts_tgds()) {
+      if (!ts.IsLav()) continue;
+      const Atom& body = ts.body[0];
+      positions[body.relation].resize(body.terms.size());
+      for (size_t p = 0; p < body.terms.size(); ++p) {
+        for (const Atom& head : ts.head) {
+          for (size_t q = 0; q < head.terms.size(); ++q) {
+            if (head.terms[q] == body.terms[p]) {
+              Restrict(&positions[body.relation][p],
+                       SourceColumn(start, head.relation, q));
+            }
+          }
+        }
+      }
+    }
+    backing_.assign(tgd_order_.size(), {});
+    for (size_t t = 0; t < tgd_order_.size(); ++t) {
+      const Tgd& tgd = *tgd_order_[t];
+      backing_[t].resize(tgd.var_count);
+      for (const Atom& head : tgd.head) {
+        const auto& read = positions[head.relation];
+        for (size_t p = 0; p < read.size(); ++p) {
+          const Term& term = head.terms[p];
+          if (read[p].has_value() && term.is_variable() &&
+              tgd.existential[term.var()]) {
+            Restrict(&backing_[t][term.var()], *read[p]);
+          }
+        }
+      }
+    }
+  }
+
+  // The distinct values of `relation` at `position` in `start`, sorted.
+  static std::vector<Value> SourceColumn(const Instance& start,
+                                         RelationId relation, size_t position) {
+    std::vector<Value> column;
+    for (TupleView tuple : start.tuples(relation)) {
+      column.push_back(tuple[position]);
+    }
+    std::sort(column.begin(), column.end());
+    column.erase(std::unique(column.begin(), column.end()), column.end());
+    return column;
+  }
+
+  // Intersects `*allowed` (no restriction when empty-optional) with the
+  // sorted set `values`.
+  static void Restrict(std::optional<std::vector<Value>>* allowed,
+                       const std::vector<Value>& values) {
+    if (!allowed->has_value()) {
+      *allowed = values;
+      return;
+    }
+    std::vector<Value> both;
+    std::set_intersection((*allowed)->begin(), (*allowed)->end(),
+                          values.begin(), values.end(),
+                          std::back_inserter(both));
+    **allowed = std::move(both);
   }
 
   // Records the target part of `k` as a solution. Returns true if the
@@ -639,6 +749,9 @@ class Searcher {
   // never moves the buffers of a node still on the path.
   std::vector<std::unique_ptr<NodeScratch>> scratch_;
   uint32_t probe_null_base_ = 0;  // first of the egd probe's null ids
+  // Per tgd_order_ entry and variable: the source-backed witness rule's
+  // allowed constants (DeriveBacking), built once per solve.
+  std::vector<std::vector<std::optional<std::vector<Value>>>> backing_;
 };
 
 }  // namespace

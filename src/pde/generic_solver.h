@@ -57,6 +57,12 @@ struct GenericSolveResult {
   int64_t nodes_clash = 0;
   int64_t nodes_memo = 0;
   int64_t nodes_pruned = 0;
+  // Value choices the source-backed witness rule skipped without visiting:
+  // every unbacked domain value, null and fresh null of a source-backed
+  // existential (one per skipped choice, as for nodes_pruned). A node
+  // whose existential has an empty backing set ends there, counting each
+  // of that variable's choices (the domain values and the fresh null).
+  int64_t values_unbacked = 0;
   // Instrumentation of the incremental violated-trigger cache that drives
   // the search loop (no full-instance trigger rescans happen per node):
   // body matches found by delta-driven discovery, and head-extension tests
@@ -89,13 +95,22 @@ struct GenericSolveResult {
 //     r) and, when r is a constant, every other constant (a certain
 //     clash). Enumeration order is otherwise unchanged, and merges that
 //     cascade still run through each child's fixpoint;
+//   * an existential written at a position that a plain LAV Σ_ts tgd
+//     reads is *source-backed*: (I, J') ⊨ Σ_ts with I ground makes the
+//     value there a constant of the source column the tgd's head copies
+//     that position to, so the existential branches over those constants
+//     only (intersected when several rules apply; no null, no fresh
+//     null). The sets are derived once per solve;
 //   * Σ_ts (and disjunctive Σ_ts) act as checks: a violated all-constant
 //     trigger — or any violated trigger when Σ_t has no egds — is
 //     permanent and prunes; otherwise the branch dies only at fixpoints.
 //
 // Completeness follows the paper's Lemma 2: for any solution J*, tracing
-// the solution-aware chase against J* is one of the explored paths up to
-// injective renaming of non-input values. Visited states are memoized by
+// the solution-aware chase against J* — choosing a witness's constant
+// itself whenever the current state holds it — is one of the explored
+// paths up to injective renaming of non-input values; that path gives a
+// source-backed existential a constant of I, so the rule never cuts it
+// (DESIGN.md, "Generic solver"). Visited states are memoized by
 // canonical fingerprint. Trigger discovery, head checks and the per-node
 // egd fixpoint run through compiled plans (plan/ir.h), fetched once per
 // solve from the process-wide PlanCache, so node re-chases never

@@ -66,6 +66,17 @@ Graph CompleteGraph(int n) {
   return g;
 }
 
+Graph TriangleFreeGraph(int n) {
+  Graph g;
+  g.node_count = n;
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      if ((u + v) % 2 == 1) g.edges.emplace_back(u, v);
+    }
+  }
+  return g;
+}
+
 namespace {
 
 // Adjacency matrix helper for the brute-force oracles.

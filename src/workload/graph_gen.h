@@ -29,6 +29,10 @@ Graph PathGraph(int n);
 // The complete graph K_n.
 Graph CompleteGraph(int n);
 
+// The graph on n nodes joining u and v when u + v is odd: bipartite by
+// parity, hence triangle-free, yet dense (about n²/4 edges).
+Graph TriangleFreeGraph(int n);
+
 // Brute-force reference: does `g` contain a clique of size k? Exponential;
 // for test oracles on small graphs only.
 bool HasClique(const Graph& g, int k);

@@ -1,6 +1,8 @@
 #include "pde/generic_solver.h"
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pde/solution.h"
 #include "tests/test_util.h"
 #include "workload/reductions.h"
@@ -333,6 +335,40 @@ TEST_F(GenericSolverTest, EgdProbePrunesForcedBranches) {
   EXPECT_EQ(result.outcome, SolveOutcome::kSolutionFound);
   EXPECT_GE(result.nodes_explored, 4);
   EXPECT_EQ(forced_symbols.null_count() - before, 1u);
+}
+
+// Section 4(a)'s Σ_ts tgd P(x,z,y,w) -> E(z,w) is LAV, so it backs both
+// existentials of D(x,y) -> ∃z,w P(x,z,y,w) by the graph's nodes: the
+// search tries graph nodes only, never a null an egd merges later, so it
+// meets no memo hit and no clash. The skipped choices are reported in
+// the result, the registry counter and the solve.generic span alike.
+TEST_F(GenericSolverTest, SourceBackedWitnessesAreObservable) {
+  SymbolTable symbols;
+  PdeSetting setting = Unwrap(MakeEgdBoundarySetting(&symbols));
+  Instance source =
+      MakeEgdBoundarySourceInstance(setting, PathGraph(4), 3, &symbols);
+  obs::Counter counter = obs::MetricsRegistry::Global().GetCounter(
+      "pdx_solver_values_unbacked_total");
+  const int64_t before = counter.Value();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Enable();
+  GenericSolveResult result = Unwrap(GenericExistsSolution(
+      setting, source, setting.EmptyInstance(), &symbols));
+  std::vector<obs::SpanRecord> spans = tracer.Drain();
+  tracer.Disable();
+  EXPECT_EQ(result.outcome, SolveOutcome::kNoSolution);
+  EXPECT_EQ(result.nodes_memo, 0);
+  EXPECT_EQ(result.nodes_clash, 0);
+  EXPECT_GT(result.values_unbacked, 0);
+  EXPECT_EQ(counter.Value() - before, result.values_unbacked);
+  int64_t attr = -1;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != "solve.generic") continue;
+    for (const obs::SpanAttr& a : span.attrs) {
+      if (a.key == "values_unbacked") attr = a.i;
+    }
+  }
+  EXPECT_EQ(attr, result.values_unbacked);
 }
 
 }  // namespace

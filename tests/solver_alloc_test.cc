@@ -1,11 +1,14 @@
 // Allocation guard for the generic solver's search node. This executable
 // replaces the global operator new/delete with counting versions and runs
-// the Theorem 1 NP search on the Section 4(a) reduction (the np_search
-// pdxbench workload's shape: the D/E/P setting, a 4-node path, k = 3).
-// A node's cost should be its delta, not its allocations: the canonical
-// memo key, the egd fixpoint and the assignment recursion reuse scratch,
-// so the allocations per explored node stay near a small constant. The
-// bound is 1.5x the count this search made when the guard was written.
+// the Theorem 1 NP search twice: on the Section 4(a) reduction (the
+// np_search pdxbench workload's shape: the D/E/P setting, a 4-node path,
+// k = 3), and on Theorem 3's CLIQUE reduction over a triangle-free graph,
+// whose search still explores thousands of nodes. A node's cost should be
+// its delta, not its allocations: the canonical memo key, the egd
+// fixpoint and the assignment recursion reuse scratch, and the
+// source-backed witness sets are built once per solve, so the allocations
+// per explored node stay near a small constant. The bound is 1.5x the
+// count the Section 4(a) search made when the guard was written.
 
 #include <atomic>
 #include <cstdint>
@@ -48,47 +51,87 @@ using testing_util::Unwrap;
 // deterministic, so a change here is a change of the memo key, the
 // branch order, the pruning or a node's delta (a node whose reused
 // buffers leaked a sibling's dirty tuples would discover more).
-constexpr int64_t kNodes = 20479;
-constexpr int64_t kCandidatesDiscovered = 5347;
-constexpr int64_t kCandidateChecks = 5261;
-// Heap allocations per explored node measured on this search (Release,
-// GCC 12, libstdc++): 105.6 before the flat memo key and the reused
-// node scratch, 21.1 after. Most of what is left is what a node owns:
-// the copy-on-write clone of the relation it writes and the union-find
-// state of its first merge.
+// Section 4(a) on the 4-node path:
+constexpr int64_t kNodes = 91;
+constexpr int64_t kCandidatesDiscovered = 96;
+constexpr int64_t kCandidateChecks = 85;
+// Heap allocations per explored node measured on the Section 4(a) search
+// (Release, GCC 12, libstdc++): 105.6 before the flat memo key and the
+// reused node scratch, 21.1 after, over 20,479 nodes. Most of what is
+// left is what a node owns: the copy-on-write clone of the relation it
+// writes and the union-find state of its first merge. The source-backed
+// witness rule cut the search to 91 nodes at about 23 per node: the
+// solve's fixed cost (plans, scratch, the backing sets) now weighs more
+// per node, within the same bound.
 constexpr double kMeasuredPerNode = 21.1;
 constexpr double kBoundPerNode = 1.5 * kMeasuredPerNode;
+// Theorem 3's CLIQUE reduction, k = 3, on the 6-node triangle-free graph:
+// explored nodes, and allocations per node when this guard was added.
+constexpr int64_t kCliqueNodes = 10405;
+constexpr double kCliqueMeasuredPerNode = 11.1;
+constexpr double kCliqueBoundPerNode = 1.5 * kCliqueMeasuredPerNode;
+
+// Runs `solve` twice and returns the second, steady-state result with its
+// allocations per explored node in *per_node: the first solve compiles
+// the plans and grows the per-thread scratch.
+template <typename Solve>
+GenericSolveResult GuardedSolve(const Solve& solve, double* per_node) {
+  GenericSolveResult warm = solve();
+  const int64_t before = g_allocations.load();
+  GenericSolveResult result = solve();
+  const int64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(result.outcome, warm.outcome);
+  *per_node = static_cast<double>(allocations) /
+              static_cast<double>(result.nodes_explored);
+  std::printf("allocations: %lld over %lld nodes (%.2f per node)\n",
+              static_cast<long long>(allocations),
+              static_cast<long long>(result.nodes_explored), *per_node);
+  return result;
+}
 
 TEST(SolverAllocTest, SectionFourASearchAllocatesLittlePerNode) {
   SymbolTable symbols;
   PdeSetting setting = Unwrap(MakeEgdBoundarySetting(&symbols));
   Instance source =
       MakeEgdBoundarySourceInstance(setting, PathGraph(4), 3, &symbols);
-  auto solve = [&] {
-    GenericSolverOptions options;
-    options.num_threads = 1;
-    return Unwrap(GenericExistsSolution(setting, source,
-                                        setting.EmptyInstance(), &symbols,
-                                        options));
-  };
-  // The first solve compiles the plans and grows the per-thread scratch;
-  // the guard counts a second, steady-state solve.
-  GenericSolveResult warm = solve();
-  ASSERT_EQ(warm.outcome, SolveOutcome::kNoSolution);
-  const int64_t before = g_allocations.load();
-  GenericSolveResult result = solve();
-  const int64_t allocations = g_allocations.load() - before;
+  double per_node = 0;
+  GenericSolveResult result = GuardedSolve(
+      [&] {
+        GenericSolverOptions options;
+        options.num_threads = 1;
+        return Unwrap(GenericExistsSolution(setting, source,
+                                            setting.EmptyInstance(), &symbols,
+                                            options));
+      },
+      &per_node);
   EXPECT_EQ(result.outcome, SolveOutcome::kNoSolution);
   EXPECT_EQ(result.nodes_explored, kNodes);
   EXPECT_EQ(result.candidates_discovered, kCandidatesDiscovered);
   EXPECT_EQ(result.candidate_checks, kCandidateChecks);
-  const double per_node = static_cast<double>(allocations) /
-                          static_cast<double>(result.nodes_explored);
   RecordProperty("allocations_per_node", std::to_string(per_node));
-  std::printf("allocations: %lld over %lld nodes (%.2f per node)\n",
-              static_cast<long long>(allocations),
-              static_cast<long long>(result.nodes_explored), per_node);
   EXPECT_LE(per_node, kBoundPerNode);
+}
+
+// A search that stays large under the source-backed witness rule: the
+// CLIQUE reduction with k = 3 over the 6-node triangle-free graph (no
+// egds, so every node is a Σ_st branch and its Σ_ts checks).
+TEST(SolverAllocTest, CliqueSearchAllocatesLittlePerNode) {
+  SymbolTable symbols;
+  PdeSetting setting = Unwrap(MakeCliqueSetting(&symbols));
+  Instance source = MakeCliqueSourceInstance(setting, TriangleFreeGraph(6),
+                                             3, &symbols);
+  double per_node = 0;
+  GenericSolveResult result = GuardedSolve(
+      [&] {
+        return Unwrap(GenericExistsSolution(setting, source,
+                                            setting.EmptyInstance(),
+                                            &symbols));
+      },
+      &per_node);
+  EXPECT_EQ(result.outcome, SolveOutcome::kNoSolution);
+  EXPECT_EQ(result.nodes_explored, kCliqueNodes);
+  RecordProperty("allocations_per_node", std::to_string(per_node));
+  EXPECT_LE(per_node, kCliqueBoundPerNode);
 }
 
 }  // namespace

@@ -26,6 +26,8 @@
 # pdxcli smoke stage: check/chase/solve on
 # the shipped Example 1 setting with --metrics-out/--trace-out, failing on
 # malformed exporter output, on a chase or ctract solve whose output
+# differs between 1 and 8 threads, on a generic solve of Section 4(a)'s
+# setting (data/egd_boundary*) with the wrong verdict or whose output
 # differs between 1 and 8 threads, or on a flag pdxcli should reject but
 # accepts, plus a
 # -DPDX_OBS_NOOP=ON build gate proving
@@ -119,6 +121,28 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
     { echo "smoke: solve output on a target with frontier nulls differs" \
         "between 1 and 8 threads" >&2
       exit 1; }
+
+  # The generic search on Section 4(a)'s setting (CLIQUE with k = 3 through
+  # target egds) answers by the graph: the 4-node path has no triangle, K3
+  # is one. Its output, witness included, is the same at every thread
+  # count.
+  for graph in path4 k3; do
+    for threads in 1 8; do
+      ./build/tools/pdxcli solve --solver generic \
+        --setting data/egd_boundary.pdx \
+        --source "data/egd_boundary_$graph.facts" --threads "$threads" \
+        >"$smoke_dir/generic_${graph}_t$threads.txt"
+    done
+    cmp -s "$smoke_dir/generic_${graph}_t1.txt" \
+      "$smoke_dir/generic_${graph}_t8.txt" ||
+      { echo "smoke: generic solve on $graph differs between 1 and 8" \
+          "threads" >&2
+        exit 1; }
+  done
+  grep -q '^no solution$' "$smoke_dir/generic_path4_t1.txt" ||
+    { echo "smoke: the 4-node path must have no solution" >&2; exit 1; }
+  grep -q '^solution (' "$smoke_dir/generic_k3_t1.txt" ||
+    { echo "smoke: K3 must have a solution" >&2; exit 1; }
 
   # pdxcli rejects what it does not read: a flag its command does not
   # take, and a --threads value that is not a non-negative integer, both
